@@ -55,6 +55,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..stages.aggregate import KeyedSketches, _merge_group, summarize
 from ..state.protocol import SketchSpec
 
 ENGINE_VERSION = "0.1.0"
@@ -175,46 +176,28 @@ def run_checkpointed(input_files: list[str], spec: SketchSpec,
         for path in batch["path"].to_pylist():
             t0 = time.perf_counter()
             pf = pq.ParquetFile(path)
-            sketches: dict = {}
-            counts: dict = {}
+            acc = KeyedSketches(spec, key or "key")
             n_rows = 0
             # fixed chunking (a pure function of the file) keeps the result
             # independent of the global plan / retries / other files
             for rb in pf.iter_batches(batch_size=batch_size, columns=cols):
-                vals = rb.column(cols.index(value_col)).to_numpy(
-                    zero_copy_only=False)
-                n_rows += len(vals)
-                if key is None:
-                    groups = [("", np.arange(len(vals)))]
-                else:
-                    karr = rb.column(cols.index(key)).to_numpy(
-                        zero_copy_only=False)
-                    order = np.argsort(karr, kind="stable")
-                    ks = karr[order]
-                    uniq, starts = np.unique(ks, return_index=True)
-                    bounds = np.append(starts, len(ks))
-                    groups = [(uniq[i], order[bounds[i]:bounds[i + 1]])
-                              for i in range(len(uniq))]
-                for kval, idx in groups:
-                    sk = sketches.get(kval)
-                    if sk is None:
-                        sk = sketches[kval] = spec.factory()
-                        counts[kval] = 0
-                    sk.update_batch(vals[idx])
-                    counts[kval] += len(idx)
+                n_rows += rb.num_rows
+                acc.add(None if key is None else rb.column(key),
+                        {value_col: rb.column(value_col)})
+            sketches = sorted(acc.items(), key=lambda kv: kv[0][1])
             pid = partition_id_for(path)
             wall = (time.perf_counter() - t0) * 1000
             rows = [{
                 "partition_id": pid,
                 "input_path": path,
                 "key": kval,
-                "sketch": sketches[kval].to_bytes(),
-                "n": float(counts[kval]),
+                "sketch": sk.to_bytes(),
+                "n": n,
                 "n_rows": n_rows,
                 "wall_ms": wall / max(len(sketches), 1),
                 "spec_name": spec.name,
                 "engine_version": ENGINE_VERSION,
-            } for kval in sorted(sketches)]
+            } for (_m, kval), (sk, n) in sketches]
             if rows:
                 table = pa.Table.from_pandas(
                     pd.DataFrame(rows)[CKPT_SCHEMA_COLS],
@@ -259,22 +242,14 @@ def finalize_checkpointed(ckpt_dir: str, spec: SketchSpec,
     """
     import ray.data as rd
 
-    from ..stages.aggregate import summarize
-
     _check_format(ckpt_dir, create=False)
     files = [_part_file(ckpt_dir, pid)
              for pid in sorted(completed_partitions(ckpt_dir))]
     if not files:
         raise FileNotFoundError(f"no checkpoints in {ckpt_dir}")
     ds = rd.read_parquet(files, columns=["key", "sketch", "n"])
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        merged = spec.merge_bytes(list(g["sketch"]))
-        return pd.DataFrame({"key": [g["key"].iloc[0]],
-                             "sketch": [merged.to_bytes()],
-                             "n": [float(g["n"].sum())]})
-
-    merged = ds.groupby("key").map_groups(merge, batch_format="pandas")
+    merged = ds.groupby("key").map_groups(_merge_group(spec),
+                                          batch_format="pandas")
     if raw:
         return merged
     return summarize(merged, spec, key_name=key_name)

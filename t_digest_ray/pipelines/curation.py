@@ -832,12 +832,10 @@ def priority_sample_subset_check(ds, key_col: str, k: int = 512,
     within_bound)`` — the three exact columns hash-match
     ``COUNT(DISTINCT ..)`` / filtered-COUNT SQL.
     """
-    from ..stages.aggregate import (COUNT_COL, KEY_COL, SALT_COL,
-                                    SKETCH_COL, merge_partials)
+    from ..stages.aggregate import (SKETCH_COL, KeyedSketches,
+                                    hash_bucketed_group_agg, merge_partials)
     from ..state.priority import PrioritySample
     from ..state.protocol import SketchSpec
-
-    from ..stages.aggregate import hash_bucketed_group_agg
 
     def batch_counts(b: pa.Table) -> pa.Table:
         uniq, cnt = np.unique(b[key_col].to_numpy(zero_copy_only=False),
@@ -855,17 +853,9 @@ def priority_sample_subset_check(ds, key_col: str, k: int = 512,
                       from_bytes=PrioritySample.from_bytes)
 
     def partial(b: pa.Table) -> pa.Table:
-        keys = b[key_col].to_numpy(zero_copy_only=False)
-        w = b["cnt"].to_numpy(zero_copy_only=False).astype(np.float64)
-        sk = spec.factory()
-        sk.update_batch(keys, w)
-        blob = sk.to_bytes()
-        salt = int(hash64(np.asarray([blob], dtype=object))[0]
-                   % np.uint64(4))
-        return pa.table({KEY_COL: pa.array([""]),
-                         SALT_COL: pa.array([salt], type=pa.int32()),
-                         SKETCH_COL: pa.array([blob], type=pa.binary()),
-                         COUNT_COL: pa.array([float(len(keys))])})
+        acc = KeyedSketches(spec)
+        acc.add(None, {key_col: b[key_col]}, pc.cast(b["cnt"], pa.float64()))
+        return acc.flush(4)
 
     merged_row = merge_partials(
         counts.map_batches(partial, batch_format="pyarrow"),

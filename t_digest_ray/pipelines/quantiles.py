@@ -3,7 +3,7 @@
 The flagship pipeline (SURVEY.md §3 "Ray Data re-architecture"):
 
     pages -> ExtractText -> derive_metrics
-          -> partial t-digests per (batch, lang)       [map-side combine]
+          -> partial t-digests per (task, lang)        [KeyedSketches]
           -> two-level canonical merge by lang          [tiny shuffle]
           -> quantiles / trimmed means per lang         [query stage]
 """
@@ -15,7 +15,9 @@ import pyarrow as pa
 from ..state.protocol import SketchSpec
 from ..state.scale_functions import K_2
 from ..state.tdigest import TDigest
-from ..stages.aggregate import sketch_by_key, summarize
+from ..stages.aggregate import (METRIC_COL, KeyedSketches,
+                                merge_multi_partials, sketch_by_key,
+                                summarize)
 from ..stages.extract import ExtractText, derive_metrics
 
 DEFAULT_QS = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)
@@ -198,22 +200,24 @@ def pages_quantiles(pages_ds, value_cols=("text_length", "html_size"),
     """The flagship: extract + derive + per-metric partial digests from ONE
     scan, then the two-level salted merge.
 
+    The partial digests come from the library's single partial path,
+    ``stages.aggregate.KeyedSketches``: one per task, grouping each chunk
+    on the ``key`` column's dictionary codes once for every metric.
+
     The per-task body processes the block in ``chunk_size``-row slices
-    (extract -> derive -> partials per slice): a ~4k-page chunk keeps the
-    whole working set (html buffers, extracted text, metric arrays,
+    (extract -> derive -> sketch updates per slice): a ~4k-page chunk keeps
+    the whole working set (html buffers, extracted text, metric arrays,
     sorts) a few MB — cache-resident and allocator-recyclable. Measured
     on the 32-CPU box: 4.4x faster than whole-block staging (58k -> 253k
     pages/s at 2 M pages), because concurrent workers churning ~100 MB of
-    per-stage temporaries were DRAM/allocator-bound. The partial sketch
-    per (chunk, metric, lang) is still KB-sized, so the shuffle is
-    unchanged in kind, just ~4x more (tiny) rows.
+    per-stage temporaries were DRAM/allocator-bound. Sketch state stays
+    resident across chunks and flushes once per task: one KB-sized row per
+    (task, metric, lang).
 
     Returns a dict {value_col: Dataset of per-lang quantile rows}. The tiny
     merged sketch table is materialized once so consuming several metrics
     never re-runs the scan.
     """
-    from ..stages.aggregate import merge_multi_partials
-
     spec = tdigest_spec(compression, qs=qs)
     fused = make_fused_partials(spec, value_cols, key, num_salts, chunk_size)
     partials = pages_ds.map_batches(fused, batch_format="pyarrow")
@@ -222,94 +226,32 @@ def pages_quantiles(pages_ds, value_cols=("text_length", "html_size"),
     return _summaries_per_metric(merged, spec, value_cols, key)
 
 
-class FusedSketchAccumulator:
-    """Running per-(metric, key) sketches fed one pages chunk at a time.
-
-    The r2 fused body emitted a partial-sketch table per chunk; at the
-    measured cache-resident chunk size (~1k rows) that flush — 2 metrics
-    x ~7 langs x serialize + salt hash per chunk — dominated the body.
-    Accumulating across chunks keeps the STRING working set chunk-sized
-    (the DRAM-contention fix) while sketch state stays ~100 KB resident
-    and serializes once per task. Accumulator instances are per-task, so
-    tasks stay stateless and retry-deterministic (the flushed partial
-    depends only on the task's input rows; the canonical one-shot merge
-    downstream is partitioning-invariant, tests/test_ray_aggregate.py).
-    """
-
-    def __init__(self, spec, value_cols, key: str, num_salts: int):
-        self._spec = spec
-        self._value_cols = value_cols
-        self._key = key
-        self._num_salts = num_salts
-        self._extract = ExtractText()
-        self._accs: dict = {}  # (value_col, key) -> [sketch, n]
-
-    def add(self, pages_chunk: pa.Table) -> None:
-        """extract -> derive -> update running sketches, one chunk."""
-        import numpy as np
-
-        sub = derive_metrics(self._extract(pages_chunk))
-        karr = sub[self._key].to_numpy(zero_copy_only=False)
-        order = np.argsort(karr, kind="stable")
-        uniq, starts = np.unique(karr[order], return_index=True)
-        bounds = np.append(starts, len(karr))
-        for vc in self._value_cols:
-            vals = sub[vc].to_numpy(zero_copy_only=False)
-            for i, k in enumerate(uniq):
-                idx = order[bounds[i]:bounds[i + 1]]
-                acc = self._accs.get((vc, k))
-                if acc is None:
-                    self._accs[(vc, k)] = acc = [self._spec.factory(), 0.0]
-                acc[0].update_batch(vals[idx], None)
-                acc[1] += float(len(idx))
-
-    def flush(self) -> pa.Table:
-        """One partial row per (metric, key) with a content-derived salt
-        (same wire schema as ``make_partial_fn`` + METRIC_COL)."""
-        import numpy as np
-
-        from ..functions.hashing import hash64
-        from ..stages.aggregate import (COUNT_COL, KEY_COL, METRIC_COL,
-                                        SALT_COL, SKETCH_COL)
-
-        if not self._accs:
-            return pa.table({})
-        metrics, keys, blobs, ns = [], [], [], []
-        for (vc, k), (sk, n) in self._accs.items():
-            metrics.append(vc)
-            keys.append(k)
-            blobs.append(sk.to_bytes())
-            ns.append(n)
-        salts = (hash64(np.asarray(blobs, dtype=object))
-                 % np.uint64(max(self._num_salts, 1))).astype(np.int32)
-        return pa.table({
-            KEY_COL: pa.array(keys),
-            SALT_COL: pa.array(salts),
-            SKETCH_COL: pa.array(blobs, type=pa.binary()),
-            COUNT_COL: pa.array(ns, type=pa.float64()),
-            METRIC_COL: pa.array(metrics),
-        })
+def _add_pages(acc, extract, pages: pa.Table, key: str, value_cols) -> None:
+    """extract -> derive -> per-(metric, key) sketch updates, one chunk."""
+    sub = derive_metrics(extract(pages))
+    acc.add(sub[key], {vc: sub[vc] for vc in value_cols})
 
 
 def make_fused_partials(spec, value_cols, key: str, num_salts: int,
                         chunk_size: int = 1024):
-    """The flagship's per-task body: extract -> derive -> running
-    per-metric digests, processed in ``chunk_size``-row slices (see
-    ``pages_quantiles`` for the cache-residency rationale), flushed once
-    per task."""
+    """The flagship's per-task body: extract -> derive -> one
+    ``KeyedSketches`` over every metric, fed ``chunk_size``-row slices (see
+    ``pages_quantiles`` for the cache-residency rationale) and flushed once
+    per task, so the string working set stays chunk-sized while the sketch
+    state (~100 KB) serializes once."""
+    extract = ExtractText()
 
     def fused(batch: pa.Table) -> pa.Table:
-        acc = FusedSketchAccumulator(spec, value_cols, key, num_salts)
+        acc = KeyedSketches(spec, key, with_metric=True)
         for off in range(0, batch.num_rows, chunk_size):
-            acc.add(batch.slice(off, chunk_size))
-        return acc.flush()
+            _add_pages(acc, extract, batch.slice(off, chunk_size), key,
+                       value_cols)
+        return acc.flush(num_salts)
 
     return fused
 
 
 def _summaries_per_metric(merged, spec, value_cols, key: str) -> dict:
-    from ..stages.aggregate import METRIC_COL
-
     out = {}
     for col in value_cols:
         sub = merged.filter(expr=f'{METRIC_COL} == "{col}"') \
@@ -340,26 +282,25 @@ def synthetic_pages_quantiles(n_rows: int, value_cols=("text_length",
     never the CPU count — the same discipline as the sketch scaling job.
     """
     import numpy as np
-    import pyarrow as pa
     import ray.data as rd
 
     from ..sources.pages import generate_pages_batch
-    from ..stages.aggregate import merge_multi_partials
 
     spec = tdigest_spec(compression, qs=qs)
-    fused = make_fused_partials(spec, value_cols, key, num_salts, chunk_size)
+    extract = ExtractText()
     n_blocks = max(-(-n_rows // rows_per_block), 1)
 
     def gen_block(batch: pa.Table) -> pa.Table:
-        acc = FusedSketchAccumulator(spec, value_cols, key, num_salts)
+        acc = KeyedSketches(spec, key, with_metric=True)
         for bid in batch["id"].to_numpy():
             base = int(bid) * rows_per_block
             hi = min(base + rows_per_block, n_rows)
             for off in range(base, hi, chunk_size):
                 ids = np.arange(off, min(off + chunk_size, hi),
                                 dtype=np.uint64)
-                acc.add(generate_pages_batch(ids))
-        return acc.flush()
+                _add_pages(acc, extract, generate_pages_batch(ids), key,
+                           value_cols)
+        return acc.flush(num_salts)
 
     partials = (rd.range(n_blocks, override_num_blocks=n_blocks)
                 .map_batches(gen_block, batch_format="pyarrow",

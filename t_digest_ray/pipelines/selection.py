@@ -28,12 +28,15 @@ states × n_bins rows regardless of data layout or duplication.
 Values are integer CENTS (``floor(value·100 + 0.5)``, the repo-wide
 convention) so bin arithmetic is pure floor-div integer math —
 bit-identical at any parallelism, and the result is EXACTLY DuckDB's
-``quantile_disc`` (rank = ceil(q·n), 1-based) on the same cents.
+``quantile_disc`` (rank = ceil(q·n), 1-based) on the same cents. The rank
+is integer arithmetic on q read as the short fraction it was written as
+(0.07 -> 7/100), as DuckDB does for a decimal q: in floats 0.07·100 is
+7.000000000000001 and its ceil would be one rank too high.
 """
 
 from __future__ import annotations
 
-import math
+from fractions import Fraction
 
 import numpy as np
 import pandas as pd
@@ -43,6 +46,13 @@ import pyarrow as pa
 def _to_cents(col: pa.ChunkedArray) -> np.ndarray:
     v = col.to_numpy(zero_copy_only=False).astype(np.float64)
     return np.floor(v * 100.0 + 0.5).astype(np.int64)
+
+
+def _disc_rank(q: float, n: int) -> int:
+    """1-based quantile_disc rank ceil(q·n), exact: ``q`` as the nearest
+    fraction with a denominator up to 10^6."""
+    f = Fraction(q).limit_denominator()
+    return max((f.numerator * n + f.denominator - 1) // f.denominator, 1)
 
 
 def selection_quantiles_by_key(ds, key: str, value: str,
@@ -82,7 +92,7 @@ def selection_quantiles_by_key(ds, key: str, value: str,
                 "key": r[key], "q": q,
                 # 1-based target rank within the state's CURRENT range;
                 # starts as the global quantile_disc rank.
-                "rank": max(int(math.ceil(q * n)), 1),
+                "rank": _disc_rank(q, n),
                 "lo": lo, "hi": hi,
                 "answer": lo if lo == hi else None})
 

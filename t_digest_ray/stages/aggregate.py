@@ -5,10 +5,17 @@ MergingDigest.add(List) / MegaMergeTest's partial->merge pattern):
 
     ds.map_batches(partial_fn, batch_format="pyarrow")     # map-side combine:
         -> rows (key, salt, sketch: binary, n: float64)    #   one sketch per
-                                                           #   (batch x key)
+                                                           #   (task x key)
     .groupby([key, salt]).map_groups(merge)                # level-1 merge
     .groupby(key).map_groups(merge)                        # level-2 merge
     .map_batches(summarize)                                # query stage
+
+Every partial sketch in the library comes from ONE accumulator,
+``KeyedSketches``: the generic ``make_partial_fn``, the fused pages flagship
+(``pipelines.quantiles.make_fused_partials``), the checkpointed per-file
+partials (``pipelines.checkpoint.run_checkpointed``) and hand-built
+single-row partials all feed it batches and flush its wire rows. It groups
+each batch once, on Arrow dictionary codes, for every metric.
 
 Raw values never shuffle — only serialized sketches (KBs per row), which is
 what makes the wide step cheap at 10^12 rows. The salt level bounds the fan-in
@@ -25,11 +32,10 @@ result is independent of the order Ray delivers the partial rows.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.hashing import hash64
 from ..state.protocol import SketchSpec
@@ -38,58 +44,119 @@ SKETCH_COL = "sketch"
 COUNT_COL = "n"
 KEY_COL = "key"
 SALT_COL = "salt"
+METRIC_COL = "metric"
 
 _GLOBAL_KEY = ""  # constant key used when aggregating without a group key
+
+
+class KeyedSketches:
+    """Running per-(metric, key) sketches, fed one batch at a time: the
+    library's single map-side combine.
+
+    ``add`` groups a batch once for all its metrics: the key column is
+    dictionary-encoded to int32 codes, one stable argsort of the codes and
+    ``np.bincount`` bounds split every metric's values (and the weights)
+    by key. Within a key the values keep their input order, so each sketch
+    sees exactly what a per-key filter of the batch would give it. A batch
+    visits its keys in sorted order; states, and so the flushed rows, keep
+    the order they were first seen in.
+
+    Instances live inside one task: the flushed rows depend only on the
+    rows that task added, which keeps tasks stateless and
+    retry-deterministic.
+    """
+
+    def __init__(self, spec: SketchSpec, key_name: str = KEY_COL,
+                 with_metric: bool = False):
+        self._spec = spec
+        self._key_name = key_name  # for error messages only
+        self._with_metric = with_metric
+        self._key_type = pa.string()
+        self._acc: dict = {}  # (metric, key) -> [sketch, n]
+
+    def add(self, keys, values: dict, weights=None) -> None:
+        """Update the sketches with one batch of Arrow columns: ``keys``,
+        or None for the global key ""; ``values`` maps metric name -> value
+        column; ``weights`` is optional per-row."""
+        w = None if weights is None else weights.to_numpy(zero_copy_only=False)
+        order, groups = None, [(_GLOBAL_KEY, 0, None)]
+        if keys is not None:
+            col = keys.combine_chunks() \
+                if isinstance(keys, pa.ChunkedArray) else keys
+            if col.null_count:
+                raise ValueError(
+                    f"group key column {self._key_name!r} has "
+                    f"{col.null_count} null value(s); fill or filter them "
+                    "before sketching")
+            enc = pc.dictionary_encode(col)
+            self._key_type = enc.type.value_type
+            codes = enc.indices.to_numpy(zero_copy_only=False)
+            order = np.argsort(codes, kind="stable")
+            bounds = np.concatenate(([0], np.cumsum(
+                np.bincount(codes, minlength=len(enc.dictionary)))))
+            uniq = enc.dictionary.to_pylist()
+            groups = [(uniq[c], bounds[c], bounds[c + 1])
+                      for c in pc.sort_indices(enc.dictionary).to_pylist()
+                      if bounds[c + 1] > bounds[c]]
+            if w is not None:
+                w = w[order]
+        for metric, vals in values.items():
+            vals = vals.to_numpy(zero_copy_only=False)
+            if order is not None:
+                vals = vals[order]
+            for k, lo, hi in groups:
+                acc = self._acc.get((metric, k))
+                if acc is None:
+                    acc = self._acc[(metric, k)] = [self._spec.factory(), 0.0]
+                part = vals[lo:hi]
+                acc[0].update_batch(part, None if w is None else w[lo:hi])
+                acc[1] += float(len(part))
+
+    def items(self):
+        """``((metric, key), [sketch, n])`` pairs in first-seen order."""
+        return self._acc.items()
+
+    def flush(self, num_salts: int) -> pa.Table:
+        """Wire rows ``(key, salt, sketch, n[, metric])``, one per
+        (metric, key). The salt is content-derived, so a retried task
+        lands in the same level-1 merge group. With no rows added the
+        table is empty but keeps the full wire schema."""
+        items = list(self._acc.items())
+        blobs = [sk.to_bytes() for _, (sk, _n) in items]
+        salts = (hash64(np.asarray(blobs, dtype=object))
+                 % np.uint64(max(num_salts, 1))).astype(np.int32)
+        cols = {
+            KEY_COL: pa.array([k for (_m, k), _ in items],
+                              type=self._key_type),
+            SALT_COL: pa.array(salts, type=pa.int32()),
+            SKETCH_COL: pa.array(blobs, type=pa.binary()),
+            COUNT_COL: pa.array([n for _, (_sk, n) in items],
+                                type=pa.float64()),
+        }
+        if self._with_metric:
+            cols[METRIC_COL] = pa.array([m for (m, _k), _ in items],
+                                        type=pa.string())
+        return pa.table(cols)
 
 
 def make_partial_fn(spec: SketchSpec, value_col: str,
                     key: str | None = None,
                     weight_col: str | None = None,
                     num_salts: int = 8):
-    """Build the map-side combine: one serialized sketch per (batch, key).
+    """Build the map-side combine: one serialized sketch per (batch, key),
+    through ``KeyedSketches``.
 
     Stateless by design — each batch independently becomes <= #keys tiny
     rows, so tasks are cheap, elastic and retry-deterministic (the sketch of
-    a batch depends only on the batch's content: values are order-
-    canonicalized inside ``update_batch``). The salt is content-derived, so
-    a retried task lands in the same level-1 merge group.
+    a batch depends only on the batch's content).
     """
 
     def fn(batch: pa.Table) -> pa.Table:
-        vals = batch[value_col].to_numpy(zero_copy_only=False)
-        weights = (batch[weight_col].to_numpy(zero_copy_only=False)
-                   if weight_col else None)
-        out_keys: list[Any] = []
-        out_blobs: list[bytes] = []
-        out_n: list[float] = []
-        if key is None:
-            sk = spec.factory()
-            sk.update_batch(vals, weights)
-            out_keys.append(_GLOBAL_KEY)
-            out_blobs.append(sk.to_bytes())
-            out_n.append(float(len(vals)))
-        else:
-            karr = batch[key].to_numpy(zero_copy_only=False)
-            order = np.argsort(karr, kind="stable")
-            sk_sorted = karr[order]
-            uniq, starts = np.unique(sk_sorted, return_index=True)
-            bounds = np.append(starts, len(sk_sorted))
-            for i, k in enumerate(uniq):
-                idx = order[bounds[i]:bounds[i + 1]]
-                sk = spec.factory()
-                sk.update_batch(vals[idx],
-                                None if weights is None else weights[idx])
-                out_keys.append(k)
-                out_blobs.append(sk.to_bytes())
-                out_n.append(float(len(idx)))
-        salts = (hash64(np.asarray(out_blobs, dtype=object))
-                 % np.uint64(max(num_salts, 1))).astype(np.int32)
-        return pa.table({
-            KEY_COL: pa.array(out_keys),
-            SALT_COL: pa.array(salts),
-            SKETCH_COL: pa.array(out_blobs, type=pa.binary()),
-            COUNT_COL: pa.array(out_n, type=pa.float64()),
-        })
+        acc = KeyedSketches(spec, key or KEY_COL)
+        acc.add(None if key is None else batch[key],
+                {value_col: batch[value_col]},
+                None if weight_col is None else batch[weight_col])
+        return acc.flush(num_salts)
 
     return fn
 
@@ -108,6 +175,19 @@ def _merge_group(spec: SketchSpec, carry: tuple[str, ...] = (KEY_COL,)):
     return merge
 
 
+def _merge_tree(partials, spec: SketchSpec, group: tuple[str, ...],
+                num_salts: int, coalesce_blocks: int):
+    """Two-level canonical merge of partial rows grouped on ``group``."""
+    if coalesce_blocks:
+        partials = partials.repartition(coalesce_blocks)
+    merge = _merge_group(spec, carry=group)
+    if num_salts > 1:
+        partials = partials.groupby([*group, SALT_COL]).map_groups(
+            merge, batch_format="pandas")
+    return partials.groupby(list(group)).map_groups(
+        merge, batch_format="pandas")
+
+
 def merge_partials(partials, spec: SketchSpec, num_salts: int = 8,
                    coalesce_blocks: int = 16):
     """The wide half of the pipeline: partial sketch rows
@@ -122,15 +202,15 @@ def merge_partials(partials, spec: SketchSpec, num_salts: int = 8,
     coalesced). Repartitioning the tiny rows first makes the wide step cost
     proportional to the data, not to the upstream block count.
     """
-    if coalesce_blocks:
-        partials = partials.repartition(coalesce_blocks)
-    merge = _merge_group(spec)
-    if num_salts > 1:
-        level1 = partials.groupby([KEY_COL, SALT_COL]).map_groups(
-            merge, batch_format="pandas")
-    else:
-        level1 = partials
-    return level1.groupby(KEY_COL).map_groups(merge, batch_format="pandas")
+    return _merge_tree(partials, spec, (KEY_COL,), num_salts,
+                       coalesce_blocks)
+
+
+def merge_multi_partials(partials, spec: SketchSpec, num_salts: int = 8,
+                         coalesce_blocks: int = 16):
+    """merge_partials for multi-metric partial rows (METRIC_COL carried)."""
+    return _merge_tree(partials, spec, (METRIC_COL, KEY_COL), num_salts,
+                       coalesce_blocks)
 
 
 def sketch_by_key(ds, spec: SketchSpec, value_col: str,
@@ -149,53 +229,6 @@ def sketch_by_key(ds, spec: SketchSpec, value_col: str,
         batch_format="pyarrow", batch_size=batch_size)
     return merge_partials(partials, spec, num_salts=num_salts,
                           coalesce_blocks=coalesce_blocks)
-
-
-METRIC_COL = "metric"
-
-
-def merge_multi_partials(partials, spec: SketchSpec, num_salts: int = 8,
-                         coalesce_blocks: int = 16):
-    """merge_partials for multi-metric partial rows (METRIC_COL carried)."""
-    if coalesce_blocks:
-        partials = partials.repartition(coalesce_blocks)
-    merge1 = _merge_group(spec, carry=(METRIC_COL, KEY_COL))
-    if num_salts > 1:
-        level1 = partials.groupby([METRIC_COL, KEY_COL, SALT_COL]).map_groups(
-            merge1, batch_format="pandas")
-    else:
-        level1 = partials
-    return level1.groupby([METRIC_COL, KEY_COL]).map_groups(
-        merge1, batch_format="pandas")
-
-
-def multi_sketch_by_key(ds, spec: SketchSpec, value_cols, key: str | None = None,
-                        num_salts: int = 8, batch_size: int | None = None,
-                        coalesce_blocks: int = 16):
-    """One scan, many sketches: per-(metric, key) sketch rows for every
-    column in ``value_cols`` from a SINGLE pass over the input.
-
-    At corpus scale the input scan dominates, so computing all metrics'
-    partials inside one ``map_batches`` amortizes it; the shuffle still only
-    carries serialized sketches (one row per (batch, metric, key)).
-    Returns rows ``(metric, key, sketch, n)``.
-    """
-    value_cols = list(value_cols)
-    fns = {vc: make_partial_fn(spec, vc, key, None, num_salts)
-           for vc in value_cols}
-
-    def fn(batch: pa.Table) -> pa.Table:
-        tables = []
-        for vc, pf in fns.items():
-            t = pf(batch)
-            tables.append(t.append_column(
-                METRIC_COL, pa.array([vc] * len(t))))
-        return pa.concat_tables(tables)
-
-    partials = ds.map_batches(fn, batch_format="pyarrow",
-                              batch_size=batch_size)
-    return merge_multi_partials(partials, spec, num_salts=num_salts,
-                                coalesce_blocks=coalesce_blocks)
 
 
 def summarize(ds, spec: SketchSpec, key_name: str = KEY_COL):

@@ -4,13 +4,17 @@ byte-identical extraction per url at two parallelism levels)."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
-from t_digest_ray.pipelines.quantiles import (pages_quantiles,
+from t_digest_ray.pipelines.quantiles import (kll_spec, make_fused_partials,
+                                              pages_quantiles,
                                               quantiles_by_key,
                                               tdigest_spec)
-from t_digest_ray.sources.pages import synthetic_pages
-from t_digest_ray.stages.aggregate import sketch_aggregate_fn, sketch_by_key
+from t_digest_ray.sources.pages import generate_pages_batch, synthetic_pages
+from t_digest_ray.stages.aggregate import (KeyedSketches, make_partial_fn,
+                                           sketch_aggregate_fn, sketch_by_key)
 from t_digest_ray.stages.extract import ExtractText
 from t_digest_ray.state.exact import exact_quantile
 from t_digest_ray.state.tdigest import TDigest
@@ -171,3 +175,115 @@ def test_hash_bucketed_group_agg_matches_pandas(ray_session):
             .sort_values(["a", "b"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(
             got.astype({"n": np.int64}), want.astype({"n": np.int64}))
+
+
+def _argsort_partials(spec, chunks, metrics, key, weight):
+    """Reference grouping: stable argsort over the key VALUES plus
+    ``np.unique`` bounds, one fancy-indexed gather per key, sketches
+    carried across chunks."""
+    accs = {}
+    for t in chunks:
+        w = None if weight is None else t[weight].to_numpy()
+        for m in metrics:
+            vals = t[m].to_numpy()
+            if key is None:
+                groups = [("", np.arange(len(vals)))]
+            else:
+                karr = t[key].to_numpy(zero_copy_only=False)
+                order = np.argsort(karr, kind="stable")
+                uniq, starts = np.unique(karr[order], return_index=True)
+                bounds = np.append(starts, len(karr))
+                groups = [(k, order[bounds[i]:bounds[i + 1]])
+                          for i, k in enumerate(uniq)]
+            for k, idx in groups:
+                acc = accs.setdefault((m, k), [spec.factory(), 0.0])
+                acc[0].update_batch(vals[idx],
+                                    None if w is None else w[idx])
+                acc[1] += float(len(idx))
+    return {mk: (sk.to_bytes(), n) for mk, (sk, n) in accs.items()}
+
+
+_TD, _KLL = tdigest_spec(100), kll_spec(64)  # KLL: unit weights only
+
+
+@pytest.mark.parametrize("spec,key,metrics,weight", [
+    pytest.param(spec, *case, id=f"{name}-{spec.name}")
+    for name, case, specs in (
+        ("string_keys", ("s", ("x",), None), (_TD, _KLL)),
+        ("int64_keys", ("i", ("x",), None), (_TD, _KLL)),
+        ("weighted", ("s", ("x",), "w"), (_TD,)),
+        ("global", (None, ("x",), None), (_TD, _KLL)),
+        ("two_metrics", ("s", ("x", "y"), None), (_TD, _KLL)))
+    for spec in specs])
+def test_keyed_sketches_byte_identical_to_argsort_grouping(spec, key,
+                                                           metrics, weight):
+    """Grouping on dictionary codes hands every per-key sketch the same
+    values in the same order as grouping on the key values, so each
+    sketch's bytes and n are identical (KLL is order-sensitive)."""
+    rng = np.random.default_rng(5)
+    n = 6000
+    names = np.asarray([f"k{j:02d}" for j in range(37)], dtype=object)
+    t = pa.table({
+        "s": pa.array(names[rng.zipf(1.5, n) % 37], pa.string()),
+        "i": pa.array(rng.integers(-20, 20, n), pa.int64()),
+        "x": rng.lognormal(1.0, 1.0, n),
+        "y": rng.normal(size=n),
+        "w": rng.uniform(0.5, 2.0, n),
+    })
+    chunks = [t.slice(off, 2500) for off in range(0, n, 2500)]
+    acc = KeyedSketches(spec, key or "key", with_metric=True)
+    for c in chunks:
+        acc.add(None if key is None else c[key], {m: c[m] for m in metrics},
+                None if weight is None else c[weight])
+    want = _argsort_partials(spec, chunks, metrics, key, weight)
+    assert {mk: n for mk, (_sk, n) in acc.items()} \
+        == {mk: n for mk, (_b, n) in want.items()}
+    rows = acc.flush(4).to_pylist()
+    assert {(r["metric"], r["key"]): (r["sketch"], r["n"])
+            for r in rows} == want
+
+
+def test_null_group_key_raises(ray_session, tmp_path):
+    import ray.data as rd
+
+    from t_digest_ray.pipelines.checkpoint import run_checkpointed
+
+    t = pa.table({"g": ["a", None, "b", "a"], "v": [1.0, 2.0, 3.0, 4.0]})
+    msg = "group key column 'g' has 1 null"
+    with pytest.raises(ValueError, match=msg):
+        KeyedSketches(tdigest_spec(), "g").add(t["g"], {"v": t["v"]})
+    # inside a Ray task the ValueError arrives wrapped in Ray's error
+    with pytest.raises(Exception, match="ValueError: " + msg):
+        quantiles_by_key(rd.from_arrow(t), "v", "g").to_pandas()
+    pq.write_table(t, tmp_path / "in.parquet")
+    with pytest.raises(Exception, match="ValueError: " + msg):
+        run_checkpointed([str(tmp_path / "in.parquet")], tdigest_spec(),
+                         "v", "g", str(tmp_path / "ckpt"))
+
+
+def test_empty_partials_keep_wire_schema(ray_session):
+    """A partial body that sees zero rows emits a zero-row table with the
+    full wire schema, not a schema-less block."""
+    import ray.data as rd
+
+    wire = pa.schema([("key", pa.string()), ("salt", pa.int32()),
+                      ("sketch", pa.binary()), ("n", pa.float64())])
+    multi = wire.append(pa.field("metric", pa.string()))
+    spec = tdigest_spec()
+    fused = make_fused_partials(spec, ("text_length",), "lang", 4)
+    pages = generate_pages_batch(np.arange(3000, dtype=np.uint64))
+    assert fused(pages.slice(0, 0)).schema == multi
+    empty = pa.table({"g": pa.array([], pa.string()),
+                      "x": pa.array([], pa.float64())})
+    assert make_partial_fn(spec, "x", "g")(empty).schema == wire
+
+    ds = rd.from_arrow([pages.slice(0, 0), pages, pages.slice(0, 0)])
+    parts = ds.map_batches(fused, batch_format="pyarrow").materialize()
+    assert parts.schema().names == multi.names
+    got = pages_quantiles(ds, value_cols=("text_length",),
+                          num_salts=4)["text_length"].to_pandas()
+    want = pages_quantiles(rd.from_arrow(pages), value_cols=("text_length",),
+                           num_salts=4)["text_length"].to_pandas()
+    pd.testing.assert_frame_equal(
+        got.sort_values("lang").reset_index(drop=True),
+        want.sort_values("lang").reset_index(drop=True))

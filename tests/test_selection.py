@@ -4,16 +4,19 @@ domains, skew and single-value edge cases."""
 
 from __future__ import annotations
 
-import math
-
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
 
 
 def _disc(vals, q):
-    v = np.sort(np.asarray(vals))
-    return int(v[max(int(math.ceil(q * len(v))) - 1, 0)])
+    """DuckDB's own quantile_disc; ``q`` goes in as a decimal literal,
+    which DuckDB ranks in exact integer arithmetic."""
+    con = duckdb.connect()
+    con.register("t", pd.DataFrame({"v": np.asarray(vals, dtype=np.int64)}))
+    return int(con.execute(
+        f"SELECT quantile_disc(v, {q!r}) FROM t").fetchone()[0])
 
 
 def _run(df, qs, n_bins=512, max_passes=8):
@@ -36,6 +39,17 @@ def test_matches_sorted_oracle(ray_session, rng):
             df[df["k"] == k]["value"].to_numpy() * 100 + 0.5).astype(int)
         for q in (0.25, 0.5, 0.75, 0.99):
             assert int(out.loc[k, f"p{int(q*100)}_cents"]) == _disc(cents, q)
+
+
+def test_rank_exact_where_float_q_times_n_rounds_up(ray_session, rng):
+    # in floats q·100 lands just above the integer rank for these q
+    # (0.07·100 = 7.000000000000001), so ceil(q·n) is one rank too high
+    qs = (0.07, 0.14, 0.28, 0.55, 0.56)
+    cents = rng.permutation(100) * 7 + 3
+    out = _run(pd.DataFrame({"k": ["a"] * 100, "value": cents / 100.0}),
+               qs=qs)
+    for q in qs:
+        assert int(out[f"p{int(q * 100)}_cents"].iloc[0]) == _disc(cents, q)
 
 
 def test_wide_domain_needs_multiple_passes(ray_session, rng):
