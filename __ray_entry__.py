@@ -1324,7 +1324,7 @@ def avl_quantiles_by_lang(sf_dir: str):
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
     return quantile_bound_check(ds, "n_chars", "lang", spec,
                                 qs=(0.25, 0.5, 0.75), rank_bound=0.015,
-                                num_salts=2, batch_size=8192)
+                                batch_size=8192)
 
 
 def gk_quantiles_by_lang(sf_dir: str):
@@ -1334,16 +1334,16 @@ def gk_quantiles_by_lang(sf_dir: str):
     within_bound asserts the merged summary's estimates sit inside an
     empirical rank interval of 1.5x the configured eps=0.01 (construction
     stride <= eps, merge is rank-bracket-preserving, compress keeps
-    g+delta <= 2*eps*n; the 1.5x covers compress interactions across the
-    salted two-level merge tree — measured two-level worst case is
-    ~0.006, tests/test_gk.py)."""
+    g+delta <= 2*eps*n; the 1.5x covers compress interactions across
+    merge trees — measured two-level worst case is ~0.006,
+    tests/test_gk.py)."""
     from t_digest_ray.pipelines.quantiles import gk_spec
     from t_digest_ray.pipelines.validation import quantile_bound_check
 
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
     return quantile_bound_check(ds, "n_chars", "lang", gk_spec(eps=0.01),
                                 qs=(0.25, 0.5, 0.75), rank_bound=0.015,
-                                num_salts=2, batch_size=8192)
+                                batch_size=8192)
 
 
 def qdigest_quantiles_by_lang(sf_dir: str):
@@ -1364,7 +1364,7 @@ def qdigest_quantiles_by_lang(sf_dir: str):
     return quantile_bound_check(ds, "n_chars", "lang", spec,
                                 qs=(0.25, 0.5, 0.75),
                                 rank_bound=16.0 / 2048.0,
-                                num_salts=2, batch_size=8192)
+                                batch_size=8192)
 
 
 def scale_function_quantile_gates(sf_dir: str):
@@ -1392,7 +1392,7 @@ def recording_digest_provenance(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
     return recording_provenance_check(ds, "n_chars", "lang",
-                                      compression=100.0, num_salts=2)
+                                      compression=100.0)
 
 
 def dup_span_report_by_lang(sf_dir: str):
@@ -1478,7 +1478,7 @@ def kll_pmf_events(sf_dir: str):
     return pmf_bound_check(ds, "value", "event_type",
                            split_points=(5.0, 10.0, 25.0, 50.0, 100.0,
                                          250.0),
-                           k=200, num_salts=2)
+                           k=200)
 
 
 def float_histogram_events(sf_dir: str):
@@ -1499,8 +1499,7 @@ def float_histogram_events(sf_dir: str):
         from_bytes=FloatHistogram.from_bytes,
     )
     ds = _read(sf_dir, "events", ["event_type", "value"])
-    return histogram_bins_by_key(ds, spec, "value", "event_type",
-                                 num_salts=2)
+    return histogram_bins_by_key(ds, spec, "value", "event_type")
 
 
 def log_histogram_events(sf_dir: str):
@@ -1520,8 +1519,7 @@ def log_histogram_events(sf_dir: str):
         from_bytes=LogHistogram.from_bytes,
     )
     ds = _read(sf_dir, "events", ["event_type", "value"])
-    return histogram_bins_by_key(ds, spec, "value", "event_type",
-                                 num_salts=2)
+    return histogram_bins_by_key(ds, spec, "value", "event_type")
 
 
 def cms_heavy_event_types(sf_dir: str):
@@ -1582,8 +1580,7 @@ def events_windowed_heavy(sf_dir: str):
                          "event_type": b["event_type"]})
 
     merged = sketch_by_key(ds.map_batches(win, batch_format="pyarrow"),
-                           mg_spec(64), "event_type", key="w",
-                           num_salts=4)
+                           mg_spec(64), "event_type", key="w")
 
     def fin(df: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -1686,7 +1683,7 @@ def tdigest_quantiles_by_lang(sf_dir: str):
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
     return quantile_bound_check(ds, "n_chars", "lang", tdigest_spec(100),
                                 qs=(0.25, 0.5, 0.75), rank_bound=0.015,
-                                num_salts=2, batch_size=8192)
+                                batch_size=8192)
 
 
 def tdigest_events_value(sf_dir: str):
@@ -1698,7 +1695,7 @@ def tdigest_events_value(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_type", "value"])
     return quantile_bound_check(ds, "value", "event_type", tdigest_spec(100),
                                 qs=(0.25, 0.5, 0.75), rank_bound=0.015,
-                                num_salts=4, batch_size=16384)
+                                batch_size=16384)
 
 
 def hll_distinct_users_by_type(sf_dir: str):
@@ -1709,8 +1706,7 @@ def hll_distinct_users_by_type(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
     return distinct_bound_check(ds, "user_id", "event_type", p=14,
-                                sigma=3.0, num_salts=2,
-                                count_name="n_users")
+                                sigma=3.0, count_name="n_users")
 
 
 def kll_quantiles_by_lang(sf_dir: str):
@@ -1725,7 +1721,7 @@ def kll_quantiles_by_lang(sf_dir: str):
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
     return quantile_bound_check(ds, "n_chars", "lang", kll_spec(k),
                                 qs=(0.25, 0.5, 0.75), rank_bound=eps,
-                                num_salts=2, batch_size=8192)
+                                batch_size=8192)
 
 
 def tdigest_cdf_by_lang(sf_dir: str):
@@ -1740,7 +1736,7 @@ def tdigest_cdf_by_lang(sf_dir: str):
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
     return cdf_bound_check(ds, "n_chars", "lang", tdigest_spec(100),
                            thresholds=(150.0, 300.0, 450.0),
-                           cdf_bound=0.015, num_salts=2, batch_size=8192)
+                           cdf_bound=0.015, batch_size=8192)
 
 
 def kll_cdf_events_value(sf_dir: str):
@@ -1755,7 +1751,7 @@ def kll_cdf_events_value(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_type", "value"])
     return cdf_bound_check(ds, "value", "event_type", kll_spec(k),
                            thresholds=(10.0, 50.0, 200.0),
-                           cdf_bound=eps, num_salts=4, batch_size=16384)
+                           cdf_bound=eps, batch_size=16384)
 
 
 def ddsketch_quantiles_by_lang(sf_dir: str):
@@ -1770,7 +1766,7 @@ def ddsketch_quantiles_by_lang(sf_dir: str):
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
     return relative_quantile_bound_check(ds, "n_chars", "lang", alpha=0.01,
                                          qs=(0.25, 0.5, 0.75),
-                                         num_salts=2, batch_size=8192)
+                                         batch_size=8192)
 
 
 def countsketch_heavy_event_types(sf_dir: str):
@@ -2077,8 +2073,7 @@ def tdigest_rollup_by_lang(sf_dir: str):
                          "n_chars": b["n_chars"]})
 
     fine = sketch_by_key(ds.map_batches(combo, batch_format="pyarrow"),
-                         spec, "n_chars", "combo", num_salts=2,
-                         batch_size=8192)
+                         spec, "n_chars", "combo", batch_size=8192)
 
     # re-key each finished (lang, source) digest to its lang and push it
     # back through the canonical merge — the rollup ships only KB sketch
@@ -2088,14 +2083,11 @@ def tdigest_rollup_by_lang(sf_dir: str):
         lang = np.array([k.split("\x1f", 1)[0] for k in keys],
                         dtype=object)
         return pa.table({"key": pa.array(lang, type=pa.string()),
-                         "salt": pa.array(
-                             np.zeros(len(keys), dtype=np.int64)),
                          "sketch": b["sketch"], "n": b["n"]})
 
     rolled = merge_partials(fine.map_batches(rekey,
                                              batch_format="pyarrow"),
-                            spec, num_salts=1,
-                            coalesce_blocks=4).to_pandas()
+                            spec).to_pandas()
 
     return quantile_bound_check(ds, "n_chars", "lang", spec,
                                 qs=(0.25, 0.5, 0.75), rank_bound=0.02,
@@ -2494,8 +2486,7 @@ def events_windowed_value_digest(sf_dir: str):
 
     ds2 = ds.map_batches(keyed, batch_format="pyarrow")
     return quantile_bound_check(ds2, "value", "wkey", tdigest_spec(100),
-                                qs=(0.25, 0.5, 0.75), rank_bound=0.015,
-                                num_salts=2)
+                                qs=(0.25, 0.5, 0.75), rank_bound=0.015)
 
 
 def events_watermarked_trending(sf_dir: str):
@@ -2532,7 +2523,7 @@ def events_watermarked_trending(sf_dir: str):
 
     merged = sketch_by_key(
         split.map_batches(accepted, batch_format="pyarrow"),
-        mg_spec(64), "event_type", key="wkey", num_salts=4)
+        mg_spec(64), "event_type", key="wkey")
 
     def fin(df: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -2583,8 +2574,7 @@ def events_watermarked_window_digest(sf_dir: str):
 
     accepted = split.map_batches(accepted_only, batch_format="pandas")
     qb = quantile_bound_check(accepted, "value", "wkey", tdigest_spec(100),
-                              qs=(0.5,), rank_bound=0.015,
-                              num_salts=2).to_pandas()
+                              qs=(0.5,), rank_bound=0.015).to_pandas()
     drops = (split.groupby("wkey")
              .aggregate(Sum("drop_i", alias_name="n_dropped"))).to_pandas()
     out = qb.merge(drops, on="wkey", how="left")
@@ -2667,7 +2657,7 @@ def req_quantiles_by_lang(sf_dir: str):
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
     return quantile_bound_check(ds, "n_chars", "lang", req_spec(k),
                                 qs=(0.5, 0.9, 0.99), rank_bound=bound,
-                                num_salts=2, batch_size=8192)
+                                batch_size=8192)
 
 
 def drift_events_value(sf_dir: str):
@@ -3041,7 +3031,7 @@ def pages_flagship(sf_dir: str):
 
     pages = pages_from_documents(sf_dir)
     return pages_quantiles(pages, value_cols=("text_length",),
-                           key="lang", num_salts=2)["text_length"]
+                           key="lang")["text_length"]
 
 
 # ----------------------------------------------------------------- contract
@@ -3073,8 +3063,7 @@ def pages_flagship_checked(sf_dir: str):
 
     ds = pages.map_batches(project, batch_format="pyarrow")
     return quantile_bound_check(ds, "text_length", "lang", tdigest_spec(100),
-                                qs=(0.25, 0.5, 0.75), rank_bound=0.015,
-                                num_salts=2)
+                                qs=(0.25, 0.5, 0.75), rank_bound=0.015)
 
 
 def pages_host_stats(sf_dir: str):
@@ -3107,7 +3096,7 @@ def pages_host_stats(sf_dir: str):
               .groupby("host")
               .aggregate(Sum("part", alias_name="n_pages"))).to_pandas()
     hll = distinct_bound_check(ds, "url", "host", p=14, sigma=3.0,
-                               num_salts=2, count_name="n_urls",
+                               count_name="n_urls",
                                key_name="host")
     out = counts.merge(hll, on="host")
     out["n_pages"] = out["n_pages"].astype(np.int64)
@@ -3473,7 +3462,7 @@ def events_windowed_distinct(sf_dir: str):
     # register collision moves it by ~1, below the relative envelope's
     # resolution (see distinct_bound_check docstring)
     return distinct_bound_check(win, "user_id", "window_start_s",
-                                p=14, sigma=3.0, num_salts=2,
+                                p=14, sigma=3.0,
                                 count_name="n_users", abs_floor=3.0)
 
 
@@ -3569,8 +3558,7 @@ def tdigest_trimmed_mean_by_lang(sf_dir: str):
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
     return trimmed_mean_bound_check(ds, "n_chars", "lang",
                                     tdigest_spec(100), trim=0.1,
-                                    rank_bound=0.015, num_salts=2,
-                                    batch_size=8192)
+                                    rank_bound=0.015, batch_size=8192)
 
 
 def chars_tokens_linear_fit(sf_dir: str):
@@ -3694,7 +3682,7 @@ def weighted_quantiles_by_flag(sf_dir: str):
     return weighted_quantile_bound_check(
         ds, "l_extendedprice", "l_quantity", "l_returnflag",
         tdigest_spec(100), qs=(0.25, 0.5, 0.75), rank_bound=0.015,
-        num_salts=2, batch_size=8192)
+        batch_size=8192)
 
 
 def zscore_outlier_docs(sf_dir: str):
@@ -3844,7 +3832,7 @@ def turnstile_quantiles_events(sf_dir: str):
     net = ev.map_batches(survivors, batch_format="pyarrow")
     return turnstile_quantile_bound_check(
         stream, net, "value", "op", "event_type", k=200,
-        qs=(0.25, 0.5, 0.75), num_salts=2, batch_size=8192)
+        qs=(0.25, 0.5, 0.75), batch_size=8192)
 
 
 def bloom_incremental_dedup(sf_dir: str):
@@ -4544,7 +4532,7 @@ def kmv_distinct_users_by_type(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
     return kmv_distinct_bound_check(ds, "user_id", "event_type",
-                                    k=1024, sigma=3.0, num_salts=2)
+                                    k=1024, sigma=3.0)
 
 
 def kmv_user_overlap(sf_dir: str):
@@ -6108,8 +6096,7 @@ def hll_sparse_distinct_users(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
     return sparse_hll_equivalence_check(ds, "user_id", "event_type",
-                                        p=14, sigma=3.0, num_salts=2,
-                                        count_name="n_users")
+                                        p=14, sigma=3.0, count_name="n_users")
 
 
 def zorder_layout_audit(sf_dir: str):
@@ -6523,7 +6510,7 @@ def windowed_distinct_users(sf_dir: str):
 
     return distinct_bound_check(
         ds.map_batches(wkey, batch_format="pyarrow"),
-        "user_id", "wkey", p=14, sigma=3.0, num_salts=2,
+        "user_id", "wkey", p=14, sigma=3.0,
         count_name="n_users", abs_floor=3.0)
 
 

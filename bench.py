@@ -38,8 +38,7 @@ def _bench_queries():
         import ray.data as rd
         ds = rd.read_parquet(f"{sf}/lineitem.parquet",
                              columns=["l_returnflag", "l_extendedprice"])
-        return quantiles_by_key(ds, "l_extendedprice", "l_returnflag",
-                                num_salts=8)
+        return quantiles_by_key(ds, "l_extendedprice", "l_returnflag")
 
     def pages_pipeline(sf):
         # block size is a function of the DATA, not the CPU count (as on a
@@ -51,7 +50,7 @@ def _bench_queries():
         from t_digest_ray.pipelines.quantiles import synthetic_pages_quantiles
         return synthetic_pages_quantiles(
             PAGES_ROWS, value_cols=("text_length", "html_size"),
-            key="lang", num_salts=8)["html_size"]
+            key="lang")["html_size"]
 
     def events_digest(sf):
         # the pure sketch pipeline (the __ray_entry__ query of the same
@@ -60,7 +59,7 @@ def _bench_queries():
         import ray.data as rd
         ds = rd.read_parquet(f"{sf}/events.parquet",
                              columns=["event_type", "value"])
-        return quantiles_by_key(ds, "value", "event_type", num_salts=4)
+        return quantiles_by_key(ds, "value", "event_type")
 
     return {
         "lineitem_digest": (lineitem_digest, None),
@@ -140,7 +139,7 @@ SCALE_ROWS = int(os.environ.get("GRAFT_SCALE_ROWS", 300_000_000))
 def run_sketch_scaling_job() -> dict:
     """The N-vs-4N job: per-lang t-digests over SCALE_ROWS numeric samples
     (counter-based deterministic values + Zipf lang key), through the
-    standard partial -> two-level-merge pipeline. Compute is dominated by
+    standard partial -> merge pipeline. Compute is dominated by
     vectorized digest updates. Fresh process per CPU level; half-size
     warmup then one timed run.
 
@@ -170,7 +169,7 @@ def run_sketch_scaling_job() -> dict:
     CHUNK = 262_144              # rows per in-task generate+sketch chunk
 
     spec = tdigest_spec(200)
-    partial_fn = make_partial_fn(spec, "value", "lang", num_salts=8)
+    partial_fn = make_partial_fn(spec, "value", "lang")
 
     def gen_block(batch: pa.Table) -> pa.Table:
         # expand each block id into its rows INSIDE the task — the object
@@ -199,7 +198,7 @@ def run_sketch_scaling_job() -> dict:
         partials = (ray.data.range(n_blocks, override_num_blocks=n_blocks)
                     .map_batches(gen_block, batch_format="pyarrow",
                                  batch_size=1))
-        merged = merge_partials(partials, spec, num_salts=8)
+        merged = merge_partials(partials, spec)
         summarize(merged, spec, key_name="lang").count()
 
     # warmup at half size: spawns the worker pool and faults in worker
@@ -235,7 +234,7 @@ def run_flagship_scaling_job() -> dict:
     def run(n):
         synthetic_pages_quantiles(
             n, value_cols=("text_length", "html_size"),
-            key="lang", num_salts=8)["html_size"].count()
+            key="lang")["html_size"].count()
 
     run(max(SCALE_PAGES // 2, 500_000))
     t0 = time.perf_counter()

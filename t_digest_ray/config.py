@@ -13,7 +13,7 @@ Example::
       "columns": ["lang", "text_length"], // read-pruned columns
       "value_col": "text_length",
       "key": "lang",
-      "params": {"compression": 200, "num_salts": 8},
+      "params": {"compression": 200},
       "output": "/out/quantiles",         // parquet dir (omit -> stdout)
       "checkpoint_dir": "/ckpt/job1"      // checkpointed pipeline only
     }

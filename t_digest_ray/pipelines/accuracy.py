@@ -188,8 +188,7 @@ def accuracy_experiment(dist: str = "uniform", n: int = 1 << 16,
     errs = ds.map_batches(run, batch_format="pyarrow", batch_size=1)
     # error distribution per probe, collected into error-KLLs
     summary = kll_quantiles_by_key(errs, "err", "probe", k=err_kll_k,
-                                   qs=(0.025, 0.5, 0.975), num_salts=1,
-                                   key_name="probe")
+                                   qs=(0.025, 0.5, 0.975), key_name="probe")
 
     def split_probe(df: pd.DataFrame) -> pd.DataFrame:
         parts = df["probe"].str.split("@", expand=True)
@@ -205,26 +204,3 @@ def accuracy_experiment(dist: str = "uniform", n: int = 1 << 16,
         return out
 
     return summary.map_batches(split_probe, batch_format="pandas")
-
-
-def max_exp_sweep(max_exps=(2.0, 4.0, 6.0, 8.0), dist: str = "loguniform2",
-                  n: int = 1 << 14, trials: int = 4, n_ranks: int = 21,
-                  compression: float = 100.0):
-    """VaryingMaxExp driver port (SURVEY.md §2.3 #34): sweep the loguniform
-    exponent range, report max / 95%-envelope error per (max_exp, sketch).
-    Returns a pandas DataFrame (the sweep is a handful of experiments)."""
-    rows = []
-    for me in max_exps:
-        df = accuracy_experiment(dist=dist, n=n, trials=trials,
-                                 n_ranks=n_ranks, compression=compression,
-                                 max_exp=me).to_pandas()
-        for sk, sub in df.groupby("sketch"):
-            rows.append({
-                "max_exp": me,
-                "sketch": sk,
-                "err_max": float(sub["err_max"].abs().max()),
-                "err_hi95": float(sub["err_hi"].abs().max()),
-                "err_lo95": float(sub["err_lo"].abs().max()),
-            })
-    import pandas as pd
-    return pd.DataFrame(rows)

@@ -55,7 +55,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..stages.aggregate import KeyedSketches, _merge_group, summarize
+from ..stages.aggregate import KeyedSketches, merge_partials, summarize
 from ..state.protocol import SketchSpec
 
 ENGINE_VERSION = "0.1.0"
@@ -248,8 +248,7 @@ def finalize_checkpointed(ckpt_dir: str, spec: SketchSpec,
     if not files:
         raise FileNotFoundError(f"no checkpoints in {ckpt_dir}")
     ds = rd.read_parquet(files, columns=["key", "sketch", "n"])
-    merged = ds.groupby("key").map_groups(_merge_group(spec),
-                                          batch_format="pandas")
+    merged = merge_partials(ds, spec)
     if raw:
         return merged
     return summarize(merged, spec, key_name=key_name)

@@ -274,7 +274,7 @@ class _FdGram:
 
     The exact side (sum over batches of X^T X, d x d float64) is itself
     an associative mergeable summary, so it rides the same partial ->
-    two-level merge topology as every sketch (stages/aggregate.py);
+    merge topology as every sketch (stages/aggregate.py);
     only d*d*8-byte rows shuffle, never embeddings.
     """
 
@@ -326,7 +326,7 @@ class _FdGram:
 
 
 def gram_sketch_check(ds, embedding_col: str = "embedding", l: int = 16,
-                      num_salts: int = 4, batch_size: int | None = None):
+                      batch_size: int | None = None):
     """Frequent-Directions covariance sketch of the embedding stream,
     VALUE-CHECKED: emits ONE row ``(n_rows, d, within_bound)`` where
     n_rows / d hash-match ``COUNT(*)`` / ``len(embedding)`` SQL and
@@ -340,7 +340,6 @@ def gram_sketch_check(ds, embedding_col: str = "embedding", l: int = 16,
     spec = SketchSpec(name="fdgram", factory=lambda: _FdGram(l),
                       from_bytes=_FdGram.from_bytes)
     row = sketch_by_key(ds, spec, embedding_col, None,
-                        num_salts=num_salts,
                         batch_size=batch_size).take(1)[0]
     sk: _FdGram = _FdGram.from_bytes(row["sketch"])
     n = int(row["n"])

@@ -569,8 +569,7 @@ def weighted_bernoulli_sample(ds, id_col: str, weight_col: str, num: int,
 # ---------------------------------------------------------------------------
 
 def range_cutpoints(ds, value_col: str, n_partitions: int,
-                    compression: float = 200.0,
-                    num_salts: int = 4) -> np.ndarray:
+                    compression: float = 200.0) -> np.ndarray:
     """The ``n_partitions - 1`` t-digest quantile cutpoints of
     ``value_col`` (pass 1 of quantile_range_partition, exposed so sinks
     can persist them: the digest is merge-order dependent, so a resumed
@@ -580,7 +579,7 @@ def range_cutpoints(ds, value_col: str, n_partitions: int,
 
     n_partitions = int(n_partitions)
     spec = tdigest_spec(compression)
-    merged = sketch_by_key(ds, spec, value_col, None, num_salts=num_salts)
+    merged = sketch_by_key(ds, spec, value_col, None)
     row = merged.take_all()[0]
     sk = spec.from_bytes(row["sketch"])
     sk.compress()
@@ -590,7 +589,6 @@ def range_cutpoints(ds, value_col: str, n_partitions: int,
 
 def quantile_range_partition(ds, value_col: str, n_partitions: int,
                              compression: float = 200.0,
-                             num_salts: int = 4,
                              out_col: str = "partition_id",
                              cuts: np.ndarray | None = None):
     """Assign each row a balanced range-partition id by t-digest quantile
@@ -599,7 +597,7 @@ def quantile_range_partition(ds, value_col: str, n_partitions: int,
 
     Two streaming passes (inherent to sample-then-partition): pass 1
     builds ONE global t-digest of ``value_col`` (the engine's partial ->
-    two-level merge topology; only KB sketch rows shuffle), the driver
+    merge topology; only KB sketch rows shuffle), the driver
     extracts ``n_partitions - 1`` quantile cutpoints (a ~KB array, shipped
     in the task closure); pass 2 is a pure per-batch ``searchsorted``.
     Partition sizes are balanced within the digest's rank-error bound
@@ -613,8 +611,7 @@ def quantile_range_partition(ds, value_col: str, n_partitions: int,
     """
     if cuts is None:
         cuts = range_cutpoints(ds, value_col, n_partitions,
-                               compression=compression,
-                               num_salts=num_salts)
+                               compression=compression)
     cuts = np.asarray(cuts, dtype=np.float64)
 
     def assign(batch: pa.Table) -> pa.Table:
@@ -819,7 +816,7 @@ def priority_sample_subset_check(ds, key_col: str, k: int = 512,
        the ONE shuffle; each key lands in exactly one output block, the
        disjointness the priority-sample merge contract requires;
     2. one PrioritySample partial per counts block (KB rows), folded
-       through the standard two-level merge — the merged sample is
+       through the standard merge — the merged sample is
        IDENTICAL to a single-machine sample because priorities are
        splitmix64-derived from keys (layout-invariant by construction);
     3. gate: the sample's subset-sum estimate for the predicate
@@ -855,11 +852,11 @@ def priority_sample_subset_check(ds, key_col: str, k: int = 512,
     def partial(b: pa.Table) -> pa.Table:
         acc = KeyedSketches(spec)
         acc.add(None, {key_col: b[key_col]}, pc.cast(b["cnt"], pa.float64()))
-        return acc.flush(4)
+        return acc.flush()
 
     merged_row = merge_partials(
         counts.map_batches(partial, batch_format="pyarrow"),
-        spec, num_salts=4).take(1)[0]
+        spec).take(1)[0]
     sample = PrioritySample.from_bytes(merged_row[SKETCH_COL])
 
     # exact side, distributed over the counts table

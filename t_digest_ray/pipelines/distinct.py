@@ -23,13 +23,13 @@ def hll_spec(p: int = 14) -> SketchSpec:
 
 
 def distinct_by_key(ds, value_col: str, key: str | None = None, p: int = 14,
-                    num_salts: int = 8, batch_size: int | None = None,
+                    batch_size: int | None = None,
                     key_name: str | None = None):
     """Approximate count(distinct value_col) per key via HLL register-max
     merges (global single row when key is None)."""
     spec = hll_spec(p)
     merged = sketch_by_key(ds, spec, value_col, key,
-                           num_salts=num_salts, batch_size=batch_size)
+                           batch_size=batch_size)
     return summarize(merged, spec, key_name=key_name or (key or "key"))
 
 
@@ -49,7 +49,7 @@ def build_bloom(ds, value_col: str, n_bits: int = 1 << 20, k: int = 7,
     and return the materialized filter (small: m/8 bytes)."""
     spec = bloom_spec(n_bits, k)
     merged = sketch_by_key(ds, spec, value_col, None,
-                           num_salts=4, batch_size=batch_size)
+                           batch_size=batch_size)
     row = merged.take(1)[0]
     return BloomFilter.from_bytes(row["sketch"])
 
@@ -126,7 +126,6 @@ def hll_set_algebra_gate(ds_a, ds_b, value_col: str, p: int = 14,
               .union(ds_b.map_batches(tag("b"), batch_format="pyarrow")))
     sketches = {r["key"]: HyperLogLog.from_bytes(r["sketch"])
                 for r in sketch_by_key(tagged, spec, value_col, "side",
-                                       num_salts=4,
                                        batch_size=batch_size).take_all()}
     hll_a = sketches.get("a", HyperLogLog(p))
     hll_b = sketches.get("b", HyperLogLog(p))
@@ -420,7 +419,7 @@ def cuckoo_membership_report(build_ds, delete_ds, probe_ds,
     from ..state.cuckoo import CuckooFilter
 
     spec = cuckoo_spec(n_buckets)
-    merged = sketch_by_key(build_ds, spec, build_col, None, num_salts=4)
+    merged = sketch_by_key(build_ds, spec, build_col, None)
     ck = CuckooFilter.from_bytes(merged.take(1)[0]["sketch"])
 
     build_keys = np.asarray(build_ds.unique(build_col))

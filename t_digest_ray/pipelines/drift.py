@@ -1,7 +1,7 @@
 """Per-key distribution-drift detection between two datasets.
 
 The distributed work is two sketch_by_key pipelines (each: map-side partial
-digests -> tiny two-level shuffle of serialized sketches). The comparison
+digests -> one-task fold of serialized sketches). The comparison
 itself (Comparison.java semantics: KS + G-test over quantile buckets) runs
 driver-side on the merged sketch rows — one KB-sized digest pair per key —
 which is the intended post-aggregation analytics pattern (SURVEY.md §2.2
@@ -19,8 +19,7 @@ from .quantiles import tdigest_spec
 
 
 def drift_by_key(ds_a, ds_b, value_col: str, key: str | None,
-                 compression: float = 200.0, num_salts: int = 4,
-                 key_name: str = "key"):
+                 compression: float = 200.0, key_name: str = "key"):
     """KS and G-test drift scores per key between two datasets.
 
     Returns a Ray Dataset with one row per key present in either side:
@@ -30,10 +29,8 @@ def drift_by_key(ds_a, ds_b, value_col: str, key: str | None,
     import ray.data as rd
 
     spec = tdigest_spec(compression)
-    rows_a = sketch_by_key(ds_a, spec, value_col, key,
-                           num_salts=num_salts).to_pandas()
-    rows_b = sketch_by_key(ds_b, spec, value_col, key,
-                           num_salts=num_salts).to_pandas()
+    rows_a = sketch_by_key(ds_a, spec, value_col, key).to_pandas()
+    rows_b = sketch_by_key(ds_b, spec, value_col, key).to_pandas()
     a = {r["key"]: r for _, r in rows_a.iterrows()}
     b = {r["key"]: r for _, r in rows_b.iterrows()}
     out = []

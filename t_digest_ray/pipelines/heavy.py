@@ -5,7 +5,7 @@ Topology (SURVEY.md §7 "shuffles and their keys"):
 1. ``map_batches``: per batch emit (a) a serialized CMS partial and (b) the
    batch's exact top-C candidate keys with their in-batch counts.
 2. The CMS partials tree-merge (elementwise add) through the standard
-   two-level groupby; candidate rows aggregate by key with an exact Sum —
+   one-task fold; candidate rows aggregate by key with an exact Sum —
    both shuffles carry tiny pre-aggregated rows only.
 3. Score the unioned candidate set against the merged global CMS; emit the
    top-k by estimated count with a deterministic (count desc, key asc)
@@ -53,7 +53,7 @@ def heavy_hitters(ds, key_col: str, k: int = 10,
 
     # 1a. CMS partials via the generic sketch topology
     cms_ds = sketch_by_key(ds, spec, key_col, None,
-                           num_salts=8, batch_size=batch_size)
+                           batch_size=batch_size)
 
     # 1b. per-batch candidate top-C with in-batch counts
     def candidates(batch: pa.Table) -> pa.Table:
@@ -109,7 +109,7 @@ def heavy_hitters_mg(ds, key_col: str, k: int = 10, capacity: int = 256,
     the CMS path: the summary CARRIES its own candidate set, so there is
     no separate candidate stream or scoring pass, and the error bound
     (``true - est <= max_undercount <= n/(capacity+1)``) is deterministic
-    and survives the two-level salted merge tree (Agarwal et al.,
+    and survives any merge tree (Agarwal et al.,
     "Mergeable Summaries", PODS 2012 §3).
 
     One scan, one KB-sized-row shuffle, one counter table out. Returns
@@ -147,7 +147,7 @@ def join_size_estimate(ds_a, ds_b, value_col: str, width: int = 2048,
     Three tiny-result pipelines, no fact-scale driver materialization:
 
     * two global CMS sketches (one per input) through the standard
-      partial -> two-level salted merge (KB rows on the shuffle);
+      partial -> canonical merge (KB rows on the exchange);
     * the exact ``sum_k f_a(k) * f_b(k)``: per-batch ``np.unique``
       combiners emit (key, count) rows, one union + groupby co-partitions
       both sides (shuffle carries distinct keys per batch, not rows),
@@ -297,7 +297,7 @@ def heavy_hitters_unbiased(ds, key_col: str, k: int = 5,
 
     spec = countsketch_spec(width, depth)
     cs_ds = sketch_by_key(ds, spec, key_col, None,
-                          num_salts=8, batch_size=batch_size)
+                          batch_size=batch_size)
     counts = exact_counts_table(ds, key_col,
                                 batch_size=batch_size).materialize()
     f2 = fold_f2(counts)
@@ -425,7 +425,7 @@ def second_moment_check(ds, key_col: str, width: int = 8192,
     from ..state.countsketch import CountSketch
 
     spec = countsketch_spec(width, depth)
-    cs_row = sketch_by_key(ds, spec, key_col, None, num_salts=8,
+    cs_row = sketch_by_key(ds, spec, key_col, None,
                            batch_size=batch_size).take(1)[0]
     est = CountSketch.from_bytes(cs_row["sketch"]).self_moment()
     f2 = fold_f2(exact_counts_table(ds, key_col, batch_size=batch_size))
@@ -491,8 +491,7 @@ def change_detection(ds, key_col: str, half_col: str,
            .limit(k).to_pandas())
 
     # two merged sketches via the standard sketch topology (half = key)
-    cms_rows = sketch_by_key(ds, spec, key_col, half_col,
-                             num_salts=4).to_pandas()
+    cms_rows = sketch_by_key(ds, spec, key_col, half_col).to_pandas()
     sk = {r["key"]: CountMin.from_bytes(r["sketch"])
           for _, r in cms_rows.iterrows()}
     cms_a, cms_b = sk[half_a], sk[half_b]

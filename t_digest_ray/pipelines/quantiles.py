@@ -4,7 +4,7 @@ The flagship pipeline (SURVEY.md §3 "Ray Data re-architecture"):
 
     pages -> ExtractText -> derive_metrics
           -> partial t-digests per (task, lang)        [KeyedSketches]
-          -> two-level canonical merge by lang          [tiny shuffle]
+          -> one canonical merge per lang               [one-task fold]
           -> quantiles / trimmed means per lang         [query stage]
 """
 
@@ -132,44 +132,36 @@ def qdigest_spec(k: int = 2048, log_universe: int = 16,
 
 def req_quantiles_by_key(ds, value_col: str, key: str | None = None,
                          k: int = 12, hra: bool = True, qs=DEFAULT_QS,
-                         num_salts: int = 8, batch_size: int | None = None,
-                         key_name: str | None = None,
-                         coalesce_blocks: int = 16):
+                         batch_size: int | None = None,
+                         key_name: str | None = None):
     spec = req_spec(k, hra, qs)
-    merged = sketch_by_key(ds, spec, value_col, key,
-                           num_salts=num_salts, batch_size=batch_size,
-                           coalesce_blocks=coalesce_blocks)
+    merged = sketch_by_key(ds, spec, value_col, key, batch_size=batch_size)
     return summarize(merged, spec, key_name=key_name or (key or "key"))
 
 
 def kll_quantiles_by_key(ds, value_col: str, key: str | None = None,
-                         k: int = 200, qs=DEFAULT_QS, num_salts: int = 8,
-                         batch_size: int | None = None, key_name: str | None = None,
-                         coalesce_blocks: int = 16):
+                         k: int = 200, qs=DEFAULT_QS,
+                         batch_size: int | None = None,
+                         key_name: str | None = None):
     spec = kll_spec(k, qs)
-    merged = sketch_by_key(ds, spec, value_col, key,
-                           num_salts=num_salts, batch_size=batch_size,
-                           coalesce_blocks=coalesce_blocks)
+    merged = sketch_by_key(ds, spec, value_col, key, batch_size=batch_size)
     return summarize(merged, spec, key_name=key_name or (key or "key"))
 
 
 def quantiles_by_key(ds, value_col: str, key: str | None = None,
                      compression: float = 100.0, qs=DEFAULT_QS,
-                     trims=((0.05, 0.95),), num_salts: int = 8,
-                     batch_size: int | None = None, key_name: str | None = None,
-                     coalesce_blocks: int = 16):
+                     trims=((0.05, 0.95),),
+                     batch_size: int | None = None,
+                     key_name: str | None = None):
     """t-digest quantiles of ``value_col`` grouped by ``key`` (or global)."""
     spec = tdigest_spec(compression, qs=qs, trims=trims)
-    merged = sketch_by_key(ds, spec, value_col, key,
-                           num_salts=num_salts, batch_size=batch_size,
-                           coalesce_blocks=coalesce_blocks)
+    merged = sketch_by_key(ds, spec, value_col, key, batch_size=batch_size)
     return summarize(merged, spec, key_name=key_name or (key or "key"))
 
 
 def cdf_by_key(ds, value_col: str, key: str | None = None,
                thresholds=(0.0,), compression: float = 100.0,
-               num_salts: int = 8, batch_size: int | None = None,
-               key_name: str | None = None, coalesce_blocks: int = 16):
+               batch_size: int | None = None, key_name: str | None = None):
     """t-digest CDF of ``value_col`` at fixed thresholds, grouped by
     ``key`` (or global): rank queries, the dual of ``quantiles_by_key``
     (TDigest.java cdf). Output columns ``cdf_le_<i>`` follow the
@@ -187,18 +179,15 @@ def cdf_by_key(ds, value_col: str, key: str | None = None,
         from_bytes=lambda b: TDigest.from_bytes(b, K_2),
         summarize=summ,
     )
-    merged = sketch_by_key(ds, spec, value_col, key,
-                           num_salts=num_salts, batch_size=batch_size,
-                           coalesce_blocks=coalesce_blocks)
+    merged = sketch_by_key(ds, spec, value_col, key, batch_size=batch_size)
     return summarize(merged, spec, key_name=key_name or (key or "key"))
 
 
 def pages_quantiles(pages_ds, value_cols=("text_length", "html_size"),
                     key: str = "lang", compression: float = 100.0,
-                    qs=DEFAULT_QS, num_salts: int = 8,
-                    chunk_size: int = 4096):
+                    qs=DEFAULT_QS, chunk_size: int = 4096):
     """The flagship: extract + derive + per-metric partial digests from ONE
-    scan, then the two-level salted merge.
+    scan, then one canonical merge per (metric, key).
 
     The partial digests come from the library's single partial path,
     ``stages.aggregate.KeyedSketches``: one per task, grouping each chunk
@@ -219,10 +208,9 @@ def pages_quantiles(pages_ds, value_cols=("text_length", "html_size"),
     never re-runs the scan.
     """
     spec = tdigest_spec(compression, qs=qs)
-    fused = make_fused_partials(spec, value_cols, key, num_salts, chunk_size)
+    fused = make_fused_partials(spec, value_cols, key, chunk_size=chunk_size)
     partials = pages_ds.map_batches(fused, batch_format="pyarrow")
-    merged = merge_multi_partials(partials, spec,
-                                  num_salts=num_salts).materialize()
+    merged = merge_multi_partials(partials, spec).materialize()
     return _summaries_per_metric(merged, spec, value_cols, key)
 
 
@@ -232,13 +220,15 @@ def _add_pages(acc, extract, pages: pa.Table, key: str, value_cols) -> None:
     acc.add(sub[key], {vc: sub[vc] for vc in value_cols})
 
 
-def make_fused_partials(spec, value_cols, key: str, num_salts: int,
+def make_fused_partials(spec, value_cols, key: str,
+                        num_salts: int | None = None,
                         chunk_size: int = 1024):
     """The flagship's per-task body: extract -> derive -> one
     ``KeyedSketches`` over every metric, fed ``chunk_size``-row slices (see
     ``pages_quantiles`` for the cache-residency rationale) and flushed once
     per task, so the string working set stays chunk-sized while the sketch
-    state (~100 KB) serializes once."""
+    state (~100 KB) serializes once. ``num_salts`` is accepted and ignored:
+    the merge has no salt level."""
     extract = ExtractText()
 
     def fused(batch: pa.Table) -> pa.Table:
@@ -246,7 +236,7 @@ def make_fused_partials(spec, value_cols, key: str, num_salts: int,
         for off in range(0, batch.num_rows, chunk_size):
             _add_pages(acc, extract, batch.slice(off, chunk_size), key,
                        value_cols)
-        return acc.flush(num_salts)
+        return acc.flush()
 
     return fused
 
@@ -263,8 +253,7 @@ def _summaries_per_metric(merged, spec, value_cols, key: str) -> dict:
 def synthetic_pages_quantiles(n_rows: int, value_cols=("text_length",
                                                        "html_size"),
                               key: str = "lang", compression: float = 100.0,
-                              qs=DEFAULT_QS, num_salts: int = 8,
-                              chunk_size: int = 4096,
+                              qs=DEFAULT_QS, chunk_size: int = 4096,
                               rows_per_block: int = 65536):
     """The flagship over the synthetic generator with generation fused
     into the SAME chunk loop as extract/derive/partials (VERDICT r02
@@ -300,25 +289,23 @@ def synthetic_pages_quantiles(n_rows: int, value_cols=("text_length",
                                 dtype=np.uint64)
                 _add_pages(acc, extract, generate_pages_batch(ids), key,
                            value_cols)
-        return acc.flush(num_salts)
+        return acc.flush()
 
     partials = (rd.range(n_blocks, override_num_blocks=n_blocks)
                 .map_batches(gen_block, batch_format="pyarrow",
                              batch_size=1))
-    merged = merge_multi_partials(partials, spec,
-                                  num_salts=num_salts).materialize()
+    merged = merge_multi_partials(partials, spec).materialize()
     return _summaries_per_metric(merged, spec, value_cols, key)
 
 
 def histogram_bins_by_key(ds, spec: SketchSpec, value_col: str, key: str,
-                          num_salts: int = 2,
                           batch_size: int | None = None):
     """Per-key Float/LogHistogram, exploded to graded rows.
 
     Builds the reference's fixed-bin log histograms
     (FloatHistogram.java:69-77 bit-truncation bins /
     LogHistogram.java:39-57 (1+eps)-relative bins) as mergeable UDAFs via
-    the standard partial -> two-level salted merge topology, then expands
+    the standard partial -> canonical merge topology, then expands
     each merged histogram into one row per NONZERO bin:
 
         (key, bin: int64, cnt: int64, bin_lb: float64)
@@ -333,8 +320,7 @@ def histogram_bins_by_key(ds, spec: SketchSpec, value_col: str, key: str,
 
     from ..stages.aggregate import COUNT_COL, KEY_COL, SKETCH_COL
 
-    merged = sketch_by_key(ds, spec, value_col, key,
-                           num_salts=num_salts, batch_size=batch_size)
+    merged = sketch_by_key(ds, spec, value_col, key, batch_size=batch_size)
 
     def explode(df: pd.DataFrame) -> pd.DataFrame:
         import numpy as np

@@ -40,7 +40,7 @@ def _disc_index(q: float, n: int) -> int:
 
 def quantile_bound_check(ds, value_col: str, key: str, spec: SketchSpec,
                          qs=(0.25, 0.5, 0.75), rank_bound=0.015,
-                         num_salts: int = 2, batch_size: int | None = None,
+                         batch_size: int | None = None,
                          key_name: str | None = None,
                          merged_rows: pd.DataFrame | None = None):
     """Exact per-key quantiles + a sketch-within-bound flag.
@@ -64,7 +64,6 @@ def quantile_bound_check(ds, value_col: str, key: str, spec: SketchSpec,
     bound_at = rank_bound if callable(rank_bound) else (lambda q: rank_bound)
     if merged_rows is None:
         merged_rows = sketch_by_key(ds, spec, value_col, key,
-                                    num_salts=num_salts,
                                     batch_size=batch_size).to_pandas()
     sk_bytes = {r["key"]: (r["sketch"], float(r["n"]))
                 for _, r in merged_rows.iterrows()}
@@ -97,7 +96,6 @@ def relative_quantile_bound_check(ds, value_col: str, key: str,
                                   alpha: float = 0.01,
                                   max_bins: int = 2048,
                                   qs=(0.25, 0.5, 0.75),
-                                  num_salts: int = 2,
                                   batch_size: int | None = None,
                                   key_name: str | None = None):
     """Exact per-key quantiles + a DDSketch VALUE-relative-error gate.
@@ -127,7 +125,6 @@ def relative_quantile_bound_check(ds, value_col: str, key: str,
         from_bytes=DDSketch.from_bytes,
     )
     merged_rows = sketch_by_key(ds, spec, value_col, key,
-                                num_salts=num_salts,
                                 batch_size=batch_size).to_pandas()
     sk_bytes = {r["key"]: (r["sketch"], float(r["n"]))
                 for _, r in merged_rows.iterrows()}
@@ -159,7 +156,6 @@ def trimmed_mean_bound_check(ds, value_col: str, key: str,
                              spec: SketchSpec,
                              trim: float = 0.1,
                              rank_bound: float = 0.015,
-                             num_salts: int = 2,
                              batch_size: int | None = None,
                              merged_rows: pd.DataFrame | None = None):
     """Exact per-key symmetric trimmed stats + a digest bound flag.
@@ -184,7 +180,6 @@ def trimmed_mean_bound_check(ds, value_col: str, key: str,
     bad = float("nan")
     if merged_rows is None:
         merged_rows = sketch_by_key(ds, spec, value_col, key,
-                                    num_salts=num_salts,
                                     batch_size=batch_size).to_pandas()
     sk_bytes = {r["key"]: (r["sketch"], float(r["n"]))
                 for _, r in merged_rows.iterrows()}
@@ -218,7 +213,7 @@ def trimmed_mean_bound_check(ds, value_col: str, key: str,
 
 def cdf_bound_check(ds, value_col: str, key: str, spec: SketchSpec,
                     thresholds, cdf_bound: float = 0.015,
-                    num_salts: int = 2, batch_size: int | None = None,
+                    batch_size: int | None = None,
                     key_name: str | None = None) -> pd.DataFrame:
     """Exact #<=t counts per key + sketch-cdf-within-bound flag.
 
@@ -244,7 +239,7 @@ def cdf_bound_check(ds, value_col: str, key: str, spec: SketchSpec,
 
     key_name = key_name or key
     t_arr = np.asarray(thresholds, dtype=np.float64)
-    merged = sketch_by_key(ds, spec, value_col, key, num_salts=num_salts,
+    merged = sketch_by_key(ds, spec, value_col, key,
                            batch_size=batch_size).to_pandas()
     sk_by_key = {r["key"]: (r["sketch"], float(r["n"]))
                  for _, r in merged.iterrows()}
@@ -298,8 +293,7 @@ def cdf_bound_check(ds, value_col: str, key: str, spec: SketchSpec,
 
 
 def distinct_bound_check(ds, value_col: str, key: str, p: int = 14,
-                         sigma: float = 3.0, num_salts: int = 2,
-                         count_name: str = "n_distinct",
+                         sigma: float = 3.0, count_name: str = "n_distinct",
                          key_name: str | None = None,
                          abs_floor: float = 0.0) -> pd.DataFrame:
     """Exact distinct count per key + HLL-within-bound flag.
@@ -319,7 +313,7 @@ def distinct_bound_check(ds, value_col: str, key: str, p: int = 14,
     from .relational import distinct_count_by_key
 
     key_name = key_name or key
-    est = distinct_by_key(ds, value_col, key, p=p, num_salts=num_salts,
+    est = distinct_by_key(ds, value_col, key, p=p,
                           key_name=key_name).to_pandas()
     exact = distinct_count_by_key(ds, key, value_col,
                                   count_name).to_pandas()
@@ -340,7 +334,6 @@ def drift_no_change_check(ds_a, ds_b, value_col: str, key: str,
                           ks_alpha_c: float = 1.95,
                           digest_cdf_err: float = 0.03,
                           compression: float = 200.0,
-                          num_salts: int = 4,
                           key_name: str = "key") -> pd.DataFrame:
     """Exact per-side counts + a no-drift flag for same-distribution halves.
 
@@ -356,7 +349,7 @@ def drift_no_change_check(ds_a, ds_b, value_col: str, key: str,
     from .drift import drift_by_key
 
     d = drift_by_key(ds_a, ds_b, value_col, key, compression=compression,
-                     num_salts=num_salts, key_name=key_name).to_pandas()
+                     key_name=key_name).to_pandas()
     n_a = d["n_a"].to_numpy(dtype=np.float64)
     n_b = d["n_b"].to_numpy(dtype=np.float64)
     n_h = n_a * n_b / np.maximum(n_a + n_b, 1.0)
@@ -375,7 +368,6 @@ def weighted_quantile_bound_check(ds, value_col: str, weight_col: str,
                                   key: str, spec: SketchSpec,
                                   qs=(0.25, 0.5, 0.75),
                                   rank_bound: float = 0.015,
-                                  num_salts: int = 2,
                                   batch_size: int | None = None):
     """WEIGHTED quantiles, value-checked: exact weighted disc quantiles
     per key + a within_bound flag for the distributed WEIGHTED t-digest
@@ -393,7 +385,7 @@ def weighted_quantile_bound_check(ds, value_col: str, weight_col: str,
     """
     bound_at = rank_bound if callable(rank_bound) else (lambda q: rank_bound)
     merged = sketch_by_key(ds, spec, value_col, key,
-                           weight_col=weight_col, num_salts=num_salts,
+                           weight_col=weight_col,
                            batch_size=batch_size).to_pandas()
     sk_bytes = {r["key"]: r["sketch"] for _, r in merged.iterrows()}
 
@@ -432,7 +424,6 @@ def turnstile_quantile_bound_check(stream_ds, net_ds, value_col: str,
                                    op_col: str, key: str, k: int = 200,
                                    qs=(0.25, 0.5, 0.75),
                                    bound_mult: float = 3.0,
-                                   num_salts: int = 2,
                                    batch_size: int | None = None):
     """TURNSTILE (insert+delete) quantiles, value-checked: the KLL±
     paired sketch (state/kllpm.py, VLDB 2021 construction) is built
@@ -455,7 +446,7 @@ def turnstile_quantile_bound_check(stream_ds, net_ds, value_col: str,
         summarize=lambda sk: {"n_net": sk.size},
     )
     merged = sketch_by_key(stream_ds, spec, value_col, key,
-                           weight_col=op_col, num_salts=num_salts,
+                           weight_col=op_col,
                            batch_size=batch_size).to_pandas()
     sk_bytes = {r["key"]: r["sketch"] for _, r in merged.iterrows()}
 
@@ -485,7 +476,6 @@ def turnstile_quantile_bound_check(stream_ds, net_ds, value_col: str,
 
 def kmv_distinct_bound_check(ds, value_col: str, key: str,
                              k: int = 1024, sigma: float = 3.0,
-                             num_salts: int = 2,
                              count_name: str = "n_distinct"):
     """Exact distinct count per key + KMV/Theta-within-bound flag
     (state/kmv.py, Beyer et al. 2007): the bottom-k estimate must sit
@@ -497,8 +487,7 @@ def kmv_distinct_bound_check(ds, value_col: str, key: str,
 
     spec = SketchSpec(name="kmv", factory=lambda: KmvSketch(k),
                       from_bytes=KmvSketch.from_bytes)
-    merged = sketch_by_key(ds, spec, value_col, key,
-                           num_salts=num_salts).to_pandas()
+    merged = sketch_by_key(ds, spec, value_col, key).to_pandas()
     sk_by_key = {r["key"]: KmvSketch.from_bytes(r["sketch"])
                  for _, r in merged.iterrows()}
     exact = distinct_count_by_key(ds, key, value_col,
@@ -521,7 +510,7 @@ def kmv_distinct_bound_check(ds, value_col: str, key: str,
 
 def kmv_overlap_bound_check(ds, value_col: str, key: str,
                             key_a, key_b, k: int = 2048,
-                            sigma: float = 3.0, num_salts: int = 2):
+                            sigma: float = 3.0):
     """Set-overlap estimation between two key groups' value sets via
     KMV/Theta bottom-k union semantics, gated against EXACT counts: one
     row ``(n_a, n_b, n_intersect, within_bound)`` where the exact
@@ -541,8 +530,7 @@ def kmv_overlap_bound_check(ds, value_col: str, key: str,
         batch_format="pyarrow")
     spec = SketchSpec(name="kmv", factory=lambda: KmvSketch(k),
                       from_bytes=KmvSketch.from_bytes)
-    merged = sketch_by_key(both, spec, value_col, key,
-                           num_salts=num_salts).to_pandas()
+    merged = sketch_by_key(both, spec, value_col, key).to_pandas()
     sks = {r["key"]: KmvSketch.from_bytes(r["sketch"])
            for _, r in merged.iterrows()}
 
@@ -595,7 +583,7 @@ def kmv_overlap_bound_check(ds, value_col: str, key: str,
 
 def kmv_difference_bound_check(ds, value_col: str, key: str,
                                key_a, key_b, k: int = 2048,
-                               sigma: float = 4.0, num_salts: int = 2):
+                               sigma: float = 4.0):
     """Theta-style A-not-B set difference between two key groups' value
     sets (state/kmv.KmvSketch.difference_estimate), gated against the
     EXACT counts: one row ``(n_a, n_b, n_a_not_b, within_bound)`` whose
@@ -615,8 +603,7 @@ def kmv_difference_bound_check(ds, value_col: str, key: str,
         batch_format="pyarrow")
     spec = SketchSpec(name="kmv", factory=lambda: KmvSketch(k),
                       from_bytes=KmvSketch.from_bytes)
-    merged = sketch_by_key(both, spec, value_col, key,
-                           num_salts=num_salts).to_pandas()
+    merged = sketch_by_key(both, spec, value_col, key).to_pandas()
     sks = {r["key"]: KmvSketch.from_bytes(r["sketch"])
            for _, r in merged.iterrows()}
 
@@ -662,8 +649,7 @@ def kmv_difference_bound_check(ds, value_col: str, key: str,
 
 
 def pmf_bound_check(ds, value_col: str, key: str, split_points,
-                    k: int = 200, num_salts: int = 2,
-                    batch_size: int | None = None):
+                    k: int = 200, batch_size: int | None = None):
     """Exact per-(key, bucket) PMF + a KLL getPMF bound flag.
 
     The exact side buckets every row by
@@ -680,7 +666,7 @@ def pmf_bound_check(ds, value_col: str, key: str, split_points,
     Output: one row per (key, bucket) —
     ``(key, bucket: int64, exact_cnt: int64, within_bound: bool)``.
     Scale shape: rows never shuffle (count partials combine per batch;
-    sketches merge via the salted two-level tree); the final comparison
+    sketches merge in one canonical fold); the final comparison
     joins two key-count-sized tables on the driver.
     """
     from ray.data.aggregate import Sum
@@ -710,7 +696,6 @@ def pmf_bound_check(ds, value_col: str, key: str, split_points,
                       factory=lambda: KllSketch(k),
                       from_bytes=KllSketch.from_bytes)
     merged = sketch_by_key(ds, spec, value_col, key,
-                           num_salts=num_salts,
                            batch_size=batch_size).to_pandas()
     est = {}
     for _, r in merged.iterrows():
@@ -823,13 +808,12 @@ def scale_function_gate(ds, value_col: str = "value",
 
 def recording_provenance_check(ds, value_col: str, key: str,
                                compression: float = 100.0,
-                               qs=(0.25, 0.5, 0.75),
-                               num_salts: int = 2):
+                               qs=(0.25, 0.5, 0.75)):
     """Record-all-data mode (SURVEY §2.1 #17), graded end-to-end.
 
     Runs ``RecordingDigest`` per key through the REAL distributed
-    partial → two-level-merge topology (the recorded multiset rides the
-    recording-aware byte encoding across both shuffles), then per key
+    partial → merge topology (the recorded multiset rides the
+    recording-aware byte encoding across the exchange), then per key
     verifies the recorded multiset is EXACTLY the group's values
     (reference record-all-data semantics: TDigest.java:206 /
     Centroid.java:121-151 keep every sample beside the centroids).
@@ -846,8 +830,7 @@ def recording_provenance_check(ds, value_col: str, key: str,
         factory=lambda: RecordingDigest(compression),
         from_bytes=RecordingDigest.from_bytes,
     )
-    merged_rows = sketch_by_key(ds, spec, value_col, key,
-                                num_salts=num_salts).to_pandas()
+    merged_rows = sketch_by_key(ds, spec, value_col, key).to_pandas()
     sk_bytes = {r["key"]: (r["sketch"], float(r["n"]))
                 for _, r in merged_rows.iterrows()}
 
@@ -875,7 +858,6 @@ def recording_provenance_check(ds, value_col: str, key: str,
 
 def sparse_hll_equivalence_check(ds, value_col: str, key: str,
                                  p: int = 14, sigma: float = 3.0,
-                                 num_salts: int = 2,
                                  count_name: str = "n_distinct",
                                  key_name: str | None = None
                                  ) -> pd.DataFrame:
@@ -901,10 +883,9 @@ def sparse_hll_equivalence_check(ds, value_col: str, key: str,
         from_bytes=SparseHyperLogLog.from_bytes,
         summarize=lambda sk: {"distinct_estimate": float(sk.estimate())},
     )
-    sp = summarize(sketch_by_key(ds, sparse_spec, value_col, key,
-                                 num_salts=num_salts),
+    sp = summarize(sketch_by_key(ds, sparse_spec, value_col, key),
                    sparse_spec, key_name=key_name).to_pandas()
-    dn = distinct_by_key(ds, value_col, key, p=p, num_salts=num_salts,
+    dn = distinct_by_key(ds, value_col, key, p=p,
                          key_name=key_name).to_pandas()
     exact = distinct_count_by_key(ds, key, value_col,
                                   count_name).to_pandas()
@@ -1026,7 +1007,7 @@ def quantile_family_report(ds, value_col: str, key: str,
     frames = []
     for name, spec, bound in family:
         part = quantile_bound_check(ds, value_col, key, spec, qs=qs,
-                                    rank_bound=bound, num_salts=2)
+                                    rank_bound=bound)
         df = part.to_pandas() if hasattr(part, "to_pandas") else part
         df.insert(0, "sketch", name)
         frames.append(df)

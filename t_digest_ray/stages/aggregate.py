@@ -4,10 +4,9 @@ The scalable topology (SURVEY.md §3, the Ray re-architecture of
 MergingDigest.add(List) / MegaMergeTest's partial->merge pattern):
 
     ds.map_batches(partial_fn, batch_format="pyarrow")     # map-side combine:
-        -> rows (key, salt, sketch: binary, n: float64)    #   one sketch per
+        -> rows (key, sketch: binary, n: float64)          #   one sketch per
                                                            #   (task x key)
-    .groupby([key, salt]).map_groups(merge)                # level-1 merge
-    .groupby(key).map_groups(merge)                        # level-2 merge
+    .repartition(1).map_batches(fold, batch_size=None)     # the one exchange
     .map_batches(summarize)                                # query stage
 
 Every partial sketch in the library comes from ONE accumulator,
@@ -17,17 +16,12 @@ partials (``pipelines.checkpoint.run_checkpointed``) and hand-built
 single-row partials all feed it batches and flush its wire rows. It groups
 each batch once, on Arrow dictionary codes, for every metric.
 
-Raw values never shuffle — only serialized sketches (KBs per row), which is
-what makes the wide step cheap at 10^12 rows. The salt level bounds the fan-in
-of any single merge task for hot keys ("en" at 40% of a web corpus): level-1
-fan-in ~ #batches/num_salts, level-2 fan-in = num_salts. Sketch merges are
-associative, so the two-level tree gives the same answer (within the
-sketch's published bound) as a flat merge — property-tested in
-tests/test_ray_aggregate.py.
-
-The merges are canonical one-shot N-way merges (concat all centroid arrays,
-one sort, one cluster pass — MergingDigest.java:314-357 semantics), so the
-result is independent of the order Ray delivers the partial rows.
+Raw values never shuffle — only serialized sketches (KBs per row), so the
+partial rows number (tasks x keys) and one task folds them all: every key's
+partials go through ONE canonical N-way merge (concat all centroid arrays,
+one sort, one cluster pass — MergingDigest.java:314-357 semantics). The
+fold visits each key's partials in sorted byte order, so the result is a
+function of the partial rows alone, never of the order Ray delivers them.
 """
 
 from __future__ import annotations
@@ -37,13 +31,11 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import hash64
 from ..state.protocol import SketchSpec
 
 SKETCH_COL = "sketch"
 COUNT_COL = "n"
 KEY_COL = "key"
-SALT_COL = "salt"
 METRIC_COL = "metric"
 
 _GLOBAL_KEY = ""  # constant key used when aggregating without a group key
@@ -116,20 +108,16 @@ class KeyedSketches:
         """``((metric, key), [sketch, n])`` pairs in first-seen order."""
         return self._acc.items()
 
-    def flush(self, num_salts: int) -> pa.Table:
-        """Wire rows ``(key, salt, sketch, n[, metric])``, one per
-        (metric, key). The salt is content-derived, so a retried task
-        lands in the same level-1 merge group. With no rows added the
-        table is empty but keeps the full wire schema."""
+    def flush(self) -> pa.Table:
+        """Wire rows ``(key, sketch, n[, metric])``, one per (metric, key).
+        With no rows added the table is empty but keeps the full wire
+        schema."""
         items = list(self._acc.items())
-        blobs = [sk.to_bytes() for _, (sk, _n) in items]
-        salts = (hash64(np.asarray(blobs, dtype=object))
-                 % np.uint64(max(num_salts, 1))).astype(np.int32)
         cols = {
             KEY_COL: pa.array([k for (_m, k), _ in items],
                               type=self._key_type),
-            SALT_COL: pa.array(salts, type=pa.int32()),
-            SKETCH_COL: pa.array(blobs, type=pa.binary()),
+            SKETCH_COL: pa.array([sk.to_bytes() for _, (sk, _n) in items],
+                                 type=pa.binary()),
             COUNT_COL: pa.array([n for _, (_sk, n) in items],
                                 type=pa.float64()),
         }
@@ -142,13 +130,14 @@ class KeyedSketches:
 def make_partial_fn(spec: SketchSpec, value_col: str,
                     key: str | None = None,
                     weight_col: str | None = None,
-                    num_salts: int = 8):
+                    num_salts: int | None = None):
     """Build the map-side combine: one serialized sketch per (batch, key),
     through ``KeyedSketches``.
 
     Stateless by design — each batch independently becomes <= #keys tiny
     rows, so tasks are cheap, elastic and retry-deterministic (the sketch of
-    a batch depends only on the batch's content).
+    a batch depends only on the batch's content). ``num_salts`` is accepted
+    and ignored: the merge has no salt level.
     """
 
     def fn(batch: pa.Table) -> pa.Table:
@@ -156,79 +145,67 @@ def make_partial_fn(spec: SketchSpec, value_col: str,
         acc.add(None if key is None else batch[key],
                 {value_col: batch[value_col]},
                 None if weight_col is None else batch[weight_col])
-        return acc.flush(num_salts)
+        return acc.flush()
 
     return fn
 
 
-def _merge_group(spec: SketchSpec, carry: tuple[str, ...] = (KEY_COL,)):
-    """A map_groups body: N partial rows for one group -> 1 row; ``carry``
-    lists the group-identity columns copied through."""
+def _fold(partials, spec: SketchSpec, group: tuple[str, ...]):
+    """Partial rows -> one merged row ``(*group, sketch, n)`` per distinct
+    ``group`` value, in sorted group order, from one task: every partial
+    row meets in one block and each group's sketches go through one
+    ``spec.merge_bytes``. The group columns keep their Arrow types."""
+    sort = [(c, "ascending") for c in (*group, SKETCH_COL)]
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        merged = spec.merge_bytes(list(g[SKETCH_COL]))
-        out = {c: [g[c].iloc[0]] for c in carry}
-        out[SKETCH_COL] = [merged.to_bytes()]
-        out[COUNT_COL] = [float(g[COUNT_COL].sum())]
-        return pd.DataFrame(out)
+    def fold(tbl: pa.Table) -> pa.Table:
+        agg = tbl.sort_by(sort).group_by(list(group), use_threads=False) \
+            .aggregate([(SKETCH_COL, "list"), (COUNT_COL, "sum")])
+        merged = [spec.merge_bytes(blobs).to_bytes()
+                  for blobs in agg[f"{SKETCH_COL}_list"].to_pylist()]
+        return pa.table({**{c: agg[c] for c in group},
+                         SKETCH_COL: pa.array(merged, type=pa.binary()),
+                         COUNT_COL: agg[f"{COUNT_COL}_sum"]})
 
-    return merge
-
-
-def _merge_tree(partials, spec: SketchSpec, group: tuple[str, ...],
-                num_salts: int, coalesce_blocks: int):
-    """Two-level canonical merge of partial rows grouped on ``group``."""
-    if coalesce_blocks:
-        partials = partials.repartition(coalesce_blocks)
-    merge = _merge_group(spec, carry=group)
-    if num_salts > 1:
-        partials = partials.groupby([*group, SALT_COL]).map_groups(
-            merge, batch_format="pandas")
-    return partials.groupby(list(group)).map_groups(
-        merge, batch_format="pandas")
+    return partials.repartition(1).map_batches(
+        fold, batch_size=None, batch_format="pyarrow")
 
 
-def merge_partials(partials, spec: SketchSpec, num_salts: int = 8,
-                   coalesce_blocks: int = 16):
+def merge_partials(partials, spec: SketchSpec, num_salts: int | None = None):
     """The wide half of the pipeline: partial sketch rows
-    ``(key, salt, sketch, n)`` -> two-level canonical merge -> one row per
-    key. Public so callers that produce partial rows themselves (e.g. a
-    generator that sketches in-task) reuse the exact same merge topology.
+    ``(key, sketch, n)`` -> one canonical merge per key -> one row per key.
+    Public so callers that produce partial rows themselves (e.g. a
+    generator that sketches in-task) reuse the exact same merge.
 
-    ``coalesce_blocks``: the partial rows are KB-sized but inherit the
-    input's block COUNT; Ray's sort-based groupby spawns tasks per input
-    block, so hundreds of near-empty blocks would pay seconds of pure task
-    overhead (measured: 16 s of shuffle on 800 rows from 100 blocks vs <1 s
-    coalesced). Repartitioning the tiny rows first makes the wide step cost
-    proportional to the data, not to the upstream block count.
+    One task folds every partial row. This assumes the partial rows fit
+    one task comfortably: they number (tasks x keys) at a few KB each —
+    3,200 rows on a 100k-page flagship run, 6,400 on a 16-file, 400-key
+    checkpointed run. Inputs with millions of (task, key) partials would
+    need a bucketed fold instead. ``num_salts`` is accepted and ignored:
+    the merge has no salt level.
     """
-    return _merge_tree(partials, spec, (KEY_COL,), num_salts,
-                       coalesce_blocks)
+    return _fold(partials, spec, (KEY_COL,))
 
 
-def merge_multi_partials(partials, spec: SketchSpec, num_salts: int = 8,
-                         coalesce_blocks: int = 16):
-    """merge_partials for multi-metric partial rows (METRIC_COL carried)."""
-    return _merge_tree(partials, spec, (METRIC_COL, KEY_COL), num_salts,
-                       coalesce_blocks)
+def merge_multi_partials(partials, spec: SketchSpec,
+                         num_salts: int | None = None):
+    """merge_partials for multi-metric partial rows (METRIC_COL carried);
+    ``num_salts`` is accepted and ignored."""
+    return _fold(partials, spec, (METRIC_COL, KEY_COL))
 
 
 def sketch_by_key(ds, spec: SketchSpec, value_col: str,
                   key: str | None = None,
                   weight_col: str | None = None,
-                  num_salts: int = 8,
-                  batch_size: int | None = None,
-                  coalesce_blocks: int = 16):
-    """Full pipeline: partials -> two-level canonical merge.
+                  batch_size: int | None = None):
+    """Full pipeline: partials -> one canonical merge per key.
 
     Returns a Dataset of rows ``(key, sketch: binary, n: float64)`` — one per
     group (a single row with key "" when ``key is None``).
     """
     partials = ds.map_batches(
-        make_partial_fn(spec, value_col, key, weight_col, num_salts),
+        make_partial_fn(spec, value_col, key, weight_col),
         batch_format="pyarrow", batch_size=batch_size)
-    return merge_partials(partials, spec, num_salts=num_salts,
-                          coalesce_blocks=coalesce_blocks)
+    return merge_partials(partials, spec)
 
 
 def summarize(ds, spec: SketchSpec, key_name: str = KEY_COL):

@@ -129,10 +129,3 @@ def derive_metrics(batch: pa.Table, text_col: str = "text",
     for name, arr in cols.items():
         batch = batch.append_column(name, arr)
     return batch
-
-
-def check_extraction(batch: pa.Table, text_col: str = "text",
-                     extracted_col: str = "extracted_text") -> pa.Table:
-    """Append a per-row boolean: extracted text byte-identical to stored."""
-    eq = pc.equal(batch[text_col], batch[extracted_col])
-    return batch.append_column("extraction_ok", eq)

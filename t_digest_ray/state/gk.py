@@ -33,7 +33,7 @@ Distribution mapping (the part that matters at 10^12 rows):
   only over the summary's own tuples (O(1/eps * log(eps * n)) of them,
   hundreds), never over data.
 
-Shuffle cost: a summary is ~24 bytes/tuple, KBs per (key, salt) row —
+Shuffle cost: a summary is ~24 bytes/tuple, KBs per (task, key) row —
 same envelope as the other sketches in stages/aggregate.py.
 """
 

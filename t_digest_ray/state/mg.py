@@ -18,7 +18,7 @@ Guarantees (n = total weight seen, m = capacity):
 * ``true_count(x) - estimate(x) <= max_undercount <= n/(m+1)``, where
   ``max_undercount`` is the tracked sum of subtracted thresholds — the
   PODS'12 result is that this bound survives arbitrary merge trees, which
-  is exactly what the two-level salted merge topology needs;
+  is exactly what a distributed partial -> merge topology needs;
 * every x with ``true_count(x) > n/(m+1)`` is in the counter set.
 
 The batch update is merge-based and fully vectorized: the batch is

@@ -30,7 +30,7 @@ Guarantees (Shrivastava et al. Thm 1-2; Agarwal et al. §2):
 Everything is vectorized numpy over sparse (ids, counts) arrays — no
 per-value Python. Implements the library ``Sketch`` protocol
 (state/protocol.py) so stages/aggregate.py wires it through the standard
-partial -> salted two-level canonical merge topology unchanged.
+partial -> canonical merge topology unchanged.
 """
 
 from __future__ import annotations

@@ -109,7 +109,7 @@ def test_config_route_turnstile(ray_session, tmp_path):
     out = run_job(JobConfig(pipeline="turnstile", input=path,
                             columns=["k", "x", "op"],
                             key="k", value_col="x",
-                            params={"k": 200, "num_salts": 2})) \
+                            params={"k": 200})) \
         .to_pandas()
     assert len(out) == 1
     r = out.iloc[0]

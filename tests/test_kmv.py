@@ -88,7 +88,7 @@ def test_config_route_kmv_distinct(ray_session):
                             input="/root/testdata/sf0.001/events.parquet",
                             columns=["event_type", "user_id"],
                             key="event_type", value_col="user_id",
-                            params={"k": 1024, "num_salts": 2})) \
+                            params={"k": 1024})) \
         .to_pandas()
     assert len(out) == 5
     # 200 users at sf0.001: below k, the sketch is exact

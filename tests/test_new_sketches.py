@@ -242,7 +242,7 @@ def test_config_routes_new_sketches(ray_session):
                            input="/root/testdata/sf0.001/documents.parquet",
                            columns=["lang", "n_chars"],
                            key="lang", value_col="n_chars",
-                           params={"alpha": 0.02, "num_salts": 2})) \
+                           params={"alpha": 0.02})) \
         .to_pandas()
     assert len(dd) and {"q25", "q50", "q75"} <= set(dd.columns)
     assert (dd["q25"] <= dd["q50"]).all() and (dd["q50"] <= dd["q75"]).all()

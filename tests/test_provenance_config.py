@@ -65,7 +65,7 @@ def test_job_config_quantiles(ray_session, tmp_path):
         "columns": ["lang", "n_chars"],
         "value_col": "n_chars",
         "key": "lang",
-        "params": {"compression": 100, "num_salts": 2},
+        "params": {"compression": 100},
         "output": str(tmp_path / "out"),
     }))
     cfg = JobConfig.from_file(str(cfg_file))
@@ -79,7 +79,7 @@ def test_job_config_quantiles(ray_session, tmp_path):
 def test_job_config_synthetic_distinct(ray_session):
     cfg = JobConfig(pipeline="distinct", input="synthetic:2000",
                     value_col="host", key="lang",
-                    params={"p": 12, "num_salts": 2})
+                    params={"p": 12})
     out = run_job(cfg).to_pandas()
     assert len(out) == 20 and (out["distinct_estimate"] > 0).all()
 
@@ -204,7 +204,7 @@ def test_config_round3_pipelines(ray_session):
     out = run_job(JobConfig(
         pipeline="cdf", input=f"{sf}/documents.parquet",
         columns=["lang", "n_chars"], value_col="n_chars", key="lang",
-        params={"thresholds": [150.0, 300.0], "num_salts": 2},
+        params={"thresholds": [150.0, 300.0]},
     )).to_pandas()
     assert set(out.columns) == {"lang", "n", "cdf_le_0", "cdf_le_1"}
     assert ((out["cdf_le_0"] <= out["cdf_le_1"]) | out["cdf_le_1"].isna()).all()
@@ -662,7 +662,7 @@ def test_config_gk_and_qdigest_routes(ray_session):
                             ("qdigest", {"k": 1024, "log_universe": 16})):
         cfg = JobConfig(pipeline=pipeline, input="synthetic:3000",
                         value_col="text_length", key="lang",
-                        params={"num_salts": 2, **extra})
+                        params=extra)
         out = run_job(cfg).to_pandas()
         assert len(out) >= 1 and "q50" in out.columns
         assert (out["q50"] > 0).all()

@@ -30,10 +30,10 @@ def lineitem(ray_session):
 
 
 def test_grouped_digest_matches_driver_loop(ray_session, lineitem):
-    """Ray two-level merge == driver-side single-digest within merge bounds
+    """Ray partial -> merge == driver-side single-digest within merge bounds
     (AccuracyTest.java:137-149 tolerances applied to the Ray topology)."""
     out = quantiles_by_key(lineitem, "l_extendedprice", "l_returnflag",
-                           num_salts=4, batch_size=4096).to_pandas()
+                           batch_size=4096).to_pandas()
     pdf = lineitem.to_pandas()
     for flag, grp in pdf.groupby("l_returnflag"):
         vals = np.sort(grp["l_extendedprice"].to_numpy())
@@ -47,16 +47,57 @@ def test_grouped_digest_matches_driver_loop(ray_session, lineitem):
         assert row["min"] == vals[0] and row["max"] == vals[-1]
 
 
-def test_salted_vs_unsalted_equivalent(ray_session, lineitem):
-    a = quantiles_by_key(lineitem, "l_extendedprice", "l_returnflag",
-                         num_salts=1, batch_size=8192).to_pandas()
-    b = quantiles_by_key(lineitem, "l_extendedprice", "l_returnflag",
-                         num_salts=8, batch_size=8192).to_pandas()
-    a = a.sort_values("l_returnflag").reset_index(drop=True)
-    b = b.sort_values("l_returnflag").reset_index(drop=True)
-    assert (a["n"] == b["n"]).all()
-    for q in ("q50", "q99"):
-        assert np.allclose(a[q], b[q], rtol=0.01)
+_FOLD_CASES = {
+    "tdigest-string_keys": ("s", "x"),
+    "tdigest-int64_keys": ("i", "x"),
+    "hll-string_keys": ("s", "u"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FOLD_CASES))
+def test_fold_byte_identical_over_block_splits(ray_session, case):
+    """One fixed set of partial rows, shuffled and split over 1 and over 7
+    blocks, folds to the same bytes and n per key, equal to one in-process
+    ``spec.merge_bytes`` per group over the rows in their original order;
+    the key column keeps its Arrow type and comes out sorted."""
+    import ray
+    import ray.data as rd
+
+    from t_digest_ray.pipelines.distinct import hll_spec
+    from t_digest_ray.stages.aggregate import merge_partials
+
+    key, value = _FOLD_CASES[case]
+    spec = hll_spec(10) if case.startswith("hll") else tdigest_spec(100)
+    rng = np.random.default_rng(17)
+    n = 12_000
+    names = np.asarray([f"k{j}" for j in range(9)], dtype=object)
+    t = pa.table({
+        "s": pa.array(names[rng.zipf(1.6, n) % 9], pa.string()),
+        "i": pa.array(rng.integers(-4, 5, n), pa.int64()),
+        "x": rng.lognormal(1.0, 1.0, n),
+        "u": pa.array(rng.integers(0, 3000, n), pa.int64()),
+    })
+    fn = make_partial_fn(spec, value, key)
+    parts = pa.concat_tables([fn(t.slice(off, 1000))
+                              for off in range(0, n, 1000)])
+    groups: dict = {}
+    for r in parts.to_pylist():
+        g = groups.setdefault(r["key"], [[], 0.0])
+        g[0].append(r["sketch"])
+        g[1] += r["n"]
+    want = {k: (spec.merge_bytes(blobs).to_bytes(), cnt)
+            for k, (blobs, cnt) in groups.items()}
+
+    for n_blocks in (1, 7):
+        shuffled = parts.take(rng.permutation(parts.num_rows))
+        blocks = [shuffled.take(idx) for idx in
+                  np.array_split(np.arange(parts.num_rows), n_blocks)]
+        out = merge_partials(rd.from_arrow(blocks), spec).materialize()
+        got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+        assert got.schema.field("key").type == t.schema.field(key).type
+        assert got["key"].to_pylist() == sorted(want)
+        assert {r["key"]: (r["sketch"], r["n"])
+                for r in got.to_pylist()} == want
 
 
 def test_global_aggregate_fn(ray_session):
@@ -94,8 +135,8 @@ def test_sketch_rows_deterministic_across_parallelism(ray_session):
     res = {}
     for blocks in (3, 12):
         pages = synthetic_pages(10_000, parallelism=blocks)
-        out = pages_quantiles(pages, value_cols=("text_length",),
-                              num_salts=4)["text_length"].to_pandas()
+        out = pages_quantiles(
+            pages, value_cols=("text_length",))["text_length"].to_pandas()
         res[blocks] = out.sort_values("lang").reset_index(drop=True)
     a, b = res[3], res[12]
     assert a["lang"].tolist() == b["lang"].tolist()
@@ -115,13 +156,11 @@ def test_fused_synthetic_flagship_matches_staged(ray_session):
     from t_digest_ray.pipelines.quantiles import synthetic_pages_quantiles
 
     staged = pages_quantiles(synthetic_pages(10_000, parallelism=3),
-                             value_cols=("text_length", "html_size"),
-                             num_salts=4)["html_size"].to_pandas() \
-        .sort_values("lang").reset_index(drop=True)
+                             value_cols=("text_length", "html_size"))[
+        "html_size"].to_pandas().sort_values("lang").reset_index(drop=True)
     fused = synthetic_pages_quantiles(10_000,
                                       value_cols=("text_length",
                                                   "html_size"),
-                                      num_salts=4,
                                       rows_per_block=4096)["html_size"] \
         .to_pandas().sort_values("lang").reset_index(drop=True)
     assert staged["lang"].tolist() == fused["lang"].tolist()
@@ -141,7 +180,7 @@ def test_weighted_sketch_by_key(ray_session):
     ds = rd.from_pandas(df)
     spec = tdigest_spec(100)
     out = sketch_by_key(ds, spec, "x", "g", weight_col="w",
-                        num_salts=1, batch_size=64).to_pandas()
+                        batch_size=64).to_pandas()
     assert set(out["key"]) == {"a", "b"}
     d = TDigest.from_bytes(
         out[out.key == "b"]["sketch"].iloc[0])
@@ -238,7 +277,7 @@ def test_keyed_sketches_byte_identical_to_argsort_grouping(spec, key,
     want = _argsort_partials(spec, chunks, metrics, key, weight)
     assert {mk: n for mk, (_sk, n) in acc.items()} \
         == {mk: n for mk, (_b, n) in want.items()}
-    rows = acc.flush(4).to_pylist()
+    rows = acc.flush().to_pylist()
     assert {(r["metric"], r["key"]): (r["sketch"], r["n"])
             for r in rows} == want
 
@@ -266,11 +305,11 @@ def test_empty_partials_keep_wire_schema(ray_session):
     full wire schema, not a schema-less block."""
     import ray.data as rd
 
-    wire = pa.schema([("key", pa.string()), ("salt", pa.int32()),
-                      ("sketch", pa.binary()), ("n", pa.float64())])
+    wire = pa.schema([("key", pa.string()), ("sketch", pa.binary()),
+                      ("n", pa.float64())])
     multi = wire.append(pa.field("metric", pa.string()))
     spec = tdigest_spec()
-    fused = make_fused_partials(spec, ("text_length",), "lang", 4)
+    fused = make_fused_partials(spec, ("text_length",), "lang")
     pages = generate_pages_batch(np.arange(3000, dtype=np.uint64))
     assert fused(pages.slice(0, 0)).schema == multi
     empty = pa.table({"g": pa.array([], pa.string()),
@@ -280,10 +319,28 @@ def test_empty_partials_keep_wire_schema(ray_session):
     ds = rd.from_arrow([pages.slice(0, 0), pages, pages.slice(0, 0)])
     parts = ds.map_batches(fused, batch_format="pyarrow").materialize()
     assert parts.schema().names == multi.names
-    got = pages_quantiles(ds, value_cols=("text_length",),
-                          num_salts=4)["text_length"].to_pandas()
-    want = pages_quantiles(rd.from_arrow(pages), value_cols=("text_length",),
-                           num_salts=4)["text_length"].to_pandas()
+    got = pages_quantiles(
+        ds, value_cols=("text_length",))["text_length"].to_pandas()
+    want = pages_quantiles(
+        rd.from_arrow(pages), value_cols=("text_length",))["text_length"] \
+        .to_pandas()
     pd.testing.assert_frame_equal(
         got.sort_values("lang").reset_index(drop=True),
         want.sort_values("lang").reset_index(drop=True))
+
+
+def test_summarize_yields_no_schema_less_blocks(ray_session):
+    """Every block the query stage returns carries the result columns:
+    the merge hands summarize no zero-row, schema-less blocks."""
+    import ray
+    import ray.data as rd
+
+    rng = np.random.default_rng(3)
+    t = pa.table({"g": [f"k{i % 8}" for i in range(4000)],
+                  "v": rng.normal(size=4000)})
+    out = quantiles_by_key(rd.from_arrow([t.slice(off, 500)
+                                          for off in range(0, 4000, 500)]),
+                           "v", "g")
+    blocks = ray.get(out.to_pandas_refs())
+    assert sum(len(b) for b in blocks) == 8
+    assert all(len(b.columns) for b in blocks)

@@ -595,7 +595,7 @@ class TestHistogramPipeline:
             spec = SketchSpec(name="h",
                               factory=lambda: cls(0.001, 1000.0, param),
                               from_bytes=cls.from_bytes)
-            out = (histogram_bins_by_key(d, spec, "v", "k", num_salts=2)
+            out = (histogram_bins_by_key(d, spec, "v", "k")
                    .to_pandas().sort_values(["k", "bin"])
                    .reset_index(drop=True))
             for k, g in df.groupby("k"):

@@ -220,7 +220,7 @@ def test_config_textstats_routes(ray_session):
     out = run_job(JobConfig(
         pipeline="trimmed_mean", input=DOCS,
         columns=["lang", "n_chars"], value_col="n_chars", key="lang",
-        params={"trim": 0.1, "num_salts": 2})).to_pandas()
+        params={"trim": 0.1})).to_pandas()
     assert out["within_bound"].all()
 
     out = run_job(JobConfig(

@@ -43,7 +43,7 @@ def test_quantile_bound_check_passes_healthy(keyed_values):
 def test_quantile_bound_check_flags_regression(keyed_values):
     ds, _ = keyed_values
     spec = tdigest_spec(100)
-    merged = sketch_by_key(ds, spec, "x", "k", num_salts=2).to_pandas()
+    merged = sketch_by_key(ds, spec, "x", "k").to_pandas()
     # planted regression: shift one group's sketch values by corrupting
     # its bytes with a digest built from wrong data
     bad = spec.factory()
@@ -58,7 +58,7 @@ def test_quantile_bound_check_flags_regression(keyed_values):
 def test_quantile_bound_check_flags_count_mismatch(keyed_values):
     ds, _ = keyed_values
     spec = tdigest_spec(100)
-    merged = sketch_by_key(ds, spec, "x", "k", num_salts=2).to_pandas()
+    merged = sketch_by_key(ds, spec, "x", "k").to_pandas()
     merged.loc[merged["key"] == "b", "n"] = 123.0  # lost rows
     out = quantile_bound_check(ds, "x", "k", spec,
                                merged_rows=merged).to_pandas()
@@ -101,7 +101,7 @@ def test_trimmed_mean_bound_check_flags_regression(keyed_int_values):
 
     ds, _ = keyed_int_values
     spec = tdigest_spec(100)
-    merged = sketch_by_key(ds, spec, "x", "k", num_salts=2).to_pandas()
+    merged = sketch_by_key(ds, spec, "x", "k").to_pandas()
     bad = spec.factory()
     bad.update_batch(np.full(4000, 1e9))
     merged.loc[merged["key"] == "a", "sketch"] = bad.to_bytes()
@@ -265,8 +265,7 @@ def test_recording_provenance_distributed_roundtrip(keyed_values):
     from t_digest_ray.pipelines.validation import recording_provenance_check
 
     ds, df = keyed_values
-    out = recording_provenance_check(ds, "x", "k",
-                                     num_salts=2).to_pandas()
+    out = recording_provenance_check(ds, "x", "k").to_pandas()
     assert len(out) == 2
     assert out["provenance_intact"].all()
     for _, r in out.iterrows():
