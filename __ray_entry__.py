@@ -27,19 +27,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from t_digest_ray.stages.partitioning import actor_pool_bounds
+
 
 def _read(sf_dir: str, table: str, columns=None):
     import ray.data as rd
     return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
-def _pool():
-    """Autoscaling actor-pool bounds for fact-scale stateful stages:
-    start at 2 actors, grow to the cluster's CPU count on demand (r3
-    verdict: a hardcoded concurrency=2 starves these stages at 32 CPUs
-    and on any real cluster)."""
-    import ray
-    return (2, max(2, int(ray.cluster_resources().get("CPU", 8))))
 
 
 def _cents(df: pd.DataFrame, cols) -> pd.DataFrame:
@@ -476,7 +469,8 @@ def region_supplier_revenue(sf_dir: str):
             return pa.table({"r_name": pa.array(names, type=pa.string()),
                              "rev": pa.array(cents)})
 
-    out = (ds.map_batches(Joiner, batch_format="pyarrow", concurrency=_pool())
+    out = (ds.map_batches(Joiner, batch_format="pyarrow",
+                          concurrency=actor_pool_bounds())
            .groupby("r_name")
            .aggregate(Count(alias_name="n_items"),
                       Sum("rev", alias_name="revenue_cents")))
@@ -586,7 +580,7 @@ def q5_local_supplier_revenue(sf_dir: str):
             })
 
     j2 = hash_join(li.map_batches(SupplierLookup, batch_format="pyarrow",
-                                  concurrency=_pool()),
+                                  concurrency=actor_pool_bounds()),
                    j1.map_batches(j1_p, batch_format="pyarrow"),
                    on="okey", left_cols=["rev", "s_nat"],
                    right_cols=["c_nat"],
@@ -707,7 +701,7 @@ def q7_nation_volume(sf_dir: str):
                              "s_nat": pa.array(self.sn[idx_c[hit]])})
 
     j2 = hash_join(li.map_batches(SupplierLookup, batch_format="pyarrow",
-                                  concurrency=_pool()),
+                                  concurrency=actor_pool_bounds()),
                    j1.map_batches(j1_p, batch_format="pyarrow"),
                    on="okey", left_cols=["rev", "s_nat"],
                    right_cols=["o_year", "c_nat"],
@@ -853,7 +847,7 @@ def q8_market_share(sf_dir: str):
                              "rev_t": pa.array(cents * is_t)})
 
     j2 = hash_join(li.map_batches(DimLookup, batch_format="pyarrow",
-                                  concurrency=_pool()),
+                                  concurrency=actor_pool_bounds()),
                    j1.map_batches(j1_p, batch_format="pyarrow"),
                    on="okey", left_cols=["rev", "rev_t"],
                    right_cols=["o_year"],
@@ -2895,7 +2889,8 @@ def embedding_near_dup_docs(sf_dir: str):
     # Real pipelines read embeddings from a stored table (computed once);
     # this mirrors that — the projection is ~100x smaller than the text.
     emb = (ds.map_batches(to_media, batch_format="pyarrow")
-           .map_batches(EmbedStub, batch_format="pyarrow", concurrency=_pool())
+           .map_batches(EmbedStub, batch_format="pyarrow",
+                        concurrency=actor_pool_bounds())
            .select_columns(["vec_id", "embedding"])
            .materialize())
     return embedding_near_dup_pairs(emb, threshold=0.999, n_bands=8,
@@ -2920,7 +2915,7 @@ def media_decode_stats(sf_dir: str):
 
     media = (ds.map_batches(to_media, batch_format="pyarrow")
              .map_batches(ImageDecode, batch_format="pyarrow",
-                          concurrency=_pool(), batch_size=256)
+                          concurrency=actor_pool_bounds(), batch_size=256)
              .map_batches(ImageResize(), batch_format="pyarrow")
              .map_batches(FrameSample(), batch_format="pyarrow"))
     out = (media.groupby("channels")
@@ -2964,7 +2959,7 @@ def image_dedup_stats(sf_dir: str):
 
     decoded = (ds.map_batches(to_media, batch_format="pyarrow")
                .map_batches(ImageDecode, batch_format="pyarrow",
-                            concurrency=_pool(), batch_size=256))
+                            concurrency=actor_pool_bounds(), batch_size=256))
 
     def hash_meta(b: pa.Table) -> pa.Table:
         t = b.filter(b["decode_ok"])
@@ -3172,7 +3167,7 @@ def pages_host_quota(sf_dir: str):
                              "q_e6": pa.array(q_e6)})
 
     scored = pages.map_batches(HostQuality, batch_format="pyarrow",
-                               concurrency=_pool())
+                               concurrency=actor_pool_bounds())
     sel = topk_per_key(scored, "host", "q_e6", "url", k=3)
 
     def fin(df: pd.DataFrame) -> pd.DataFrame:
@@ -3277,7 +3272,7 @@ def q14_promo_revenue(sf_dir: str):
                 "total_cents": pa.array([int(cents.sum())])})
 
     out = (li.map_batches(PromoPartial, batch_format="pyarrow",
-                          concurrency=_pool())
+                          concurrency=actor_pool_bounds())
            .groupby("g")
            .aggregate(Sum("promo_cents", alias_name="promo_cents"),
                       Sum("total_cents", alias_name="total_cents")))
@@ -3345,7 +3340,7 @@ def q19_bracket_revenue(sf_dir: str):
                              "cents": pa.array(cents)})
 
     out = (li.map_batches(BracketTag, batch_format="pyarrow",
-                          concurrency=_pool())
+                          concurrency=actor_pool_bounds())
            .groupby("bracket")
            .aggregate(Count(alias_name="n_items"),
                       Sum("cents", alias_name="revenue_cents")))
@@ -3415,7 +3410,7 @@ def doc_dominant_term(sf_dir: str):
     from t_digest_ray.pipelines.textstats import dominant_term
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return dominant_term(ds, "text", "doc_id", concurrency=_pool())
+    return dominant_term(ds, "text", "doc_id", concurrency=actor_pool_bounds())
 
 
 def rollup_doc_stats(sf_dir: str):
@@ -4292,7 +4287,7 @@ def q17_small_quantity_revenue(sf_dir: str):
                              "sumq": pa.array(qty)})
 
     per_part = (li.map_batches(QtyPartial, batch_format="pyarrow",
-                               concurrency=_pool())
+                               concurrency=actor_pool_bounds())
                 .groupby("pk")
                 .aggregate(Sum("sumq", alias_name="sumq"),
                            Count(alias_name="n"))
@@ -4330,7 +4325,7 @@ def q17_small_quantity_revenue(sf_dir: str):
                                                  type=pa.int64())})
 
     out = (li.map_batches(BelowAvg, batch_format="pyarrow",
-                          concurrency=_pool())
+                          concurrency=actor_pool_bounds())
            .groupby("g")
            .aggregate(Sum("total_cents", alias_name="total_cents"),
                       Sum("n_items", alias_name="n_items")))
@@ -4414,7 +4409,7 @@ def q9_nation_profit(sf_dir: str):
                                            pa.int64())})
 
     j = hash_join(li.map_batches(PartNation, batch_format="pyarrow",
-                                 concurrency=_pool()),
+                                 concurrency=actor_pool_bounds()),
                   orders.map_batches(ord_p, batch_format="pyarrow"),
                   on="okey", left_cols=["nation", "cents"],
                   right_cols=["o_year"],
@@ -4481,7 +4476,7 @@ def q20_heavy_shippers(sf_dir: str):
                              "q": pa.array(qty)})
 
     pairs = (li.map_batches(PairPartial, batch_format="pyarrow",
-                            concurrency=_pool())
+                            concurrency=actor_pool_bounds())
              .groupby(["s_suppkey", "pk"])
              .aggregate(Sum("q", alias_name="pair_qty")))
     pairs = pairs.materialize()  # reused twice below; pair-cardinality
@@ -4510,7 +4505,7 @@ def q20_heavy_shippers(sf_dir: str):
                                  np.ones(t.num_rows, dtype=np.int64))})
 
     counts = (pairs.map_batches(HeavyFilter, batch_format="pyarrow",
-                                concurrency=_pool())
+                                concurrency=actor_pool_bounds())
               .groupby("s_suppkey")
               .aggregate(Sum("one", alias_name="n_heavy_parts"))
               .to_pandas())  # rows = suppliers: dimension-sized
@@ -5522,7 +5517,7 @@ def q11_important_part_values(sf_dir: str):
             return pa.Table.from_pandas(g, preserve_index=False)
 
     parts = (li.map_batches(PartValue, batch_format="pyarrow",
-                            concurrency=_pool())
+                            concurrency=actor_pool_bounds())
              .groupby("l_partkey")
              .aggregate(Sum("partial", alias_name="value_cents"))
              .to_pandas())  # O(distinct parts)
@@ -5597,7 +5592,7 @@ def q16_supplier_part_counts(sf_dir: str):
         return out
 
     out = (li.map_batches(Triples, batch_format="pyarrow",
-                          concurrency=_pool())
+                          concurrency=actor_pool_bounds())
            .map_batches(bucketed, batch_format="pyarrow")
            .groupby("bucket")
            .map_groups(bucket_count, batch_format="pandas")
@@ -6631,7 +6626,6 @@ def audio_energy_by_lang(sf_dir: str):
         AudioEnergy,
         synth_wav_pcm16,
     )
-    from t_digest_ray.stages.partitioning import actor_pool_bounds
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
 
@@ -7425,7 +7419,6 @@ def audio_dominant_freq_by_lang(sf_dir: str):
         AudioDominantFreq,
         synth_wav_tone,
     )
-    from t_digest_ray.stages.partitioning import actor_pool_bounds
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
 
@@ -8399,42 +8392,42 @@ def oracle_sql() -> dict[str, str]:
             FROM pt
         """,
         "kcore_users": """
-            WITH du AS (SELECT DISTINCT event_type,
+            WITH du AS MATERIALIZED (SELECT DISTINCT event_type,
                                CAST(epoch_us(ts) // 86400000000 AS BIGINT)
                                    AS d, user_id
                         FROM events),
-                 r AS (SELECT event_type, d, user_id,
+                 r AS MATERIALIZED (SELECT event_type, d, user_id,
                               ROW_NUMBER() OVER (PARTITION BY event_type, d
                                   ORDER BY user_id ASC) AS rn
                        FROM du),
-                 kept AS (SELECT event_type, d, user_id FROM r
+                 kept AS MATERIALIZED (SELECT event_type, d, user_id FROM r
                           WHERE rn <= 12),
-                 e0 AS (SELECT DISTINCT a.user_id AS u, b.user_id AS v
+                 e0 AS MATERIALIZED (SELECT DISTINCT a.user_id AS u, b.user_id AS v
                         FROM kept a JOIN kept b
                           ON a.event_type = b.event_type AND a.d = b.d
                          AND a.user_id < b.user_id),
-                 d1 AS (SELECT node, COUNT(*) AS dg
+                 d1 AS MATERIALIZED (SELECT node, COUNT(*) AS dg
                         FROM (SELECT u AS node FROM e0
                               UNION ALL SELECT v FROM e0) GROUP BY 1),
-                 s1 AS (SELECT node FROM d1 WHERE dg >= 40),
-                 e1 AS (SELECT u, v FROM e0
+                 s1 AS MATERIALIZED (SELECT node FROM d1 WHERE dg >= 40),
+                 e1 AS MATERIALIZED (SELECT u, v FROM e0
                         WHERE u IN (SELECT node FROM s1)
                           AND v IN (SELECT node FROM s1)),
-                 d2 AS (SELECT node, COUNT(*) AS dg
+                 d2 AS MATERIALIZED (SELECT node, COUNT(*) AS dg
                         FROM (SELECT u AS node FROM e1
                               UNION ALL SELECT v FROM e1) GROUP BY 1),
-                 s2 AS (SELECT node FROM d2 WHERE dg >= 40),
-                 e2 AS (SELECT u, v FROM e1
+                 s2 AS MATERIALIZED (SELECT node FROM d2 WHERE dg >= 40),
+                 e2 AS MATERIALIZED (SELECT u, v FROM e1
                         WHERE u IN (SELECT node FROM s2)
                           AND v IN (SELECT node FROM s2)),
-                 d3 AS (SELECT node, COUNT(*) AS dg
+                 d3 AS MATERIALIZED (SELECT node, COUNT(*) AS dg
                         FROM (SELECT u AS node FROM e2
                               UNION ALL SELECT v FROM e2) GROUP BY 1),
-                 s3 AS (SELECT node FROM d3 WHERE dg >= 40),
-                 e3 AS (SELECT u, v FROM e2
+                 s3 AS MATERIALIZED (SELECT node FROM d3 WHERE dg >= 40),
+                 e3 AS MATERIALIZED (SELECT u, v FROM e2
                         WHERE u IN (SELECT node FROM s3)
                           AND v IN (SELECT node FROM s3)),
-                 c AS (SELECT
+                 c AS MATERIALIZED (SELECT
                          (SELECT COUNT(*) FROM e1) AS c1,
                          (SELECT COUNT(DISTINCT node) FROM
                             (SELECT u AS node FROM e1

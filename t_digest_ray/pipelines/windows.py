@@ -11,19 +11,18 @@ are built Ray-Data-first here:
 * ``sliding_window``   — each row is exploded to its size/step windows
   inside ``map_batches`` (vectorized repeat), then the same groupby.
 * ``asof_join``        — most recent right row with ``r.ts <= l.ts`` per
-  key: both sides are tagged and co-partitioned by ``hash(key) % coarse``
-  (the coarse-bucket pattern — one Python group call per bucket, vectorized
-  run-sweep inside), so only one shuffle of the two inputs happens and the
-  per-bucket merge is a sorted cumulative-count lookup, not a nested loop.
-* ``sessionize``       — per-user session segmentation with a gap rule:
-  bucket by user hash, detect session starts vectorized on the
-  (user, ts)-sorted bucket; per-user totals are complete within the
-  bucket (hash co-partition), so no second aggregate runs.
+  key: both sides are tagged and co-partitioned by key, so only one
+  shuffle of the two inputs happens and the per-bucket merge is a sorted
+  cumulative-count lookup, not a nested loop.
+* ``sessionize``       — per-user session segmentation with a gap rule,
+  detected vectorized on each (user, ts)-sorted bucket.
 
-Partitioning assumption (documented per the custom-operator rule): asof_join
-and sessionize require all rows of one key in one group — guaranteed by the
-hash-bucket groupby; bucket size stays bounded because #keys per bucket ~
-#keys/coarse and per-row state is O(1).
+Every per-user (or per-key) operator runs on ONE exchange,
+``stages.aggregate.bucketed_map_groups``: all rows of a key land in one
+call, which folds a whole hash bucket of keys with vectorized code (one
+sort, boundary masks, ``reduceat``), so the Python cost scales with
+buckets, never with users; bucket size stays bounded because #keys per
+bucket ~ #keys / buckets and per-row state is O(1).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..functions.hashing import hash64
+from ..stages.aggregate import bucketed_map_groups, hash_bucketed_group_agg
 
 
 def _epoch_us(col: pa.ChunkedArray) -> np.ndarray:
@@ -45,6 +44,50 @@ def _epoch_us(col: pa.ChunkedArray) -> np.ndarray:
 
 def _epoch_s(col: pa.ChunkedArray) -> np.ndarray:
     return (_epoch_us(col) // 1_000_000).astype(np.int64)
+
+
+def _by_user(user_col: str, ts_col: str, *carry: str):
+    """Projection for the per-user operators: the user, the event time as
+    integer ``ts_us``, and the ``carry`` columns."""
+
+    def project(b: pa.Table) -> pa.Table:
+        cols = {user_col: b[user_col],
+                "ts_us": pa.array(_epoch_us(b[ts_col]))}
+        for c in carry:
+            cols[c] = b[c]
+        return pa.table(cols)
+
+    return project
+
+
+def _user_days(user_col: str, ts_col: str):
+    """Projection to the batch's distinct (user, epoch day) rows."""
+
+    def project(b: pa.Table) -> pa.Table:
+        return (pa.table({user_col: b[user_col],
+                          "day": pa.array(_epoch_s(b[ts_col]) // 86400)})
+                .group_by([user_col, "day"]).aggregate([]))
+
+    return project
+
+
+def _user_order(g: pd.DataFrame, user_col: str, tie_col: str | None = None):
+    """Sort one bucket by (user, ts[, tie]); returns it and the mask of
+    each user's first row."""
+    g = g.sort_values([user_col, "ts_us"] + ([tie_col] if tie_col else []),
+                      kind="stable")
+    users = g[user_col].to_numpy()
+    return g, np.r_[True, users[1:] != users[:-1]]
+
+
+def _session_starts(g: pd.DataFrame, user_col: str, gap_s: int,
+                    tie_col: str | None = None):
+    """The gap rule on one bucket: after ``_user_order``, a row starts a
+    session when it is the user's first or comes more than ``gap_s``
+    after the user's previous event. Returns (g, new_user, is_start)."""
+    g, new_user = _user_order(g, user_col, tie_col)
+    ts = g["ts_us"].to_numpy(dtype=np.int64)
+    return g, new_user, new_user | np.r_[True, np.diff(ts) > gap_s * 1_000_000]
 
 
 def tumbling_window(ds, ts_col: str, window_s: int, key: str | None = None,
@@ -71,7 +114,6 @@ def tumbling_window(ds, ts_col: str, window_s: int, key: str | None = None,
     aggs = {"cnt": ("window_start_s", "count")}
     if value_col:
         aggs["sum_value"] = (value_col, "sum")
-    from ..stages.aggregate import hash_bucketed_group_agg
     return hash_bucketed_group_agg(assigned, group, aggs)
 
 
@@ -99,41 +141,29 @@ def sliding_window(ds, ts_col: str, size_s: int, step_s: int,
     exploded = ds.map_batches(explode, batch_format="pyarrow")
     group = ["window_start_s"] + ([key] if key else [])
     # vectorized many-group aggregate (see tumbling_window)
-    from ..stages.aggregate import hash_bucketed_group_agg
     return hash_bucketed_group_agg(
         exploded, group, {"cnt": ("window_start_s", "count")})
 
 
 def asof_join(left, right, key_col: str, ts_col: str,
-              left_id: str, right_id: str, coarse: int | None = None,
-              n_rows: int | None = None):
+              left_id: str, right_id: str):
     """For each left row, the most recent right row with ``r.ts <= l.ts``
     and the same key (inner: lefts with no prior right are dropped).
 
     Returns rows (left_id, right_id as ``prior_id``, gap_s). One shuffle:
-    both tagged sides co-partition on hash(key) % coarse. The bucket count
-    scales with the combined input (metadata row counts or ``n_rows``):
-    ~256k tagged rows of ~40 B per group, ~10 MB per map_groups task.
+    both tagged sides co-partition on the key, with the bucket count
+    sized from the two sources' combined metadata row count.
     """
-    from ..stages.partitioning import cheap_row_count, coarse_bucket_count
-
-    if coarse is None:
-        if n_rows is None:
-            nl, nr = cheap_row_count(left), cheap_row_count(right)
-            n_rows = nl + nr if nl is not None and nr is not None else None
-        coarse = coarse_bucket_count(n_rows=n_rows, rows_per_bucket=262144,
-                                     what="asof_join")
+    from ..stages.partitioning import cheap_row_count
 
     def tag(side: int, id_col: str):
         def fn(batch: pa.Table) -> pa.Table:
-            keys = batch[key_col].to_numpy(zero_copy_only=False)
             return pa.table({
-                "bucket": pa.array((hash64(keys)
-                                    % np.uint64(coarse)).astype(np.int32)),
                 key_col: batch[key_col],
                 "ts_us": pa.array(_epoch_us(batch[ts_col])),
                 "row_id": batch[id_col],
-                "is_left": pa.array(np.full(len(keys), side, dtype=np.int8)),
+                "is_left": pa.array(np.full(batch.num_rows, side,
+                                            dtype=np.int8)),
             })
         return fn
 
@@ -171,8 +201,9 @@ def asof_join(left, right, key_col: str, ts_col: str,
                       // 1_000_000).astype(np.int64),
         })
 
-    return tagged.groupby("bucket").map_groups(bucket_asof,
-                                               batch_format="pandas")
+    nl, nr = cheap_row_count(left), cheap_row_count(right)
+    return bucketed_map_groups(tagged, [key_col], bucket_asof,
+                               n_rows=None if None in (nl, nr) else nl + nr)
 
 
 def watermark_flags(ds, ts_col: str, order_col: str, lateness_s: int,
@@ -242,7 +273,6 @@ def watermark_flags(ds, ts_col: str, order_col: str, lateness_s: int,
     # up to 2^20 GROUPS, where Ray's sort-based aggregate pays ~1 ms of
     # Python each; the combine's per-batch partial also shrinks the
     # shuffle to <= n_buckets rows per block.
-    from ..stages.aggregate import hash_bucketed_group_agg
     bucket_max = hash_bucketed_group_agg(
         projected.select_columns(["bucket", "ts_us"]), ["bucket"],
         {"max_ts": ("ts_us", "max")}, n_rows=n_buckets).to_pandas()
@@ -323,56 +353,24 @@ def watermarked_window_split(ds, ts_col: str, order_col: str,
     return flags.map_batches(classify, batch_format="pandas")
 
 
-def sessionize(ds, user_col: str, ts_col: str, gap_s: int,
-               coarse: int | None = None, n_rows: int | None = None):
+def sessionize(ds, user_col: str, ts_col: str, gap_s: int):
     """Per-user session counts under a gap rule: a new session starts when
     the time since the user's previous event exceeds ``gap_s``.
-    Returns rows (user_col, n_sessions). Bucket count scales with the
-    input (~256k rows of ~40 B per group, ~10 MB per map_groups task)."""
-
-    from ..stages.partitioning import coarse_bucket_count
-
-    if coarse is None:
-        coarse = coarse_bucket_count(ds, n_rows=n_rows,
-                                     rows_per_bucket=262144,
-                                     what="sessionize")
-
-    def project(batch: pa.Table) -> pa.Table:
-        users = batch[user_col].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "bucket": pa.array((hash64(users)
-                                % np.uint64(coarse)).astype(np.int32)),
-            user_col: batch[user_col],
-            "ts_us": pa.array(_epoch_us(batch[ts_col])),
-        })
+    Returns rows (user_col, n_sessions)."""
 
     def bucket_sessions(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([user_col, "ts_us"], kind="stable")
-        users = g[user_col].to_numpy()
-        ts = g["ts_us"].to_numpy()
-        new_user = np.r_[True, users[1:] != users[:-1]]
-        gap = np.r_[True, (ts[1:] - ts[:-1]) > gap_s * 1_000_000]
-        starts = (new_user | gap).astype(np.int64)
-        # one output row per user, not per event: the bucket already holds
-        # ALL of a user's rows, so reduce here and keep the second shuffle
-        # O(users) instead of O(events)
-        run_starts = np.flatnonzero(new_user)
-        per_user = np.add.reduceat(starts, run_starts)
-        return pd.DataFrame({user_col: users[run_starts],
-                             "is_start": per_user})
+        g, new_user, is_start = _session_starts(g, user_col, gap_s)
+        # one row per user, not per event: the bucket holds ALL of a
+        # user's rows, so its total is complete and no second aggregate
+        # runs
+        firsts = np.flatnonzero(new_user)
+        return pd.DataFrame({
+            user_col: g[user_col].to_numpy()[firsts],
+            "n_sessions": np.add.reduceat(is_start.astype(np.int64),
+                                          firsts)})
 
-    starts = (ds.map_batches(project, batch_format="pyarrow")
-              .groupby("bucket")
-              .map_groups(bucket_sessions, batch_format="pandas"))
-
-    # a user's rows live in exactly ONE bucket (hash co-partition), so
-    # bucket_sessions already emitted the complete per-user total — no
-    # second aggregate (which would pay per-USER Python in Ray's
-    # sort-based path), just the output name
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        return df.rename(columns={"is_start": "n_sessions"})
-
-    return starts.map_batches(finalize, batch_format="pandas")
+    return bucketed_map_groups(ds, [user_col], bucket_sessions,
+                               project=_by_user(user_col, ts_col))
 
 
 def windowed_join_count(left, right, key_col: str, ts_col: str,
@@ -448,52 +446,36 @@ def windowed_join_count(left, right, key_col: str, ts_col: str,
     return out.map_batches(fin, batch_format="pandas")
 
 
-def retention_cohorts(ds, user_col: str, ts_col: str,
-                      deltas=(1, 7), n_rows: int | None = None):
+def retention_cohorts(ds, user_col: str, ts_col: str, deltas=(1, 7)):
     """Cohort retention matrix: for each activity day and each delta in
     ``deltas``, how many of that day's active users were active again
     exactly ``delta`` days later — the classic day-1/day-7 retention
     report.
 
-    Topology: (user, day) presence is made globally distinct with the
-    hash-bucketed combine (8-byte pairs on the one wide shuffle), then
-    each user's day set co-locates once and emits O(active-days ×
-    |deltas|) tiny rows; the final groupby runs over (day, delta) —
-    calendar-sized. No step touches raw events twice.
+    Topology: per-batch-distinct (user, day) rows (8-byte pairs on the one
+    wide shuffle) co-locate by user; each bucket looks its (user,
+    day + delta) pairs up in its own (user, day) set and emits
+    (day, delta) partial counts; the final groupby runs over
+    (day, delta) — calendar-sized. No step touches raw events twice.
     """
     from ray.data.aggregate import Sum
 
-    from ..stages.aggregate import hash_bucketed_group_agg
-
     deltas = [int(d) for d in deltas]
-    if n_rows is None:
-        from ..stages.partitioning import cheap_row_count
-        n_rows = cheap_row_count(ds)
 
-    def project(b: pa.Table) -> pa.Table:
-        day = (_epoch_s(b[ts_col]) // 86400).astype(np.int64)
-        return pa.table({
-            user_col: b[user_col],
-            "day": pa.array(day)})
+    def bucket_retention(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.drop_duplicates()
+        users, days = g[user_col].to_numpy(), g["day"].to_numpy(np.int64)
+        active = pd.MultiIndex.from_arrays([users, days])
+        parts = [pd.DataFrame({
+            "day": days, "delta": np.int64(d), "active": np.int64(1),
+            "retained": pd.MultiIndex.from_arrays([users, days + d])
+            .isin(active).astype(np.int64)}) for d in deltas]
+        return (pd.concat(parts, ignore_index=True)
+                .groupby(["day", "delta"], as_index=False, sort=False)
+                .sum())
 
-    pairs = hash_bucketed_group_agg(
-        ds.map_batches(project, batch_format="pyarrow"),
-        [user_col, "day"], {"_one": ("day", "min")}, n_rows=n_rows)
-
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
-        days = np.sort(g["day"].to_numpy(dtype=np.int64))
-        frames = []
-        for d in deltas:
-            ret = np.isin(days + d, days)
-            frames.append(pd.DataFrame({
-                "day": days, "delta": np.int64(d),
-                "active": np.int64(1),
-                "retained": ret.astype(np.int64)}))
-        return pd.concat(frames, ignore_index=True)
-
-    out = (pairs.select_columns([user_col, "day"])
-           .groupby(user_col).map_groups(per_user,
-                                         batch_format="pandas")
+    out = (bucketed_map_groups(ds, [user_col], bucket_retention,
+                               project=_user_days(user_col, ts_col))
            .groupby(["day", "delta"])
            .aggregate(Sum("active", alias_name="n_active"),
                       Sum("retained", alias_name="n_retained")))
@@ -513,34 +495,35 @@ def funnel_counts(ds, user_col: str, ts_col: str, type_col: str,
     after that, ... (the product-analytics conversion funnel; timestamps
     compared with ``>`` so the convention is SQL-reproducible).
 
-    Each user's events co-locate once; per user the funnel is a
-    vectorized forward scan (one min() per step over masked timestamps);
-    only one flags-row per user leaves the stage and the final fold is
-    a single sum. Returns ONE row ``(n_step1, ..., n_stepK)``.
+    Each user's events co-locate once; each bucket runs the funnel for
+    all its users at once, one vectorized pass per step (the per-user
+    min over masked timestamps of the users still in the funnel), and
+    emits one row of step counts; the final fold is a single sum.
+    Returns ONE row ``(n_step1, ..., n_stepK)``.
     """
     from ray.data.aggregate import Sum
 
     steps = list(steps)
-
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
-        ts = g[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64)
-        et = g[type_col].to_numpy()
-        t = -np.inf
-        flags = {}
-        for i, s in enumerate(steps, 1):
-            cand = ts[(et == s) & (ts > t)]
-            if len(cand):
-                t = int(cand.min())
-                flags[f"n_step{i}"] = [np.int64(1)]
-            else:
-                for j in range(i, len(steps) + 1):
-                    flags[f"n_step{j}"] = [np.int64(0)]
-                break
-        return pd.DataFrame(flags)
-
     cols = [f"n_step{i}" for i in range(1, len(steps) + 1)]
-    out = (ds.groupby(user_col)
-           .map_groups(per_user, batch_format="pandas")
+
+    def bucket_funnel(g: pd.DataFrame) -> pd.DataFrame:
+        users = g[user_col].to_numpy()
+        ts = g["ts_us"].to_numpy(np.int64)
+        et = g[type_col].to_numpy()
+        # reached: each funnel user's time of the last step reached; users
+        # who left the funnel read as +inf, so no later event is after it
+        lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        reached = pd.Series(lo, index=pd.unique(users))
+        counts = {}
+        for c, s in zip(cols, steps):
+            after = ts > reached.reindex(users, fill_value=hi).to_numpy()
+            m = (et == s) & after
+            reached = pd.Series(ts[m]).groupby(users[m]).min()
+            counts[c] = [np.int64(len(reached))]
+        return pd.DataFrame(counts)
+
+    out = (bucketed_map_groups(ds, [user_col], bucket_funnel,
+                               project=_by_user(user_col, ts_col, type_col))
            .aggregate(*[Sum(c, alias_name=c) for c in cols]))
     return pd.DataFrame({c: [np.int64(out[c])] for c in cols})
 
@@ -550,26 +533,24 @@ def transition_counts(ds, user_col: str, ts_col: str, tie_col: str,
     """First-order event-sequence transition matrix (the Markov-chain /
     session-flow report): per user, consecutive (prev_type, next_type)
     pairs under (ts, tie) order, counted globally. Each user's events
-    co-locate once; only per-user PAIR COUNTS (≤ |types|² rows per user)
-    leave the stage; the final groupby is |types|²-sized.
+    co-locate once; each bucket emits its PAIR COUNTS (≤ |types|² rows);
+    the final groupby is |types|²-sized.
     """
     from ray.data.aggregate import Sum
 
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([ts_col, tie_col], kind="stable")
+    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
+        g, new_user = _user_order(g, user_col, tie_col)
         et = g[type_col].to_numpy()
-        if len(et) < 2:
-            return pd.DataFrame({"prev_type": [], "next_type": [],
-                                 "partial": []}).astype(
-                {"prev_type": et.dtype, "next_type": et.dtype,
-                 "partial": np.int64})
-        df = pd.DataFrame({"prev_type": et[:-1], "next_type": et[1:]})
-        df["partial"] = np.int64(1)
-        return df.groupby(["prev_type", "next_type"],
-                          as_index=False, sort=False).sum()
+        same = ~new_user[1:]
+        return (pd.DataFrame({"prev_type": et[:-1][same],
+                              "next_type": et[1:][same]})
+                .groupby(["prev_type", "next_type"], as_index=False,
+                         sort=False).size()
+                .rename(columns={"size": "partial"}))
 
-    out = (ds.groupby(user_col)
-           .map_groups(per_user, batch_format="pandas")
+    out = (bucketed_map_groups(ds, [user_col], bucket_pairs,
+                               project=_by_user(user_col, ts_col, tie_col,
+                                                type_col))
            .groupby(["prev_type", "next_type"])
            .aggregate(Sum("partial", alias_name="n")))
 
@@ -581,8 +562,7 @@ def transition_counts(ds, user_col: str, ts_col: str, tie_col: str,
 
 
 def locf_fill_stats(ds, user_col: str, ts_col: str, tie_col: str,
-                    value_col: str, key_col: str,
-                    coarse: int | None = None, n_rows: int | None = None):
+                    value_col: str, key_col: str):
     """Last-observation-carried-forward imputation audit: every NULL
     value is filled with the user's most recent non-null earlier value
     (order ``ts_col``, then ``tie_col``); per ``key_col`` the op reports
@@ -590,39 +570,18 @@ def locf_fill_stats(ds, user_col: str, ts_col: str, tie_col: str,
     no prior observation, and the exact integer-cents sum of the filled
     values — the SQL twin is LAST_VALUE(v IGNORE NULLS).
 
-    Scale shape: one hash-bucket co-partition of users (same contract
-    as sessionize: all rows of a user in one group), a fully vectorized
+    Scale shape: one co-partition of users (same contract as
+    sessionize: all rows of a user in one group), a fully vectorized
     maximum.accumulate fill inside the bucket (no per-row Python), and
     only O(keys) integer partial rows on the second exchange.
     """
     from ray.data.aggregate import Sum
 
-    from ..stages.partitioning import coarse_bucket_count
-
-    if coarse is None:
-        coarse = coarse_bucket_count(ds, n_rows=n_rows,
-                                     rows_per_bucket=262144,
-                                     what="locf")
-
-    def project(batch: pa.Table) -> pa.Table:
-        users = batch[user_col].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "bucket": pa.array((hash64(users)
-                                % np.uint64(coarse)).astype(np.int32)),
-            user_col: batch[user_col],
-            "ts_us": pa.array(_epoch_us(batch[ts_col])),
-            tie_col: batch[tie_col],
-            value_col: batch[value_col],
-            key_col: batch[key_col],
-        })
-
     def bucket_fill(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([user_col, "ts_us", tie_col], kind="stable")
-        users = g[user_col].to_numpy()
+        g, new_user = _user_order(g, user_col, tie_col)
         v = g[value_col].to_numpy(dtype=np.float64)  # NULL -> NaN
         n = len(g)
         valid = ~np.isnan(v)
-        new_user = np.r_[True, users[1:] != users[:-1]]
         uid = np.cumsum(new_user) - 1
         last = np.maximum.accumulate(np.where(valid, np.arange(n), -1))
         ok = (last >= 0) & (uid[np.maximum(last, 0)] == uid)
@@ -640,14 +599,13 @@ def locf_fill_stats(ds, user_col: str, ts_col: str, tie_col: str,
             "n_unfilled": (missing & ~ok).astype(np.int64),
             "sum_filled_cents": cents,
         })
-        out = df.groupby(key_col, as_index=False, sort=False).sum()
-        return out
+        return df.groupby(key_col, as_index=False, sort=False).sum()
 
     cols = ["n_rows", "n_missing", "n_filled", "n_unfilled",
             "sum_filled_cents"]
-    out = (ds.map_batches(project, batch_format="pyarrow")
-           .groupby("bucket")
-           .map_groups(bucket_fill, batch_format="pandas")
+    out = (bucketed_map_groups(ds, [user_col], bucket_fill,
+                               project=_by_user(user_col, ts_col, tie_col,
+                                                value_col, key_col))
            .groupby(key_col)
            .aggregate(*[Sum(c, alias_name=c) for c in cols]))
 
@@ -785,38 +743,28 @@ def period_growth(ds, ts_col: str, value: str, fmt: str = "%Y-%m"):
 
 
 def entry_exit_type_counts(ds, user_col: str, ts_col: str, tie_col: str,
-                           type_col: str, coarse: int | None = None,
-                           n_rows: int | None = None):
+                           type_col: str):
     """Entry/exit analysis: for every user, the type of their FIRST and
     LAST event ((ts, tie) lexicographic arg-min/arg-max), counted per
     (first_type, last_type) pair — the landing/exit-page report shape.
 
     Scale shape: per-batch reduce to one (user, min-cand, max-cand) row
-    per user per batch (arg-min/max is associative), hash-bucket
-    co-partition of users resolves the global winners vectorized, and
-    only |types|²-sized pair counts ride the final exchange.
+    per user per batch (arg-min/max is associative), a co-partition of
+    users resolves the global winners vectorized, and only
+    |types|²-sized pair counts ride the final exchange.
     """
-    import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
-    from ..stages.partitioning import coarse_bucket_count
-
-    if coarse is None:
-        coarse = coarse_bucket_count(ds, n_rows=n_rows,
-                                     rows_per_bucket=262144,
-                                     what="entry_exit")
-
-    def partial(b: pa.Table) -> pa.Table:
+    def partial(b: pa.Table) -> pd.DataFrame:
         df = pd.DataFrame({
             user_col: b[user_col].to_numpy(zero_copy_only=False),
-            "ts_us": pc.cast(b[ts_col].combine_chunks(),
-                             pa.int64()).to_numpy(),
+            "ts_us": _epoch_us(b[ts_col]),
             tie_col: b[tie_col].to_numpy(zero_copy_only=False),
             type_col: b[type_col].to_numpy(zero_copy_only=False),
         }).sort_values([user_col, "ts_us", tie_col], kind="stable")
         first = df.drop_duplicates(user_col, keep="first")
         last = df.drop_duplicates(user_col, keep="last")
-        out = pd.DataFrame({
+        return pd.DataFrame({
             user_col: first[user_col].to_numpy(),
             "f_ts": first["ts_us"].to_numpy(),
             "f_tie": first[tie_col].to_numpy(),
@@ -825,9 +773,6 @@ def entry_exit_type_counts(ds, user_col: str, ts_col: str, tie_col: str,
             "l_tie": last[tie_col].to_numpy(),
             "last_type": last[type_col].to_numpy(),
         })
-        out["bucket"] = (hash64(out[user_col].to_numpy())
-                         % np.uint64(coarse)).astype(np.int32)
-        return pa.Table.from_pandas(out, preserve_index=False)
 
     def bucket_resolve(g: pd.DataFrame) -> pd.DataFrame:
         gf = (g.sort_values([user_col, "f_ts", "f_tie"], kind="stable")
@@ -844,9 +789,8 @@ def entry_exit_type_counts(ds, user_col: str, ts_col: str, tie_col: str,
         out["partial"] = out["partial"].astype(np.int64)
         return out
 
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("bucket")
-           .map_groups(bucket_resolve, batch_format="pandas")
+    out = (bucketed_map_groups(ds, [user_col], bucket_resolve,
+                               project=partial)
            .groupby(["first_type", "last_type"])
            .aggregate(Sum("partial", alias_name="n_users")))
 
@@ -946,61 +890,33 @@ def weekday_hour_heatmap(ds, key: str, ts_col: str):
 
 
 def event_streaks(ds, user_col: str, ts_col: str, tie_col: str,
-                  type_col: str, coarse: int | None = None,
-                  n_rows: int | None = None):
+                  type_col: str):
     """Gaps-and-islands: maximal runs of the SAME event type within
     each user's (ts, tie)-ordered stream, reported per type as the
     number of runs, the longest run, and the count of runs of length
-    >= 3 (a "streak"). Per-user hash-bucket co-location, vectorized
-    run-boundary detection, only |types|-sized integer rows on the
-    final exchange — the distributed form of the SQL gaps-and-islands
-    ROW_NUMBER-difference pattern.
+    >= 3 (a "streak"). Per-user co-location, vectorized run-boundary
+    detection, only |types|-sized integer rows on the final exchange —
+    the distributed form of the SQL gaps-and-islands ROW_NUMBER-
+    difference pattern.
     """
-    import pyarrow.compute as pc
     from ray.data.aggregate import Max, Sum
 
-    from ..stages.partitioning import coarse_bucket_count
-
-    if coarse is None:
-        coarse = coarse_bucket_count(ds, n_rows=n_rows,
-                                     rows_per_bucket=262144,
-                                     what="event_streaks")
-
-    def project(b: pa.Table) -> pa.Table:
-        users = b[user_col].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "bucket": pa.array((hash64(users)
-                                % np.uint64(coarse)).astype(np.int32)),
-            user_col: b[user_col],
-            "ts_us": pa.array(_epoch_us(b[ts_col])),
-            tie_col: b[tie_col],
-            type_col: b[type_col],
-        })
-
     def bucket_runs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([user_col, "ts_us", tie_col], kind="stable")
-        users = g[user_col].to_numpy()
+        g, new_user = _user_order(g, user_col, tie_col)
         types = g[type_col].to_numpy()
-        n = len(g)
-        new_run = np.ones(n, dtype=bool)
-        new_run[1:] = (users[1:] != users[:-1]) | (types[1:] != types[:-1])
-        run_id = np.cumsum(new_run) - 1
-        lens = np.bincount(run_id)
-        run_types = types[np.flatnonzero(new_run)]
-        df = pd.DataFrame({type_col: run_types,
+        new_run = new_user | np.r_[True, types[1:] != types[:-1]]
+        lens = np.bincount(np.cumsum(new_run) - 1)
+        df = pd.DataFrame({type_col: types[new_run],
                            "n_runs": np.int64(1),
                            "max_run": lens.astype(np.int64),
                            "n_streaks": (lens >= 3).astype(np.int64)})
-        out = df.groupby(type_col, as_index=False, sort=False).agg(
+        return df.groupby(type_col, as_index=False, sort=False).agg(
             n_runs=("n_runs", "sum"), max_run=("max_run", "max"),
             n_streaks=("n_streaks", "sum"))
-        for c in ("n_runs", "max_run", "n_streaks"):
-            out[c] = out[c].astype(np.int64)
-        return out
 
-    out = (ds.map_batches(project, batch_format="pyarrow")
-           .groupby("bucket")
-           .map_groups(bucket_runs, batch_format="pandas")
+    out = (bucketed_map_groups(ds, [user_col], bucket_runs,
+                               project=_by_user(user_col, ts_col, tie_col,
+                                                type_col))
            .groupby(type_col)
            .aggregate(Sum("n_runs", alias_name="n_runs"),
                       Max("max_run", alias_name="max_run"),
@@ -1082,48 +998,25 @@ def session_duration_quantiles(ds, user_col: str, ts_col: str,
     inactivity-gap rule (same convention as sessionize); each session's
     duration is last−first event time in exact integer µs (0 for
     singletons), and the op reports the global session count, disc
-    quantiles and max duration.
+    quantiles (exact integer rank ceil(q·n), as SQL ``quantile_disc``)
+    and max duration.
 
-    Scale shape: user hash-bucket co-location, vectorized
-    reduceat-based per-session min/max inside the bucket, one duration
-    row per session out; the final disc-quantile gather follows the
-    exact-path contract (sketch swap-in at 100 TB).
+    Scale shape: user co-location, vectorized per-session first/last
+    inside the bucket, one duration row per session out; the final
+    disc-quantile gather follows the exact-path contract (sketch swap-in
+    at 100 TB).
     """
-    import math
-
-    import pyarrow.compute as pc
-
-    from ..stages.partitioning import coarse_bucket_count
-
-    coarse = coarse_bucket_count(ds, rows_per_bucket=262144,
-                                 what="session_durations")
-
-    def project(b: pa.Table) -> pa.Table:
-        users = b[user_col].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "bucket": pa.array((hash64(users)
-                                % np.uint64(coarse)).astype(np.int32)),
-            user_col: b[user_col],
-            "ts_us": pa.array(_epoch_us(b[ts_col])),
-            tie_col: b[tie_col],
-        })
-
-    gap_us = np.int64(gap_s) * np.int64(1_000_000)
+    from .selection import _disc_rank
 
     def bucket_durations(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([user_col, "ts_us", tie_col], kind="stable")
-        users = g[user_col].to_numpy()
+        g, _, is_start = _session_starts(g, user_col, gap_s, tie_col)
         ts = g["ts_us"].to_numpy(dtype=np.int64)
-        new_user = np.r_[True, users[1:] != users[:-1]]
-        gap = np.r_[True, (ts[1:] - ts[:-1]) > gap_us]
-        starts = np.flatnonzero(new_user | gap)
+        starts = np.flatnonzero(is_start)
         ends = np.r_[starts[1:] - 1, len(ts) - 1]
-        dur = ts[ends] - ts[starts]
-        return pd.DataFrame({"dur_us": dur.astype(np.int64)})
+        return pd.DataFrame({"dur_us": ts[ends] - ts[starts]})
 
-    durs = (ds.map_batches(project, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(bucket_durations, batch_format="pandas"))
+    durs = bucketed_map_groups(ds, [user_col], bucket_durations,
+                               project=_by_user(user_col, ts_col, tie_col))
 
     def add_g(b: pa.Table) -> pa.Table:
         return b.append_column("g", pa.array(["g"] * len(b)))
@@ -1133,8 +1026,7 @@ def session_duration_quantiles(ds, user_col: str, ts_col: str,
         n = len(v)
         row = {"n_sessions": np.array([n], dtype=np.int64)}
         for q in qs:
-            idx = max(int(math.ceil(q * n)) - 1, 0)
-            row[f"p{int(q * 100)}"] = np.array([v[idx]],
+            row[f"p{int(q * 100)}"] = np.array([v[_disc_rank(q, n) - 1]],
                                                dtype=np.int64)
         row["max_dur"] = np.array([v[-1]], dtype=np.int64)
         return pd.DataFrame(row)
@@ -1150,51 +1042,28 @@ def top_session_paths(ds, user_col: str, ts_col: str, tie_col: str,
     first ``depth`` event types of each gap-rule session joined with
     '>' — by session count (count desc, path asc tie-break).
 
-    Scale shape: user hash-bucket co-location, vectorized session-start
-    detection and positional path assembly (no per-event Python), path
-    counts combine per bucket, then a tiny global top-k.
+    Scale shape: user co-location, vectorized session-start detection
+    and positional path assembly (no per-event Python), path counts
+    combine per bucket, then a tiny global top-k.
     """
     from ray.data.aggregate import Sum
 
-    from ..stages.partitioning import coarse_bucket_count
-
-    coarse = coarse_bucket_count(ds, rows_per_bucket=262144,
-                                 what="session_paths")
-    gap_us = np.int64(gap_s) * np.int64(1_000_000)
-
-    def project(b: pa.Table) -> pa.Table:
-        users = b[user_col].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "bucket": pa.array((hash64(users)
-                                % np.uint64(coarse)).astype(np.int32)),
-            user_col: b[user_col],
-            "ts_us": pa.array(_epoch_us(b[ts_col])),
-            tie_col: b[tie_col],
-            type_col: b[type_col],
-        })
-
     def bucket_paths(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([user_col, "ts_us", tie_col], kind="stable")
-        users = g[user_col].to_numpy()
-        ts = g["ts_us"].to_numpy(dtype=np.int64)
+        g, _, is_start = _session_starts(g, user_col, gap_s, tie_col)
         types = g[type_col].to_numpy()
-        n = len(g)
-        new_user = np.r_[True, users[1:] != users[:-1]]
-        gap = np.r_[True, (ts[1:] - ts[:-1]) > gap_us]
-        starts = np.flatnonzero(new_user | gap)
-        lens = np.diff(np.r_[starts, n])
+        starts = np.flatnonzero(is_start)
+        lens = np.diff(np.r_[starts, len(g)])
         paths = types[starts].astype(object)
         for d in range(1, depth):
             has = lens > d
             paths[has] = paths[has] + ">" + types[starts[has] + d]
         df = pd.DataFrame({"path": paths})
         df["partial"] = np.int64(1)
-        out = df.groupby("path", as_index=False, sort=False).sum()
-        return out
+        return df.groupby("path", as_index=False, sort=False).sum()
 
-    counts = (ds.map_batches(project, batch_format="pyarrow")
-              .groupby("bucket")
-              .map_groups(bucket_paths, batch_format="pandas")
+    counts = (bucketed_map_groups(ds, [user_col], bucket_paths,
+                                  project=_by_user(user_col, ts_col,
+                                                   tie_col, type_col))
               .groupby("path")
               .aggregate(Sum("partial", alias_name="n_sessions")))
 
@@ -1463,12 +1332,12 @@ def ohlc_bars(ds, ts_col: str, tie_col: str, value_col: str,
     Scale shape: each map batch collapses to ONE partial row per
     (key, window) carrying the candidate open/close rows and extremes —
     only O(groups) ~72-byte rows reach the exchange regardless of input
-    size; the fold re-selects by the same (ts, tie) order inside
-    hash-bucketed map_groups, so the result is block-layout- and
-    merge-order-invariant (the tie column must be unique per row).
+    size; the fold re-selects by the same (ts, tie) order in buckets of
+    (key, window), so the result is block-layout- and merge-order-
+    invariant (the tie column must be unique per row).
     """
 
-    def partial(b: pa.Table) -> pa.Table:
+    def partial(b: pa.Table) -> pd.DataFrame:
         us = _epoch_us(b[ts_col])
         ws = ((us // 1_000_000) // window_s) * window_s
         df = pd.DataFrame({
@@ -1489,36 +1358,21 @@ def ohlc_bars(ds, ts_col: str, tie_col: str, value_col: str,
                     high_v=("v", "max"), low_v=("v", "min"),
                     n_events=("v", "size"))
         out["n_events"] = out["n_events"].astype(np.int64)
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    parts = ds.map_batches(partial, batch_format="pyarrow")
+        return out
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         grp = [key, "window_start_s"]
-        opens = (g.sort_values(["o_us", "o_tie"], kind="stable")
-                 .groupby(grp, sort=False, as_index=False)
-                 .agg(open_v=("open_v", "first")))
-        closes = (g.sort_values(["c_us", "c_tie"], kind="stable")
-                  .groupby(grp, sort=False, as_index=False)
-                  .agg(close_v=("close_v", "last")))
-        ext = (g.groupby(grp, sort=False, as_index=False)
-               .agg(high_v=("high_v", "max"), low_v=("low_v", "min"),
-                    n_events=("n_events", "sum")))
-        out = opens.merge(ext, on=grp).merge(closes, on=grp)
-        out["n_events"] = out["n_events"].astype(np.int64)
-        return out[grp + ["open_v", "high_v", "low_v", "close_v",
-                          "n_events"]]
+        by_open = g.sort_values(["o_us", "o_tie"], kind="stable")
+        by_close = g.sort_values(["c_us", "c_tie"], kind="stable")
+        return pd.concat([
+            by_open.groupby(grp)["open_v"].first(),
+            g.groupby(grp).agg(high_v=("high_v", "max"),
+                               low_v=("low_v", "min")),
+            by_close.groupby(grp)["close_v"].last(),
+            g.groupby(grp)["n_events"].sum()], axis=1).reset_index()
 
-    def bucket(b: pa.Table) -> pa.Table:
-        kv = b[key].to_numpy(zero_copy_only=False)
-        wv = b["window_start_s"].to_numpy()
-        bk = (hash64(np.array([f"{a}\x1f{w}" for a, w in zip(kv, wv)],
-                              dtype=object))
-              % np.uint64(64)).astype(np.int32)
-        return b.append_column("bucket", pa.array(bk))
-
-    return (parts.map_batches(bucket, batch_format="pyarrow")
-            .groupby("bucket").map_groups(fold, batch_format="pandas"))
+    return bucketed_map_groups(ds, [key, "window_start_s"], fold,
+                               project=partial)
 
 
 def association_rules(ds, user_col: str, ts_col: str, type_col: str):
@@ -1530,60 +1384,47 @@ def association_rules(ds, user_col: str, ts_col: str, type_col: str):
         lift_ppm(a→b) = n_both·N·10⁶ // (n_a·n_b)
 
     (floor math both engines). The shuffle carries per-batch-distinct
-    (basket, item) rows only; pair counting happens in the basket
-    co-partition where each basket's item set is tiny (≤ |types|).
-    Returns one row per ordered pair with n_both > 0."""
-    from ray.data.aggregate import Count, Sum
+    (user, day, item) rows only; baskets co-locate on the typed
+    (user, day) key and each bucket counts its baskets' items and item
+    pairs at once with one self-join. Returns one row per ordered pair
+    with n_both > 0."""
+    from ray.data.aggregate import Sum
 
     def to_basket_item(b: pa.Table) -> pa.Table:
-        day = (_epoch_s(b[ts_col]) // 86400).astype(np.int64)
-        usr = b[user_col].to_numpy(zero_copy_only=False)
-        typ = b[type_col].to_numpy(zero_copy_only=False).astype(str)
-        df = pd.DataFrame({
-            "basket": np.char.add(np.char.add(usr.astype(str), "|"),
-                                  day.astype(str)),
-            "item": typ}).drop_duplicates()
-        return pa.table({"basket": pa.array(df["basket"],
-                                            type=pa.string()),
-                         "item": pa.array(df["item"],
-                                          type=pa.string())})
+        return (pa.table({
+            user_col: b[user_col],
+            "day": pa.array(_epoch_s(b[ts_col]) // 86400),
+            "item": pa.array(b[type_col].to_numpy(zero_copy_only=False)
+                             .astype(str), type=pa.string())})
+            .group_by([user_col, "day", "item"]).aggregate([]))
 
-    def basket_pairs(g: pd.DataFrame) -> pa.Table:
-        items = sorted(set(g["item"].astype(str)))
-        rows_a, rows_b = [], []
-        for i in range(len(items)):
-            rows_a.append(items[i])
-            rows_b.append("")          # single-item support marker
-            for j in range(i + 1, len(items)):
-                rows_a.append(items[i])
-                rows_b.append(items[j])
-        return pa.table({
-            "a": pa.array(rows_a, type=pa.string()),
-            "b": pa.array(rows_b, type=pa.string()),
-            "n": pa.array(np.ones(len(rows_a), dtype=np.int64))})
+    def basket_counts(g: pd.DataFrame) -> pd.DataFrame:
+        # rows (a, b, n): n baskets hold both a < b; a == b rows count
+        # the baskets holding a, and their n_min the baskets whose
+        # smallest item is a, which sums to the number of baskets
+        basket = [user_col, "day"]
+        g = g.drop_duplicates()
+        g = g.assign(is_min=g["item"]
+                     == g.groupby(basket)["item"].transform("min"))
+        p = g.merge(g[basket + ["item"]], on=basket, suffixes=("", "_b"))
+        p = p[p["item"] <= p["item_b"]]
+        return (pd.DataFrame({
+            "a": p["item"], "b": p["item_b"], "n": np.int64(1),
+            "n_min": (p["is_min"] & (p["item"] == p["item_b"]))
+            .astype(np.int64)})
+            .groupby(["a", "b"], as_index=False, sort=False).sum())
 
-    def pair_key(b: pa.Table) -> pa.Table:
-        a = b["a"].to_numpy(zero_copy_only=False).astype(str)
-        bb = b["b"].to_numpy(zero_copy_only=False).astype(str)
-        return pa.table({"pk": pa.array(
-            np.char.add(np.char.add(a, "|"), bb), type=pa.string()),
-            "n": b["n"]})
-
-    items_ds = ds.map_batches(to_basket_item, batch_format="pyarrow")
-    counts = (items_ds.groupby("basket")
-              .map_groups(basket_pairs, batch_format="pandas")
-              .map_batches(pair_key, batch_format="pyarrow")
-              .groupby("pk").aggregate(Sum("n", alias_name="n"))
-              .to_pandas())
-
-    n_baskets = int(items_ds.groupby("basket")
-                    .aggregate(Count(alias_name="_c")).count())
-
+    counts = (bucketed_map_groups(ds, [user_col, "day"], basket_counts,
+                                  project=to_basket_item)
+              .groupby(["a", "b"])
+              .aggregate(Sum("n", alias_name="n"),
+                         Sum("n_min", alias_name="n_min"))
+              .to_pandas())  # |items|²-sized
+    n_baskets = int(counts["n_min"].sum())
     singles: dict[str, int] = {}
     both: dict[tuple[str, str], int] = {}
-    for pk, n in zip(counts["pk"], counts["n"]):
-        a, b = str(pk).split("|", 1)
-        if b == "":
+    for a, b, n in zip(counts["a"], counts["b"], counts["n"]):
+        if a == b:
             singles[a] = int(n)
         else:
             both[(a, b)] = int(n)
@@ -1608,31 +1449,26 @@ def association_rules(ds, user_col: str, ts_col: str, type_col: str):
 def first_last_day_counts(ds, user_col: str, ts_col: str):
     """Growth accounting: per epoch-day, how many users appear for the
     FIRST time (acquisition) and for the LAST time (churn-as-of-now).
-    One per-batch-distinct (user, day) shrink, a per-user min/max
-    groupby, then two day-domain-sized count tables joined — the
-    new-vs-returning primitive under every growth dashboard.
-    All-integer, layout-invariant."""
-    from ray.data.aggregate import Max, Min
+    Per-batch-distinct (user, day) rows co-locate by user; each bucket
+    takes its users' first/last days and counts them per day, so only
+    the day-domain table reaches the driver — the new-vs-returning
+    primitive under every growth dashboard. All-integer,
+    layout-invariant."""
+    from ray.data.aggregate import Sum
 
-    def to_user_day(b: pa.Table) -> pa.Table:
-        day = (_epoch_s(b[ts_col]) // 86400).astype(np.int64)
-        df = pd.DataFrame({
-            "user": b[user_col].to_numpy(zero_copy_only=False),
-            "day": day}).drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False)
+    def bucket_days(g: pd.DataFrame) -> pd.DataFrame:
+        span = g.groupby(user_col)["day"].agg(["min", "max"])
+        first = span["min"].value_counts().rename("n_new")
+        last = span["max"].value_counts().rename("n_last_seen")
+        out = pd.concat([first, last], axis=1).fillna(0)
+        return out.rename_axis("day").reset_index().astype(np.int64)
 
-    spans = (ds.map_batches(to_user_day, batch_format="pyarrow")
-             .groupby("user")
-             .aggregate(Min("day", alias_name="first_day"),
-                        Max("day", alias_name="last_day"))
-             .to_pandas())
-    first = (spans.groupby("first_day").size()
-             .rename("n_new").reset_index()
-             .rename(columns={"first_day": "day"}))
-    last = (spans.groupby("last_day").size()
-            .rename("n_last_seen").reset_index()
-            .rename(columns={"last_day": "day"}))
-    out = first.merge(last, on="day", how="outer").fillna(0)
+    out = (bucketed_map_groups(ds, [user_col], bucket_days,
+                               project=_user_days(user_col, ts_col))
+           .groupby("day")
+           .aggregate(Sum("n_new", alias_name="n_new"),
+                      Sum("n_last_seen", alias_name="n_last_seen"))
+           .to_pandas())
     out = out.sort_values("day").reset_index(drop=True)
     for c in ("day", "n_new", "n_last_seen"):
         out[c] = out[c].astype(np.int64)
@@ -1654,32 +1490,35 @@ def kaplan_meier_lifetimes(ds, user_col: str, ts_col: str,
     the curve is bit-identical to a recursive-CTE HUGEINT oracle and at
     any parallelism.
 
-    Scale shape: per-batch-distinct (user, day) rows shrink the
-    shuffle; one per-user min/max fold; the cascade runs on the
-    day-domain-sized (t, d, c) table. Returns one row per distinct
-    event time: t_days, n_at_risk, d_events, surv_scaled."""
-    from ray.data.aggregate import Max, Min
+    Scale shape: per-batch-distinct (user, day) rows co-locate by user;
+    each bucket counts its users per (lifetime, last day) with every
+    last day below the bucket's own latest clamped to one day before
+    it — censoring only asks whether a last day IS the final day, and
+    a day below any bucket's latest is not — so the driver gets a
+    day-domain (t, last day, count) table and runs the cascade on it.
+    Returns one row per distinct event time: t_days, n_at_risk,
+    d_events, surv_scaled."""
+    from ray.data.aggregate import Sum
 
-    def to_user_day(b: pa.Table) -> pa.Table:
-        day = (_epoch_s(b[ts_col]) // 86400).astype(np.int64)
-        df = pd.DataFrame({
-            "user": b[user_col].to_numpy(zero_copy_only=False),
-            "day": day}).drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False)
+    def bucket_lifetimes(g: pd.DataFrame) -> pd.DataFrame:
+        span = g.groupby(user_col)["day"].agg(["min", "max"])
+        ld = span["max"].to_numpy(np.int64)
+        latest = ld.max()
+        return (pd.DataFrame({
+            "t": ld - span["min"].to_numpy(np.int64),
+            "ld": np.where(ld == latest, latest, latest - 1),
+            "n": np.int64(1)})
+            .groupby(["t", "ld"], as_index=False, sort=False).sum())
 
-    spans = (ds.map_batches(to_user_day, batch_format="pyarrow")
-             .groupby("user")
-             .aggregate(Min("day", alias_name="fd"),
-                        Max("day", alias_name="ld"))
-             .to_pandas())
-    end_day = int(spans["ld"].max())
-    spans["t"] = (spans["ld"] - spans["fd"]).astype(np.int64)
-    spans["event"] = (spans["ld"] < end_day).astype(np.int64)
-
-    total = len(spans)
+    per = (bucketed_map_groups(ds, [user_col], bucket_lifetimes,
+                               project=_user_days(user_col, ts_col))
+           .groupby(["t", "ld"]).aggregate(Sum("n", alias_name="n"))
+           .to_pandas())
+    end_day = int(per["ld"].max())
+    per["d"] = np.where(per["ld"] < end_day, per["n"], 0)
+    total = int(per["n"].sum())
     # day-domain table: deaths and total finishers per lifetime t
-    per_t = (spans.groupby("t")
-             .agg(d=("event", "sum"), all_t=("event", "size"))
+    per_t = (per.groupby("t").agg(d=("d", "sum"), all_t=("n", "sum"))
              .reset_index().sort_values("t"))
     finished_before = 0
     rows = []
@@ -1760,8 +1599,8 @@ def ses_daily_forecast(ds, ts_col: str, value: str,
     return out
 
 
-def peak_concurrency(ds, user_col: str, ts_col: str, gap_s: int = 1800,
-                     coarse: int | None = None) -> pd.DataFrame:
+def peak_concurrency(ds, user_col: str, ts_col: str,
+                     gap_s: int = 1800) -> pd.DataFrame:
     """Peak concurrent sessions — the capacity-planning number: derive
     gap-rule session intervals per user (closed [start, end]; ties at
     one instant count a session ending and another starting as
@@ -1773,30 +1612,10 @@ def peak_concurrency(ds, user_col: str, ts_col: str, gap_s: int = 1800,
     buckets of base + local-max. Exact integers, layout-invariant.
 
     Returns one row: n_sessions, peak_concurrency, peak_day."""
-    from ray.data.aggregate import Sum
-
-    from ..functions.hashing import hash64
-    from ..stages.partitioning import coarse_bucket_count
-
-    if coarse is None:
-        coarse = coarse_bucket_count(ds, rows_per_bucket=262144,
-                                     what="peak_concurrency")
-
-    def project(batch: pa.Table) -> pa.Table:
-        users = batch[user_col].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "bucket": pa.array((hash64(users)
-                                % np.uint64(coarse)).astype(np.int32)),
-            user_col: batch[user_col],
-            "ts_us": pa.array(_epoch_us(batch[ts_col]))})
 
     def session_endpoints(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([user_col, "ts_us"], kind="stable")
-        users = g[user_col].to_numpy()
+        g, _, is_start = _session_starts(g, user_col, gap_s)
         ts = g["ts_us"].to_numpy()
-        new_user = np.r_[True, users[1:] != users[:-1]]
-        gap = np.r_[True, (ts[1:] - ts[:-1]) > gap_s * 1_000_000]
-        is_start = new_user | gap
         starts = ts[is_start]
         # session end = ts of the row BEFORE the next session start
         next_start = np.r_[np.flatnonzero(is_start)[1:], len(ts)]
@@ -1807,9 +1626,8 @@ def peak_concurrency(ds, user_col: str, ts_col: str, gap_s: int = 1800,
                 np.ones(len(starts), dtype=np.int64),
                 np.full(len(ends), -1, dtype=np.int64)])})
 
-    endpoints = (ds.map_batches(project, batch_format="pyarrow")
-                 .groupby("bucket")
-                 .map_groups(session_endpoints, batch_format="pandas"))
+    endpoints = bucketed_map_groups(ds, [user_col], session_endpoints,
+                                    project=_by_user(user_col, ts_col))
 
     def day_sweep(g: pd.DataFrame) -> pd.DataFrame:
         # sort (t asc, delta DESC): a start at instant t is counted

@@ -1,10 +1,13 @@
 """Scale-safe coarse-bucket sizing for hash-bucketed ``map_groups`` stages.
 
-Several operators (dedup LSH banding, embedding near-dup, asof join,
-sessionize) group by ``hash(key) % n_buckets`` and run one vectorized
-Python call per bucket. ``map_groups`` materializes ONE bucket per task,
-so the bucket count must grow with the input: a fixed count means a
-bucket holds ``input/constant`` rows and OOMs at 100x scale.
+Several operators group by ``hash(key) % n_buckets`` and run one
+vectorized Python call per bucket: every analytics operator that goes
+through ``stages.aggregate.bucketed_map_groups`` (the windows.py
+per-user operators, ``hash_bucketed_group_agg``), plus dedup LSH banding
+and embedding near-dup, which still bucket by hand. ``map_groups``
+materializes ONE bucket per task, so the bucket count must grow with the
+input: a fixed count means a bucket holds ``input/constant`` rows and
+OOMs at 100x scale.
 
 ``coarse_bucket_count`` derives the count from the input row count when
 it is cheaply known (parquet / range sources expose metadata row counts

@@ -10,8 +10,9 @@ into a few-GB scan for selective predicates.
 
 Layout + cache discipline mirror stages/bucketed.py: dest =
 ``<root>/<table>-<tag>/v=<zone>/*.parquet`` with
-``tag = sha1(normalized sf_dir | table | column | n_zones)`` and a
-``_SUCCESS`` marker for atomic, resumable writes. Zone assignment is
+``tag = sha1(normalized sf_dir | table | column | n_zones)``, written
+to a tmp sibling and renamed into place with its ``_SUCCESS`` marker
+(atomic, resumable writes). Zone assignment is
 the fixed integer rule ``zone = ((cents − gmin)·n_zones) // width`` so
 a SQL oracle can replay BOTH the layout and the pruning decision: the
 zone map's min/max are the zones' actual minima/maxima, which the
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
+import uuid
 
 import numpy as np
 import pandas as pd
@@ -52,7 +55,9 @@ def write_range_layout(ds, dest: str, value_col: str, gmin: int,
                        gmax: int, n_zones: int) -> str:
     """Write ``ds`` (with an integer-cents ``value_col``) partitioned
     into ``n_zones`` value ranges under ``dest/v=<zone>/``. Idempotent
-    via the ``_SUCCESS`` marker."""
+    via the ``_SUCCESS`` marker and atomic: the layout is written to a
+    tmp sibling directory and renamed into place, so files a failed
+    attempt left in ``dest`` never join the layout."""
     marker = os.path.join(dest, "_SUCCESS")
     if os.path.exists(marker):
         return dest
@@ -63,18 +68,43 @@ def write_range_layout(ds, dest: str, value_col: str, gmin: int,
         z = ((v - gmin) * n_zones) // width
         return b.append_column("v", pa.array(z.astype(np.int32)))
 
+    tmp = f"{dest}.tmp-{uuid.uuid4().hex[:8]}"
     ds.map_batches(tag, batch_format="pyarrow").write_parquet(
-        dest, partition_cols=["v"])
-    with open(marker, "w") as f:
+        tmp, partition_cols=["v"])
+    with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
         f.write("ok")
+    shutil.rmtree(dest, ignore_errors=True)  # a failed attempt's leftovers
+    os.rename(tmp, dest)
     return dest
+
+
+def _file_min_max(path: str, value_col: str):
+    """(n_rows, min, max) of ``value_col`` in one parquet file from its
+    footer; a footer without min/max statistics falls back to reading
+    the column."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    pf = pq.ParquetFile(path)
+    md = pf.metadata
+    if md.num_rows == 0:
+        return 0, None, None
+    stats = [rg.column(c).statistics
+             for rg in map(md.row_group, range(md.num_row_groups))
+             if rg.num_rows
+             for c in range(rg.num_columns)
+             if rg.column(c).path_in_schema == value_col]
+    if stats and all(st is not None and st.has_min_max for st in stats):
+        return (md.num_rows, min(st.min for st in stats),
+                max(st.max for st in stats))
+    mm = pc.min_max(pf.read(columns=[value_col]).column(0))
+    return md.num_rows, mm["min"].as_py(), mm["max"].as_py()
 
 
 def zone_map_from_footers(dest: str, value_col: str) -> pd.DataFrame:
     """Per-zone min/max/row-count read from the parquet FOOTERS only —
-    the statistics pass costs metadata I/O, never data I/O."""
-    import pyarrow.parquet as pq
-
+    the statistics pass costs metadata I/O, never data I/O (a file
+    written without statistics costs one column read)."""
     rows = []
     for d in sorted(os.listdir(dest)):
         if not d.startswith("v="):
@@ -84,20 +114,11 @@ def zone_map_from_footers(dest: str, value_col: str) -> pd.DataFrame:
         for f in sorted(os.listdir(zdir)):
             if not f.endswith(".parquet"):
                 continue
-            md = pq.ParquetFile(os.path.join(zdir, f)).metadata
-            ci = None
-            for g in range(md.num_row_groups):
-                rg = md.row_group(g)
-                n += rg.num_rows
-                for c in range(rg.num_columns):
-                    col = rg.column(c)
-                    if col.path_in_schema == value_col:
-                        ci = col.statistics
-                        if ci is not None and ci.has_min_max:
-                            zmin = (ci.min if zmin is None
-                                    else min(zmin, ci.min))
-                            zmax = (ci.max if zmax is None
-                                    else max(zmax, ci.max))
+            fn, fmin, fmax = _file_min_max(os.path.join(zdir, f), value_col)
+            n += fn
+            if fmin is not None:
+                zmin = fmin if zmin is None else min(zmin, fmin)
+                zmax = fmax if zmax is None else max(zmax, fmax)
         if n > 0:
             rows.append({"zone": int(d[2:]), "zmin": int(zmin),
                          "zmax": int(zmax), "n_rows": int(n)})

@@ -1,0 +1,107 @@
+"""The keyed exchange (stages/aggregate.bucketed_map_groups) and the
+windows.py operators built on it: typed multi-column keys, whole keys per
+call, exact disc ranks, and item names that contain the old '|' packing
+separator."""
+
+from __future__ import annotations
+
+import numpy as np
+import pandas as pd
+
+
+def test_bucketed_map_groups_keeps_each_typed_key_whole(ray_session):
+    import ray
+
+    from t_digest_ray.stages.aggregate import BUCKET_COL, bucketed_map_groups
+
+    # ("a|b", "c") and ("a", "b|c") pack to the same '|' string but are
+    # different typed keys
+    df = pd.DataFrame({
+        "k1": ["a|b", "a", "x"] * 400,
+        "k2": ["c", "b|c", "y"] * 400,
+        "n": np.arange(1200, dtype=np.int64) % 7,
+    })
+
+    def fold(g: pd.DataFrame) -> pd.DataFrame:
+        assert BUCKET_COL not in g.columns
+        return (g.groupby(["k1", "k2"], as_index=False)
+                .agg(rows=("n", "size"), total=("n", "sum")))
+
+    out = bucketed_map_groups(
+        ray.data.from_pandas(df).repartition(7), ["k1", "k2"], fold,
+        n_buckets=3).to_pandas()
+    assert BUCKET_COL not in out.columns
+    # one output row per key: no key's rows reached two calls
+    assert len(out) == 3
+    want = df.groupby(["k1", "k2"]).agg(rows=("n", "size"),
+                                        total=("n", "sum"))
+    got = out.set_index(["k1", "k2"]).sort_index()
+    pd.testing.assert_frame_equal(got, want.sort_index(),
+                                  check_dtype=False)
+
+
+def test_bucketed_map_groups_projects_before_bucketing(ray_session):
+    import pyarrow as pa
+    import ray
+
+    from t_digest_ray.stages.aggregate import bucketed_map_groups
+
+    def project(b: pa.Table) -> pa.Table:
+        return pa.table({"key": pa.array(
+            b["id"].to_numpy() % 5), "one": pa.array(
+            np.ones(b.num_rows, dtype=np.int64))})
+
+    def fold(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("key", as_index=False)["one"].sum()
+
+    out = (bucketed_map_groups(ray.data.range(1000), ["key"], fold,
+                               project=project)
+           .to_pandas().set_index("key")["one"])
+    assert out.sort_index().tolist() == [200] * 5
+
+
+def test_session_duration_quantiles_exact_rank_vs_duckdb(ray_session):
+    """q=0.07 over 100 sessions: ceil(0.07*100) in floats is 8, the
+    exact rank is 7 (DuckDB quantile_disc)."""
+    import duckdb
+    import ray
+
+    from t_digest_ray.pipelines.windows import session_duration_quantiles
+
+    n = 100
+    durs = (np.random.default_rng(5).permutation(n) + 1) * 10  # seconds
+    df = pd.DataFrame({
+        "u": np.repeat(np.arange(n), 2),
+        "ts": pd.to_datetime(np.column_stack(
+            [np.zeros(n, dtype=np.int64), durs]).ravel(), unit="s"),
+        "eid": np.arange(2 * n, dtype=np.int64),
+    })
+    out = (session_duration_quantiles(
+        ray.data.from_pandas(df).repartition(4), "u", "ts", "eid",
+        gap_s=10**6, qs=(0.07,)).to_pandas().iloc[0])
+    con = duckdb.connect()
+    con.register("d", pd.DataFrame({"dur_us": durs * 10**6}))
+    want = con.execute(
+        "SELECT quantile_disc(dur_us, 0.07) FROM d").fetchone()[0]
+    assert out["n_sessions"] == n
+    assert int(out["p7"]) == int(want) == 70 * 10**6
+
+
+def test_association_rules_item_names_with_pipe(ray_session):
+    import ray.data as rd
+
+    from t_digest_ray.pipelines.windows import association_rules
+
+    # baskets: u1/day0 {x|y, z}, u2/day0 {z}
+    df = pd.DataFrame({
+        "u": [1, 1, 2],
+        "ts": pd.to_datetime([10, 20, 30], unit="s"),
+        "t": ["x|y", "z", "z"]})
+    out = association_rules(rd.from_pandas(df), "u", "ts", "t") \
+        .set_index(["antecedent", "consequent"])
+    assert sorted(out.index) == [("x|y", "z"), ("z", "x|y")]
+    assert int(out.loc[("x|y", "z"), "n_both"]) == 1
+    assert int(out.loc[("x|y", "z"), "conf_ppm"]) == 10**6
+    assert int(out.loc[("z", "x|y"), "conf_ppm"]) == 10**6 // 2
+    # support x|y = 1, z = 2, N = 2 baskets
+    assert int(out.loc[("x|y", "z"), "lift_ppm"]) == 2 * 10**6 // 2

@@ -71,3 +71,68 @@ def test_zone_map_footer_stats_match_actual(ray_session, tmp_path, rng):
     # idempotent: second write is a no-op (marker present)
     assert os.path.exists(os.path.join(dest, "_SUCCESS"))
     write_range_layout(ds, dest, "value", gmin, gmax, 4)
+
+
+def test_stray_part_file_does_not_join_layout(ray_session, tmp_path, rng):
+    """A failed earlier write left a part file in the layout directory
+    without ``_SUCCESS``: the rewrite replaces the directory atomically,
+    so neither the zone map nor the pruned scan sees that file."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from t_digest_ray.stages.zonemap import _layout_dir, pruned_range_agg
+
+    vals = rng.integers(0, 100000, 4000) / 100.0
+    sf = _mk(str(tmp_path), vals)
+    cents = np.floor(vals * 100 + 0.5).astype(np.int64)
+    gmin, gmax = int(cents.min()), int(cents.max())
+    w = gmax - gmin + 1
+    qlo, qhi = gmin + w // 10, gmin + (3 * w) // 10
+    m = (cents >= qlo) & (cents <= qhi)
+
+    root = str(tmp_path / "zm")
+    stray = os.path.join(_layout_dir(root, "events", sf, "value", 8), "v=0")
+    os.makedirs(stray)
+    pq.write_table(pa.table({"value": pa.array([qlo] * 50,
+                                               type=pa.int64())}),
+                   os.path.join(stray, "stray.parquet"))
+
+    out = pruned_range_agg(sf, "events", "value", n_zones=8, root=root)
+    assert int(out["sum_cents"].iloc[0]) == int(cents[m].sum())
+    assert int(out["n_rows"].iloc[0]) == int(m.sum())
+
+
+def test_zone_map_without_footer_statistics(ray_session, tmp_path, rng):
+    """Files written with ``write_statistics=False`` have no min/max in
+    their footers; the zone map falls back to reading the column and
+    comes out the same."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from t_digest_ray.stages.zonemap import (_to_cents,
+                                             write_range_layout,
+                                             zone_map_from_footers)
+
+    vals = rng.integers(0, 5000, 1000) / 100.0
+    sf = _mk(str(tmp_path), vals)
+    cents = np.floor(vals * 100 + 0.5).astype(np.int64)
+    dest = str(tmp_path / "layout")
+    ds = rd.read_parquet(os.path.join(sf, "events.parquet"))
+
+    def c(b):
+        return pa.table({"value": pa.array(_to_cents(b["value"]))})
+
+    write_range_layout(ds.map_batches(c, batch_format="pyarrow"), dest,
+                       "value", int(cents.min()), int(cents.max()), 4)
+    want = zone_map_from_footers(dest, "value")
+
+    zdir = os.path.join(dest, "v=0")
+    for f in os.listdir(zdir):
+        path = os.path.join(zdir, f)
+        pq.write_table(pq.ParquetFile(path).read(), path,
+                       write_statistics=False)
+        st = pq.ParquetFile(path).metadata.row_group(0).column(0).statistics
+        assert st is None or not st.has_min_max
+    pd.testing.assert_frame_equal(zone_map_from_footers(dest, "value"),
+                                  want)
