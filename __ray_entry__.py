@@ -4779,10 +4779,11 @@ def triangle_count_coactivity(sf_dir: str):
     C(12,2) pairs/bucket at any scale). The count is the degree-ordered
     node-iterator (Suri & Vassilvitskii WWW'11): degrees via
     groupby-count, low→high orientation via two distributed hash joins,
-    wedge emission bounded O(m^1.5), closure via one union+groupby
-    co-partition of wedge keys with the edge set. All-integer one-row
-    output (vertices/edges/wedges/triangles/transitivity_ppm),
-    VALUE-CHECKED against the 3-way self-join oracle."""
+    wedge emission bounded O(m^1.5) in a keyed exchange on src, closure
+    by co-partitioning wedges with the edge set on typed (a, b) keys.
+    All-integer one-row output
+    (vertices/edges/wedges/triangles/transitivity_ppm), VALUE-CHECKED
+    against the 3-way self-join oracle."""
     from t_digest_ray.pipelines.graph import triangle_count_from_events
 
     ds = _read(sf_dir, "events", ["event_type", "ts", "user_id"])
@@ -6959,7 +6960,9 @@ def edge_churn_users(sf_dir: str):
     co-activity graph is built independently for the first 15 days and
     the rest; |A|, |B|, |A-and-B| and the edge Jaccard (ppm floor)
     measure how much of the social structure survives the period
-    boundary. One union + groupby on the edge key. VALUE-CHECKED."""
+    boundary. One keyed exchange on the typed (u, v) edge over the
+    tagged union; each bucket returns its (na, nb, nc) counts.
+    VALUE-CHECKED."""
     import pyarrow.compute as pc
 
     from t_digest_ray.pipelines.graph import (co_activity_edges,
@@ -6995,8 +6998,9 @@ def degree_assortativity_users(sf_dir: str):
     """Degree assortativity (Newman 2002) of the capped co-activity
     graph (pipelines/graph.degree_assortativity): Pearson correlation
     of endpoint degrees over directed edge instances — exact integer
-    moments via the triangle machinery's two hash joins, one fixed IEEE
-    closing expression, bit-identical to the HUGEINT oracle."""
+    moments over the triangle machinery's degree-oriented edges (two
+    hash joins against the degree table), one fixed IEEE closing
+    expression, bit-identical to the HUGEINT oracle."""
     from t_digest_ray.pipelines.graph import (co_activity_edges,
                                               degree_assortativity)
 
@@ -7069,10 +7073,11 @@ def hour_anova_events(sf_dir: str):
 def kcore_users(sf_dir: str):
     """k-core decomposition (k=40, 3 peels) of the capped co-activity
     graph (pipelines/graph.kcore_report_from_edges): each round drops
-    nodes of degree < k via one degree groupby + two co-partitioned
-    semi-joins; the edge set only shrinks. Fixed-rounds unrolled
-    convention (as integer PageRank); converged=1 rows certify the
-    exact k-core. VALUE-CHECKED against the 3-level unrolled-CTE
+    nodes of degree < k via two co-partitioned semi-joins, then one
+    degree groupby of the survivors gives the round's node count and
+    the next round's degrees; the edge set only shrinks. Fixed-rounds
+    unrolled convention (as integer PageRank); converged=1 rows certify
+    the exact k-core. VALUE-CHECKED against the 3-level unrolled-CTE
     oracle."""
     from t_digest_ray.pipelines.graph import kcore_from_events
 
@@ -7309,14 +7314,13 @@ def zonemap_pruned_scan_events(sf_dir: str):
 def local_clustering_users(sf_dir: str):
     """Top-10 users by triangle participation in the capped
     co-activity graph, with exact degree and local clustering
-    coefficient (pipelines/graph.local_triangle_report): the wedge rows
-    carry their center so each closed wedge attributes to all three
-    vertices in the co-partitioned close step; cc_ppm =
-    (2t*10^6)//(d(d-1)) floor-integer. Final top-k runs on the
-    node-aggregate (bounded by cap*buckets vertices here; the web-scale
-    form is hash_join + Dataset.sort + limit). VALUE-CHECKED against
-    the 3-way-join per-node oracle, tie-broken (t desc, node-string
-    asc) on both sides."""
+    coefficient (pipelines/graph.local_triangle_report): each closed
+    wedge (center, a, b) credits all three vertices; credits and degrees
+    meet in one keyed exchange on the typed node, and each bucket
+    returns its own top-10, so the driver ranks at most 10 x buckets
+    rows. cc_ppm = (2t*10^6)//(d(d-1)) floor-integer. VALUE-CHECKED
+    against the 3-way-join per-node oracle, tie-broken (t desc,
+    node-string asc) on both sides."""
     from t_digest_ray.pipelines.graph import local_clustering_from_events
 
     ds = _read(sf_dir, "events", ["event_type", "ts", "user_id"])
@@ -7799,33 +7803,36 @@ def _pagerank_sql(iters: int = 3) -> str:
 def _hits_sql(iters: int = 3) -> str:
     """Unrolled-CTE twin of pipelines/graph.integer_hits: per half-step
     an exact HUGEINT weighted sum followed by ``(raw*SCALE)//MAX(raw)``
-    max-normalization — bit-identical to the Python-int iteration."""
+    max-normalization — bit-identical to the Python-int iteration.
+    The score CTEs are ``AS MATERIALIZED``: later rounds read each one
+    several times, and DuckDB 1.0 would otherwise re-evaluate the whole
+    unrolled chain per reference."""
     parts = []
     hub_prev = "h0"
     for t in range(1, iters + 1):
         parts.append(f"""
-            a{t}raw AS (
+            a{t}raw AS MATERIALIZED (
               SELECT nd.event_type,
                      COALESCE(SUM(p.s * e.n), CAST(0 AS HUGEINT)) AS raw
               FROM nodes nd
               LEFT JOIN e ON e.dst = nd.event_type
               LEFT JOIN {hub_prev} p ON p.event_type = e.src
               GROUP BY nd.event_type),
-            a{t} AS (
+            a{t} AS MATERIALIZED (
               SELECT event_type,
                      CASE WHEN (SELECT MAX(raw) FROM a{t}raw) > 0
                           THEN (raw * CAST(1000000000000 AS HUGEINT))
                                // (SELECT MAX(raw) FROM a{t}raw)
                           ELSE CAST(0 AS HUGEINT) END AS s
               FROM a{t}raw),
-            h{t}raw AS (
+            h{t}raw AS MATERIALIZED (
               SELECT nd.event_type,
                      COALESCE(SUM(p.s * e.n), CAST(0 AS HUGEINT)) AS raw
               FROM nodes nd
               LEFT JOIN e ON e.src = nd.event_type
               LEFT JOIN a{t} p ON p.event_type = e.dst
               GROUP BY nd.event_type),
-            h{t} AS (
+            h{t} AS MATERIALIZED (
               SELECT event_type,
                      CASE WHEN (SELECT MAX(raw) FROM h{t}raw) > 0
                           THEN (raw * CAST(1000000000000 AS HUGEINT))
@@ -7835,9 +7842,9 @@ def _hits_sql(iters: int = 3) -> str:
         hub_prev = f"h{t}"
     return f"""
             WITH {_GRAPH_EDGE_SQL},
-            h0 AS (SELECT event_type,
-                          CAST(1000000000000 AS HUGEINT) AS s
-                   FROM nodes),{','.join(parts)}
+            h0 AS MATERIALIZED (
+              SELECT event_type, CAST(1000000000000 AS HUGEINT) AS s
+              FROM nodes),{','.join(parts)}
             SELECT nd.event_type,
                    CAST(a{iters}.s AS BIGINT) AS authority,
                    CAST(h{iters}.s AS BIGINT) AS hub

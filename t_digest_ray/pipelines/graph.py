@@ -36,6 +36,16 @@ free. For a host-level web graph (|V| in the millions) the identical
 update rule runs as ``iters`` rounds of groupby-sum over the edge
 Dataset instead of a driver loop — the convention is deliberately
 expressible either way.
+
+The undirected half (the capped co-activity projection, triangle counts,
+local clustering, k-core peeling, degree assortativity, edge churn) runs
+on the analytics keyed exchange, ``stages.aggregate.bucketed_map_groups``:
+rows meet on TYPED key columns — ``(type, day)``, ``(u, v)``, ``src``,
+``(a, b)``, ``node`` — in the endpoint column's own Arrow type, and each
+hash bucket is one vectorized pandas fold. No key is packed into a
+string, and no per-edge Python call or per-user driver pull remains.
+Degrees and the (degree, id) orientation come from one helper,
+``_degree_orient``; triangles from one more, ``_closed_wedges``.
 """
 
 from __future__ import annotations
@@ -43,6 +53,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from ..stages.aggregate import bucketed_map_groups
 
 PR_SCALE = 10**12
 PR_DAMP_NUM = 85
@@ -218,14 +230,12 @@ def markov_accuracy_from_events(ds, user_col: str, ts_col: str,
     return markov_argmax_report(edges)
 
 
-def pagerank_from_events(ds, user_col: str, ts_col: str, tie_col: str,
-                         type_col: str, iters: int = 3) -> pd.DataFrame:
-    """PageRank of event types under the observed per-user transition
-    graph: distributed exact edge aggregation (windows.transition_counts
-    — per-user pair counts, |types|²-bounded exchange), then the integer
-    power iteration on the tiny aggregate. The node set is the full
-    distinct ``type_col`` domain, so types that never transition still
-    carry teleport mass."""
+def _transition_graph(ds, user_col: str, ts_col: str, tie_col: str,
+                      type_col: str) -> tuple[pd.DataFrame, list[str]]:
+    """``(edges, nodes)`` of the events transition graph: the exact
+    |types|²-bounded edge aggregate (windows.transition_counts — per-user
+    pair counts) and the full distinct ``type_col`` domain, so types that
+    never transition still carry teleport mass."""
     from ray.data.aggregate import Count
 
     from .windows import transition_counts
@@ -234,7 +244,16 @@ def pagerank_from_events(ds, user_col: str, ts_col: str, tie_col: str,
                               type_col).to_pandas()
     nodes_df = (ds.select_columns([type_col]).groupby(type_col)
                 .aggregate(Count(alias_name="_c")).to_pandas())
-    nodes = [str(v) for v in nodes_df[type_col]]
+    return edges, [str(v) for v in nodes_df[type_col]]
+
+
+def pagerank_from_events(ds, user_col: str, ts_col: str, tie_col: str,
+                         type_col: str, iters: int = 3) -> pd.DataFrame:
+    """PageRank of event types under the observed per-user transition
+    graph: distributed exact edge aggregation (``_transition_graph``),
+    then the integer power iteration on the tiny aggregate."""
+    edges, nodes = _transition_graph(ds, user_col, ts_col, tie_col,
+                                     type_col)
     out = integer_pagerank(edges, nodes, iters=iters)
     return out.rename(columns={"node": type_col})
 
@@ -243,17 +262,25 @@ def hits_from_events(ds, user_col: str, ts_col: str, tie_col: str,
                      type_col: str, iters: int = 3) -> pd.DataFrame:
     """HITS hubs/authorities of event types on the same transition graph
     (see pagerank_from_events for the aggregation shape)."""
-    from ray.data.aggregate import Count
-
-    from .windows import transition_counts
-
-    edges = transition_counts(ds, user_col, ts_col, tie_col,
-                              type_col).to_pandas()
-    nodes_df = (ds.select_columns([type_col]).groupby(type_col)
-                .aggregate(Count(alias_name="_c")).to_pandas())
-    nodes = [str(v) for v in nodes_df[type_col]]
+    edges, nodes = _transition_graph(ds, user_col, ts_col, tie_col,
+                                     type_col)
     out = integer_hits(edges, nodes, iters=iters)
     return out.rename(columns={"node": type_col})
+
+
+def _typed(df: pd.DataFrame, t: pa.DataType) -> pa.Table:
+    """A fold's key columns as Arrow columns of type ``t``, so an empty
+    result keeps the schema that the non-empty buckets have."""
+    return pa.table({c: pa.array(df[c].to_numpy(), type=t)
+                     for c in df.columns})
+
+
+def _key_type(edges, col: str) -> pa.DataType:
+    """Arrow type of an edge list's endpoint column (a metadata read on a
+    materialized Dataset; pandas blocks report strings as ``object``)."""
+    sch = edges.schema()
+    t = dict(zip(sch.names, sch.types))[col]
+    return pa.string() if t is object else t
 
 
 def co_activity_edges(ds, type_col: str, ts_col: str, user_col: str,
@@ -266,131 +293,62 @@ def co_activity_edges(ds, type_col: str, ts_col: str, user_col: str,
     SMALLEST distinct user ids under the column's native ordering — a
     deterministic, SQL-replayable cap (``ROW_NUMBER() OVER (PARTITION
     BY bucket ORDER BY user ASC) <= cap``) that bounds the emission at
-    C(cap,2) pairs per bucket no matter how hot the bucket is. The
-    shuffle carries per-batch-distinct (bucket, user) rows, never raw
-    events.
+    C(cap,2) pairs per bucket no matter how hot the bucket is.
 
-    Returns a Dataset of DISTINCT canonical edges (u < v) in the user
-    column's own dtype. Dedup across buckets is one groupby on the
-    string edge key — cost bounded by buckets × C(cap,2), not by
-    |users|²."""
+    Two keyed exchanges (``bucketed_map_groups``): the first, keyed on
+    ``(type_col, day)``, carries per-batch-distinct (type, day, user)
+    rows, never raw events, and each hash bucket emits its u < v pairs
+    with one vectorized self-merge; the second, keyed on ``(u, v)``,
+    drops duplicate pairs — cost bounded by buckets × C(cap,2), not by
+    |users|². Returns a Dataset of DISTINCT canonical edges (u < v) in
+    the user column's own Arrow type."""
     from .windows import _epoch_s
 
-    def to_bucket_user(b: pa.Table) -> pa.Table:
-        day = (_epoch_s(b[ts_col]) // 86400).astype(np.int64)
-        typ = b[type_col].to_numpy(zero_copy_only=False).astype(str)
-        df = pd.DataFrame({
-            "bucket": np.char.add(np.char.add(typ, "|"),
-                                  day.astype(str)),
-            "user": b[user_col].to_numpy(zero_copy_only=False),
-        }).drop_duplicates()
-        return pa.table({"bucket": pa.array(df["bucket"], type=pa.string()),
-                         "user": pa.array(df["user"],
-                                          type=b[user_col].type)})
-
-    user_t = {"t": None}
+    def bucket_users(b: pa.Table) -> pa.Table:
+        return (pa.table({type_col: b[type_col],
+                          "day": pa.array(_epoch_s(b[ts_col]) // 86400),
+                          "user": b[user_col]})
+                .group_by([type_col, "day", "user"]).aggregate([]))
 
     def bucket_pairs(g: pd.DataFrame) -> pa.Table:
-        kept = np.sort(pd.unique(g["user"].to_numpy()))[:cap]
-        n = len(kept)
-        if n < 2:
-            return pa.table({"ekey": pa.array([], type=pa.string())})
-        i, j = np.triu_indices(n, k=1)
-        ek = np.char.add(np.char.add(kept[i].astype(str), "|"),
-                         kept[j].astype(str))
-        return pa.table({"ekey": pa.array(ek, type=pa.string())})
+        user_t = pa.array(g["user"].iloc[:1]).type
+        g = g.drop_duplicates().sort_values("user")
+        kept = g[g.groupby([type_col, "day"]).cumcount() < cap]
+        p = kept.merge(kept, on=[type_col, "day"])
+        p = p.loc[p["user_x"] < p["user_y"], ["user_x", "user_y"]]
+        return _typed(p.drop_duplicates().set_axis(["u", "v"], axis=1),
+                      user_t)
 
-    def first_edge_fn(dtype):
-        def first_edge(g: pd.DataFrame) -> pa.Table:
-            u, v = str(g["ekey"].iloc[0]).split("|", 1)
-            arr = np.array([u], dtype=dtype), np.array([v], dtype=dtype)
-            return pa.table({"u": pa.array(arr[0]),
-                             "v": pa.array(arr[1])})
-        return first_edge
-
-    # resolve the user column's numpy dtype once (metadata-only read on
-    # parquet sources) so edge endpoints keep their native ordering
-    sch = ds.schema()
-    sch = getattr(sch, "base_schema", sch)
-    if hasattr(sch, "field"):
-        np_dtype = sch.field(user_col).type.to_pandas_dtype()
-    else:
-        np_dtype = dict(zip(sch.names, sch.types))[user_col]
-    if np_dtype == object:
-        np_dtype = str
-
-    pairs = (ds.map_batches(to_bucket_user, batch_format="pyarrow")
-             .groupby("bucket").map_groups(bucket_pairs,
-                                           batch_format="pandas"))
-    return pairs.groupby("ekey").map_groups(first_edge_fn(np_dtype),
-                                            batch_format="pandas")
+    pairs = bucketed_map_groups(ds, [type_col, "day"], bucket_pairs,
+                                project=bucket_users)
+    return bucketed_map_groups(pairs, ["u", "v"],
+                               pd.DataFrame.drop_duplicates)
 
 
-def triangle_count_report(edges, u_col: str = "u",
-                          v_col: str = "v") -> pd.DataFrame:
-    """Distributed exact triangle count over a distinct canonical edge
-    list (u < v), the degree-ordered node-iterator of Suri &
-    Vassilvitskii (WWW 2011) / Cohen (2009) composed from Ray Data
-    primitives:
-
-      1. degrees — one groupby-count over both endpoints;
-      2. orient every edge from its lower-(degree, id) endpoint to the
-         higher one (two distributed hash joins against the degree
-         table — no broadcast: |V| does not fit a worker at web scale);
-      3. wedges — per-source pair emission over the ORIENTED adjacency,
-         bounded by O(m^1.5) total thanks to the degree ordering (a
-         hub of degree d contributes no wedges as a source: its edges
-         point INTO it);
-      4. close — hash-co-partition wedge keys with the edge set (one
-         union + groupby); a wedge whose closing key is an edge is a
-         triangle, each counted exactly once.
-
-    Returns one all-integer row: vertices, edges, wedges (Σ C(d,2) —
-    the unordered count, for transitivity), triangles, and
-    transitivity_ppm = (3·T·10⁶) // wedges (floor — exact integer).
-
-    The edge list (already an aggregate, bounded far below the input)
-    is materialized once because four downstream passes reuse it; at
-    web scale the equivalent is a bucketed parquet spill of the edge
-    table (stages/bucketed.py), same contract as k-means' budget gate
-    (pipelines/clustering.py)."""
+def _degrees(edges, u_col: str = "u", v_col: str = "v"):
+    """Degree table ``(node, dg)`` of an undirected edge list: one
+    groupby-count over both endpoints, ``node`` in the endpoints' type."""
     from ray.data.aggregate import Count
 
+    def endpoints(b: pa.Table) -> pa.Table:
+        return pa.table({"node": pa.chunked_array(
+            b[u_col].chunks + b[v_col].chunks, type=b[u_col].type)})
+
+    return (edges.map_batches(endpoints, batch_format="pyarrow")
+            .groupby("node").aggregate(Count(alias_name="dg")))
+
+
+def _degree_orient(edges, u_col: str, v_col: str):
+    """``(degrees, oriented)`` of a materialized undirected edge list:
+    the degree table ``(node, dg)``, and every edge as ``(src, dst,
+    d_src, d_dst)`` pointing from its lower-(degree, id) endpoint to the
+    higher one. Each endpoint's degree arrives through one distributed
+    hash join against the degree table — no broadcast: |V| does not fit
+    a worker at web scale."""
     from .relational import hash_join
 
-    edges = edges.materialize()
-
-    sch = edges.schema()
-    sch = getattr(sch, "base_schema", sch)
-    if hasattr(sch, "field"):
-        key_t = sch.field(u_col).type
-    else:
-        t = dict(zip(sch.names, sch.types))[u_col]
-        key_t = pa.string() if t == object else pa.from_numpy_dtype(t)
-
-    def endpoints(b: pa.Table) -> pa.Table:
-        u = b[u_col].to_numpy(zero_copy_only=False)
-        v = b[v_col].to_numpy(zero_copy_only=False)
-        return pa.table({"node": pa.array(np.concatenate([u, v]),
-                                          type=key_t)})
-
-    degrees = (edges.map_batches(endpoints, batch_format="pyarrow")
-               .groupby("node").aggregate(Count(alias_name="dg"))
-               .materialize())
-
-    n_vertices = int(degrees.count())
-    n_edges = int(edges.count())
-
-    def wedge_partial(b: pa.Table) -> pa.Table:
-        d = b["dg"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"w": pa.array([int((d * (d - 1) // 2).sum())],
-                                       type=pa.int64())})
-
-    n_wedges = int(degrees.map_batches(
-        wedge_partial, batch_format="pyarrow").sum("w") or 0)
-
-    int_t = pa.int64()
-
+    key_t, int_t = _key_type(edges, u_col), pa.int64()
+    degrees = _degrees(edges, u_col, v_col).materialize()
     du = degrees.map_batches(
         lambda b: pa.table({u_col: b["node"], "du": b["dg"]}),
         batch_format="pyarrow")
@@ -406,50 +364,99 @@ def triangle_count_report(edges, u_col: str = "u",
                           "du": int_t, "dv": int_t})
 
     def orient(b: pa.Table) -> pa.Table:
-        u = b[u_col].to_numpy(zero_copy_only=False)
-        v = b[v_col].to_numpy(zero_copy_only=False)
-        du_ = b["du"].to_numpy(zero_copy_only=False)
-        dv_ = b["dv"].to_numpy(zero_copy_only=False)
+        u, v, du_, dv_ = (b[c].to_numpy(zero_copy_only=False)
+                          for c in (u_col, v_col, "du", "dv"))
         fwd = (du_ < dv_) | ((du_ == dv_) & (u < v))
         return pa.table({
             "src": pa.array(np.where(fwd, u, v), type=key_t),
-            "dst": pa.array(np.where(fwd, v, u), type=key_t)})
+            "dst": pa.array(np.where(fwd, v, u), type=key_t),
+            "d_src": pa.array(np.where(fwd, du_, dv_), type=int_t),
+            "d_dst": pa.array(np.where(fwd, dv_, du_), type=int_t)})
 
-    oriented = j2.map_batches(orient, batch_format="pyarrow")
+    return degrees, j2.map_batches(orient, batch_format="pyarrow")
+
+
+def _closed_wedges(edges, oriented, u_col: str, v_col: str):
+    """One ``(center, a, b)`` row per triangle of a distinct canonical
+    (u < v) edge list: ``center`` is its lowest vertex in the oriented
+    (degree, id) order and a < b the other two.
+
+    Wedges are emitted per source over the ORIENTED adjacency (one
+    bucketed self-merge on ``src``), bounded by O(m^1.5) total thanks to
+    the degree ordering: a hub of degree d contributes no wedges as a
+    source, its edges point INTO it. A wedge closes when its typed
+    ``(a, b)`` is an edge: wedges and edges co-partition on ``(a, b)``
+    in one keyed exchange over their union (Joins over UNION ALL), and
+    each bucket semi-joins its wedges against its edges."""
+    key_t = _key_type(edges, u_col)
+    wedge_t = pa.schema([("center", key_t), ("a", key_t), ("b", key_t),
+                         ("is_edge", pa.int8())])
 
     def src_wedges(g: pd.DataFrame) -> pa.Table:
-        ns = np.sort(g["dst"].to_numpy())
-        if len(ns) < 2:
-            return pa.table({"ekey": pa.array([], type=pa.string()),
-                             "is_edge": pa.array([], type=pa.int8())})
-        i, j = np.triu_indices(len(ns), k=1)
-        ek = np.char.add(np.char.add(ns[i].astype(str), "|"),
-                         ns[j].astype(str))
-        return pa.table({"ekey": pa.array(ek, type=pa.string()),
-                         "is_edge": pa.array(
-                             np.zeros(len(ek), dtype=np.int8))})
+        w = g.merge(g, on="src")
+        w = w[w["dst_x"] < w["dst_y"]]
+        return pa.table([w["src"].to_numpy(), w["dst_x"].to_numpy(),
+                         w["dst_y"].to_numpy(),
+                         np.zeros(len(w), dtype=np.int8)], schema=wedge_t)
 
-    def edge_keys(b: pa.Table) -> pa.Table:
-        u = b[u_col].to_numpy(zero_copy_only=False)
-        v = b[v_col].to_numpy(zero_copy_only=False)
-        ek = np.char.add(np.char.add(u.astype(str), "|"),
-                         v.astype(str))
-        return pa.table({"ekey": pa.array(ek, type=pa.string()),
-                         "is_edge": pa.array(
-                             np.ones(len(ek), dtype=np.int8))})
+    def edge_rows(b: pa.Table) -> pa.Table:
+        return pa.table([b[u_col], b[u_col], b[v_col],
+                         np.ones(b.num_rows, dtype=np.int8)],
+                        schema=wedge_t)
 
-    def close_key(g: pd.DataFrame) -> pa.Table:
-        flags = g["is_edge"].to_numpy()
-        n_edge = int((flags == 1).sum())
-        n_wedge = int((flags == 0).sum())
-        t = n_wedge if n_edge > 0 else 0
-        return pa.table({"tri": pa.array([t], type=pa.int64())})
+    def close(g: pd.DataFrame) -> pa.Table:
+        is_edge = g["is_edge"].to_numpy() == 1
+        return _typed(g.loc[~is_edge, ["center", "a", "b"]].merge(
+            g.loc[is_edge, ["a", "b"]].drop_duplicates(), on=["a", "b"]),
+            key_t)
 
-    tagged = oriented.groupby("src").map_groups(
-        src_wedges, batch_format="pandas").union(
-        edges.map_batches(edge_keys, batch_format="pyarrow"))
-    n_triangles = int(tagged.groupby("ekey").map_groups(
-        close_key, batch_format="pandas").sum("tri") or 0)
+    wedges = bucketed_map_groups(oriented, ["src"], src_wedges,
+                                 project=lambda b: b.select(["src", "dst"]))
+    # materialized: consumers that read this five-shuffle chain lazily
+    # ran 1.4-1.6x slower (sf0.01, Ray on 8 logical CPUs of one core)
+    return bucketed_map_groups(
+        wedges.union(edges.map_batches(edge_rows, batch_format="pyarrow")),
+        ["a", "b"], close).materialize()
+
+
+def triangle_count_report(edges, u_col: str = "u",
+                          v_col: str = "v") -> pd.DataFrame:
+    """Distributed exact triangle count over a distinct canonical edge
+    list (u < v), the degree-ordered node-iterator of Suri &
+    Vassilvitskii (WWW 2011) / Cohen (2009) composed from Ray Data
+    primitives:
+
+      1. degrees — one groupby-count over both endpoints;
+      2. orient every edge from its lower-(degree, id) endpoint to the
+         higher one (``_degree_orient``: two distributed hash joins);
+      3. wedges and closure (``_closed_wedges``): per-source pair
+         emission over the oriented adjacency, then wedges and edges
+         co-partitioned on typed ``(a, b)`` keys; each triangle closes
+         exactly one wedge.
+
+    Returns one all-integer row: vertices, edges, wedges (Σ C(d,2) —
+    the unordered count, for transitivity), triangles, and
+    transitivity_ppm = (3·T·10⁶) // wedges (floor — exact integer).
+
+    The edge list (already an aggregate, bounded far below the input)
+    is materialized once because four downstream passes reuse it; at
+    web scale the equivalent is a bucketed parquet spill of the edge
+    table (stages/bucketed.py), same contract as k-means' budget gate
+    (pipelines/clustering.py)."""
+    edges = edges.materialize()
+    degrees, oriented = _degree_orient(edges, u_col, v_col)
+    n_vertices = int(degrees.count())
+    n_edges = int(edges.count())
+
+    def wedge_partial(b: pa.Table) -> pa.Table:
+        d = b["dg"].to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table({"w": pa.array([int((d * (d - 1) // 2).sum())],
+                                       type=pa.int64())})
+
+    n_wedges = int(degrees.map_batches(
+        wedge_partial, batch_format="pyarrow").sum("w") or 0)
+    n_triangles = int(_closed_wedges(edges, oriented, u_col,
+                                     v_col).count())
 
     trans_ppm = ((3 * n_triangles * 10**6) // n_wedges
                  if n_wedges > 0 else 0)
@@ -474,135 +481,52 @@ def local_triangle_report(edges, u_col: str = "u", v_col: str = "v",
                           k: int = 10) -> pd.DataFrame:
     """Per-node triangle participation + local clustering coefficient
     over a distinct canonical edge list — the same degree-ordered
-    machinery as triangle_count_report, but the wedge rows carry their
-    CENTER so each closed wedge (a triangle) is attributed to all three
-    vertices in the close step. Output: the top-``k`` nodes by
-    (triangles desc, node asc) with exact degree, triangle count and
-    cc_ppm = (2·t·10⁶) // (d·(d−1)) — the floor-integer local
-    clustering coefficient."""
-    from ray.data.aggregate import Count, Sum
+    machinery as triangle_count_report; each closed wedge ``(center, a,
+    b)`` credits all three vertices. Output: the top-``k`` nodes by
+    (triangles desc, str(node) asc) with exact degree, triangle count
+    and cc_ppm = (2·t·10⁶) // (d·(d−1)) — the floor-integer local
+    clustering coefficient.
 
-    from .relational import hash_join
-
+    Credits and degree rows meet in one keyed exchange on the typed
+    ``node``; each bucket returns its own top-``k``, so the driver ranks
+    at most ``k`` × buckets rows. The string form of a node is only the
+    tie-break, never a join key."""
     edges = edges.materialize()
+    degrees, oriented = _degree_orient(edges, u_col, v_col)
+    closed = _closed_wedges(edges, oriented, u_col, v_col)
+    key_t = _key_type(edges, u_col)
 
-    sch = edges.schema()
-    sch = getattr(sch, "base_schema", sch)
-    if hasattr(sch, "field"):
-        key_t = sch.field(u_col).type
-    else:
-        t = dict(zip(sch.names, sch.types))[u_col]
-        key_t = pa.string() if t == object else pa.from_numpy_dtype(t)
+    def credits(b: pa.Table) -> pa.Table:
+        node = pa.chunked_array(b["center"].chunks + b["a"].chunks
+                                + b["b"].chunks, type=key_t)
+        return pa.table({"node": node,
+                         "dg": np.zeros(len(node), dtype=np.int64),
+                         "tri": np.ones(len(node), dtype=np.int64)})
 
-    def endpoints(b: pa.Table) -> pa.Table:
-        u = b[u_col].to_numpy(zero_copy_only=False)
-        v = b[v_col].to_numpy(zero_copy_only=False)
-        return pa.table({"node": pa.array(np.concatenate([u, v]),
-                                          type=key_t)})
+    def degree_rows(b: pa.Table) -> pa.Table:
+        return pa.table({"node": b["node"], "dg": b["dg"],
+                         "tri": np.zeros(b.num_rows, dtype=np.int64)})
 
-    degrees = (edges.map_batches(endpoints, batch_format="pyarrow")
-               .groupby("node").aggregate(Count(alias_name="dg"))
-               .materialize())
+    def top_k(df: pd.DataFrame) -> pd.DataFrame:
+        return (df.assign(_s=df["node"].astype(str))
+                .sort_values(["n_triangles", "_s"], ascending=[False, True])
+                .head(k).drop(columns="_s"))
 
-    int_t = pa.int64()
-    du = degrees.map_batches(
-        lambda b: pa.table({u_col: b["node"], "du": b["dg"]}),
-        batch_format="pyarrow")
-    j1 = hash_join(edges, du, on=u_col, left_cols=[v_col],
-                   right_cols=["du"],
-                   types={u_col: key_t, v_col: key_t, "du": int_t})
-    dv = degrees.map_batches(
-        lambda b: pa.table({v_col: b["node"], "dv": b["dg"]}),
-        batch_format="pyarrow")
-    j2 = hash_join(j1, dv, on=v_col, left_cols=[u_col, "du"],
-                   right_cols=["dv"],
-                   types={u_col: key_t, v_col: key_t,
-                          "du": int_t, "dv": int_t})
+    def bucket_top_k(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.groupby("node", as_index=False, sort=False).sum()
+        d, t = g["dg"].to_numpy(), g["tri"].to_numpy()
+        denom = d * (d - 1)
+        return top_k(pd.DataFrame({
+            "node": g["node"], "degree": d, "n_triangles": t,
+            "cc_ppm": np.where(denom > 0,
+                               (2 * t * 10**6) // np.maximum(denom, 1),
+                               0).astype(np.int64)}))
 
-    def orient(b: pa.Table) -> pa.Table:
-        u = b[u_col].to_numpy(zero_copy_only=False)
-        v = b[v_col].to_numpy(zero_copy_only=False)
-        du_ = b["du"].to_numpy(zero_copy_only=False)
-        dv_ = b["dv"].to_numpy(zero_copy_only=False)
-        fwd = (du_ < dv_) | ((du_ == dv_) & (u < v))
-        return pa.table({
-            "src": pa.array(np.where(fwd, u, v), type=key_t),
-            "dst": pa.array(np.where(fwd, v, u), type=key_t)})
-
-    oriented = j2.map_batches(orient, batch_format="pyarrow")
-
-    def src_wedges(g: pd.DataFrame) -> pa.Table:
-        ns = np.sort(g["dst"].to_numpy())
-        c = g["src"].iloc[0]
-        if len(ns) < 2:
-            return pa.table({"ekey": pa.array([], type=pa.string()),
-                             "center": pa.array([], type=pa.string()),
-                             "is_edge": pa.array([], type=pa.int8())})
-        i, j = np.triu_indices(len(ns), k=1)
-        ek = np.char.add(np.char.add(ns[i].astype(str), "|"),
-                         ns[j].astype(str))
-        return pa.table({
-            "ekey": pa.array(ek, type=pa.string()),
-            "center": pa.array(np.full(len(ek), str(c), dtype=object),
-                               type=pa.string()),
-            "is_edge": pa.array(np.zeros(len(ek), dtype=np.int8))})
-
-    def edge_keys(b: pa.Table) -> pa.Table:
-        u = b[u_col].to_numpy(zero_copy_only=False)
-        v = b[v_col].to_numpy(zero_copy_only=False)
-        ek = np.char.add(np.char.add(u.astype(str), "|"),
-                         v.astype(str))
-        n = len(ek)
-        return pa.table({"ekey": pa.array(ek, type=pa.string()),
-                         "center": pa.array([""] * n, type=pa.string()),
-                         "is_edge": pa.array(np.ones(n, dtype=np.int8))})
-
-    def close_key(g: pd.DataFrame) -> pa.Table:
-        flags = g["is_edge"].to_numpy()
-        if not (flags == 1).any():
-            return pa.table({"node_str": pa.array([], type=pa.string()),
-                             "tri": pa.array([], type=pa.int64())})
-        centers = g.loc[g["is_edge"] == 0, "center"].to_numpy()
-        m = len(centers)
-        if m == 0:
-            return pa.table({"node_str": pa.array([], type=pa.string()),
-                             "tri": pa.array([], type=pa.int64())})
-        a, b = str(g["ekey"].iloc[0]).split("|", 1)
-        nodes = np.concatenate([centers.astype(object),
-                                np.array([a, b], dtype=object)])
-        tri = np.concatenate([np.ones(m, dtype=np.int64),
-                              np.array([m, m], dtype=np.int64)])
-        return pa.table({"node_str": pa.array(nodes, type=pa.string()),
-                         "tri": pa.array(tri)})
-
-    tagged = oriented.groupby("src").map_groups(
-        src_wedges, batch_format="pandas").union(
-        edges.map_batches(edge_keys, batch_format="pyarrow"))
-    per_node = (tagged.groupby("ekey").map_groups(close_key,
-                                                  batch_format="pandas")
-                .groupby("node_str").aggregate(Sum("tri",
-                                                   alias_name="tri"))
-                .to_pandas())
-
-    if len(per_node) == 0 or "node_str" not in per_node.columns:
-        per_node = pd.DataFrame({"node_str": pd.Series([], dtype=object),
-                                 "tri": pd.Series([], dtype=np.int64)})
-    deg = degrees.to_pandas()
-    deg["node_str"] = deg["node"].astype(str)
-    out = deg.merge(per_node, on="node_str", how="left")
-    out["tri"] = out["tri"].fillna(0).astype(np.int64)
-    out["dg"] = out["dg"].astype(np.int64)
-    d = out["dg"].to_numpy()
-    t = out["tri"].to_numpy()
-    denom = d * (d - 1)
-    out["cc_ppm"] = np.where(
-        denom > 0, (2 * t * 10**6) // np.maximum(denom, 1),
-        0).astype(np.int64)
-    out = (out.sort_values(["tri", "node_str"],
-                           ascending=[False, True]).head(k)
-           [["node", "dg", "tri", "cc_ppm"]]
-           .rename(columns={"dg": "degree", "tri": "n_triangles"}))
-    return out.reset_index(drop=True)
+    tops = bucketed_map_groups(
+        closed.map_batches(credits, batch_format="pyarrow").union(
+            degrees.map_batches(degree_rows, batch_format="pyarrow")),
+        ["node"], bucket_top_k)
+    return top_k(tops.to_pandas()).reset_index(drop=True)
 
 
 def local_clustering_from_events(ds, type_col: str, ts_col: str,
@@ -625,16 +549,17 @@ def kcore_report_from_edges(edges, k: int = 3,
     and ``converged`` goes 1 — if it is 1 by the last row the reported
     subgraph IS the exact k-core.
 
-    Scale shape per round: one degree groupby-count + two hash
-    semi-joins against the surviving-node set (the engine's
-    co-partitioned semi-join — no broadcast of |V|); the edge set only
-    shrinks, so every round is cheaper than the last. Returns one row
-    per round: round, n_nodes, n_edges, converged."""
-    from ray.data.aggregate import Count
-
+    Scale shape per round: two hash semi-joins against the
+    surviving-node set (the engine's co-partitioned semi-join — no
+    broadcast of |V|) and one degree groupby-count of the surviving
+    edges, whose row count is the round's ``n_nodes`` and whose rows
+    the next round peels; the edge set only shrinks, so every round is
+    cheaper than the last. Returns one row per round: round, n_nodes,
+    n_edges, converged."""
     from .relational import hash_semi_anti_join
 
     cur = edges.materialize()
+    degrees = _degrees(cur).materialize()
     rows: list[dict] = []
     prev_edges = None
     done = False
@@ -645,19 +570,9 @@ def kcore_report_from_edges(edges, k: int = 3,
                          "n_edges": last["n_edges"], "converged": 1})
             continue
 
-        def endpoints(b: pa.Table) -> pa.Table:
-            u = b["u"].to_numpy(zero_copy_only=False)
-            v = b["v"].to_numpy(zero_copy_only=False)
-            return pa.table({"node": pa.array(
-                np.concatenate([u, v]))})
-
-        degrees = (cur.map_batches(endpoints, batch_format="pyarrow")
-                   .groupby("node").aggregate(Count(alias_name="dg")))
-
         def keep(b: pa.Table) -> pa.Table:
             m = b["dg"].to_numpy(zero_copy_only=False) >= k
-            return pa.table({"node": pa.array(
-                np.asarray(b["node"])[m])})
+            return b.select(["node"]).filter(pa.array(m))
 
         surv = degrees.map_batches(keep, batch_format="pyarrow") \
             .materialize()
@@ -670,11 +585,10 @@ def kcore_report_from_edges(edges, k: int = 3,
         cur = hash_semi_anti_join(e1, sv, "v", ["u"]).materialize()
 
         n_edges = int(cur.count())
-        n_nodes = int(cur.map_batches(endpoints,
-                                      batch_format="pyarrow")
-                      .groupby("node").aggregate(
-                          Count(alias_name="_c")).count()) \
-            if n_edges else 0
+        n_nodes = 0
+        if n_edges:
+            degrees = _degrees(cur).materialize()
+            n_nodes = int(degrees.count())
         conv = 1 if (prev_edges is not None
                      and n_edges == prev_edges) else 0
         if n_edges == 0:
@@ -707,55 +621,20 @@ def degree_assortativity(edges, u_col: str = "u",
     statistic symmetric). Positive = hubs link hubs; negative =
     hub-and-spoke.
 
-    Same machinery as triangle_count_report's orientation step (two
-    distributed hash joins against the degree table — no |V|
-    broadcast); the moments are exact integer sums folded with Python
-    bignums, and r is ONE fixed IEEE expression from those ints — the
-    grouped_pearson exactness contract, bit-identical to the HUGEINT
-    SQL oracle. Returns one row: n_edges, assortativity."""
+    Endpoint degrees come from triangle_count_report's orientation step
+    (``_degree_orient``; the moments are symmetric in (du, dv), so the
+    orientation does not change them). The moments are exact integer
+    sums folded with Python bignums, and r is ONE fixed IEEE expression
+    from those ints — the grouped_pearson exactness contract,
+    bit-identical to the HUGEINT SQL oracle. Returns one row: n_edges,
+    assortativity."""
     import math
 
-    from ray.data.aggregate import Count
-
-    from .relational import hash_join
-
-    edges = edges.materialize()
-
-    sch = edges.schema()
-    sch = getattr(sch, "base_schema", sch)
-    if hasattr(sch, "field"):
-        key_t = sch.field(u_col).type
-    else:
-        t = dict(zip(sch.names, sch.types))[u_col]
-        key_t = pa.string() if t == object else pa.from_numpy_dtype(t)
-
-    def endpoints(b: pa.Table) -> pa.Table:
-        u = b[u_col].to_numpy(zero_copy_only=False)
-        v = b[v_col].to_numpy(zero_copy_only=False)
-        return pa.table({"node": pa.array(np.concatenate([u, v]),
-                                          type=key_t)})
-
-    degrees = (edges.map_batches(endpoints, batch_format="pyarrow")
-               .groupby("node").aggregate(Count(alias_name="dg"))
-               .materialize())
-    int_t = pa.int64()
-    du = degrees.map_batches(
-        lambda b: pa.table({u_col: b["node"], "du": b["dg"]}),
-        batch_format="pyarrow")
-    j1 = hash_join(edges, du, on=u_col, left_cols=[v_col],
-                   right_cols=["du"],
-                   types={u_col: key_t, v_col: key_t, "du": int_t})
-    dv = degrees.map_batches(
-        lambda b: pa.table({v_col: b["node"], "dv": b["dg"]}),
-        batch_format="pyarrow")
-    j2 = hash_join(j1, dv, on=v_col, left_cols=[u_col, "du"],
-                   right_cols=["dv"],
-                   types={u_col: key_t, v_col: key_t,
-                          "du": int_t, "dv": int_t})
+    _, oriented = _degree_orient(edges.materialize(), u_col, v_col)
 
     def moments(b: pa.Table) -> pa.Table:
-        x = b["du"].to_numpy(zero_copy_only=False).astype(np.int64)
-        y = b["dv"].to_numpy(zero_copy_only=False).astype(np.int64)
+        x = b["d_src"].to_numpy(zero_copy_only=False).astype(np.int64)
+        y = b["d_dst"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
             "m": pa.array([len(x)], type=pa.int64()),
             "sx": pa.array([int(x.sum() + y.sum())], type=pa.int64()),
@@ -763,7 +642,7 @@ def degree_assortativity(edges, u_col: str = "u",
             "sxx": pa.array([int((x * x).sum() + (y * y).sum())],
                             type=pa.int64())})
 
-    mom = j2.map_batches(moments, batch_format="pyarrow").to_pandas()
+    mom = oriented.map_batches(moments, batch_format="pyarrow").to_pandas()
     n = 2 * int(mom["m"].sum())          # directed pair count
     sx = int(mom["sx"].sum())
     sxy = int(mom["sxy"].sum())
@@ -780,41 +659,27 @@ def degree_assortativity(edges, u_col: str = "u",
 def edge_churn(edges_a, edges_b) -> pd.DataFrame:
     """Temporal graph churn between two edge snapshots: |A|, |B|,
     |A∩B| and the edge Jaccard (ppm floor) — how much of the graph
-    survived the period boundary. One union + groupby on the edge key;
-    counts only on the exchange."""
-    from ray.data.aggregate import Max
-
-    def keyed(side: int):
+    survived the period boundary. One keyed exchange on the typed
+    ``(u, v)`` over the side-tagged union; each bucket returns its
+    ``(na, nb, nc)`` counts."""
+    def tagged(side: int):
         def fn(b: pa.Table) -> pa.Table:
-            u = b["u"].to_numpy(zero_copy_only=False)
-            v = b["v"].to_numpy(zero_copy_only=False)
-            ek = np.char.add(np.char.add(u.astype(str), "|"),
-                             v.astype(str))
-            n = len(ek)
-            return pa.table({
-                "ekey": pa.array(ek, type=pa.string()),
-                "in_a": pa.array(np.full(n, 1 if side == 0 else 0,
-                                         dtype=np.int8)),
-                "in_b": pa.array(np.full(n, 1 if side == 1 else 0,
-                                         dtype=np.int8))})
+            return pa.table({"u": b["u"], "v": b["v"],
+                             "in_a": np.full(b.num_rows, side == 0),
+                             "in_b": np.full(b.num_rows, side == 1)})
         return fn
 
-    tagged = (edges_a.map_batches(keyed(0), batch_format="pyarrow")
-              .union(edges_b.map_batches(keyed(1),
-                                         batch_format="pyarrow")))
-    flags = (tagged.groupby("ekey")
-             .aggregate(Max("in_a", alias_name="a"),
-                        Max("in_b", alias_name="b")))
+    def counts(g: pd.DataFrame) -> pd.DataFrame:
+        f = g.groupby(["u", "v"], sort=False)[["in_a", "in_b"]].any()
+        return pd.DataFrame({"na": [int(f["in_a"].sum())],
+                             "nb": [int(f["in_b"].sum())],
+                             "nc": [int((f["in_a"] & f["in_b"]).sum())]},
+                            dtype=np.int64)
 
-    def partial(b: pa.Table) -> pa.Table:
-        a = b["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        bb = b["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "na": pa.array([int(a.sum())], type=pa.int64()),
-            "nb": pa.array([int(bb.sum())], type=pa.int64()),
-            "nc": pa.array([int((a & bb).sum())], type=pa.int64())})
-
-    mom = flags.map_batches(partial, batch_format="pyarrow").to_pandas()
+    mom = bucketed_map_groups(
+        edges_a.map_batches(tagged(0), batch_format="pyarrow").union(
+            edges_b.map_batches(tagged(1), batch_format="pyarrow")),
+        ["u", "v"], counts).to_pandas()
     na, nb, nc = (int(mom["na"].sum()), int(mom["nb"].sum()),
                   int(mom["nc"].sum()))
     union = na + nb - nc

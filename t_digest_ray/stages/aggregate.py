@@ -340,7 +340,10 @@ def hash_bucketed_group_agg(ds, group_cols, aggs: dict,
 
     ``aggs`` maps ``out_name -> (value_col, how)`` with how in
     ``count | sum | min | max`` (count ignores value_col). Returns a
-    Dataset of one row per distinct ``group_cols`` combination.
+    Dataset of one row per distinct ``group_cols`` combination. The
+    combine sorts each bucket's partial rows on the group, then the
+    partial columns, so a float sum does not depend on the order in
+    which Ray delivers the partials.
     """
     group_cols = list(group_cols)
     # partial aggregation per batch; 'count' partials combine by sum
@@ -356,6 +359,7 @@ def hash_bucketed_group_agg(ds, group_cols, aggs: dict,
         return pd.DataFrame(outs).reset_index()
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.sort_values(group_cols + list(part_how), kind="stable")
         g = df.groupby(group_cols, sort=False)
         outs = {out: g[out].agg(how)
                 for out, (_c, how) in part_how.items()}

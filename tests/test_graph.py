@@ -497,3 +497,47 @@ def test_triangle_count_random_graphs_vs_bruteforce(ray_session, rng):
                 if (a, b) in es and (a, c) in es and (b, c) in es)
         assert int(out["n_triangles"].iloc[0]) == t, (pairs, trial)
         assert int(out["n_edges"].iloc[0]) == len(pairs)
+
+
+# ------------------------------------------- '|' inside string node ids
+
+# (a, b|c) is a wedge centered at x; (a|b, c) is an edge whose old
+# '|'-packed key equals the wedge's, but the two are different pairs
+_PIPE_EDGES = [("a", "x"), ("b|c", "x"), ("a|b", "c"), ("a", "y1"),
+               ("a", "y2"), ("b|c", "y3"), ("b|c", "y4")]
+
+
+def test_triangle_count_pipe_in_ids_closes_no_wedge(ray_session):
+    from t_digest_ray.pipelines.graph import triangle_count_report
+
+    out = triangle_count_report(_edge_ds(_PIPE_EDGES))
+    assert int(out["n_triangles"].iloc[0]) == 0
+
+
+def test_local_triangle_report_pipe_in_ids_credits_nobody(ray_session):
+    from t_digest_ray.pipelines.graph import local_triangle_report
+
+    out = local_triangle_report(_edge_ds(_PIPE_EDGES), k=20)
+    assert len(out) == 9
+    assert (out["n_triangles"] == 0).all()
+
+
+def test_edge_churn_pipe_in_ids_keeps_edges_apart(ray_session):
+    from t_digest_ray.pipelines.graph import edge_churn
+
+    out = edge_churn(_edge_ds([("a|b", "c")]), _edge_ds([("a", "b|c")]))
+    assert out.values.tolist() == [[1, 1, 0, 0]]
+
+
+def test_co_activity_pipe_in_user_id(ray_session):
+    import ray.data as rd
+
+    from t_digest_ray.pipelines.graph import co_activity_edges
+
+    df = pd.DataFrame({
+        "event_type": ["click"] * 2,
+        "ts": pd.to_datetime([0, 0], unit="s"),
+        "user_id": ["a|b", "c"]})
+    edges = co_activity_edges(rd.from_pandas(df), "event_type", "ts",
+                              "user_id").to_pandas()
+    assert list(zip(edges["u"], edges["v"])) == [("a|b", "c")]

@@ -105,3 +105,24 @@ def test_association_rules_item_names_with_pipe(ray_session):
     assert int(out.loc[("z", "x|y"), "conf_ppm"]) == 10**6 // 2
     # support x|y = 1, z = 2, N = 2 baskets
     assert int(out.loc[("x|y", "z"), "lift_ppm"]) == 2 * 10**6 // 2
+
+
+def test_hash_bucketed_group_agg_float_sum_ignores_block_order(ray_session):
+    """1e16 + 1.0 - 1e16 rounds differently in different orders; one
+    value per block, the six block orders must give one sum."""
+    import itertools
+
+    import pyarrow as pa
+    import ray
+
+    from t_digest_ray.stages.aggregate import hash_bucketed_group_agg
+
+    sums = set()
+    for order in itertools.permutations([1e16, 1.0, -1e16]):
+        ds = ray.data.from_arrow([pa.table({"k": ["x"], "v": [v]})
+                                  for v in order])
+        out = hash_bucketed_group_agg(ds, ["k"], {"s": ("v", "sum")},
+                                      coarse=1).to_pandas()
+        assert len(out) == 1
+        sums.add(float(out["s"].iloc[0]))
+    assert len(sums) == 1, sums
