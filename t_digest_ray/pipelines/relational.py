@@ -2,20 +2,36 @@
 
 These are the engine's SQL-expressible companions (FIXTURES.md §5): each has
 a DuckDB oracle in ``__ray_entry__.oracle_sql`` and exercises a core Ray Data
-primitive — groupby-aggregate, map_groups, broadcast join, distinct, top-k.
-``exact_quantiles_by_key`` is the distributed port of the reference's exact
-oracle (Dist.java:47-60), matching DuckDB ``quantile_disc`` exactly:
-value at index ``max(ceil(q*n) - 1, 0)`` of the sorted group.
+primitive — groupby-aggregate, broadcast join, distinct, top-k — or the
+analytics keyed exchange, ``stages.aggregate.bucketed_map_groups``. The hash
+joins, the band join and every per-key operator (exact quantiles, IQR, MAD,
+ordered collect, CDC snapshot, top-k/OTHER) run on that exchange: each call
+folds one hash bucket of keys with one lexsort (``_key_runs``), never one
+Python call per key. ``exact_quantiles_by_key`` is the distributed port of
+the reference's exact oracle (Dist.java:47-60), matching DuckDB
+``quantile_disc`` exactly: the value at 1-based rank ``ceil(q*n)`` of the
+sorted group, in integer arithmetic (``selection._disc_rank``).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..stages.aggregate import bucketed_map_groups
+from .selection import _disc_rank
+
+
+def _key_runs(keys: np.ndarray, *by: np.ndarray):
+    """One bucket's rows sorted by ``(keys, *by)`` with one lexsort:
+    returns the row order, each key's first position in that order and
+    each key's row count."""
+    order = np.lexsort((*reversed(by), keys))
+    ks = keys[order]
+    starts = np.flatnonzero(np.r_[len(ks) > 0, ks[1:] != ks[:-1]])
+    return order, starts, np.diff(np.r_[starts, len(ks)])
 
 
 def _round_col(df: pd.DataFrame, cols, nd: int = 4) -> pd.DataFrame:
@@ -48,20 +64,23 @@ def exact_quantiles_by_key(ds, key: str, value: str,
                            qs=(0.25, 0.5, 0.75)):
     """Per-group exact quantiles (duckdb quantile_disc convention).
 
-    Groups must individually fit in a worker's heap — this is the exact
-    small-scale oracle operator (Dist.java port), not the sketch path.
+    One keyed exchange on ``key``; each bucket sorts by (key, value) once
+    and ranks every key at once. Groups must individually fit in a
+    worker's heap — this is the exact small-scale oracle operator
+    (Dist.java port), not the sketch path.
     """
 
-    def per_group(g: pd.DataFrame) -> pd.DataFrame:
-        v = np.sort(g[value].to_numpy())
-        n = len(v)
-        row = {key: [g[key].iloc[0]]}
+    def fold(g: pd.DataFrame) -> pd.DataFrame:
+        k, v = g[key].to_numpy(), g[value].to_numpy()
+        order, starts, counts = _key_runs(k, v)
+        v = v[order]
+        out = {key: k[order[starts]]}
         for q in qs:
-            idx = max(int(math.ceil(q * n)) - 1, 0)
-            row[f"p{int(q * 100)}"] = [float(v[idx])]
-        return pd.DataFrame(row)
+            out[f"p{int(q * 100)}"] = v[
+                starts + _disc_rank(q, counts) - 1].astype(np.float64)
+        return pd.DataFrame(out)
 
-    return ds.groupby(key).map_groups(per_group, batch_format="pandas")
+    return bucketed_map_groups(ds, [key], fold)
 
 
 def dedup_exact(ds, content_col: str, id_col: str,
@@ -169,7 +188,7 @@ def key_skew_report(ds, key: str, n_rows: int | None = None):
                "max_count": [np.int64(c[-1])]}
         for q in (0.5, 0.9, 0.99):
             row[f"p{int(q * 100)}_count"] = [np.int64(
-                c[max(int(math.ceil(q * n_keys)) - 1, 0)])]
+                c[_disc_rank(q, n_keys) - 1])]
         row["top_share_ppm"] = [np.int64(c[-1] * 1_000_000 // total)]
         return pd.DataFrame(row)
 
@@ -204,22 +223,25 @@ def iqr_outlier_stats(ds, key: str, value: str, k: float = 1.5):
     quantiles, so the counts are bit-reproducible in SQL. Per-group
     exact (oracle-scale op, same contract as exact_quantiles_by_key);
     the 100-TB path for the same filter is quantile sketches + a
-    broadcast of the per-key fences."""
+    broadcast of the per-key fences. One keyed exchange on ``key``, one
+    (key, value) sort per bucket."""
 
-    def per_group(g: pd.DataFrame) -> pd.DataFrame:
-        v = np.sort(g[value].to_numpy())
-        n = len(v)
-        q1 = float(v[max(int(math.ceil(0.25 * n)) - 1, 0)])
-        q3 = float(v[max(int(math.ceil(0.75 * n)) - 1, 0)])
+    def fold(g: pd.DataFrame) -> pd.DataFrame:
+        kv, v = g[key].to_numpy(), g[value].to_numpy()
+        order, starts, counts = _key_runs(kv, v)
+        v = v[order]
+        q1 = v[starts + _disc_rank(0.25, counts) - 1].astype(np.float64)
+        q3 = v[starts + _disc_rank(0.75, counts) - 1].astype(np.float64)
         iqr = q3 - q1
         lo, hi = q1 - k * iqr, q3 + k * iqr
         vf = v.astype(np.float64)
-        out = int(((vf < lo) | (vf > hi)).sum())
-        return pd.DataFrame({key: [g[key].iloc[0]], "q1": [q1],
-                             "q3": [q3], "n_total": [np.int64(n)],
-                             "n_outliers": [np.int64(out)]})
+        out = (vf < np.repeat(lo, counts)) | (vf > np.repeat(hi, counts))
+        return pd.DataFrame({
+            key: kv[order[starts]], "q1": q1, "q3": q3,
+            "n_total": counts.astype(np.int64),
+            "n_outliers": np.add.reduceat(out.astype(np.int64), starts)})
 
-    return ds.groupby(key).map_groups(per_group, batch_format="pandas")
+    return bucketed_map_groups(ds, [key], fold)
 
 
 def rollup_stats(ds, keys, value: str, all_label: str = "ALL"):
@@ -318,26 +340,28 @@ def cube_stats(ds, keys, value: str, all_label: str = "ALL"):
 
 
 def mad_stats(ds, key: str, value: str):
-    """Per-key MEDIAN ABSOLUTE DEVIATION (disc convention): median via
-    the exact per-group path, then the disc-median of |x - median| in a
-    second pass with the per-key medians broadcast (a handful of
-    floats via closure). Completes the robust-scale family alongside
+    """Per-key MEDIAN ABSOLUTE DEVIATION (disc convention): the disc
+    median, then the disc median of |x - median|, both in one fold per
+    bucket of one keyed exchange (a (key, value) sort, then a
+    (key, deviation) sort). Completes the robust-scale family alongside
     IQR fences and exact-moment z-scores; same heap-bound exact-oracle
     contract as exact_quantiles_by_key.
     """
-    meds = exact_quantiles_by_key(ds, key, value, qs=(0.5,)).to_pandas()
-    med_by_key = dict(zip(meds[key], meds["p50"]))
 
-    def per_group(g: pd.DataFrame) -> pd.DataFrame:
-        kval = g[key].iloc[0]
-        med = float(med_by_key[kval])
-        dev = np.sort(np.abs(g[value].to_numpy(dtype=np.float64) - med))
-        n = len(dev)
-        idx = max(int(math.ceil(0.5 * n)) - 1, 0)
-        return pd.DataFrame({key: [kval], "n": [np.int64(n)],
-                             "median_v": [med], "mad": [float(dev[idx])]})
+    def fold(g: pd.DataFrame) -> pd.DataFrame:
+        kv, v = g[key].to_numpy(), g[value].to_numpy()
+        order, starts, counts = _key_runs(kv, v)
+        v = v[order]
+        mid = starts + _disc_rank(0.5, counts) - 1
+        med = v[mid].astype(np.float64)
+        dev = np.abs(v.astype(np.float64) - np.repeat(med, counts))
+        run = np.repeat(np.arange(len(starts)), counts)
+        dev = dev[np.lexsort((dev, run))]
+        return pd.DataFrame({key: kv[order[starts]],
+                             "n": counts.astype(np.int64),
+                             "median_v": med, "mad": dev[mid]})
 
-    return ds.groupby(key).map_groups(per_group, batch_format="pandas")
+    return bucketed_map_groups(ds, [key], fold)
 
 
 def pivot_counts(ds, row_key: str, col_key: str, col_values,
@@ -404,6 +428,62 @@ def distinct_count_by_key(ds, key: str, value: str, out_name: str):
             .aggregate(Sum("_part", alias_name=out_name)))
 
 
+def _column_types(types, *sides) -> dict:
+    """The caller's ``types`` plus the Arrow type of every other column of
+    each ``(ds, cols)`` side, read from ``ds.schema()``: a metadata read
+    for parquet sources, but on a mapped/joined input it EXECUTES the
+    upstream plan to produce a block, so explicit ``types`` skip it."""
+    types = dict(types) if types else {}
+    for ds, cols in sides:
+        cols = [c for c in cols if c not in types]
+        if not cols:
+            continue
+        sch = ds.schema()
+        sch = getattr(sch, "base_schema", sch)
+        if hasattr(sch, "field"):  # pyarrow schema (parquet-backed)
+            types.update((c, sch.field(c).type) for c in cols)
+        else:  # PandasBlockSchema: parallel names/types of numpy dtypes
+            by_name = dict(zip(sch.names, sch.types))
+            types.update((c, pa.string() if by_name[c] == object
+                          else pa.from_numpy_dtype(by_name[c]))
+                         for c in cols)
+    return types
+
+
+def _co_partition(left, right, on: str, left_cols, right_cols, types,
+                  fn, coarse, n_rows):
+    """Both sides of a join through ONE keyed exchange on ``on``: every
+    row is tagged ``is_left`` (1 / 0), its key cast to ``types[on]`` and
+    the other side's columns filled with typed nulls, so the union has one
+    Arrow schema and both sides of a key reach the same call of ``fn``
+    (the tagged union co-partitioned on the join key). ``coarse`` fixes
+    the bucket count; otherwise it follows ``n_rows``, by default the sum
+    of both sides' metadata row counts."""
+    from ..stages.partitioning import cheap_row_count
+
+    if coarse is None and n_rows is None:
+        nl, nr = cheap_row_count(left), cheap_row_count(right)
+        n_rows = None if None in (nl, nr) else nl + nr
+
+    def tag(side: int, own_cols):
+        def fn(batch: pa.Table) -> pa.Table:
+            n = batch.num_rows
+            cols = {on: batch[on].cast(types[on]),
+                    "is_left": pa.array(np.full(n, side, dtype=np.int8))}
+            for c in left_cols + right_cols:
+                cols[c] = (batch[c] if c in own_cols
+                           else pa.nulls(n, type=types[c]))
+            return pa.table(cols)
+        return fn
+
+    tagged = (left.map_batches(tag(1, left_cols), batch_format="pyarrow")
+              .union(right.select_columns([on] + right_cols)
+                     .map_batches(tag(0, right_cols),
+                                  batch_format="pyarrow")))
+    return bucketed_map_groups(tagged, [on], fn, n_rows=n_rows,
+                               n_buckets=coarse)
+
+
 def hash_join(left, right, on: str, left_cols, right_cols,
               coarse: int | None = None, n_rows: int | None = None,
               types: dict | None = None, how: str = "inner"):
@@ -421,77 +501,36 @@ def hash_join(left, right, on: str, left_cols, right_cols,
     Ray Data (2.49) has no native join; this is the shuffle join the
     engine uses when NEITHER side fits in memory (use
     ``broadcast_join_count`` / a plasma lookup when one side is a
-    dimension table). Both sides are tagged with ``hash(on) % coarse``
-    and co-partitioned in ONE union+groupby shuffle; each bucket is then
-    a vectorized pandas merge. Same topology as ``windows.asof_join``.
+    dimension table). Both sides are tagged and co-partitioned on ``on``
+    in ONE keyed exchange (``stages.aggregate.bucketed_map_groups``);
+    each bucket is then a vectorized pandas merge. Same topology as
+    ``windows.asof_join``.
 
     Partitioning assumption (documented contract): one bucket's rows
-    from both sides must fit in a worker's heap — ``coarse`` scales with
-    the combined metadata row count (~256k rows/bucket). A pathological
-    hot key (one key = whole dataset) needs pre-aggregation before the
-    join, same as any hash-partitioned engine.
+    from both sides must fit in a worker's heap — ``coarse`` (the bucket
+    count) scales with the combined metadata row count (~256k
+    rows/bucket). A pathological hot key (one key = whole dataset) needs
+    pre-aggregation before the join, same as any hash-partitioned engine.
 
     Returns columns ``[on] + left_cols + right_cols``. Rows ride the
-    shuffle with the other side's columns as nulls (one unified Arrow
-    schema for the union).
+    shuffle with the other side's columns as nulls and both keys cast to
+    the output key type (one unified Arrow schema for the union).
 
     ``types`` (optional): explicit ``{col: pyarrow.DataType}`` for the
-    output columns. Pass it whenever an input is a mapped/joined Dataset:
-    ``Dataset.schema()`` on those EXECUTES the upstream plan to produce a
-    block (for a join-of-joins input that re-runs the whole upstream
-    shuffle), whereas on parquet-backed reads it is a metadata lookup.
+    output columns; the key's type defaults to the left side's. Pass it
+    whenever an input is a mapped/joined Dataset: ``Dataset.schema()`` on
+    those EXECUTES the upstream plan to produce a block (for a
+    join-of-joins input that re-runs the whole upstream shuffle), whereas
+    on parquet-backed reads it is a metadata lookup.
     """
-    from ..functions.hashing import hash64
-    from ..stages.partitioning import cheap_row_count, coarse_bucket_count
-
-    if coarse is None:
-        if n_rows is None:
-            nl, nr = cheap_row_count(left), cheap_row_count(right)
-            n_rows = nl + nr if nl is not None and nr is not None else None
-        coarse = coarse_bucket_count(n_rows=n_rows,
-                                     rows_per_bucket=262144,
-                                     what="hash_join")
+    if how not in ("inner", "left", "full"):
+        raise ValueError(
+            f"how must be 'inner', 'left' or 'full', got {how!r}")
+    pd_how = {"inner": "inner", "left": "left", "full": "outer"}[how]
     left_cols = list(left_cols)
     right_cols = list(right_cols)
-    # one unified Arrow schema for the union: the absent side's columns
-    # are typed nulls (schema() is a metadata read for parquet sources;
-    # explicit ``types`` skips schema inspection entirely)
-    types = dict(types) if types else {}
-    for d, cs in ((left, [on] + left_cols), (right, right_cols)):
-        cs = [c for c in cs if c not in types]
-        if not cs:
-            continue
-        sch = d.schema()
-        sch = getattr(sch, "base_schema", sch)
-        if hasattr(sch, "field"):  # pyarrow schema (parquet-backed)
-            for c in cs:
-                types[c] = sch.field(c).type
-        else:  # PandasBlockSchema: parallel names/types of numpy dtypes
-            by_name = dict(zip(sch.names, sch.types))
-            for c in cs:
-                t = by_name[c]
-                types[c] = (pa.string() if t == object
-                            else pa.from_numpy_dtype(t))
-
-    def tag(side: int, own_cols):
-        def fn(batch: pa.Table) -> pa.Table:
-            keys = batch[on].to_numpy(zero_copy_only=False)
-            n = len(keys)
-            cols = {
-                "bucket": pa.array((hash64(keys)
-                                    % np.uint64(coarse)).astype(np.int32)),
-                on: batch[on],
-                "is_left": pa.array(np.full(n, side, dtype=np.int8)),
-            }
-            for c in left_cols + right_cols:
-                cols[c] = (batch[c] if c in own_cols
-                           else pa.nulls(n, type=types[c]))
-            return pa.table(cols)
-        return fn
-
-    tagged = (left.map_batches(tag(1, left_cols), batch_format="pyarrow")
-              .union(right.map_batches(tag(0, right_cols),
-                                       batch_format="pyarrow")))
+    types = _column_types(types, (left, [on] + left_cols),
+                          (right, right_cols))
 
     # the inner join drops every null, but the union's null-padding made
     # pandas promote int columns to float64 inside each bucket frame —
@@ -501,11 +540,6 @@ def hash_join(left, right, on: str, left_cols, right_cols,
     out_fields = [(on, types[on])] + [(c, types[c])
                                       for c in left_cols + right_cols]
     out_schema = pa.schema(out_fields)
-
-    if how not in ("inner", "left", "full"):
-        raise ValueError(
-            f"how must be 'inner', 'left' or 'full', got {how!r}")
-    pd_how = {"inner": "inner", "left": "left", "full": "outer"}[how]
 
     def bucket_join(g: pd.DataFrame) -> pa.Table:
         l = g[g["is_left"] == 1][[on] + left_cols]
@@ -522,8 +556,8 @@ def hash_join(left, right, on: str, left_cols, right_cols,
                          for c, t in out_fields},
                         schema=out_schema)
 
-    return tagged.groupby("bucket").map_groups(bucket_join,
-                                               batch_format="pandas")
+    return _co_partition(left, right, on, left_cols, right_cols, types,
+                         bucket_join, coarse, n_rows)
 
 
 def hash_semi_anti_join(left, right, on: str, left_cols,
@@ -537,63 +571,18 @@ def hash_semi_anti_join(left, right, on: str, left_cols,
     The training-data use is eval decontamination: ``right`` is the
     contamination list (e.g. normalized-text hashes of an eval set),
     ``left`` the corpus, ``anti=True`` keeps the clean rows. Same
-    one-shuffle co-partition as ``hash_join`` (hash(on) % coarse buckets),
-    but the right side ships ONLY its key column and each bucket is one
-    vectorized ``isin`` — no pair blowup, output rows <= left rows, so a
-    hot key cannot explode the join (unlike inner join, where it must be
-    pre-aggregated). Use ``distinct.bloom_semi_join`` instead when an
-    approximate prefilter + local verify beats a full shuffle.
+    one-exchange co-partition on ``on`` as ``hash_join`` (``coarse``
+    buckets), but the right side ships ONLY its key column and each
+    bucket is one vectorized ``isin`` — no pair blowup, output rows <=
+    left rows, so a hot key cannot explode the join (unlike inner join,
+    where it must be pre-aggregated). Use ``distinct.bloom_semi_join``
+    instead when an approximate prefilter + local verify beats a full
+    shuffle.
 
     Returns left's ``[on] + left_cols`` with source types preserved.
     """
-    from ..functions.hashing import hash64
-    from ..stages.partitioning import cheap_row_count, coarse_bucket_count
-
-    if coarse is None:
-        if n_rows is None:
-            nl, nr = cheap_row_count(left), cheap_row_count(right)
-            n_rows = nl + nr if nl is not None and nr is not None else None
-        coarse = coarse_bucket_count(n_rows=n_rows,
-                                     rows_per_bucket=262144,
-                                     what="hash_semi_anti_join")
     left_cols = list(left_cols)
-    # explicit ``types`` skips schema inspection (Dataset.schema() on a
-    # mapped/joined input executes its upstream plan; see hash_join)
-    types = dict(types) if types else {}
-    missing = [c for c in [on] + left_cols if c not in types]
-    if missing:
-        sch = left.schema()
-        sch = getattr(sch, "base_schema", sch)
-        if hasattr(sch, "field"):
-            for c in missing:
-                types[c] = sch.field(c).type
-        else:
-            by_name = dict(zip(sch.names, sch.types))
-            for c in missing:
-                t = by_name[c]
-                types[c] = (pa.string() if t == object
-                            else pa.from_numpy_dtype(t))
-
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            keys = batch[on].to_numpy(zero_copy_only=False)
-            n = len(keys)
-            cols = {
-                "bucket": pa.array((hash64(keys)
-                                    % np.uint64(coarse)).astype(np.int32)),
-                on: batch[on].cast(types[on]),
-                "is_left": pa.array(np.full(n, side, dtype=np.int8)),
-            }
-            for c in left_cols:
-                cols[c] = (batch[c] if side == 1
-                           else pa.nulls(n, type=types[c]))
-            return pa.table(cols)
-        return fn
-
-    tagged = (left.map_batches(tag(1), batch_format="pyarrow")
-              .union(right.select_columns([on])
-                     .map_batches(tag(0), batch_format="pyarrow")))
-
+    types = _column_types(types, (left, [on] + left_cols))
     out_fields = [(on, types[on])] + [(c, types[c]) for c in left_cols]
     out_schema = pa.schema(out_fields)
 
@@ -605,8 +594,8 @@ def hash_semi_anti_join(left, right, on: str, left_cols,
         return pa.table({c: pa.array(keep[c].to_numpy(), type=t)
                          for c, t in out_fields}, schema=out_schema)
 
-    return tagged.groupby("bucket").map_groups(bucket_filter,
-                                               batch_format="pandas")
+    return _co_partition(left, right, on, left_cols, [], types,
+                         bucket_filter, coarse, n_rows)
 
 
 def broadcast_join_count(ds, small_df: pd.DataFrame, left_key: str,
@@ -666,18 +655,23 @@ def range_join_count(left, right, left_val: str, right_val: str,
     sides; the LEFT row lives in bucket ``q // delta_units`` only, the
     RIGHT row is replicated to buckets {k-1, k, k+1} — every qualifying
     pair co-locates in exactly the left row's bucket (bucket width =
-    the band width), nothing is double-counted. One union+groupby
-    co-partitions both sides; inside each bucket the rights are sorted
-    once and every left counts its matches with two vectorized
-    searchsorted probes — O((nL + nR) log nR) per bucket, never an
-    all-pairs materialization. Per-bucket partial counts (grouped by
-    ``q // out_div``) ride the second tiny shuffle.
+    the band width), nothing is double-counted. One keyed exchange on
+    the band co-partitions both sides; each call holds many bands, and
+    ``q + 2 * delta_units * band`` gives every band its own disjoint
+    range of one int64 sort key (a band's rights lie in
+    [(band-1)d, (band+2)d), its lefts in [band*d, (band+1)d)), so the
+    call sorts its rights once and every left counts its matches with
+    two vectorized searchsorted probes — O((nL + nR) log nR) per call,
+    never an all-pairs materialization. Per-bucket partial counts
+    (grouped by ``q // out_div``) ride the second tiny shuffle.
 
     Partitioning assumption (same contract as ``hash_join``): one value
     band's rows must fit a worker. A pathological value distribution
     (everything inside one band) needs a salted two-level count.
     """
     from ray.data.aggregate import Sum
+
+    from ..stages.partitioning import cheap_row_count
 
     if out_div is None:
         out_div = delta_units * 200
@@ -705,22 +699,25 @@ def range_join_count(left, right, left_val: str, right_val: str,
 
     def bucket_count(g: pd.DataFrame) -> pa.Table:
         is_l = g["is_left"].to_numpy() == 1
-        ql = g["q"].to_numpy()[is_l]
-        qr = np.sort(g["q"].to_numpy()[~is_l])
-        if not len(ql) or not len(qr):
+        q = g["q"].to_numpy()
+        c = q + np.int64(2 * delta_units) * g["bkt"].to_numpy()
+        cl, cr = c[is_l], np.sort(c[~is_l])
+        if not len(cl) or not len(cr):
             return pa.table({out_name: pa.array([], type=pa.int64()),
                              "_n": pa.array([], type=pa.int64())})
-        lo = np.searchsorted(qr, ql - delta_units, side="left")
-        hi = np.searchsorted(qr, ql + delta_units, side="right")
+        lo = np.searchsorted(cr, cl - delta_units, side="left")
+        hi = np.searchsorted(cr, cl + delta_units, side="right")
         n = (hi - lo).astype(np.int64)
-        keys = ql // np.int64(out_div)
+        keys = q[is_l] // np.int64(out_div)
         uk, inv = np.unique(keys, return_inverse=True)
         sums = np.zeros(len(uk), dtype=np.int64)
         np.add.at(sums, inv, n)
         return pa.table({out_name: pa.array(uk), "_n": pa.array(sums)})
 
-    partial = tagged.groupby("bkt").map_groups(bucket_count,
-                                               batch_format="pandas")
+    nl, nr = cheap_row_count(left), cheap_row_count(right)
+    partial = bucketed_map_groups(
+        tagged, ["bkt"], bucket_count,
+        n_rows=None if None in (nl, nr) else nl + 3 * nr)
     out = partial.groupby(out_name).aggregate(
         Sum("_n", alias_name="n_pairs"))
 
@@ -736,46 +733,35 @@ def topk_other_rollup(ds, key: str, sub: str, k: int = 2):
     """Reporting rollup: per key the top-k sub-categories by count
     (count desc, sub asc tie-break) each with their rank, plus ONE
     'OTHER' row aggregating every remaining sub-category (emitted only
-    when something remains). Counts combine per batch; the finalize
-    runs per key on the category-sized aggregated table.
+    when something remains). Counts combine per batch; one keyed
+    exchange on ``key`` sums them per (key, sub) and ranks every key of
+    a bucket with one sort.
     """
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    from ray.data.aggregate import Sum
 
-    def partial(b: pa.Table) -> pa.Table:
+    def partial(b: pa.Table) -> pd.DataFrame:
         df = pd.DataFrame({key: b[key].to_numpy(zero_copy_only=False),
                            sub: b[sub].to_numpy(zero_copy_only=False)})
         g = df.groupby([key, sub], as_index=False, sort=False).size()
-        g = g.rename(columns={"size": "partial"})
-        g["partial"] = g["partial"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return g.rename(columns={"size": "partial"})
 
-    counts = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby([key, sub])
-              .aggregate(Sum("partial", alias_name="cnt")))
+    def fold(g: pd.DataFrame) -> pd.DataFrame:
+        c = g.groupby([key, sub], as_index=False, sort=False)["partial"].sum()
+        kv, sv = c[key].to_numpy(), c[sub].to_numpy()
+        cnt = c["partial"].to_numpy(dtype=np.int64)
+        order, starts, counts = _key_runs(kv, -cnt, sv)
+        rank = np.arange(len(order)) - np.repeat(starts, counts)
+        top = order[rank < k]
+        rest = np.add.reduceat(np.where(rank < k, 0, cnt[order]), starts)
+        more = counts > k
+        return pd.DataFrame({
+            key: np.r_[kv[top], kv[order[starts]][more]],
+            "category": np.r_[sv[top], np.full(more.sum(), "OTHER",
+                                               dtype=object)],
+            "cnt": np.r_[cnt[top], rest[more]],
+            "rank": np.r_[rank[rank < k] + 1,
+                          np.zeros(more.sum(), dtype=np.int64)]})
 
-    def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cnt", sub],
-                          ascending=[False, True]).reset_index(drop=True)
-        top = g.iloc[:k]
-        rows = pd.DataFrame({
-            key: top[key].to_numpy(),
-            "category": top[sub].to_numpy(),
-            "cnt": top["cnt"].to_numpy(dtype=np.int64),
-            "rank": np.arange(1, len(top) + 1, dtype=np.int64)})
-        rest = g.iloc[k:]
-        if len(rest):
-            rows = pd.concat([rows, pd.DataFrame({
-                key: [g[key].iloc[0]], "category": ["OTHER"],
-                "cnt": np.array([rest["cnt"].sum()], dtype=np.int64),
-                "rank": np.array([0], dtype=np.int64)})],
-                ignore_index=True)
-        return rows
-
-    return counts.groupby(key).map_groups(finalize,
-                                          batch_format="pandas")
+    return bucketed_map_groups(ds, [key], fold, project=partial)
 
 
 def latest_snapshot_stats(ds, key_col: str, ts_col: str, seq_col: str,
@@ -792,10 +778,11 @@ def latest_snapshot_stats(ds, key_col: str, ts_col: str, seq_col: str,
     (key, ts, seq), keep each key's last row — a batch of B changes
     shrinks to <= distinct keys before anything shuffles; at 100 TB the
     changelog is heavily key-repetitive so this is the dominant
-    reduction), then ONE hash shuffle on the key for the global argmax
-    via map_groups, then a tiny groupby on attr. Only (key, t, seq,
-    op, attr, cents) fixed-width cells ever ride the exchange —
-    payloads would join back by key afterwards in a real apply.
+    reduction), then ONE keyed exchange on the key whose fold takes every
+    key's last change with the same sort, then a tiny groupby on attr.
+    Only (key, t, seq, op, attr, cents) fixed-width cells ever ride the
+    exchange — payloads would join back by key afterwards in a real
+    apply.
     """
     from ray.data.aggregate import Count, Sum
 
@@ -803,11 +790,8 @@ def latest_snapshot_stats(ds, key_col: str, ts_col: str, seq_col: str,
         k = b[key_col].to_numpy(zero_copy_only=False)
         t = b[ts_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
         s = b[seq_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((s, t, k))            # key asc, ts, seq
-        ks = k[order]
-        last = np.flatnonzero(
-            np.concatenate([ks[1:] != ks[:-1], [True]]))
-        take = order[last]
+        order, starts, counts = _key_runs(k, t, s)
+        take = order[starts + counts - 1]
         return pa.table({
             key_col: pa.array(k[take]),
             "_t": pa.array(t[take]),
@@ -816,14 +800,14 @@ def latest_snapshot_stats(ds, key_col: str, ts_col: str, seq_col: str,
             attr_col: b[attr_col].take(pa.array(take)),
             cents_col: b[cents_col].take(pa.array(take))})
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        i = np.lexsort((g[seq_col].to_numpy(), g["_t"].to_numpy()))[-1]
-        row = g.iloc[[i]]
-        row = row[row[op_col] != delete_op]
-        return row[[attr_col, cents_col]].reset_index(drop=True)
+    def fold(g: pd.DataFrame) -> pd.DataFrame:
+        order, starts, counts = _key_runs(g[key_col].to_numpy(),
+                                          g["_t"].to_numpy(),
+                                          g[seq_col].to_numpy())
+        last = g.iloc[order[starts + counts - 1]]
+        return last.loc[last[op_col] != delete_op, [attr_col, cents_col]]
 
-    live = (ds.map_batches(compact, batch_format="pyarrow")
-            .groupby(key_col).map_groups(final, batch_format="pandas"))
+    live = bucketed_map_groups(ds, [key_col], fold, project=compact)
     out = live.groupby(attr_col).aggregate(
         Count(alias_name="n_keys"),
         Sum(cents_col, alias_name="sum_cents"))
@@ -855,32 +839,27 @@ def ordered_collect(ds, key: str, order_col: str, tie_col: str,
     """
 
     def partial(b: pa.Table) -> pa.Table:
-        kv = b[key].to_numpy(zero_copy_only=False)
-        o = b[order_col].to_numpy(zero_copy_only=False)
-        t = b[tie_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((t, o, kv))
-        ks = kv[order]
-        starts = np.flatnonzero(
-            np.concatenate([[True], ks[1:] != ks[:-1]]))
+        order, starts, counts = _key_runs(
+            *(b[c].to_numpy(zero_copy_only=False)
+              for c in (key, order_col, tie_col)))
         # rank within key group; keep rank < k
-        rank = np.arange(len(ks)) - np.repeat(
-            starts, np.diff(np.append(starts, len(ks))))
-        take = order[rank < k]
-        return pa.table({
-            key: b[key].take(pa.array(take)),
-            order_col: b[order_col].take(pa.array(take)),
-            tie_col: b[tie_col].take(pa.array(take)),
-            payload_col: b[payload_col].take(pa.array(take))})
+        rank = np.arange(len(order)) - np.repeat(starts, counts)
+        take = pa.array(order[rank < k])
+        return b.select([key, order_col, tie_col, payload_col]).take(take)
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([order_col, tie_col]).head(k)
+    def fold(g: pd.DataFrame) -> pd.DataFrame:
+        kv = g[key].to_numpy()
+        order, starts, counts = _key_runs(kv, g[order_col].to_numpy(),
+                                          g[tie_col].to_numpy())
+        n = np.minimum(counts, k)
+        pay = g[payload_col].to_numpy()[order]
         return pd.DataFrame({
-            key: [g[key].iloc[0]],
-            "n_collected": np.array([len(g)], dtype=np.int64),
-            out_name: [",".join(map(str, g[payload_col]))]})
+            key: kv[order[starts]],
+            "n_collected": n.astype(np.int64),
+            out_name: [",".join(map(str, pay[s:s + c]))
+                       for s, c in zip(starts, n)]})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby(key).map_groups(final, batch_format="pandas"))
+    return bucketed_map_groups(ds, [key], fold, project=partial)
 
 
 def unpivot(ds, id_cols: list[str], value_cols: list[str],

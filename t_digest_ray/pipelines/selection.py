@@ -48,11 +48,13 @@ def _to_cents(col: pa.ChunkedArray) -> np.ndarray:
     return np.floor(v * 100.0 + 0.5).astype(np.int64)
 
 
-def _disc_rank(q: float, n: int) -> int:
+def _disc_rank(q: float, n):
     """1-based quantile_disc rank ceil(q·n), exact: ``q`` as the nearest
-    fraction with a denominator up to 10^6."""
+    fraction with a denominator up to 10^6. ``n`` is a count, or an int64
+    array of per-key counts ranked all at once."""
     f = Fraction(q).limit_denominator()
-    return max((f.numerator * n + f.denominator - 1) // f.denominator, 1)
+    r = (f.numerator * n + f.denominator - 1) // f.denominator
+    return np.maximum(r, 1) if isinstance(r, np.ndarray) else max(r, 1)
 
 
 def selection_quantiles_by_key(ds, key: str, value: str,

@@ -23,9 +23,12 @@ one sort, one cluster pass — MergingDigest.java:314-357 semantics). The
 fold visits each key's partials in sorted byte order, so the result is a
 function of the partial rows alone, never of the order Ray delivers them.
 
-The analytics operators (windows, ``hash_bucketed_group_agg``) share the
-other exchange, ``bucketed_map_groups``: raw rows hash-bucketed on typed
-key columns, one vectorized pandas fold per bucket.
+The analytics operators share the other exchange, ``bucketed_map_groups``:
+raw rows hash-bucketed on typed key columns, one vectorized pandas fold per
+bucket. Its users are ``hash_bucketed_group_agg``, the per-user operators
+in ``pipelines/windows.py``, the undirected half of ``pipelines/graph.py``
+and ``pipelines/relational.py`` (the hash, semi/anti and band joins and
+every per-key operator there).
 """
 
 from __future__ import annotations

@@ -476,3 +476,142 @@ def test_ratio_to_report_shares_sum_close_to_unit(ray_session, rng):
     assert out["share_ppm"].sum() >= 10**6 - len(out)
     for _, r in out.iterrows():
         assert int(r["share_ppm"]) == int(r["sum_cents"]) * 10**6 // int(total)
+
+
+def test_exact_quantiles_by_key_exact_rank_vs_duckdb(ray_session):
+    """q=0.55 and q=0.07 over 1..100: ceil(q*n) in floats is 56 and 8,
+    the exact ranks are 55 and 7 (DuckDB quantile_disc)."""
+    import duckdb
+    import ray.data as rd
+
+    from t_digest_ray.pipelines.relational import exact_quantiles_by_key
+
+    df = pd.DataFrame({"k": np.zeros(100, dtype=np.int64),
+                       "v": np.random.default_rng(3).permutation(100) + 1})
+    got = exact_quantiles_by_key(rd.from_pandas(df).repartition(4), "k",
+                                 "v", qs=(0.55, 0.07)).to_pandas().iloc[0]
+    con = duckdb.connect()
+    con.register("d", df)
+    want = con.execute("SELECT quantile_disc(v, 0.55), "
+                       "quantile_disc(v, 0.07) FROM d").fetchone()
+    assert (got["p55"], got["p7"]) == want == (55, 7)
+
+
+@pytest.mark.parametrize("how", ["inner", "semi", "anti"])
+def test_hash_joins_mixed_key_widths(ray_session, how):
+    """An int32 left key meets an int64 right key: both sides are cast to
+    the resolved key type (the left's), the rows equal pandas, and the
+    output key keeps that type."""
+    import ray.data as rd
+
+    from t_digest_ray.pipelines.relational import hash_semi_anti_join
+
+    rng = np.random.default_rng(5)
+    left = pa.table({"k": pa.array(rng.integers(0, 60, 300), pa.int32()),
+                     "lv": pa.array(np.arange(300, dtype=np.int64))})
+    right = pa.table({"k": pa.array(np.r_[np.arange(40), np.arange(20)],
+                                    pa.int64()),
+                      "rv": pa.array(np.arange(60, dtype=np.int64))})
+    l_ds = rd.from_arrow(left).repartition(3)
+    r_ds = rd.from_arrow(right).repartition(2)
+    ldf, rdf = left.to_pandas(), right.to_pandas()
+    if how == "inner":
+        out = hash_join(l_ds, r_ds, "k", ["lv"], ["rv"]).materialize()
+        want = ldf.astype({"k": np.int64}).merge(rdf, on="k")
+        cols = ["k", "lv", "rv"]
+    else:
+        out = hash_semi_anti_join(l_ds, r_ds, "k", ["lv"],
+                                  anti=how == "anti").materialize()
+        hit = ldf["k"].isin(rdf["k"])
+        want = ldf[~hit if how == "anti" else hit]
+        cols = ["k", "lv"]
+    sch = out.schema()
+    assert dict(zip(sch.names, sch.types))["k"] == pa.int32()
+    got = out.to_pandas()[cols].astype(np.int64)
+    pd.testing.assert_frame_equal(
+        got.sort_values(cols).reset_index(drop=True),
+        want[cols].astype(np.int64).sort_values(cols)
+        .reset_index(drop=True))
+
+
+def test_per_key_operators_many_keys_per_bucket(ray_session):
+    """2,000 int64 keys over 7 blocks, so each bucket's fold holds many
+    keys: every per-key operator equals its DuckDB query."""
+    import duckdb
+    import ray.data as rd
+
+    from scripts.check_correctness import canon
+    from t_digest_ray.pipelines.relational import (
+        exact_quantiles_by_key, iqr_outlier_stats, latest_snapshot_stats,
+        mad_stats, ordered_collect, topk_other_rollup)
+
+    rng = np.random.default_rng(17)
+    n_keys, n = 2000, 14000
+    k = np.r_[np.arange(n_keys), rng.integers(0, n_keys, n - n_keys)]
+    df = pd.DataFrame({
+        "k": rng.permutation(k).astype(np.int64),
+        "v": rng.integers(-50, 50, n).astype(np.int64),
+        "o": rng.integers(0, 5, n).astype(np.int64),
+        "t": rng.permutation(n).astype(np.int64),
+        "p": [f"p{i % 37}" for i in range(n)],
+        "s": rng.choice(["a", "b", "c", "d", "e"], n),
+        "ts": pd.to_datetime(rng.integers(0, 50, n), unit="s"),
+        "op": rng.choice(["U", "U", "D"], n),
+        "attr": rng.choice(["x", "y", "z"], n),
+        "cents": rng.integers(0, 10**6, n).astype(np.int64)})
+    con = duckdb.connect()
+    con.register("d", df)
+
+    def ds():
+        return rd.from_pandas(df).repartition(7)
+
+    cases = {
+        "quantiles": (
+            exact_quantiles_by_key(ds(), "k", "v"),
+            "SELECT k, quantile_disc(v, 0.25)::DOUBLE p25, "
+            "quantile_disc(v, 0.5)::DOUBLE p50, "
+            "quantile_disc(v, 0.75)::DOUBLE p75 FROM d GROUP BY k"),
+        "iqr": (
+            iqr_outlier_stats(ds(), "k", "v"),
+            "WITH q AS (SELECT k, quantile_disc(v, 0.25)::DOUBLE q1, "
+            "quantile_disc(v, 0.75)::DOUBLE q3 FROM d GROUP BY k) "
+            "SELECT k, q1, q3, count(*) n_total, "
+            "count(*) FILTER (WHERE v < q1 - 1.5 * (q3 - q1) "
+            "OR v > q3 + 1.5 * (q3 - q1)) n_outliers "
+            "FROM d JOIN q USING (k) GROUP BY k, q1, q3"),
+        "mad": (
+            mad_stats(ds(), "k", "v"),
+            "WITH m AS (SELECT k, quantile_disc(v, 0.5)::DOUBLE median_v, "
+            "count(*) n FROM d GROUP BY k) "
+            "SELECT k, n, median_v, "
+            "quantile_disc(abs(v - median_v), 0.5) mad "
+            "FROM d JOIN m USING (k) GROUP BY k, n, median_v"),
+        "collect": (
+            ordered_collect(ds(), "k", "o", "t", "p", k=3),
+            "SELECT k, count(*) n_collected, "
+            "string_agg(p, ',' ORDER BY o, t) collected FROM ("
+            "SELECT *, row_number() OVER (PARTITION BY k ORDER BY o, t) rn "
+            "FROM d) WHERE rn <= 3 GROUP BY k"),
+        "snapshot": (
+            latest_snapshot_stats(ds(), "k", "ts", "t", "op", "attr",
+                                  "cents"),
+            "SELECT attr, count(*) n_keys, sum(cents)::BIGINT sum_cents "
+            "FROM (SELECT *, row_number() OVER (PARTITION BY k "
+            "ORDER BY ts DESC, t DESC) rn FROM d) "
+            "WHERE rn = 1 AND op <> 'D' GROUP BY attr"),
+        "topk": (
+            topk_other_rollup(ds(), "k", "s", k=2),
+            "WITH r AS (SELECT k, s, count(*) cnt, row_number() OVER ("
+            "PARTITION BY k ORDER BY count(*) DESC, s) rn "
+            "FROM d GROUP BY k, s) "
+            "SELECT k, s category, cnt, rn rank FROM r WHERE rn <= 2 "
+            "UNION ALL SELECT k, 'OTHER', sum(cnt)::BIGINT, 0 "
+            "FROM r WHERE rn > 2 GROUP BY k"),
+    }
+    for name, (got, sql) in cases.items():
+        want = con.execute(sql).df()
+        got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
+        if name != "snapshot":
+            assert got["k"].nunique() == n_keys, name
+        pd.testing.assert_frame_equal(canon(got), canon(want),
+                                      check_dtype=False, obj=name)
