@@ -3649,11 +3649,10 @@ def interarrival_quantiles_by_type(sf_dir: str):
 
 
 def p99_anomaly_counts(sf_dir: str):
-    """Two-pass per-type anomaly count (pipelines/stats.
-    threshold_exceed_counts): exact disc p99 cutpoint per event_type,
-    broadcast the 5 floats, then a streaming value>cut filter-count.
-    The 100-TB swap-in replaces pass 1 with a t-digest cutpoint and
-    keeps pass 2 unchanged."""
+    """Per-type anomaly count (pipelines/stats.threshold_exceed_counts):
+    exact disc p99 cutpoint per event_type and the value>cut count,
+    both in one keyed-exchange fold. The 100-TB swap-in is a t-digest
+    cutpoint broadcast into a streaming filter-count."""
     from t_digest_ray.pipelines.stats import threshold_exceed_counts
 
     ds = _read(sf_dir, "events", ["event_type", "value"])
@@ -3696,7 +3695,8 @@ def zscore_outlier_docs(sf_dir: str):
 def decile_bucket_counts(sf_dir: str):
     """Per-lang decile-bucket feature assignment audited as counts
     (pipelines/stats.quantile_bucket_counts): exact disc cutpoints per
-    lang, broadcast, bucket = #{cutpoints < x} per row (strict-< keeps
+    lang and bucket = #{cutpoints < x} per row in one keyed-exchange
+    fold (strict-< keeps
     ties from straddling, so SQL reproduces it exactly) — the
     percentile-feature / equi-depth bucketing primitive."""
     from t_digest_ray.pipelines.stats import quantile_bucket_counts
@@ -5016,9 +5016,9 @@ def pareto_frontier_events(sf_dir: str):
 
 def percent_rank_event_values(sf_dir: str):
     """Exact empirical PERCENT_RANK per distinct (event_type, value)
-    (pipelines/stats.grouped_percent_rank): per-batch value-counts
-    combine, then a per-key prefix-sum finalize over the aggregated
-    table — only value-DOMAIN-sized rows ride the shuffle, and the
+    (pipelines/stats.grouped_percent_rank): the value-count fold
+    (per-batch counts, one sum and prefix-sum finalize per bucket) —
+    only value-DOMAIN-sized rows ride the shuffle, and the
     ratio doubles are bit-identical to the SQL window oracle."""
     from t_digest_ray.pipelines.stats import grouped_percent_rank
 
@@ -5221,8 +5221,8 @@ def pearson_chars_tokens_by_lang(sf_dir: str):
 def winsorized_mean_event_values(sf_dir: str):
     """Per-type winsorized (p05/p95-clamped) sum of event value cents
     (pipelines/stats.winsorized_mean_stats): exact disc-quantile
-    cutpoints broadcast, per-item integer-cents clamp, all-integer
-    output row."""
+    cutpoints and the per-item integer-cents clamp in one keyed-exchange
+    fold, all-integer output row."""
     from t_digest_ray.pipelines.stats import winsorized_mean_stats
 
     ds = _read(sf_dir, "events", ["event_type", "value"])
@@ -5303,8 +5303,9 @@ def rfm_segment_counts_events(sf_dir: str):
 def spearman_chars_tokens_by_lang(sf_dir: str):
     """Per-lang Spearman rank correlation of n_chars vs token count,
     exact under ties (pipelines/stats.grouped_spearman): doubled
-    average ranks (2R−c+1) from broadcast domain rank maps, then the
-    bignum Pearson moment fold over integer rank pairs."""
+    average ranks (2R−c+1) from one value-count fold broadcast as domain
+    rank maps, then the bignum Pearson moment fold over integer rank
+    pairs."""
     import pyarrow.compute as pc
     from t_digest_ray.pipelines.stats import grouped_spearman
 
@@ -7090,8 +7091,8 @@ def rrf_fused_top_docs(sf_dir: str):
     """Reciprocal-rank fusion of two document rankings — by n_chars and
     by whitespace-token count (pipelines/stats.rrf_fused_topk over
     global_desc_rank): exact window ROW_NUMBERs without a global sort
-    (domain suffix-sums + per-tie co-partition), one engine hash_join
-    to fuse, per-batch local heads bound the driver pull at k*blocks.
+    (domain suffix-sums + per-tie co-partition), one keyed exchange on
+    doc_id to fuse, per-bucket local heads bound the driver pull.
     rrf = 1/(60+ra) + 1/(60+rb) in fixed IEEE order; VALUE-CHECKED
     against the double-window oracle."""
     import pyarrow.compute as pc

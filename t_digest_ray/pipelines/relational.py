@@ -6,8 +6,10 @@ primitive — groupby-aggregate, broadcast join, distinct, top-k — or the
 analytics keyed exchange, ``stages.aggregate.bucketed_map_groups``. The hash
 joins, the band join and every per-key operator (exact quantiles, IQR, MAD,
 ordered collect, CDC snapshot, top-k/OTHER) run on that exchange: each call
-folds one hash bucket of keys with one lexsort (``_key_runs``), never one
-Python call per key. ``exact_quantiles_by_key`` is the distributed port of
+folds one hash bucket of keys with one lexsort
+(``stages.aggregate._key_runs``), never one Python call per key.
+``exact_quantiles_by_key`` (through ``_cutpoints``, which
+``pipelines/stats.py`` shares) is the distributed port of
 the reference's exact oracle (Dist.java:47-60), matching DuckDB
 ``quantile_disc`` exactly: the value at 1-based rank ``ceil(q*n)`` of the
 sorted group, in integer arithmetic (``selection._disc_rank``).
@@ -20,18 +22,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.aggregate import bucketed_map_groups
+from ..stages.aggregate import _key_runs, bucketed_map_groups
 from .selection import _disc_rank
-
-
-def _key_runs(keys: np.ndarray, *by: np.ndarray):
-    """One bucket's rows sorted by ``(keys, *by)`` with one lexsort:
-    returns the row order, each key's first position in that order and
-    each key's row count."""
-    order = np.lexsort((*reversed(by), keys))
-    ks = keys[order]
-    starts = np.flatnonzero(np.r_[len(ks) > 0, ks[1:] != ks[:-1]])
-    return order, starts, np.diff(np.r_[starts, len(ks)])
 
 
 def _round_col(df: pd.DataFrame, cols, nd: int = 4) -> pd.DataFrame:
@@ -64,23 +56,48 @@ def exact_quantiles_by_key(ds, key: str, value: str,
                            qs=(0.25, 0.5, 0.75)):
     """Per-group exact quantiles (duckdb quantile_disc convention).
 
-    One keyed exchange on ``key``; each bucket sorts by (key, value) once
-    and ranks every key at once. Groups must individually fit in a
-    worker's heap — this is the exact small-scale oracle operator
-    (Dist.java port), not the sketch path.
+    One keyed exchange on ``key`` (``_cutpoints``). Groups must
+    individually fit in a worker's heap — this is the exact small-scale
+    oracle operator (Dist.java port), not the sketch path. Columns are
+    named ``p{int(100q)}``, so two q that share a name share a column.
     """
+    return _cutpoints(ds, [key], [value], qs,
+                      names=[f"p{int(q * 100)}" for q in qs])
+
+
+def _cutpoints(ds, keys, values, qs, *, project=None, names=None):
+    """Exact ``quantile_disc`` cutpoints of each ``values`` column at every
+    ``q`` of ``qs``, one row per ``keys`` value (``[key]``, or ``[]`` for
+    one global row), from one keyed exchange (``project`` runs in its
+    map) whose buckets rank every key at once (``_rank_cuts``). The
+    cutpoint columns follow (value, q) order and are named
+    ``c0, c1, ...`` unless ``names`` gives one name each."""
+    keys = list(keys)
+    names = names or [f"c{i}" for i in range(len(values) * len(qs))]
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
-        k, v = g[key].to_numpy(), g[value].to_numpy()
-        order, starts, counts = _key_runs(k, v)
-        v = v[order]
-        out = {key: k[order[starts]]}
-        for q in qs:
-            out[f"p{int(q * 100)}"] = v[
-                starts + _disc_rank(q, counts) - 1].astype(np.float64)
+        out = {}
+        for i, value in enumerate(values):
+            order, starts, _, cuts = _rank_cuts(g, keys, value, qs)
+            out.update({c: g[c].to_numpy()[order[starts]] for c in keys})
+            out.update(zip(names[i * len(qs):(i + 1) * len(qs)], cuts))
         return pd.DataFrame(out)
 
-    return bucketed_map_groups(ds, [key], fold)
+    return bucketed_map_groups(ds, keys, fold, project=project,
+                               n_buckets=None if keys else 1)
+
+
+def _rank_cuts(g: pd.DataFrame, keys, value: str, qs):
+    """One bucket's rows sorted by (``keys``, ``value``) with one lexsort
+    (``keys`` is ``[key]`` or ``[]``): the row order, each key's first
+    position and row count, and per q the float64 value at each key's
+    1-based rank ``_disc_rank(q, n)``."""
+    k = g[keys[0]].to_numpy() if keys else np.zeros(len(g), np.int8)
+    order, starts, counts = _key_runs(k, g[value].to_numpy())
+    v = g[value].to_numpy()[order]
+    return order, starts, counts, [
+        v[starts + _disc_rank(q, counts) - 1].astype(np.float64)
+        for q in qs]
 
 
 def dedup_exact(ds, content_col: str, id_col: str,

@@ -1,21 +1,32 @@
-"""Exact mergeable moment statistics and two-pass threshold analytics.
+"""Exact statistics over Ray Data: moments, ranks, cutpoints and per-key
+scans, each reproducible bit-for-bit by a DuckDB oracle.
 
-The regression / anomaly family of corpus analytics, built on the same
-partial-then-combine topology as the sketch aggregates (stages/aggregate):
-each op ships only O(groups) integer partial rows through the exchange,
-never data rows.
+Three shapes, none of which pulls data rows to the driver:
 
-- ``grouped_linear_fit``       per-key OLS fit from exact integer moments
-- ``threshold_exceed_counts``  exact per-key p-quantile cutpoint broadcast
-                               + streaming exceed-count second pass
-- ``interarrival_gaps``        per-user LAG-shaped event gaps (µs, exact)
+- Moment sums (``grouped_linear_fit``, ``grouped_pearson``,
+  ``grouped_shape_moments``, ``grouped_zscore_outliers``,
+  ``welch_t_report``, ``median_of_means``, ...): one vectorized per-batch
+  partial of integer sums, folded in Python ints so the final doubles are
+  bit-identical regardless of block arrival order.
+- Everything keyed runs on ONE exchange,
+  ``stages.aggregate.bucketed_map_groups``, with the partial computed in
+  the map that makes the rows (``project=``) and one vectorized fold per
+  hash bucket of keys, never one Python call per key:
+  ``_value_count_fold`` (per-key distinct-value counts: percent rank,
+  Gini, quantile_cont, mode, Chao1, Simpson, Spearman ranks, dense-rank
+  top values), the cutpoint fold ``relational._rank_cuts`` (exact
+  ``quantile_disc`` cutpoints; threshold, bucket and winsorize counts
+  are taken in the same bucket, RFM and PSI gather their cuts globally
+  through ``relational._cutpoints``) and the per-key scans
+  (inter-arrival gaps, CUSUM, Hill, Theil-Sen, Pareto frontier, global
+  rank), each sorting its bucket once with ``_key_runs``. Composite
+  keys are typed columns, never packed strings.
+- Broadcast second passes: a cutpoint or rank table small enough to
+  travel by closure, then a streaming vectorized filter/count.
 
-Reference parity note: the exact-moment design mirrors the reference's
-exact-oracle discipline (Dist.java computes ground truth that sketches
-are checked against); here the "sketch" analogue is a float-accumulating
-regression, and these ops ARE the exact path — integer partial sums are
-associative and overflow-checked, so the final doubles are bit-identical
-regardless of block arrival order.
+Every disc rank is ``selection._disc_rank`` (exact integer ``ceil(q*n)``),
+the rank DuckDB's ``quantile_disc`` uses (Dist.java's exact-oracle
+discipline).
 """
 
 from __future__ import annotations
@@ -23,6 +34,15 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from ..stages.aggregate import _key_runs, bucketed_map_groups
+from .relational import _cutpoints, _rank_cuts
+from .selection import _disc_rank
+
+
+def _cents(x: np.ndarray) -> np.ndarray:
+    """Money -> integer cents, floor(x*100 + 0.5) (SQL ROUND half-up)."""
+    return np.floor(x.astype(np.float64) * 100.0 + 0.5).astype(np.int64)
 
 
 def grouped_linear_fit(ds, key: str, x_col: str, y_col: str):
@@ -78,47 +98,27 @@ def grouped_linear_fit(ds, key: str, x_col: str, y_col: str):
 def threshold_exceed_counts(ds, key: str, value: str, q: float = 0.99,
                             thr_name: str = "p99",
                             count_name: str = "n_above"):
-    """Two-pass per-key anomaly count: exact disc-quantile cutpoint per
-    key (pass 1), broadcast the tiny cutpoint table, then a streaming
-    vectorized ``value > cut[key]`` filter-count (pass 2).
+    """Per-key anomaly count: the exact disc-quantile cutpoint of each key
+    and the count of its rows with ``value > cut``.
 
-    Pass 1 is the exact-oracle quantile path (per-group sort; groups
-    must fit a worker heap — same contract as exact_quantiles_by_key);
-    the 100-TB swap-in is a t-digest cutpoint with the identical pass-2.
-    Pass 2 ships only O(groups) count rows; the cutpoints travel once
-    via closure capture (a handful of floats), not per batch.
+    One keyed exchange (the exact-oracle quantile path: per-group sort,
+    groups must fit a worker heap — same contract as
+    exact_quantiles_by_key): each bucket ranks every key's sorted values
+    (``_rank_cuts``) and counts the values above the cut in the same
+    pass, so no cutpoint table travels back through the driver. The
+    100-TB swap-in is a t-digest cutpoint broadcast into a streaming
+    filter-count.
     """
-    from ray.data.aggregate import Sum
 
-    from .relational import exact_quantiles_by_key
+    def fold(g: pd.DataFrame) -> pd.DataFrame:
+        order, starts, counts, (thr,) = _rank_cuts(g, [key], value, (q,))
+        v = g[value].to_numpy(dtype=np.float64)[order]
+        above = (v > np.repeat(thr, counts)).astype(np.int64)
+        return pd.DataFrame({key: g[key].to_numpy()[order[starts]],
+                             thr_name: thr,
+                             count_name: np.add.reduceat(above, starts)})
 
-    pct = f"p{int(q * 100)}"
-    cuts = exact_quantiles_by_key(ds, key, value, qs=(q,)).to_pandas()
-    keys = cuts[key].to_numpy()
-    thr = cuts[pct].to_numpy(dtype=np.float64)
-
-    def count_above(b: pa.Table) -> pa.Table:
-        kv = b[key].to_numpy(zero_copy_only=False)
-        v = b[value].to_numpy(zero_copy_only=False).astype(np.float64)
-        codes = pd.Categorical(kv, categories=keys).codes
-        above = v > thr[codes]
-        # zero rows kept per present key: batch output schema is stable
-        # even when no value exceeds the cut in this batch
-        df = pd.DataFrame({key: kv, "partial": above.astype(np.int64)})
-        g = df.groupby(key, as_index=False, sort=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    counts = (ds.map_batches(count_above, batch_format="pyarrow")
-              .groupby(key).aggregate(Sum("partial",
-                                          alias_name=count_name)))
-
-    def attach(df: pd.DataFrame) -> pd.DataFrame:
-        codes = pd.Categorical(df[key], categories=keys).codes
-        df[thr_name] = thr[codes]
-        df[count_name] = df[count_name].astype(np.int64)
-        return df[[key, thr_name, count_name]]
-
-    return counts.map_batches(attach, batch_format="pandas")
+    return bucketed_map_groups(ds, [key], fold)
 
 
 def interarrival_gaps(ds, user_col: str, ts_col: str, tie_col: str,
@@ -128,22 +128,23 @@ def interarrival_gaps(ds, user_col: str, ts_col: str, tie_col: str,
     shape. Each gap row carries ``carry_col`` of the LATER event.
 
     Scale contract: one user's events fit a worker heap (true for web
-    event streams); the groupby shuffles each user's rows to one worker
-    once, and only (carry, gap_us) pairs leave the stage.
+    event streams); the keyed exchange sends each user's rows to one
+    bucket once, each bucket sorts by (user, ts, tie) once, and only
+    (carry, gap_us) pairs leave the stage.
     """
 
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([ts_col, tie_col], kind="stable")
-        us = g[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64)
-        if len(us) < 2:
-            return pd.DataFrame({carry_col: [], "gap_us": []}).astype(
-                {carry_col: g[carry_col].dtype, "gap_us": np.int64})
+    def fold(g: pd.DataFrame) -> pd.DataFrame:
+        ts = g[ts_col].to_numpy()
+        order, starts, _ = _key_runs(g[user_col].to_numpy(), ts,
+                                     g[tie_col].to_numpy())
+        us = ts[order].astype("datetime64[us]").astype(np.int64)
+        later = np.ones(len(order), dtype=bool)
+        later[starts] = False  # a user's first event has no gap
         return pd.DataFrame({
-            carry_col: g[carry_col].to_numpy()[1:],
-            "gap_us": np.diff(us)})
+            carry_col: g[carry_col].to_numpy()[order][later],
+            "gap_us": np.diff(us, prepend=0)[later]})
 
-    return ds.groupby(user_col).map_groups(per_user,
-                                           batch_format="pandas")
+    return bucketed_map_groups(ds, [user_col], fold)
 
 
 def grouped_zscore_outliers(ds, key: str, x_col: str, z: float = 3.0):
@@ -211,70 +212,56 @@ def grouped_zscore_outliers(ds, key: str, x_col: str, z: float = 3.0):
 def quantile_bucket_counts(ds, key: str, x_col: str,
                            qs=tuple(i / 10 for i in range(1, 10))):
     """Per-key quantile-bucket feature assignment, audited as counts:
-    exact disc cutpoints per key (pass 1), broadcast the key→cutpoints
-    table, assign each row ``bucket = #{cutpoints < x}`` vectorized
-    (pass 2), emit (key, bucket, n_rows) — the percentile-feature /
-    equi-depth bucketing primitive of ML feature pipelines.
+    exact disc cutpoints per key, each row assigned
+    ``bucket = #{cutpoints < x}``, emitted as (key, bucket, n_rows) — the
+    percentile-feature / equi-depth bucketing primitive of ML feature
+    pipelines. One keyed exchange: each bucket ranks every key's values
+    at once (``_rank_cuts``) and counts the (key, bucket) pairs.
 
     The strict-< bucket rule makes the assignment value-deterministic
     (ties never straddle), so a SQL twin counting ``x > cutpoint``
     reproduces it exactly.
     """
-    from ray.data.aggregate import Sum
 
-    from .relational import exact_quantiles_by_key
-
-    cuts = exact_quantiles_by_key(ds, key, x_col, qs=qs).to_pandas()
-    pct_cols = [f"p{int(q * 100)}" for q in qs]
-    keys = cuts[key].to_numpy()
-    cut_mat = cuts[pct_cols].to_numpy(dtype=np.float64)  # keys × len(qs)
-
-    def assign(b: pa.Table) -> pa.Table:
-        kv = b[key].to_numpy(zero_copy_only=False)
-        x = b[x_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        codes = pd.Categorical(kv, categories=keys).codes
-        # bucket = #{c < x} per row against that key's sorted cutpoints
-        row_cuts = cut_mat[codes]                      # rows × len(qs)
+    def fold(g: pd.DataFrame) -> pd.DataFrame:
+        order, starts, counts, cuts = _rank_cuts(g, [key], x_col, qs)
+        x = g[x_col].to_numpy(dtype=np.float64)[order]
+        row_cuts = np.repeat(np.column_stack(cuts), counts, axis=0)
         bucket = (row_cuts < x[:, None]).sum(axis=1).astype(np.int64)
-        df = pd.DataFrame({key: kv, "bucket": bucket})
-        df["partial"] = np.int64(1)
-        g = df.groupby([key, "bucket"], as_index=False, sort=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        df = pd.DataFrame({key: g[key].to_numpy()[order], "bucket": bucket})
+        return df.groupby([key, "bucket"], sort=False).size() \
+            .reset_index(name="n_rows")
 
-    out = (ds.map_batches(assign, batch_format="pyarrow")
-           .groupby([key, "bucket"])
-           .aggregate(Sum("partial", alias_name="n_rows")))
-
-    def fin(df: pd.DataFrame) -> pd.DataFrame:
-        df["bucket"] = df["bucket"].astype(np.int64)
-        df["n_rows"] = df["n_rows"].astype(np.int64)
-        return df
-
-    return out.map_batches(fin, batch_format="pandas")
+    return bucketed_map_groups(ds, [key], fold)
 
 
-def _frontier_mask(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Boolean mask of the 2-D Pareto frontier, maximizing both arrays.
+def _frontier_mask(x: np.ndarray, y: np.ndarray,
+                   keys: np.ndarray | None = None) -> np.ndarray:
+    """Boolean mask of the 2-D Pareto frontier, maximizing both arrays,
+    of each ``keys`` value (all rows together when ``keys`` is None).
 
-    A point survives iff no other point is >= in both coordinates and
-    strictly greater in at least one; duplicate (x, y) points all
-    survive together (neither dominates the other). Vectorized: sort by
-    (x desc, y desc), a row survives iff its y equals the max y of its
-    distinct-x group AND that max strictly exceeds the running max y of
-    every strictly-larger x.
+    A point survives iff no other point of its key is >= in both
+    coordinates and strictly greater in at least one; duplicate (x, y)
+    points all survive together (neither dominates the other).
+    Vectorized: sort by (key, x desc, y desc), a row survives iff its y
+    equals the max y of its (key, distinct-x) group AND that max strictly
+    exceeds the running max y of every strictly-larger x of the key.
     """
     n = len(x)
     if n == 0:
         return np.zeros(0, dtype=bool)
-    order = np.lexsort((-y, -x))
-    xs, ys = x[order], y[order]
-    new_x = np.empty(n, dtype=bool)
-    new_x[0] = True
-    new_x[1:] = xs[1:] != xs[:-1]
+    k = np.zeros(n, dtype=np.int8) if keys is None else keys
+    order = np.lexsort((-y, -x, k))
+    ks, xs, ys = k[order], x[order], y[order]
+    new_k = np.r_[True, ks[1:] != ks[:-1]]
+    new_x = new_k | np.r_[True, xs[1:] != xs[:-1]]
     grp = np.cumsum(new_x) - 1
-    grp_max_y = ys[np.flatnonzero(new_x)]          # ys sorted desc in-group
-    prev_max = np.concatenate(
-        ([-np.inf], np.maximum.accumulate(grp_max_y)[:-1]))
+    heads = np.flatnonzero(new_x)
+    grp_max_y = ys[heads]                          # ys sorted desc in-group
+    run_max = pd.Series(grp_max_y).groupby(
+        np.cumsum(new_k)[heads]).cummax().to_numpy()
+    prev_max = np.r_[-np.inf, run_max[:-1]]
+    prev_max[new_k[heads]] = -np.inf               # a key's largest x
     keep_sorted = (ys == grp_max_y[grp]) & (grp_max_y[grp] > prev_max[grp])
     mask = np.zeros(n, dtype=bool)
     mask[order] = keep_sorted
@@ -289,29 +276,69 @@ def grouped_pareto_frontier(ds, key: str, x_col: str, y_col: str,
     frontier(frontier(A) ∪ frontier(B)) — so every Arrow batch is first
     reduced to its local per-key frontier (O(frontier) rows out, usually
     a handful) and only those survivors ride the shuffle into the exact
-    per-key finalize. No all-pairs comparison exists anywhere; the SQL
-    equivalent's NOT EXISTS anti-join is O(n²).
+    per-key finalize (one keyed exchange; both the per-batch prune and
+    each bucket's finalize mask every key at once). No all-pairs
+    comparison exists anywhere; the SQL equivalent's NOT EXISTS
+    anti-join is O(n²).
     """
+    cols = [key, id_col, x_col, y_col]
+
     def partial(b: pa.Table) -> pa.Table:
-        kv = b[key].to_numpy(zero_copy_only=False)
-        x = b[x_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        y = b[y_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        keep = np.zeros(len(kv), dtype=bool)
-        for k in pd.unique(kv):
-            idx = np.flatnonzero(kv == k)
-            keep[idx] = _frontier_mask(x[idx], y[idx])
-        return b.select([key, id_col, x_col, y_col]).filter(
-            pa.array(keep))
+        keep = _frontier_mask(
+            b[x_col].to_numpy(zero_copy_only=False).astype(np.float64),
+            b[y_col].to_numpy(zero_copy_only=False).astype(np.float64),
+            b[key].to_numpy(zero_copy_only=False))
+        return b.select(cols).filter(pa.array(keep))
 
     def finalize(g: pd.DataFrame) -> pd.DataFrame:
         m = _frontier_mask(g[x_col].to_numpy(dtype=np.float64),
-                           g[y_col].to_numpy(dtype=np.float64))
-        out = g.loc[m, [key, id_col, x_col, y_col]]
-        return out.sort_values(id_col).reset_index(drop=True)
+                           g[y_col].to_numpy(dtype=np.float64),
+                           g[key].to_numpy())
+        return g.loc[m, cols]
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby(key)
-            .map_groups(finalize, batch_format="pandas"))
+    return bucketed_map_groups(ds, [key], finalize, project=partial)
+
+
+def _value_count_fold(ds, keys, value: str, finalize, cast=None):
+    """Per-key distinct-value counts through one keyed exchange on the
+    typed ``keys`` columns: each batch counts its (keys, value) pairs in
+    the map that reads it (``cast`` maps the value column first), and
+    each bucket sums the partial counts and calls
+    ``finalize(k, v, c, starts, n_vals, *more_keys)`` once with its pairs
+    sorted by (keys, value) — ``k`` the first key column, ``c`` the pair
+    counts, ``starts`` / ``n_vals`` each key's first pair and number of
+    distinct values, then any further key columns — to build the rows of
+    every key in the bucket at once.
+
+    Only value-DOMAIN-sized rows ride the shuffle (e.g. price cents in a
+    fixed range), never one row per input row."""
+    keys = list(keys)
+
+    def partial(b: pa.Table) -> pd.DataFrame:
+        v = b[value].to_numpy(zero_copy_only=False)
+        df = pd.DataFrame({**{c: b[c].to_numpy(zero_copy_only=False)
+                              for c in keys},
+                           value: v if cast is None else cast(v)})
+        return df.groupby([*keys, value], sort=False).size() \
+            .reset_index(name="_cnt")
+
+    def fold(g: pd.DataFrame) -> pd.DataFrame:
+        s = g.groupby([*keys, value])["_cnt"].sum()
+        _, starts, n_vals = _key_runs(pd.factorize(s.index.droplevel(-1))[0])
+        k, *more = [s.index.get_level_values(i).to_numpy()
+                    for i in range(len(keys))]
+        return finalize(k, s.index.get_level_values(-1).to_numpy(),
+                        s.to_numpy(dtype=np.int64), starts, n_vals, *more)
+
+    return bucketed_map_groups(ds, keys, fold, project=partial)
+
+
+def _within_key_below(c: np.ndarray, starts: np.ndarray,
+                      n_vals: np.ndarray) -> np.ndarray:
+    """Per sorted (key, value) pair: the rows of its key with a strictly
+    smaller value (the exclusive cumulative count within the key)."""
+    below = np.cumsum(c) - c
+    return below - np.repeat(below[starts], n_vals)
 
 
 def grouped_percent_rank(ds, key: str, value: str,
@@ -322,39 +349,20 @@ def grouped_percent_rank(ds, key: str, value: str,
     the SQL window PERCENT_RANK() carried by every row of that value
     (0.0 when the key has a single row, matching the standard).
 
-    Scale shape: per-batch (key, value) value-counts combine before the
-    exchange, so only distinct-value rows ride the shuffle — bounded by
-    the value DOMAIN (e.g. price cents in a fixed range), not the row
-    count — and the prefix-sum finalize runs per key on that aggregated
-    table. Both divisions are int-exact doubles (counts < 2^53), so the
-    floats are bit-identical to the SQL window oracle.
+    Scale shape: the value-count fold (``_value_count_fold``); the
+    prefix-sum finalize runs over each bucket's aggregated table. Both
+    divisions are int-exact doubles (counts < 2^53), so the floats are
+    bit-identical to the SQL window oracle.
     """
-    from ray.data.aggregate import Sum
 
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({key: b[key].to_numpy(zero_copy_only=False),
-                           value: b[value].to_numpy(zero_copy_only=False)})
-        g = df.groupby([key, value], as_index=False, sort=False).size()
-        g = g.rename(columns={"size": "partial"})
-        g["partial"] = g["partial"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def finalize(k, v, c, starts, n_vals):
+        n = np.repeat(np.add.reduceat(c, starts), n_vals)
+        pr = np.zeros(len(c), dtype=np.float64)
+        np.divide(_within_key_below(c, starts, n_vals).astype(np.float64),
+                  (n - 1).astype(np.float64), out=pr, where=n > 1)
+        return pd.DataFrame({key: k, value: v, cnt_name: c, pr_name: pr})
 
-    counts = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby([key, value])
-              .aggregate(Sum("partial", alias_name=cnt_name)))
-
-    def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(value).reset_index(drop=True)
-        cnt = g[cnt_name].to_numpy(dtype=np.int64)
-        below = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-        n = int(cnt.sum())
-        pr = (below.astype(np.float64) / float(n - 1)
-              if n > 1 else np.zeros(len(g), dtype=np.float64))
-        g[cnt_name] = cnt
-        g[pr_name] = pr
-        return g[[key, value, cnt_name, pr_name]]
-
-    return counts.groupby(key).map_groups(finalize, batch_format="pandas")
+    return _value_count_fold(ds, [key], value, finalize)
 
 
 def grouped_gini(ds, key: str, value: str,
@@ -368,48 +376,31 @@ def grouped_gini(ds, key: str, value: str,
     a run of c equal values v ending at cumulative rank R contributes
     v*c*(2R - c + 1) to 2*Σ(i*x_i).
 
-    Scale shape: per-batch cents value-counts combine first, so only
-    value-DOMAIN-sized rows ride the shuffle; the finalize folds Python
-    bignums (no int64 overflow at any scale) and emits one row per key.
-    The two final divisions convert the same exact integers to double
-    on both engines, so the float is bit-identical to the HUGEINT SQL
-    oracle.
+    Scale shape: the cents value-count fold; the finalize sums Python
+    bignums (no int64 overflow at any scale) for every key of a bucket
+    at once. The two final divisions convert the same exact integers to
+    double on both engines, so the float is bit-identical to the HUGEINT
+    SQL oracle.
     """
-    from ray.data.aggregate import Sum
 
-    def partial(b: pa.Table) -> pa.Table:
-        x = b[value].to_numpy(zero_copy_only=False).astype(np.float64)
-        cents = np.floor(x * 100.0 + 0.5).astype(np.int64)
-        df = pd.DataFrame({key: b[key].to_numpy(zero_copy_only=False),
-                           "cents": cents})
-        g = df.groupby([key, "cents"], as_index=False, sort=False).size()
-        g = g.rename(columns={"size": "partial"})
-        g["partial"] = g["partial"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def finalize(k, v, c, starts, n_vals):
+        vo, co = v.astype(object), c.astype(object)
+        s = np.add.reduceat(vo * co, starts)
+        two_ranksum = np.add.reduceat(        # 2R - c + 1 = 2*below + c + 1
+            vo * co * (2 * _within_key_below(c, starts, n_vals) + c + 1),
+            starts)
+        n = np.add.reduceat(c, starts)
+        ok = s != 0                                    # n > 0 always
+        gini = np.zeros(len(starts), dtype=np.float64)
+        gini[ok] = (two_ranksum[ok].astype(np.float64)
+                    / (n[ok] * s[ok]).astype(np.float64)
+                    - (n[ok] + 1).astype(np.float64)
+                    / n[ok].astype(np.float64))
+        return pd.DataFrame({key: k[starts], "n": n,
+                             "sum_cents": s.astype(np.int64),
+                             out_name: gini})
 
-    counts = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby([key, "cents"])
-              .aggregate(Sum("partial", alias_name="cnt")))
-
-    def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("cents")
-        v = [int(x) for x in g["cents"]]
-        c = [int(x) for x in g["cnt"]]
-        n = sum(c)
-        s = sum(ci * vi for ci, vi in zip(c, v))
-        two_ranksum = 0
-        r = 0
-        for ci, vi in zip(c, v):
-            r += ci
-            two_ranksum += vi * ci * (2 * r - ci + 1)
-        gini = (float(two_ranksum) / float(n * s)
-                - float(n + 1) / float(n)) if n > 0 and s != 0 else 0.0
-        return pd.DataFrame({key: [g[key].iloc[0]],
-                             "n": np.array([n], dtype=np.int64),
-                             "sum_cents": np.array([s], dtype=np.int64),
-                             out_name: np.array([gini], dtype=np.float64)})
-
-    return counts.groupby(key).map_groups(finalize, batch_format="pandas")
+    return _value_count_fold(ds, [key], value, finalize, cast=_cents)
 
 
 def grouped_quantile_cont(ds, key: str, value: str,
@@ -424,43 +415,28 @@ def grouped_quantile_cont(ds, key: str, value: str,
     reference's Dist.java/t-digest quantile() path uses between
     centroids).
 
-    Scale shape: identical to grouped_percent_rank — per-batch
-    value-counts combine, only value-DOMAIN-sized rows on the shuffle,
-    per-key O(distinct) finalize.
+    Scale shape: identical to grouped_percent_rank — the value-count
+    fold, every key of a bucket interpolated at once.
     """
-    from ray.data.aggregate import Sum
 
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({key: b[key].to_numpy(zero_copy_only=False),
-                           value: b[value].to_numpy(zero_copy_only=False)})
-        g = df.groupby([key, value], as_index=False, sort=False).size()
-        g = g.rename(columns={"size": "partial"})
-        g["partial"] = g["partial"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby([key, value])
-              .aggregate(Sum("partial", alias_name="cnt")))
-
-    def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(value)
-        v = g[value].to_numpy(dtype=np.float64)
-        cum = np.cumsum(g["cnt"].to_numpy(dtype=np.int64))
-        n = int(cum[-1])
-        row = {key: [g[key].iloc[0]], "n": np.array([n], dtype=np.int64)}
+    def finalize(k, v, c, starts, n_vals):
+        v = v.astype(np.float64)
+        cum = np.cumsum(c)              # strictly increasing: c >= 1
+        base = cum[starts] - c[starts]  # rows of the bucket's earlier keys
+        n = np.add.reduceat(c, starts)
+        row = {key: k[starts], "n": n}
         for q in qs:
             h = (n - 1) * float(q)
-            lo = int(np.floor(h))
+            lo = np.floor(h).astype(np.int64)
             frac = h - lo
-            j_lo = int(np.searchsorted(cum, lo + 1, side="left"))
-            j_hi = int(np.searchsorted(cum, min(lo + 1, n - 1) + 1,
-                                       side="left"))
-            val = v[j_lo] * (1.0 - frac) + v[j_hi] * frac
-            row[f"cq{int(round(q * 100)):02d}"] = np.array(
-                [val], dtype=np.float64)
+            j_lo = np.searchsorted(cum, base + lo + 1, side="left")
+            j_hi = np.searchsorted(cum, base + np.minimum(lo + 1, n - 1) + 1,
+                                   side="left")
+            row[f"cq{int(round(q * 100)):02d}"] = (
+                v[j_lo] * (1.0 - frac) + v[j_hi] * frac)
         return pd.DataFrame(row)
 
-    return counts.groupby(key).map_groups(finalize, batch_format="pandas")
+    return _value_count_fold(ds, [key], value, finalize)
 
 
 def benford_first_digit_counts(ds, key: str, value: str):
@@ -474,8 +450,7 @@ def benford_first_digit_counts(ds, key: str, value: str):
     from ray.data.aggregate import Sum
 
     def partial(b: pa.Table) -> pa.Table:
-        x = b[value].to_numpy(zero_copy_only=False).astype(np.float64)
-        cents = np.floor(x * 100.0 + 0.5).astype(np.int64)
+        cents = _cents(b[value].to_numpy(zero_copy_only=False))
         kv = b[key].to_numpy(zero_copy_only=False)
         keep = cents > 0
         first = (pd.Series(cents[keep]).astype(str).str[0]
@@ -500,33 +475,15 @@ def benford_first_digit_counts(ds, key: str, value: str):
 def grouped_mode(ds, key: str, value: str):
     """Deterministic per-key MODE: the most frequent value, ties broken
     by smallest value — plus its count and the key's distinct-value
-    count. Runs on the domain-sized aggregated (key, value, count)
-    table; one row per key comes out of the finalize.
+    count. Runs on the value-count fold; one row per key comes out.
     """
-    from ray.data.aggregate import Sum
 
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({key: b[key].to_numpy(zero_copy_only=False),
-                           value: b[value].to_numpy(zero_copy_only=False)})
-        g = df.groupby([key, value], as_index=False, sort=False).size()
-        g = g.rename(columns={"size": "partial"})
-        g["partial"] = g["partial"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def finalize(k, v, c, starts, n_vals):
+        best = np.lexsort((v, -c, k))[starts]  # count desc, value asc
+        return pd.DataFrame({key: k[starts], "mode_value": v[best],
+                             "mode_count": c[best], "n_distinct": n_vals})
 
-    counts = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby([key, value])
-              .aggregate(Sum("partial", alias_name="cnt")))
-
-    def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cnt", value], ascending=[False, True])
-        return pd.DataFrame({
-            key: [g[key].iloc[0]],
-            "mode_value": [g[value].iloc[0]],
-            "mode_count": np.array([g["cnt"].iloc[0]], dtype=np.int64),
-            "n_distinct": np.array([len(g)], dtype=np.int64),
-        })
-
-    return counts.groupby(key).map_groups(finalize, batch_format="pandas")
+    return _value_count_fold(ds, [key], value, finalize)
 
 
 def grouped_pearson(ds, key: str, x_col: str, y_col: str):
@@ -621,59 +578,27 @@ def grouped_pearson(ds, key: str, x_col: str, y_col: str):
 def winsorized_mean_stats(ds, key: str, value: str,
                           q_lo: float = 0.05, q_hi: float = 0.95):
     """Per-key winsorized sum/count of a money column: exact
-    disc-quantile cutpoints (pass 1, broadcast — same contract as
-    threshold_exceed_counts), then every value clamped to
-    [cut_lo, cut_hi] in integer-cents space and summed exactly
-    (pass 2). Output: n, n_clamped, winsorized_sum_cents — the robust
-    mean is the exact ratio, left to the consumer so the row stays
-    all-integer.
+    disc-quantile cutpoints, then every value clamped to
+    [cut_lo, cut_hi] in integer-cents space and summed exactly, both in
+    the same bucket fold of one keyed exchange (same contract as
+    threshold_exceed_counts). Output: n, n_clamped,
+    winsorized_sum_cents — the robust mean is the exact ratio, left to
+    the consumer so the row stays all-integer.
     """
-    from ray.data.aggregate import Sum
 
-    from .relational import exact_quantiles_by_key
+    def fold(g: pd.DataFrame) -> pd.DataFrame:
+        order, starts, counts, (lo, hi) = _rank_cuts(g, [key], value,
+                                                     (q_lo, q_hi))
+        v = g[value].to_numpy(dtype=np.float64)[order]
+        lo, hi = np.repeat(lo, counts), np.repeat(hi, counts)
+        clamped = np.minimum(np.maximum(_cents(v), _cents(lo)), _cents(hi))
+        was = ((v < lo) | (v > hi)).astype(np.int64)
+        return pd.DataFrame({
+            key: g[key].to_numpy()[order[starts]], "n": counts,
+            "n_clamped": np.add.reduceat(was, starts),
+            "winsorized_sum_cents": np.add.reduceat(clamped, starts)})
 
-    cuts = exact_quantiles_by_key(ds, key, value,
-                                  qs=(q_lo, q_hi)).to_pandas()
-    lo_name = f"p{int(q_lo * 100)}"
-    hi_name = f"p{int(q_hi * 100)}"
-    keys = cuts[key].to_numpy()
-    lo = cuts[lo_name].to_numpy(dtype=np.float64)
-    hi = cuts[hi_name].to_numpy(dtype=np.float64)
-    lo_c = np.floor(lo * 100.0 + 0.5).astype(np.int64)
-    hi_c = np.floor(hi * 100.0 + 0.5).astype(np.int64)
-
-    def clamp_sum(b: pa.Table) -> pa.Table:
-        kv = b[key].to_numpy(zero_copy_only=False)
-        v = b[value].to_numpy(zero_copy_only=False).astype(np.float64)
-        cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        codes = pd.Categorical(kv, categories=keys).codes
-        if (codes < 0).any():
-            # Fail loudly (ADVICE r4): a key absent from the pass-1
-            # cutpoint table would otherwise index lo_c[-1]/hi_c[-1]
-            # and silently clamp with the wrong key's bounds.
-            missing = sorted(set(kv[codes < 0]))[:5]
-            raise ValueError(
-                f"winsorized_mean_stats: keys {missing} seen in pass 2 "
-                "but absent from the pass-1 cutpoint table")
-        clamped = np.minimum(np.maximum(cents, lo_c[codes]), hi_c[codes])
-        was = ((v < lo[codes]) | (v > hi[codes])).astype(np.int64)
-        df = pd.DataFrame({key: kv, "n": np.int64(1),
-                           "n_clamped": was,
-                           "winsorized_sum_cents": clamped})
-        g = df.groupby(key, as_index=False, sort=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    cols = ["n", "n_clamped", "winsorized_sum_cents"]
-    out = (ds.map_batches(clamp_sum, batch_format="pyarrow")
-           .groupby(key)
-           .aggregate(*[Sum(c, alias_name=c) for c in cols]))
-
-    def fin(df: pd.DataFrame) -> pd.DataFrame:
-        for c in cols:
-            df[c] = df[c].astype(np.int64)
-        return df
-
-    return out.map_batches(fin, batch_format="pandas")
+    return bucketed_map_groups(ds, [key], fold)
 
 
 def welch_t_report(ds, key: str, value: str, group_a, group_b):
@@ -692,8 +617,7 @@ def welch_t_report(ds, key: str, value: str, group_a, group_b):
 
     def partial(b: pa.Table) -> pa.Table:
         kv = b[key].to_numpy(zero_copy_only=False)
-        x = b[value].to_numpy(zero_copy_only=False).astype(np.float64)
-        cents = np.floor(x * 100.0 + 0.5).astype(np.int64)
+        cents = _cents(b[value].to_numpy(zero_copy_only=False))
         rows = {"grp": [], "n": [], "s": [], "ss": []}
         for name, grp in (("a", group_a), ("b", group_b)):
             m = kv == grp
@@ -744,60 +668,39 @@ def rfm_segment_counts(ds, user_col: str, ts_col: str, value: str):
 
     Scale shape: the per-user rollup is one vectorized hash aggregate
     (O(users) rows, the unavoidable width of any per-user feature);
-    quartiles run distributed over that table via the exact disc
-    quantile path; the 9 cutpoints broadcast by closure into a combine
-    pass that ships only bucket-triple counts.
+    the 9 quartile cutpoints come from ONE global gather of that table
+    (``_cutpoints`` with no key; the exact-path contract: the gathered
+    table must fit a worker heap, the 100-TB swap-in is a sketch
+    cutpoint) and broadcast by closure into a combine pass that ships
+    only bucket-triple counts.
     """
-    from ray.data.aggregate import Count, Max, Sum
+    import pyarrow.compute as pc
+    from ray.data.aggregate import Sum
+
+    from ..stages.aggregate import hash_bucketed_group_agg
+    from ..stages.partitioning import cheap_row_count
+
+    metrics = ("rec", "freq", "mon")
+    qs = (0.25, 0.5, 0.75)
 
     def project(b: pa.Table) -> pa.Table:
-        ts = b[ts_col].combine_chunks()
-        import pyarrow.compute as pc
-        ts_us = pc.cast(ts, pa.int64())
-        x = b[value].to_numpy(zero_copy_only=False).astype(np.float64)
-        cents = np.floor(x * 100.0 + 0.5).astype(np.int64)
-        return pa.table({user_col: b[user_col],
-                         "ts_us": ts_us,
-                         "cents": pa.array(cents)})
+        return pa.table({
+            user_col: b[user_col],
+            "ts_us": pc.cast(b[ts_col].combine_chunks(), pa.int64()),
+            "cents": pa.array(_cents(
+                b[value].to_numpy(zero_copy_only=False)))})
 
-    users = (ds.map_batches(project, batch_format="pyarrow")
-             .groupby(user_col)
-             .aggregate(Max("ts_us", alias_name="rec"),
-                        Count(alias_name="freq"),
-                        Sum("cents", alias_name="mon")))
-
-    def add_g(b: pa.Table) -> pa.Table:
-        return b.append_column("g", pa.array(["g"] * len(b)))
-
-    ug = users.map_batches(add_g, batch_format="pyarrow")
-
-    # ONE global-gather pass computes all nine cutpoints (disc
-    # convention, same as exact_quantiles_by_key — which documents the
-    # exact-path contract: the gathered group must fit a worker heap;
-    # the 100-TB swap-in is a sketch cutpoint with identical pass 2).
-    import math as _math
-
-    def all_cuts(g: pd.DataFrame) -> pd.DataFrame:
-        row = {}
-        n = len(g)
-        for metric in ("rec", "freq", "mon"):
-            v = np.sort(g[metric].to_numpy())
-            for q in (0.25, 0.5, 0.75):
-                idx = max(int(_math.ceil(q * n)) - 1, 0)
-                row[f"{metric}_p{int(q * 100)}"] = [float(v[idx])]
-        return pd.DataFrame(row)
-
-    c = (ug.groupby("g").map_groups(all_cuts, batch_format="pandas")
-         .to_pandas())
-    cuts = {metric: np.array([c[f"{metric}_p25"][0],
-                              c[f"{metric}_p50"][0],
-                              c[f"{metric}_p75"][0]], dtype=np.float64)
-            for metric in ("rec", "freq", "mon")}
+    users = hash_bucketed_group_agg(
+        ds.map_batches(project, batch_format="pyarrow"), [user_col],
+        {"rec": ("ts_us", "max"), "freq": ("ts_us", "count"),
+         "mon": ("cents", "sum")}, n_rows=cheap_row_count(ds)).materialize()
+    cuts = dict(zip(metrics, _cutpoints(users, [], metrics, qs).to_pandas()
+                    .iloc[0].to_numpy(dtype=np.float64).reshape(3, -1)))
 
     def bucketize(b: pa.Table) -> pa.Table:
         out = {}
-        for metric, name in (("rec", "r_bucket"), ("freq", "f_bucket"),
-                             ("mon", "m_bucket")):
+        for metric, name in zip(metrics,
+                                ("r_bucket", "f_bucket", "m_bucket")):
             x = b[metric].to_numpy(zero_copy_only=False).astype(
                 np.float64)
             out[name] = (x[:, None] > cuts[metric][None, :]).sum(
@@ -808,10 +711,9 @@ def rfm_segment_counts(ds, user_col: str, ts_col: str, value: str):
                        as_index=False, sort=False).sum()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    from ray.data.aggregate import Sum as _Sum
     out = (users.map_batches(bucketize, batch_format="pyarrow")
            .groupby(["r_bucket", "f_bucket", "m_bucket"])
-           .aggregate(_Sum("partial", alias_name="n_users")))
+           .aggregate(Sum("partial", alias_name="n_users")))
 
     def fin(df: pd.DataFrame) -> pd.DataFrame:
         for c in ("r_bucket", "f_bucket", "m_bucket", "n_users"):
@@ -828,41 +730,34 @@ def grouped_spearman(ds, key: str, x_col: str, y_col: str):
     uses), and Pearson is computed over the integer rank pairs (rank
     scaling cancels), reusing grouped_pearson's bignum moment fold.
 
-    Scale shape: pass 1 aggregates the per-key value DOMAIN for x and y
-    (value-counts combine, domain-sized tables to the driver), builds
-    the rank maps, and broadcasts them by closure; pass 2 attaches the
-    doubled ranks vectorized (searchsorted) and folds six integer
-    moments. Doubles are bit-identical to the HUGEINT window-function
-    SQL oracle.
+    Scale shape: pass 1 aggregates the per-key value DOMAIN of x and y
+    in ONE value-count fold on the typed (key, axis) columns
+    (domain-sized tables to the driver), builds the rank maps, and
+    broadcasts them by closure; pass 2 attaches the doubled ranks
+    vectorized (searchsorted) and folds six integer moments. Doubles are
+    bit-identical to the HUGEINT window-function SQL oracle.
     """
-    from ray.data.aggregate import Sum
 
-    def rank_map(col):
-        def partial(b: pa.Table) -> pa.Table:
-            df = pd.DataFrame({
-                key: b[key].to_numpy(zero_copy_only=False),
-                col: b[col].to_numpy(zero_copy_only=False)
-                .astype(np.int64)})
-            g = df.groupby([key, col], as_index=False, sort=False).size()
-            g = g.rename(columns={"size": "partial"})
-            g["partial"] = g["partial"].astype(np.int64)
-            return pa.Table.from_pandas(g, preserve_index=False)
+    def stack(b: pa.Table) -> pa.Table:   # x rows (_axis 0), y rows (1)
+        kv = b[key].to_numpy(zero_copy_only=False)
+        return pa.table({
+            key: np.concatenate([kv, kv]),
+            "_axis": np.repeat(np.int8([0, 1]), len(kv)),
+            "_v": np.concatenate([
+                b[c].to_numpy(zero_copy_only=False).astype(np.int64)
+                for c in (x_col, y_col)])})
 
-        dom = (ds.map_batches(partial, batch_format="pyarrow")
-               .groupby([key, col])
-               .aggregate(Sum("partial", alias_name="cnt"))
-               .to_pandas())
-        maps = {}
-        for k, g in dom.groupby(key):
-            g = g.sort_values(col)
-            c = g["cnt"].to_numpy(dtype=np.int64)
-            cum = np.cumsum(c)
-            dr = 2 * cum - c + 1   # doubled average rank per value
-            maps[k] = (g[col].to_numpy(dtype=np.int64), dr)
-        return maps
+    def finalize(k, v, c, starts, n_vals, axis):
+        return pd.DataFrame({
+            key: k, "_axis": axis, "_v": v,
+            "dr": 2 * _within_key_below(c, starts, n_vals) + c + 1})
 
-    mx = rank_map(x_col)
-    my = rank_map(y_col)
+    dom = _value_count_fold(ds.map_batches(stack, batch_format="pyarrow"),
+                            [key, "_axis"], "_v", finalize).to_pandas()
+    mx, my = {}, {}
+    for (k, axis), g in dom.groupby([key, "_axis"]):
+        (my if axis else mx)[k] = (g["_v"].to_numpy(dtype=np.int64),
+                                   g["dr"].to_numpy(dtype=np.int64))
 
     def attach(b: pa.Table) -> pa.Table:
         kv = b[key].to_numpy(zero_copy_only=False)
@@ -893,40 +788,38 @@ def cusum_alarm_counts(ds, key: str, ts_col: str, tie_col: str,
         alarm at i when CUSUM_i > h
 
     Output per key: n_rows, n_alarms, max_cusum — all int64, replayed
-    exactly by a SUM/MIN window-function SQL twin. Scale shape: per-key
-    co-location via the sort-based map_groups (the sequential scan is
-    inherent to CUSUM; the per-key vectorized cumsum/accumulate does no
-    per-row Python), one 3-int row per key out.
+    exactly by a SUM/MIN window-function SQL twin. Scale shape: one
+    keyed exchange; each bucket sorts by (key, ts, tie) once and scans
+    every key with segmented cumulative sums/minima (the sequential scan
+    is inherent to CUSUM; no per-row Python), one 3-int row per key out.
     """
     import pyarrow.compute as pc
 
     def project(b: pa.Table) -> pa.Table:
-        x = b[value].to_numpy(zero_copy_only=False).astype(np.float64)
-        cents = np.floor(x * 100.0 + 0.5).astype(np.int64)
         return pa.table({key: b[key],
                          "ts_us": pc.cast(b[ts_col].combine_chunks(),
                                           pa.int64()),
                          tie_col: b[tie_col],
-                         "cents": pa.array(cents)})
+                         "cents": pa.array(_cents(
+                             b[value].to_numpy(zero_copy_only=False)))})
 
     def scan(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts_us", tie_col], kind="stable")
-        c = g["cents"].to_numpy(dtype=np.int64)
-        s = np.cumsum(c - np.int64(drift_cents))
-        run_min = np.minimum.accumulate(np.minimum(s, 0))
-        cusum = s - run_min
+        k = g[key].to_numpy()
+        order, starts, counts = _key_runs(k, g["ts_us"].to_numpy(),
+                                          g[tie_col].to_numpy())
+        seg = np.repeat(np.arange(len(starts)), counts)
+        c = g["cents"].to_numpy(dtype=np.int64)[order]
+        s = pd.Series(c - np.int64(drift_cents)).groupby(seg).cumsum()
+        run_min = np.minimum(s, 0).groupby(seg).cummin()
+        cusum = (s - run_min).to_numpy()
         return pd.DataFrame({
-            key: [g[key].iloc[0]],
-            "n_rows": np.array([len(c)], dtype=np.int64),
-            "n_alarms": np.array([(cusum > h_cents).sum()],
-                                 dtype=np.int64),
-            "max_cusum": np.array([cusum.max() if len(c) else 0],
-                                  dtype=np.int64),
-        })
+            key: k[order[starts]],
+            "n_rows": counts,
+            "n_alarms": np.add.reduceat(
+                (cusum > h_cents).astype(np.int64), starts),
+            "max_cusum": np.maximum.reduceat(cusum, starts)})
 
-    return (ds.map_batches(project, batch_format="pyarrow")
-            .groupby(key)
-            .map_groups(scan, batch_format="pandas"))
+    return bucketed_map_groups(ds, [key], scan, project=project)
 
 
 def top_distinct_value_rows(ds, key: str, value: str, id_col: str,
@@ -934,27 +827,19 @@ def top_distinct_value_rows(ds, key: str, value: str, id_col: str,
     """DENSE_RANK semantics: every row whose value is among the top-k
     DISTINCT values of its key (ties all included — the complement of
     the ROW_NUMBER top-n operator). The per-key top-k value sets come
-    from the domain-sized value-counts aggregate and broadcast by
+    from the domain-sized value-count fold and broadcast by
     closure into a pure per-batch membership filter — no row-level
     shuffle at all.
     """
-    from ray.data.aggregate import Sum
 
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({key: b[key].to_numpy(zero_copy_only=False),
-                           value: b[value].to_numpy(zero_copy_only=False)
-                           .astype(np.int64)})
-        g = df.groupby([key, value], as_index=False, sort=False).size()
-        g = g.rename(columns={"size": "partial"})
-        g["partial"] = g["partial"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def finalize(kv, v, c, starts, n_vals):
+        rank = np.arange(len(v)) - np.repeat(starts, n_vals)  # value asc
+        top = rank >= np.repeat(n_vals - k, n_vals)
+        return pd.DataFrame({key: kv[top], value: v[top]})
 
-    dom = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby([key, value])
-           .aggregate(Sum("partial", alias_name="cnt"))
-           .to_pandas())
-    tops = {kk: set(g[value].nlargest(k))
-            for kk, g in dom.groupby(key)}
+    dom = _value_count_fold(ds, [key], value, finalize,
+                            cast=lambda v: v.astype(np.int64)).to_pandas()
+    tops = {kk: set(g[value]) for kk, g in dom.groupby(key)}
 
     def filt(b: pa.Table) -> pa.Table:
         kv = b[key].to_numpy(zero_copy_only=False)
@@ -970,8 +855,10 @@ def top_distinct_value_rows(ds, key: str, value: str, id_col: str,
 def psi_bin_report(ds, key: str, value: str, ref_group, cmp_group,
                    n_bins: int = 10):
     """Population-stability-index drift report between two key groups,
-    binned by the REFERENCE group's exact decile cutpoints (strict-<
-    rule, same as quantile_bucket_counts). Output one row per bin:
+    binned by the REFERENCE group's exact ``quantile_disc`` cutpoints
+    at q = 1/n_bins, ..., (n_bins-1)/n_bins (one global gather,
+    ``_cutpoints``; strict-< rule, same as quantile_bucket_counts).
+    Output one row per bin:
     reference and comparison counts plus that bin's PSI term
         (p − q) * ln(p / q),  p = ref share, q = cmp share
     (0.0 when either count is zero — documented convention; the total
@@ -989,23 +876,8 @@ def psi_bin_report(ds, key: str, value: str, ref_group, cmp_group,
         m = pa.array(b[key].to_numpy(zero_copy_only=False) == ref_group)
         return b.select([value]).filter(m)
 
-    def gather_cuts(g: pd.DataFrame) -> pd.DataFrame:
-        import math as _m
-        v = np.sort(g[value].to_numpy(dtype=np.float64))
-        n = len(v)
-        return pd.DataFrame({f"c{i}": [float(
-            v[max(int(_m.ceil(q * n)) - 1, 0)])]
-            for i, q in enumerate(qs)})
-
-    def add_g(b: pa.Table) -> pa.Table:
-        return b.append_column("g", pa.array(["g"] * len(b)))
-
-    cdf = (ds.map_batches(ref_vals, batch_format="pyarrow")
-           .map_batches(add_g, batch_format="pyarrow")
-           .groupby("g").map_groups(gather_cuts, batch_format="pandas")
-           .to_pandas())
-    cuts = np.array([cdf[f"c{i}"][0] for i in range(len(qs))],
-                    dtype=np.float64)
+    cuts = _cutpoints(ds, [], [value], qs, project=ref_vals).to_pandas() \
+        .iloc[0].to_numpy(dtype=np.float64)
 
     def bucketize(b: pa.Table) -> pa.Table:
         kv = b[key].to_numpy(zero_copy_only=False)
@@ -1066,8 +938,7 @@ def neyman_allocation(ds, stratum: str, value: str, total_n: int):
     import math
 
     def partial(b: pa.Table) -> pa.Table:
-        x = b[value].to_numpy(zero_copy_only=False).astype(np.float64)
-        cents = np.floor(x * 100.0 + 0.5).astype(np.int64)
+        cents = _cents(b[value].to_numpy(zero_copy_only=False))
         df = pd.DataFrame({stratum: b[stratum]
                            .to_numpy(zero_copy_only=False)})
         df["n"] = np.int64(1)
@@ -1372,68 +1243,50 @@ def hill_tail_index(ds, key: str, value: str, k: int = 100):
     value / length distributions. Zero- and negative-cent rows are
     excluded (ln requires positive support).
 
-    Scale shape: per-batch per-key local top-(k+1) prune (vectorized
-    partition), so at most (k+1)·batches rows per key ride the
-    exchange; the per-key fold takes the global top-(k+1). Boundary
-    ties are harmless — the top-k MULTISET is unique even when the
-    rank order is not. The ln sum folds in rank order (value desc);
-    the SQL twin replays it with ROW_NUMBER + SUM(... ORDER BY rk)."""
+    Scale shape: per-batch per-key local top-(k+1) prune (one sort), so
+    at most (k+1)·batches rows per key ride the one keyed exchange; each
+    key's first row also carries the batch's positive-row count, so the
+    exact count needs no second pass. Each bucket sorts once and takes
+    every key's global top-(k+1). Boundary ties are harmless — the
+    top-k MULTISET is unique even when the rank order is not. The ln sum
+    folds in rank order (value desc); the SQL twin replays it with
+    ROW_NUMBER + SUM(... ORDER BY rk)."""
     import math
 
-    def partial(b: pa.Table) -> pa.Table:
-        x = b[value].to_numpy(zero_copy_only=False).astype(np.float64)
-        cents = np.floor(x * 100.0 + 0.5).astype(np.int64)
-        kv = b[key].to_numpy(zero_copy_only=False)
+    def partial(b: pa.Table) -> pd.DataFrame:
+        cents = _cents(b[value].to_numpy(zero_copy_only=False))
         keep = cents > 0
-        df = pd.DataFrame({key: kv[keep], "cts": cents[keep]})
-        # local top-(k+1) per key: sort once, take group heads
-        df = df.sort_values([key, "cts"], ascending=[True, False])
-        df = df.groupby(key, sort=False).head(k + 1)
-        df["n_pos"] = np.int64(1)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    # exact positive-row count per key must NOT be pruned: aggregate it
-    # separately from the pruned top rows (the prune drops counts).
-    from ray.data.aggregate import Sum
-
-    def count_partial(b: pa.Table) -> pa.Table:
-        x = b[value].to_numpy(zero_copy_only=False).astype(np.float64)
-        cents = np.floor(x * 100.0 + 0.5).astype(np.int64)
-        kv = b[key].to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({key: kv[cents > 0]})
-        g = df.groupby(key, as_index=False, sort=False).size()
-        return pa.table({key: pa.array(g[key]),
-                         "n_pos": pa.array(g["size"].to_numpy(np.int64))})
-
-    counts = (ds.map_batches(count_partial, batch_format="pyarrow")
-              .groupby(key).aggregate(Sum("n_pos", alias_name="n_pos"))
-              .to_pandas())
-    n_pos = {r[key]: int(r["n_pos"]) for _, r in counts.iterrows()}
+        kv, cts = b[key].to_numpy(zero_copy_only=False)[keep], cents[keep]
+        order, starts, counts = _key_runs(kv, -cts)
+        rank = np.arange(len(order)) - np.repeat(starts, counts)
+        n_pos = np.zeros(len(order), dtype=np.int64)
+        n_pos[starts] = counts
+        top = rank <= k
+        return pd.DataFrame({key: kv[order][top], "cts": cts[order][top],
+                             "n_pos": n_pos[top]})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
-        kv = g[key].iloc[0]
-        top = np.sort(g["cts"].to_numpy(np.int64))[::-1][:k + 1]
-        npos = n_pos.get(kv, len(top))
-        k_eff = min(k, npos - 1)
-        if k_eff < 1:
-            return pd.DataFrame({
-                key: [kv], "n_pos": np.array([npos], dtype=np.int64),
-                "k_eff": np.array([0], dtype=np.int64),
-                "x_boundary_cents": np.array([0], dtype=np.int64),
-                "hill_inv_alpha": [0.0]})
-        s = 0.0
-        for i in range(k_eff):
-            s += math.log(float(top[i]))
-        xb = int(top[k_eff])
-        inv = s / float(k_eff) - math.log(float(xb))
-        return pd.DataFrame({
-            key: [kv], "n_pos": np.array([npos], dtype=np.int64),
-            "k_eff": np.array([k_eff], dtype=np.int64),
-            "x_boundary_cents": np.array([xb], dtype=np.int64),
-            "hill_inv_alpha": [inv]})
+        kv = g[key].to_numpy()
+        cts = g["cts"].to_numpy(dtype=np.int64)
+        order, starts, counts = _key_runs(kv, -cts)
+        n_pos = np.add.reduceat(g["n_pos"].to_numpy(dtype=np.int64)[order],
+                                starts)
+        cts = cts[order]
+        k_eff = np.minimum(k, n_pos - 1)        # n_pos >= 1
+        xb = np.zeros(len(starts), dtype=np.int64)
+        inv = np.zeros(len(starts), dtype=np.float64)
+        for i in np.flatnonzero(k_eff):
+            top = cts[starts[i]:starts[i] + k_eff[i] + 1]
+            s = 0.0
+            for x in top[:-1]:
+                s += math.log(float(x))
+            xb[i] = top[-1]
+            inv[i] = s / float(k_eff[i]) - math.log(float(xb[i]))
+        return pd.DataFrame({key: kv[order[starts]], "n_pos": n_pos,
+                             "k_eff": k_eff, "x_boundary_cents": xb,
+                             "hill_inv_alpha": inv})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby(key).map_groups(fold, batch_format="pandas"))
+    return bucketed_map_groups(ds, [key], fold, project=partial)
 
 
 def grouped_shape_moments(ds, key: str, value: str):
@@ -1538,7 +1391,7 @@ def median_of_means(ds, id_col: str, key: str, value: str,
     (deterministic, layout-invariant — same mixer as the train/test
     split), each bucket's mean is the exact-integer cents sum over its
     exact count (ONE double divide), and the estimate is the
-    quantile_disc-convention median (index max(ceil(m/2)-1, 0)) of the
+    quantile_disc-convention median (rank ``_disc_rank(0.5, m)``) of the
     present buckets' means — the classic heavy-tail-robust estimator
     (Nemirovsky-Yudin; Lerasle-Oliveira survey).
 
@@ -1546,8 +1399,6 @@ def median_of_means(ds, id_col: str, key: str, value: str,
     Output: (key, n_rows, n_buckets_used, mom_mean) — bit-identical to
     the UHUGEINT-mixer DuckDB oracle computing the same expression.
     """
-    import math
-
     from ray.data.aggregate import Sum
 
     from ..functions.hashing import splitmix64
@@ -1555,8 +1406,7 @@ def median_of_means(ds, id_col: str, key: str, value: str,
     def partial(b: pa.Table) -> pa.Table:
         ids = b[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
         bucket = (splitmix64(ids) % np.uint64(n_buckets)).astype(np.int64)
-        v = b[value].to_numpy(zero_copy_only=False).astype(np.float64)
-        cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
+        cents = _cents(b[value].to_numpy(zero_copy_only=False))
         df = pd.DataFrame({key: b[key].to_numpy(zero_copy_only=False),
                            "bucket": bucket, "n": np.int64(1),
                            "s": cents})
@@ -1573,11 +1423,10 @@ def median_of_means(ds, id_col: str, key: str, value: str,
         means = np.sort(grp["s"].to_numpy(np.float64)
                         / grp["n"].to_numpy(np.float64))
         m = len(means)
-        idx = max(math.ceil(0.5 * m) - 1, 0)
         rows.append({key: k,
                      "n_rows": np.int64(int(grp["n"].sum())),
                      "n_buckets_used": np.int64(m),
-                     "mom_mean": float(means[idx])})
+                     "mom_mean": float(means[_disc_rank(0.5, m) - 1])})
     return pd.DataFrame(rows)
 
 
@@ -1592,81 +1441,80 @@ def theil_sen_by_key(ds, key: str, x_col: str, y_col: str, id_col: str,
     scale-safe: it is a fixed constant regardless of key size.
 
     Distributed shape: per-batch partial top-m (smallest ids) shrinks
-    the shuffle to ≤ m rows per key per block; the per-key fold sorts
-    the ≤ m survivors and enumerates C(m,2) pairs vectorized. Pairs
-    with equal x are skipped (vertical). Slope = lower-median
-    (quantile_disc: index ceil(n/2)−1) of the pairwise-slope doubles;
-    intercept = lower-median of the per-row residuals y − slope·x under
-    that slope — both single fixed IEEE expressions, so DuckDB replays
-    them bit-for-bit from the same capped sample.
+    the shuffle to ≤ m rows per key per block; one keyed exchange, each
+    bucket sorts by (key, id) once and each key enumerates the C(m,2)
+    pairs of its ≤ m survivors vectorized. Pairs with equal x are
+    skipped (vertical). Slope = lower-median (quantile_disc, rank
+    ``_disc_rank(0.5, n)``) of the pairwise-slope doubles; intercept =
+    lower-median of the per-row residuals y − slope·x under that slope —
+    both single fixed IEEE expressions, so DuckDB replays them
+    bit-for-bit from the same capped sample.
 
     Returns one row per key: n_used, n_pairs, ts_slope, ts_intercept
     (slope/intercept 0.0 when every pair is vertical)."""
-    import math
 
-    def partial(b: pa.Table) -> pa.Table:
+    def partial(b: pa.Table) -> pd.DataFrame:
         df = pd.DataFrame({
             key: b[key].to_numpy(zero_copy_only=False),
             "_id": b[id_col].to_numpy(zero_copy_only=False),
             "_x": b[x_col].to_numpy(zero_copy_only=False),
             "_y": b[y_col].to_numpy(zero_copy_only=False)})
-        kept = (df.sort_values("_id", kind="stable")
+        return (df.sort_values("_id", kind="stable")
                 .groupby(key, sort=False).head(m))
-        return pa.Table.from_pandas(kept, preserve_index=False)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("_id", kind="stable").head(m)
-        x = g["_x"].to_numpy(dtype=np.float64)
-        y = g["_y"].to_numpy(dtype=np.float64)
-        n = len(x)
-        i, j = np.triu_indices(n, k=1)
-        dx = x[j] - x[i]
-        keep = dx != 0.0
-        slopes = (y[j][keep] - y[i][keep]) / dx[keep]
-        n_pairs = int(keep.sum())
-        if n_pairs:
-            s = np.sort(slopes)
-            slope = float(s[max(int(math.ceil(0.5 * n_pairs)) - 1, 0)])
-            r = np.sort(y - slope * x)
-            inter = float(r[max(int(math.ceil(0.5 * n)) - 1, 0)])
-        else:
-            slope, inter = 0.0, 0.0
-        return pd.DataFrame({
-            key: [g[key].iloc[0]],
-            "n_used": pd.Series([n], dtype=np.int64),
-            "n_pairs": pd.Series([n_pairs], dtype=np.int64),
-            "ts_slope": [slope],
-            "ts_intercept": [inter]})
+        kv = g[key].to_numpy()
+        order, starts, counts = _key_runs(kv, g["_id"].to_numpy())
+        xs = g["_x"].to_numpy(dtype=np.float64)[order]
+        ys = g["_y"].to_numpy(dtype=np.float64)[order]
+        n_used = np.minimum(counts, m)
+        n_pairs = np.zeros(len(starts), dtype=np.int64)
+        slope = np.zeros(len(starts), dtype=np.float64)
+        inter = np.zeros(len(starts), dtype=np.float64)
+        for t, (lo, n) in enumerate(zip(starts, n_used)):
+            x, y = xs[lo:lo + n], ys[lo:lo + n]
+            i, j = np.triu_indices(n, k=1)
+            dx = x[j] - x[i]
+            keep = dx != 0.0
+            n_pairs[t] = keep.sum()
+            if n_pairs[t]:
+                s = np.sort((y[j][keep] - y[i][keep]) / dx[keep])
+                slope[t] = s[_disc_rank(0.5, n_pairs[t]) - 1]
+                r = np.sort(y - slope[t] * x)
+                inter[t] = r[_disc_rank(0.5, n) - 1]
+        return pd.DataFrame({key: kv[order[starts]], "n_used": n_used,
+                             "n_pairs": n_pairs, "ts_slope": slope,
+                             "ts_intercept": inter})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby(key).map_groups(fold, batch_format="pandas")
-            .to_pandas())
+    return bucketed_map_groups(ds, [key], fold, project=partial).to_pandas()
 
 
 def global_desc_rank(ds, value: str, id_col: str):
     """Exact global ROW_NUMBER over (``value`` DESC, ``id`` ASC)
     without a global sort: the value-DOMAIN count table (bounded by
     distinct values, not rows — the percent_rank contract) yields each
-    value's greater-than prefix via one broadcast suffix-sum, and a
-    per-value co-partition assigns within-tie positions by id order.
+    value's greater-than prefix via one broadcast suffix-sum, and one
+    keyed exchange on the value assigns within-tie positions by id order
+    (each bucket sorts by (value, id) once).
     Returns a Dataset (id_col, r) with r exactly the window
     ROW_NUMBER."""
     from ray.data.aggregate import Count
 
     counts = (ds.groupby(value).aggregate(Count(alias_name="c"))
-              .to_pandas().sort_values(value, ascending=False))
+              .to_pandas().sort_values(value))
+    vals = counts[value].to_numpy()
     c = counts["c"].to_numpy(dtype=np.int64)
-    gt = np.concatenate(([0], np.cumsum(c)[:-1]))
-    gt_map = dict(zip(counts[value].tolist(), gt.tolist()))
+    gt = c.sum() - np.cumsum(c)        # rows with a strictly larger value
 
-    def per_val(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(id_col, kind="stable").reset_index(drop=True)
-        base = int(gt_map[g[value].iloc[0]])
-        return pd.DataFrame({
-            id_col: g[id_col],
-            "r": (base + np.arange(len(g)) + 1).astype(np.int64)})
+    def fold(g: pd.DataFrame) -> pd.DataFrame:
+        v, ids = g[value].to_numpy(), g[id_col].to_numpy()
+        order, starts, n_ties = _key_runs(v, ids)
+        tie_pos = np.arange(len(order)) - np.repeat(starts, n_ties)
+        base = gt[np.searchsorted(vals, v[order])]
+        return pd.DataFrame({id_col: ids[order],
+                             "r": (base + tie_pos + 1).astype(np.int64)})
 
-    return ds.groupby(value).map_groups(per_val, batch_format="pandas")
+    return bucketed_map_groups(ds, [value], fold)
 
 
 def rrf_fused_topk(ds, id_col: str, value_a: str, value_b: str,
@@ -1675,41 +1523,31 @@ def rrf_fused_topk(ds, id_col: str, value_a: str, value_b: str,
     rankings (value_a DESC, id) and (value_b DESC, id):
     ``rrf = 1/(rrf_k + r_a) + 1/(rrf_k + r_b)`` in that fixed IEEE
     order, top-k by (rrf DESC, id ASC). Ranks come from
-    global_desc_rank (no global sort); the fuse is one engine
-    hash_join on id; the top-k folds per-batch local heads so only
-    k·blocks candidate rows reach the driver."""
-    import pyarrow as _pa
+    global_desc_rank (no global sort); the fuse is one keyed exchange on
+    id over the union of both rank tables (the id keeps the input's
+    type), each bucket joins its ids and keeps its local top-k, so only
+    k·buckets candidate rows reach the driver."""
 
-    from .relational import hash_join
+    def ranked(col: str, side: int):
+        def tag(b: pa.Table) -> pa.Table:
+            return pa.table({id_col: b[id_col], "r": b["r"],
+                             "side": pa.array(np.full(b.num_rows, side,
+                                                      dtype=np.int8))})
+        return global_desc_rank(ds.select_columns([id_col, col]), col,
+                                id_col).map_batches(tag,
+                                                    batch_format="pyarrow")
 
-    ra = global_desc_rank(ds.select_columns([id_col, value_a]),
-                          value_a, id_col)
-    rb = (global_desc_rank(ds.select_columns([id_col, value_b]),
-                           value_b, id_col)
-          .map_batches(lambda b: _pa.table({id_col: b[id_col],
-                                            "rb": b["r"]}),
-                       batch_format="pyarrow"))
-    ra = ra.map_batches(lambda b: _pa.table({id_col: b[id_col],
-                                             "ra": b["r"]}),
-                        batch_format="pyarrow")
-    joined = hash_join(ra, rb, on=id_col, left_cols=["ra"],
-                       right_cols=["rb"],
-                       types={id_col: _pa.int64(), "ra": _pa.int64(),
-                              "rb": _pa.int64()})
-
-    def local_head(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({id_col: b[id_col].to_numpy(
-            zero_copy_only=False),
-            "ra": b["ra"].to_numpy(zero_copy_only=False),
-            "rb": b["rb"].to_numpy(zero_copy_only=False)})
+    def fuse(g: pd.DataFrame) -> pd.DataFrame:
+        a = g.loc[g["side"] == 0, [id_col, "r"]].rename(columns={"r": "ra"})
+        b = g.loc[g["side"] == 1, [id_col, "r"]].rename(columns={"r": "rb"})
+        df = a.merge(b, on=id_col)
         df["rrf"] = (1.0 / (rrf_k + df["ra"].to_numpy())
                      + 1.0 / (rrf_k + df["rb"].to_numpy()))
-        df = df.sort_values(["rrf", id_col],
-                            ascending=[False, True]).head(k)
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return df.sort_values(["rrf", id_col],
+                              ascending=[False, True]).head(k)
 
-    cand = joined.map_batches(local_head,
-                              batch_format="pyarrow").to_pandas()
+    cand = bucketed_map_groups(ranked(value_a, 0).union(ranked(value_b, 1)),
+                               [id_col], fuse).to_pandas()
     out = (cand.sort_values(["rrf", id_col], ascending=[False, True])
            .head(k).reset_index(drop=True))
     out["ra"] = out["ra"].astype(np.int64)
@@ -1730,8 +1568,9 @@ def hour_anova(ds, key: str, ts_col: str, value: str) -> pd.DataFrame:
         r2_ppm          = (U − ssw)·10⁶ // U           (0 if U = 0)
 
     All divisions are floors on non-negative integers (Python // ==
-    DuckDB HUGEINT //). Per-(key, hour) partials ride the exchange as
-    n / s1 int64 plus the second moment as TWO int64 limbs
+    DuckDB HUGEINT //). Per-(key, hour) partials, grouped on the typed
+    key and hour columns, ride the exchange as n / s1 int64 plus the
+    second moment as TWO int64 limbs
     (hi·2⁶² + lo — the grouped_pearson overflow discipline, ADVICE r4);
     the driver fold runs Python bignums, the oracle HUGEINT."""
     from ray.data.aggregate import Sum
@@ -1740,15 +1579,12 @@ def hour_anova(ds, key: str, ts_col: str, value: str) -> pd.DataFrame:
 
     def partial(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-        v = b[value].to_numpy(zero_copy_only=False).astype(np.float64)
-        cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
+        cents = _cents(b[value].to_numpy(zero_copy_only=False))
         ts = b[ts_col].combine_chunks()
         us = pc.cast(pc.cast(ts, pa.timestamp("us")),
                      pa.int64()).to_numpy(zero_copy_only=False)
-        hour = (us // 3_600_000_000) % 24
-        k = b[key].to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({"ck": np.char.add(
-            np.char.add(k.astype(str), "|"), hour.astype(str))})
+        df = pd.DataFrame({key: b[key].to_numpy(zero_copy_only=False),
+                           "hour": (us // 3_600_000_000) % 24})
         df["n"] = np.int64(1)
         df["s1"] = cents
         amax = int(np.abs(cents).max()) if len(cents) else 0
@@ -1758,18 +1594,19 @@ def hour_anova(ds, key: str, ts_col: str, value: str) -> pd.DataFrame:
             co = cents.astype(object)
             sq = co * co
         df["sq"] = sq
-        g = df.groupby("ck", as_index=False, sort=False).sum()
+        g = df.groupby([key, "hour"], as_index=False, sort=False).sum()
         hi = np.array([int(x) // _LIMB for x in g["sq"]],
                       dtype=np.int64)
         lo = np.array([int(x) % _LIMB for x in g["sq"]],
                       dtype=np.int64)
-        return pa.table({"ck": pa.array(g["ck"], type=pa.string()),
+        return pa.table({key: pa.array(g[key]),
+                         "hour": pa.array(g["hour"].astype(np.int64)),
                          "n": pa.array(g["n"].astype(np.int64)),
                          "s1": pa.array(g["s1"].astype(np.int64)),
                          "hi": pa.array(hi), "lo": pa.array(lo)})
 
     agg = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("ck")
+           .groupby([key, "hour"])
            .aggregate(Sum("n", alias_name="n"),
                       Sum("s1", alias_name="s1"),
                       Sum("hi", alias_name="hi"),
@@ -1778,8 +1615,7 @@ def hour_anova(ds, key: str, ts_col: str, value: str) -> pd.DataFrame:
 
     SCALE = 10**6
     rows = []
-    agg["key"] = agg["ck"].str.rsplit("|", n=1).str[0]
-    for kval, g in agg.groupby("key", sort=True):
+    for kval, g in agg.groupby(key, sort=True):
         n_h = [int(x) for x in g["n"]]
         s1_h = [int(x) for x in g["s1"]]
         s2_h = [int(h) * _LIMB + int(lo)
@@ -1819,9 +1655,9 @@ def bootstrap_mean_ci(ds, key: str, id_col: str, value: str,
     in UHUGEINT and the disc-quantile pick.
 
     Returns per key: n_rows, mean_cents (exact-int double), ci_lo /
-    ci_hi (2.5% / 97.5% disc quantiles of the replicate means)."""
-    import math
-
+    ci_hi (2.5% / 97.5% disc quantiles of the replicate means). The
+    partials are grouped on the typed (key, rep) columns; rep -1 carries
+    each key's point totals."""
     from ray.data.aggregate import Sum
 
     from ..functions.hashing import splitmix64
@@ -1844,12 +1680,12 @@ def bootstrap_mean_ci(ds, key: str, id_col: str, value: str,
             m = k == kv
             wm = w[m]
             rows.append(pd.DataFrame({
-                "kb": [f"{kv}|{r}" for r in range(n_reps)],
+                key: kv, "rep": np.arange(n_reps, dtype=np.int64),
                 "nw": wm.sum(axis=0),
                 "sw": (wm * cents[m, None]).sum(axis=0),
                 "n": np.int64(0), "s": np.int64(0)}))
-            rows.append(pd.DataFrame({
-                "kb": [f"{kv}|point"],
+            rows.append(pd.DataFrame({          # rep -1: the point totals
+                key: [kv], "rep": [np.int64(-1)],
                 "nw": [np.int64(0)], "sw": [np.int64(0)],
                 "n": [np.int64(int(m.sum()))],
                 "s": [np.int64(int(cents[m].sum()))]}))
@@ -1857,27 +1693,26 @@ def bootstrap_mean_ci(ds, key: str, id_col: str, value: str,
                                     preserve_index=False)
 
     agg = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("kb")
+           .groupby([key, "rep"])
            .aggregate(Sum("nw", alias_name="nw"),
                       Sum("sw", alias_name="sw"),
                       Sum("n", alias_name="n"),
                       Sum("s", alias_name="s"))
            .to_pandas())
-    agg[["kv", "rep"]] = agg["kb"].str.rsplit("|", n=1, expand=True)
 
     rows = []
-    for kv, g in agg.groupby("kv", sort=True):
-        pt = g[g["rep"] == "point"]
+    for kv, g in agg.groupby(key, sort=True):
+        pt = g[g["rep"] == -1]
         n = int(pt["n"].iloc[0])
         s = int(pt["s"].iloc[0])
         means = np.sort(np.array(
             [float(int(sw)) / float(int(nw))
-             for nw, sw in zip(g.loc[g["rep"] != "point", "nw"],
-                               g.loc[g["rep"] != "point", "sw"])
+             for nw, sw in zip(g.loc[g["rep"] >= 0, "nw"],
+                               g.loc[g["rep"] >= 0, "sw"])
              if int(nw) > 0]))
         nb = len(means)
-        lo = means[max(int(math.ceil(0.025 * nb)) - 1, 0)]
-        hi = means[max(int(math.ceil(0.975 * nb)) - 1, 0)]
+        lo = means[_disc_rank(0.025, nb) - 1]
+        hi = means[_disc_rank(0.975, nb) - 1]
         rows.append({key: kv, "n_rows": n,
                      "mean_cents": float(s) / float(n),
                      "ci_lo": float(lo), "ci_hi": float(hi)})
@@ -1984,41 +1819,21 @@ def chao1_richness(ds, key: str, item_col: str) -> pd.DataFrame:
     DISTINCT items exist beyond the ones observed, from the abundance
     of rare items:  chao1 = D + f1·(f1−1) / (2·(f2+1))  (the
     bias-corrected form, defined even when f2 = 0). Exact integer
-    abundance counts ride the exchange (item-domain-sized aggregate);
-    the closing expression is one fixed float op both engines share.
-    Returns per key: n_obs (D), f1, f2, chao1_milli (×1000 floor —
-    all-integer output)."""
-    from ray.data.aggregate import Count, Sum
+    abundance counts come from the value-count fold (item-domain-sized
+    rows on the exchange); the closing expression is Python-int floor
+    math both engines share. Returns per key: n_obs (D), f1, f2,
+    chao1_milli (×1000 floor — all-integer output)."""
 
-    def pair_partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            key: b[key].to_numpy(zero_copy_only=False),
-            "item": b[item_col].to_numpy(zero_copy_only=False)})
-        g = (df.groupby([key, "item"], as_index=False, sort=False)
-             .size().rename(columns={"size": "c"}))
-        g["c"] = g["c"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def finalize(k, v, c, starts, n_vals):
+        f1 = np.add.reduceat((c == 1).astype(np.int64), starts)
+        f2 = np.add.reduceat((c == 2).astype(np.int64), starts)
+        f1o = f1.astype(object)
+        chao_milli = n_vals * 1000 + f1o * (f1o - 1) * 1000 // (2 * (f2 + 1))
+        return pd.DataFrame({key: k[starts], "n_obs": n_vals, "f1": f1,
+                             "f2": f2,
+                             "chao1_milli": chao_milli.astype(np.int64)})
 
-    abundance = (ds.map_batches(pair_partial, batch_format="pyarrow")
-                 .groupby([key, "item"])
-                 .aggregate(Sum("c", alias_name="c")))
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        c = g["c"].to_numpy(dtype=np.int64)
-        D = len(c)
-        f1 = int((c == 1).sum())
-        f2 = int((c == 2).sum())
-        chao_milli = (D * 1000
-                      + f1 * (f1 - 1) * 1000 // (2 * (f2 + 1)))
-        return pd.DataFrame({
-            key: [g[key].iloc[0]],
-            "n_obs": pd.Series([D], dtype=np.int64),
-            "f1": pd.Series([f1], dtype=np.int64),
-            "f2": pd.Series([f2], dtype=np.int64),
-            "chao1_milli": pd.Series([chao_milli], dtype=np.int64)})
-
-    return abundance.groupby(key).map_groups(fold,
-                                             batch_format="pandas")
+    return _value_count_fold(ds, [key], item_col, finalize)
 
 
 def simpson_diversity(ds, key: str, item_col: str) -> pd.DataFrame:
@@ -2026,35 +1841,18 @@ def simpson_diversity(ds, key: str, item_col: str) -> pd.DataFrame:
     λ = Σ c_i(c_i−1) / (N(N−1)), the probability two draws WITHOUT
     replacement are the same item — reported as exact floor-ppm
     integers along with Gini-Simpson diversity 10⁶−λ_ppm. The
-    abundance aggregate (item-domain-sized) is the only exchange;
-    every closing op is integer floor math shared with the oracle."""
-    from ray.data.aggregate import Sum
+    value-count fold (item-domain-sized) is the only exchange; every
+    closing op is Python-int floor math shared with the oracle."""
 
-    def pair_partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            key: b[key].to_numpy(zero_copy_only=False),
-            "item": b[item_col].to_numpy(zero_copy_only=False)})
-        g = (df.groupby([key, "item"], as_index=False, sort=False)
-             .size().rename(columns={"size": "c"}))
-        g["c"] = g["c"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def finalize(k, v, c, starts, n_vals):
+        co = c.astype(object)
+        num = np.add.reduceat(co * (co - 1), starts)
+        n = np.add.reduceat(co, starts)
+        lam = np.where(n > 1, num * 10**6 // np.maximum(n * (n - 1), 1), 0)
+        return pd.DataFrame({key: k[starts], "n_rows": n.astype(np.int64),
+                             "n_items": n_vals,
+                             "simpson_ppm": lam.astype(np.int64),
+                             "gini_simpson_ppm": (10**6 - lam)
+                             .astype(np.int64)})
 
-    abundance = (ds.map_batches(pair_partial, batch_format="pyarrow")
-                 .groupby([key, "item"])
-                 .aggregate(Sum("c", alias_name="c")))
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        c = [int(x) for x in g["c"]]
-        N = sum(c)
-        num = sum(x * (x - 1) for x in c)
-        lam = (num * 10**6 // (N * (N - 1))) if N > 1 else 0
-        return pd.DataFrame({
-            key: [g[key].iloc[0]],
-            "n_rows": pd.Series([N], dtype=np.int64),
-            "n_items": pd.Series([len(c)], dtype=np.int64),
-            "simpson_ppm": pd.Series([lam], dtype=np.int64),
-            "gini_simpson_ppm": pd.Series([10**6 - lam],
-                                          dtype=np.int64)})
-
-    return abundance.groupby(key).map_groups(fold,
-                                             batch_format="pandas")
+    return _value_count_fold(ds, [key], item_col, finalize)

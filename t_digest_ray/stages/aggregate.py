@@ -25,10 +25,12 @@ function of the partial rows alone, never of the order Ray delivers them.
 
 The analytics operators share the other exchange, ``bucketed_map_groups``:
 raw rows hash-bucketed on typed key columns, one vectorized pandas fold per
-bucket. Its users are ``hash_bucketed_group_agg``, the per-user operators
-in ``pipelines/windows.py``, the undirected half of ``pipelines/graph.py``
-and ``pipelines/relational.py`` (the hash, semi/anti and band joins and
-every per-key operator there).
+bucket, most of them sorting the bucket once with ``_key_runs``. Its users
+are ``hash_bucketed_group_agg``, the per-user operators in
+``pipelines/windows.py``, the undirected half of ``pipelines/graph.py``,
+``pipelines/relational.py`` (the hash, semi/anti and band joins and every
+per-key operator there) and ``pipelines/stats.py`` (the value-count and
+cutpoint folds and every per-key scan there).
 """
 
 from __future__ import annotations
@@ -276,6 +278,16 @@ def _arrow(t) -> pa.Table:
         t = pa.Table.from_pandas(t, preserve_index=False)
         t = t.replace_schema_metadata()
     return t
+
+
+def _key_runs(keys: np.ndarray, *by: np.ndarray):
+    """One bucket's rows sorted by ``(keys, *by)`` with one lexsort:
+    returns the row order, each key's first position in that order and
+    each key's row count."""
+    order = np.lexsort((*reversed(by), keys))
+    ks = keys[order]
+    starts = np.flatnonzero(np.r_[len(ks) > 0, ks[1:] != ks[:-1]])
+    return order, starts, np.diff(np.r_[starts, len(ks)])
 
 
 def bucketed_map_groups(ds, keys, fn, *, project=None,

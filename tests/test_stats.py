@@ -60,6 +60,84 @@ def test_grouped_linear_fit_partition_invariant(ray_session):
                                   b.reset_index(drop=True))
 
 
+def _layout_ops():
+    """Operator -> call over (events, documents) Datasets, for every
+    operator on the keyed exchange."""
+    from t_digest_ray.pipelines import stats as st
+    from t_digest_ray.pipelines.relational import exact_quantiles_by_key
+
+    e, d = "event_type", "lang"
+    return {
+        "threshold_exceed_counts": lambda ev, dc:
+            st.threshold_exceed_counts(ev, e, "value", q=0.9),
+        "interarrival_gaps": lambda ev, dc: st.interarrival_gaps(
+            ev, "user_id", "ts", "event_id", e),
+        "quantile_bucket_counts": lambda ev, dc:
+            st.quantile_bucket_counts(ev, e, "value"),
+        "grouped_pareto_frontier": lambda ev, dc:
+            st.grouped_pareto_frontier(ev, e, "value", "user_id",
+                                       "event_id"),
+        "grouped_percent_rank": lambda ev, dc: st.grouped_percent_rank(
+            ev, e, "value"),
+        "grouped_gini": lambda ev, dc: st.grouped_gini(ev, e, "value"),
+        "grouped_quantile_cont": lambda ev, dc: st.grouped_quantile_cont(
+            ev, e, "value"),
+        "grouped_mode": lambda ev, dc: st.grouped_mode(ev, e, "value"),
+        "winsorized_mean_stats": lambda ev, dc: st.winsorized_mean_stats(
+            ev, e, "value"),
+        "rfm_segment_counts": lambda ev, dc: st.rfm_segment_counts(
+            ev, "user_id", "ts", "value"),
+        "grouped_spearman": lambda ev, dc: st.grouped_spearman(
+            dc, d, "n_chars", "n_words"),
+        "cusum_alarm_counts": lambda ev, dc: st.cusum_alarm_counts(
+            ev, e, "ts", "event_id", "value", 5000, 20000),
+        "top_distinct_value_rows": lambda ev, dc:
+            st.top_distinct_value_rows(dc, d, "n_chars", "doc_id"),
+        "psi_bin_report": lambda ev, dc: st.psi_bin_report(
+            ev, e, "value", "click", "view"),
+        "hill_tail_index": lambda ev, dc: st.hill_tail_index(
+            ev, e, "value", k=20),
+        "theil_sen_by_key": lambda ev, dc: st.theil_sen_by_key(
+            dc, d, "n_chars", "n_words", "doc_id"),
+        "global_desc_rank": lambda ev, dc: st.global_desc_rank(
+            dc, "n_words", "doc_id"),
+        "rrf_fused_topk": lambda ev, dc: st.rrf_fused_topk(
+            dc, "doc_id", "n_chars", "n_words"),
+        "hour_anova": lambda ev, dc: st.hour_anova(ev, e, "ts", "value"),
+        "bootstrap_mean_ci": lambda ev, dc: st.bootstrap_mean_ci(
+            ev, e, "event_id", "value", n_reps=20),
+        "chao1_richness": lambda ev, dc: st.chao1_richness(
+            ev, e, "user_id"),
+        "simpson_diversity": lambda ev, dc: st.simpson_diversity(
+            ev, e, "user_id"),
+        "exact_quantiles_by_key": lambda ev, dc: exact_quantiles_by_key(
+            ev, e, "value"),
+    }
+
+
+@pytest.mark.parametrize("op", list(_layout_ops()))
+def test_keyed_ops_partition_invariant(ray_session, events_df, op):
+    """The same rows split into 1 and 7 blocks give identical canonical
+    frames (exact integer / fixed-order float folds everywhere)."""
+    import ray.data as rd
+
+    docs = pq.read_table(DOCS, columns=["doc_id", "lang", "n_chars",
+                                        "text"]).to_pandas()
+    docs["n_words"] = docs["text"].str.split().str.len().astype(np.int64)
+    docs = docs.drop(columns="text")
+    run = _layout_ops()[op]
+
+    def frame(n_blocks: int) -> pd.DataFrame:
+        out = run(rd.from_pandas(events_df).repartition(n_blocks),
+                  rd.from_pandas(docs).repartition(n_blocks))
+        out = out if isinstance(out, pd.DataFrame) else out.to_pandas()
+        assert len(out)
+        out = out[sorted(out.columns)]
+        return out.sort_values(list(out.columns)).reset_index(drop=True)
+
+    pd.testing.assert_frame_equal(frame(1), frame(7))
+
+
 def test_threshold_exceed_counts_matches_pandas(ray_session, events_df):
     import math
 
@@ -555,3 +633,184 @@ def test_simpson_diversity_hand(ray_session):
     assert int(out.loc["a", "simpson_ppm"]) == 10**6
     assert int(out.loc["b", "simpson_ppm"]) == 0
     assert int(out.loc["b", "gini_simpson_ppm"]) == 10**6
+
+
+# ------------------------------------------------------------------
+# DuckDB-checked exact ranks, typed composite keys and layout
+# invariance of the keyed-exchange operators.
+
+def _duck(sql: str, **tables) -> pd.DataFrame:
+    import duckdb
+
+    con = duckdb.connect()
+    for name, df in tables.items():
+        con.register(name, df)
+    return con.execute(sql).fetchdf()
+
+
+def _canon(df: pd.DataFrame) -> pd.DataFrame:
+    df = df[sorted(df.columns)]
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def test_psi_bin_report_cutpoints_match_duckdb_quantile_disc(ray_session):
+    """n_bins=20 over reference values 1..100: the q=0.55 cutpoint is 55
+    (a float rank ceil(0.55*100) would pick 56), so bin 10 holds
+    exactly the five reference values 51..55."""
+    import ray.data as rd
+
+    from t_digest_ray.pipelines.stats import psi_bin_report
+
+    df = pd.DataFrame({"k": ["ref"] * 100 + ["cmp"] * 60,
+                       "value": np.r_[np.arange(1, 101),
+                                      np.arange(1, 121, 2)]
+                       .astype(np.float64)})
+    got = psi_bin_report(rd.from_pandas(df).repartition(3), "k", "value",
+                         "ref", "cmp", n_bins=20)
+    qs = ", ".join(f"{(i + 1) / 20:g}" for i in range(19))
+    want = _duck(f"""
+        WITH cuts AS (SELECT unnest(quantile_disc(value, [{qs}])) AS c
+                      FROM t WHERE k = 'ref'),
+             b AS (SELECT k, (SELECT count(*) FROM cuts
+                              WHERE cuts.c < t.value) AS bin FROM t)
+        SELECT CAST(bin AS BIGINT) AS bin,
+               count(*) FILTER (WHERE k = 'ref') AS ref_cnt,
+               count(*) FILTER (WHERE k = 'cmp') AS cmp_cnt
+        FROM b GROUP BY bin""", t=df)
+    want = (pd.DataFrame({"bin": np.arange(20, dtype=np.int64)})
+            .merge(want, on="bin", how="left").fillna(0)
+            .astype(np.int64))
+    pd.testing.assert_frame_equal(
+        got[["bin", "ref_cnt", "cmp_cnt"]].reset_index(drop=True), want)
+    assert int(got.loc[got["bin"] == 10, "ref_cnt"].iloc[0]) == 5
+
+
+def test_quantile_bucket_counts_keeps_cuts_with_one_p_name(ray_session):
+    """q=0.28 and q=0.29 both print as p28; each keeps its own cut, so
+    bucket 1 holds exactly the value 29."""
+    import ray.data as rd
+
+    from t_digest_ray.pipelines.stats import quantile_bucket_counts
+
+    df = pd.DataFrame({"k": ["a"] * 100,
+                       "x": np.arange(1, 101, dtype=np.int64)})
+    got = quantile_bucket_counts(rd.from_pandas(df).repartition(3), "k",
+                                 "x", qs=(0.28, 0.29)).to_pandas()
+    want = _duck("""
+        WITH c AS (SELECT k, quantile_disc(x, [0.28, 0.29]) AS q
+                   FROM t GROUP BY k)
+        SELECT t.k,
+               CAST((q[1] < x)::INT + (q[2] < x)::INT AS BIGINT)
+                   AS bucket,
+               count(*) AS n_rows
+        FROM t JOIN c ON t.k = c.k GROUP BY 1, 2""", t=df)
+    pd.testing.assert_frame_equal(_canon(got), _canon(want))
+    assert got.loc[got["bucket"] == 1, "n_rows"].tolist() == [1]
+
+
+def test_hour_anova_int64_key_matches_duckdb(ray_session, rng):
+    import ray.data as rd
+
+    from t_digest_ray.pipelines.stats import hour_anova
+
+    n = 600
+    df = pd.DataFrame({
+        "k": rng.integers(1, 3, n).astype(np.int64),
+        "ts": pd.to_datetime(rng.integers(0, 10 * 86400, n), unit="s"),
+        "value": rng.integers(0, 50_000, n) / 100.0})
+    got = hour_anova(rd.from_pandas(df).repartition(5), "k", "ts",
+                     "value")
+    want = _duck("""
+        WITH c AS (SELECT k, CAST(hour(ts) AS BIGINT) AS h,
+                          CAST(FLOOR(value * 100 + 0.5) AS HUGEINT) AS v
+                   FROM t),
+             ph AS (SELECT k, h, CAST(COUNT(*) AS HUGEINT) AS n,
+                           SUM(v) AS s1, SUM(v * v) AS s2
+                    FROM c GROUP BY 1, 2),
+             pt AS (SELECT k, SUM(n) AS nn, SUM(s1) AS t1, SUM(s2) AS t2,
+                           COUNT(*) AS nh,
+                           SUM((n * s2 - s1 * s1) * 1000000 // n) AS ssw
+                    FROM ph GROUP BY 1)
+        SELECT k, CAST(nn AS BIGINT) AS n_rows, CAST(nh AS BIGINT) AS n_hours,
+               CAST((nn * t2 - t1 * t1) * 1000000 // (nn * nn) AS BIGINT)
+                   AS var_total_ppm6,
+               CAST(ssw // nn AS BIGINT) AS var_within_ppm6,
+               CAST(CASE WHEN (nn * t2 - t1 * t1) > 0
+                    THEN ((nn * t2 - t1 * t1) * 1000000 // nn - ssw)
+                         * 1000000 // ((nn * t2 - t1 * t1) * 1000000 // nn)
+                    ELSE 0 END AS BIGINT) AS r2_ppm
+        FROM pt""", t=df)
+    assert got["k"].dtype == np.int64
+    pd.testing.assert_frame_equal(_canon(got), _canon(want))
+
+
+def test_bootstrap_mean_ci_int64_key_matches_duckdb(ray_session, rng):
+    import ray.data as rd
+
+    from t_digest_ray.pipelines.stats import bootstrap_mean_ci
+
+    n, reps = 400, 20
+    df = pd.DataFrame({"id": np.arange(n, dtype=np.int64),
+                       "k": rng.integers(1, 4, n).astype(np.int64),
+                       "value": rng.integers(100, 90_000, n) / 100.0})
+    got = bootstrap_mean_ci(rd.from_pandas(df).repartition(5), "k", "id",
+                            "value", n_reps=reps)
+    m64 = "CAST(18446744073709551616 AS UHUGEINT)"
+    want = _duck(f"""
+        WITH reps AS (SELECT UNNEST(generate_series(0, {reps - 1})) AS rep),
+             c AS (SELECT k, id, CAST(FLOOR(value * 100 + 0.5) AS BIGINT)
+                              AS v FROM t),
+             x0 AS (SELECT c.*, reps.rep,
+                           (CAST(id + rep * 1000003 AS UHUGEINT)
+                            + CAST(11400714819323198485 AS UHUGEINT))
+                           % {m64} AS z
+                    FROM c CROSS JOIN reps),
+             x1 AS (SELECT *, (xor(z, z >> 30)
+                               * CAST(13787848793156543929 AS UHUGEINT))
+                              % {m64} AS z1 FROM x0),
+             x2 AS (SELECT *, (xor(z1, z1 >> 27)
+                               * CAST(10723151780598845931 AS UHUGEINT))
+                              % {m64} AS z2 FROM x1),
+             xh AS (SELECT k, rep, v, xor(z2, z2 >> 31) AS h FROM x2),
+             w AS (SELECT k, rep, v,
+                          CAST(h % 2 + (h // 2) % 2 AS BIGINT) AS wt
+                   FROM xh),
+             m AS (SELECT k, rep, SUM(wt) AS nw, SUM(wt * v) AS sw
+                   FROM w GROUP BY 1, 2),
+             means AS (SELECT k, CAST(sw AS DOUBLE) / CAST(nw AS DOUBLE)
+                                     AS mu
+                       FROM m WHERE nw > 0),
+             pt AS (SELECT k, CAST(COUNT(*) AS BIGINT) AS n_rows,
+                           CAST(SUM(v) AS DOUBLE) / COUNT(*) AS mean_cents
+                    FROM c GROUP BY 1)
+        SELECT pt.k, pt.n_rows, pt.mean_cents,
+               (SELECT quantile_disc(mu, 0.025) FROM means
+                WHERE means.k = pt.k) AS ci_lo,
+               (SELECT quantile_disc(mu, 0.975) FROM means
+                WHERE means.k = pt.k) AS ci_hi
+        FROM pt""", t=df)
+    assert got["k"].dtype == np.int64
+    pd.testing.assert_frame_equal(_canon(got), _canon(want))
+
+
+def test_rrf_fused_topk_string_ids_match_duckdb(ray_session, rng):
+    import ray.data as rd
+
+    from t_digest_ray.pipelines.stats import rrf_fused_topk
+
+    n = 200
+    df = pd.DataFrame({"id": [f"doc-{i:04d}" for i in range(n)],
+                       "a": rng.integers(0, 30, n).astype(np.int64),
+                       "b": rng.integers(0, 30, n).astype(np.int64)})
+    got = rrf_fused_topk(rd.from_pandas(df).repartition(4), "id", "a", "b",
+                         k=10)
+    want = _duck("""
+        WITH r AS (SELECT id,
+                          ROW_NUMBER() OVER (ORDER BY a DESC, id ASC) AS ra,
+                          ROW_NUMBER() OVER (ORDER BY b DESC, id ASC) AS rb
+                   FROM t)
+        SELECT id, CAST(ra AS BIGINT) AS ra, CAST(rb AS BIGINT) AS rb,
+               1.0 / (60 + ra) + 1.0 / (60 + rb) AS rrf
+        FROM r ORDER BY rrf DESC, id ASC LIMIT 10""", t=df)
+    pd.testing.assert_frame_equal(
+        got[["id", "ra", "rb", "rrf"]].reset_index(drop=True), want)
