@@ -27,12 +27,14 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from t_digest_ray.stages.partitioning import actor_pool_bounds
+from t_digest_ray.stages.partitioning import (actor_pool_bounds,
+                                              read_parquet_per_file)
 
 
 def _read(sf_dir: str, table: str, columns=None):
-    import ray.data as rd
-    return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+    """One table's parquet file, read as one block per file
+    (``partitioning.read_parquet_per_file``)."""
+    return read_parquet_per_file(f"{sf_dir}/{table}.parquet", columns)
 
 
 def _cents(df: pd.DataFrame, cols) -> pd.DataFrame:

@@ -8,12 +8,18 @@ ints/strings; float columns require exact equality too, because the
 contract engineers them to be reproducible (rounded cents / actual data
 elements).
 
-Usage: python scripts/check_correctness.py [sf_dir] [query_name ...]
+Usage: python scripts/check_correctness.py [--blocks N] [sf_dir]
+       [query_name ...]
+
+``--blocks N`` reads every table as N blocks instead of the registry
+reader's one block per file, so a sweep checks that the answers do not
+depend on the read layout.
 """
 
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import duckdb
 import numpy as np
@@ -42,6 +48,11 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
 
 def main() -> int:
     import os
+    blocks = None
+    if "--blocks" in sys.argv:
+        i = sys.argv.index("--blocks")
+        blocks = int(sys.argv[i + 1])
+        del sys.argv[i:i + 2]
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     import ray
     if not ray.is_initialized():
@@ -52,8 +63,16 @@ def main() -> int:
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    # the checkout this script lives in, so a copy of another commit
+    # imports its own code
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     import __ray_entry__ as e
+    if blocks is not None:
+        def split_read(sf_dir, table, columns=None):
+            return ray.data.read_parquet(f"{sf_dir}/{table}.parquet",
+                                         columns=columns,
+                                         override_num_blocks=blocks)
+        e._read = split_read
 
     con = duckdb.connect()
     for t in TABLES:

@@ -111,8 +111,10 @@ def build_dataset(cfg: JobConfig, params: dict | None = None):
     never leak into pipeline kwargs: ``warc:`` needs ``meta_fields``
     (``[[name, arrow-type-alias], ...]``, e.g. ``[["doc_id", "int64"]]``)
     and optionally ``payload_column``; ``jsonl:`` needs ``schema`` in the
-    same ``[[name, type], ...]`` shape; ``csv:`` uses ``columns``."""
-    import ray.data as rd
+    same ``[[name, type], ...]`` shape; ``csv:`` uses ``columns``. A
+    parquet input reads one block per file, up to a mean of 65,536 rows
+    (``partitioning.read_parquet_per_file``)."""
+    from .stages.partitioning import read_parquet_per_file
 
     p = params if params is not None else dict(cfg.params)
     if cfg.input.startswith("synthetic:"):
@@ -143,7 +145,7 @@ def build_dataset(cfg: JobConfig, params: dict | None = None):
         from .sources.text_files import read_csv
 
         return read_csv(_source_paths(path, "csv"), cfg.columns)
-    return rd.read_parquet(cfg.input, columns=cfg.columns)
+    return read_parquet_per_file(cfg.input, cfg.columns)
 
 
 def run_job(cfg: JobConfig):

@@ -522,10 +522,12 @@ def local_triangle_report(edges, u_col: str = "u", v_col: str = "v",
                                (2 * t * 10**6) // np.maximum(denom, 1),
                                0).astype(np.int64)}))
 
+    # both inputs are materialized, so their counts are metadata reads
     tops = bucketed_map_groups(
         closed.map_batches(credits, batch_format="pyarrow").union(
             degrees.map_batches(degree_rows, batch_format="pyarrow")),
-        ["node"], bucket_top_k)
+        ["node"], bucket_top_k,
+        n_rows=3 * closed.count() + degrees.count())
     return top_k(tops.to_pandas()).reset_index(drop=True)
 
 

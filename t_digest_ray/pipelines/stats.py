@@ -36,6 +36,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..stages.aggregate import _key_runs, bucketed_map_groups
+from ..stages.partitioning import cheap_row_count
 from .relational import _cutpoints, _rank_cuts
 from .selection import _disc_rank
 
@@ -678,7 +679,6 @@ def rfm_segment_counts(ds, user_col: str, ts_col: str, value: str):
     from ray.data.aggregate import Sum
 
     from ..stages.aggregate import hash_bucketed_group_agg
-    from ..stages.partitioning import cheap_row_count
 
     metrics = ("rec", "freq", "mon")
     qs = (0.25, 0.5, 0.75)
@@ -1514,7 +1514,7 @@ def global_desc_rank(ds, value: str, id_col: str):
         return pd.DataFrame({id_col: ids[order],
                              "r": (base + tie_pos + 1).astype(np.int64)})
 
-    return bucketed_map_groups(ds, [value], fold)
+    return bucketed_map_groups(ds, [value], fold, n_rows=int(c.sum()))
 
 
 def rrf_fused_topk(ds, id_col: str, value_a: str, value_b: str,
@@ -1546,8 +1546,10 @@ def rrf_fused_topk(ds, id_col: str, value_a: str, value_b: str,
         return df.sort_values(["rrf", id_col],
                               ascending=[False, True]).head(k)
 
+    n = cheap_row_count(ds)
     cand = bucketed_map_groups(ranked(value_a, 0).union(ranked(value_b, 1)),
-                               [id_col], fuse).to_pandas()
+                               [id_col], fuse,
+                               n_rows=None if n is None else 2 * n).to_pandas()
     out = (cand.sort_values(["rrf", id_col], ascending=[False, True])
            .head(k).reset_index(drop=True))
     out["ra"] = out["ra"].astype(np.int64)

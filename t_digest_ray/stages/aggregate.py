@@ -41,6 +41,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..state.protocol import SketchSpec
+from .partitioning import (DEFAULT_MIN_BUCKETS, cheap_row_count,
+                           cluster_cpus, coarse_bucket_count, rows_per_task)
 
 SKETCH_COL = "sketch"
 COUNT_COL = "n"
@@ -189,7 +191,8 @@ def merge_partials(partials, spec: SketchSpec, num_salts: int | None = None):
 
     One task folds every partial row. This assumes the partial rows fit
     one task comfortably: they number (tasks x keys) at a few KB each —
-    3,200 rows on a 100k-page flagship run, 6,400 on a 16-file, 400-key
+    320 rows on a 100k-page, 8-file flagship run (one task per file, see
+    ``partitioning.rows_per_task``), 6,400 on a 16-file, 400-key
     checkpointed run. Inputs with millions of (task, key) partials would
     need a bucketed fold instead. ``num_salts`` is accepted and ignored:
     the merge has no salt level.
@@ -211,8 +214,12 @@ def sketch_by_key(ds, spec: SketchSpec, value_col: str,
     """Full pipeline: partials -> one canonical merge per key.
 
     Returns a Dataset of rows ``(key, sketch: binary, n: float64)`` — one per
-    group (a single row with key "" when ``key is None``).
+    group (a single row with key "" when ``key is None``). Without a
+    ``batch_size`` a file read runs one partial task per file
+    (``partitioning.rows_per_task``).
     """
+    if batch_size is None:
+        batch_size = rows_per_task(ds)
     partials = ds.map_batches(
         make_partial_fn(spec, value_col, key, weight_col),
         batch_format="pyarrow", batch_size=batch_size)
@@ -269,15 +276,15 @@ def sketch_aggregate_fn(spec: SketchSpec, value_col: str,
 
 
 def _arrow(t) -> pa.Table:
-    """A pandas frame as an Arrow table without pandas' schema metadata:
-    Ray's ``groupby().aggregate()`` runs ~15x slower on pandas blocks
-    (46k rows, 180 groups, Ray 2.49 on one vCPU: 15 s vs 0.8 s), and a
-    schema carrying the metadata dict is unhashable ("Failed to hash the
+    """A pandas frame or Arrow table as an Arrow table without schema
+    metadata: Ray's ``groupby().aggregate()`` runs ~15x slower on pandas
+    blocks (46k rows, 180 groups, Ray 2.49 on one vCPU: 15 s vs 0.8 s),
+    and a schema carrying pandas' metadata dict (a frame's, or a parquet
+    file's written from pandas) is unhashable ("Failed to hash the
     schemas")."""
     if isinstance(t, pd.DataFrame):
         t = pa.Table.from_pandas(t, preserve_index=False)
-        t = t.replace_schema_metadata()
-    return t
+    return t.replace_schema_metadata()
 
 
 def _key_runs(keys: np.ndarray, *by: np.ndarray):
@@ -302,7 +309,10 @@ def bucketed_map_groups(ds, keys, fn, *, project=None,
     bucket count still comes from the source's metadata row count; pass
     ``n_rows`` when the caller already knows the input size (e.g. a union
     of two sources). The count is ``coarse_bucket_count`` at
-    ``ROWS_PER_BUCKET`` rows per bucket unless ``n_buckets`` fixes it. The
+    ``ROWS_PER_BUCKET`` rows per bucket unless ``n_buckets`` fixes it; a
+    known size floors it at one bucket per cluster CPU, an unknown one at
+    ``coarse_bucket_count``'s 256 (a small floor would put ``input / CPUs``
+    rows of a large derived input in one bucket). The
     bucket is a splitmix64 chain over ``hash64`` of each typed key column,
     so composite keys never pack into strings. ``fn`` gets one pandas frame
     per bucket without the bucket column and returns a pandas frame or
@@ -312,18 +322,20 @@ def bucketed_map_groups(ds, keys, fn, *, project=None,
     rows are bounded by ~ROWS_PER_BUCKET plus the hottest key's rows.
     """
     from ..functions.hashing import hash64, splitmix64
-    from .partitioning import coarse_bucket_count
 
     keys = list(keys)
     if n_buckets is None:
-        n_buckets = coarse_bucket_count(ds, n_rows=n_rows,
-                                        rows_per_bucket=ROWS_PER_BUCKET,
-                                        what=getattr(fn, "__qualname__",
-                                                     "bucketed_map_groups"))
+        if n_rows is None:
+            n_rows = cheap_row_count(ds)
+        n_buckets = coarse_bucket_count(
+            n_rows=n_rows, rows_per_bucket=ROWS_PER_BUCKET,
+            min_buckets=(DEFAULT_MIN_BUCKETS if n_rows is None
+                         else cluster_cpus()),
+            what=getattr(fn, "__qualname__", "bucketed_map_groups"))
     nb = np.uint64(n_buckets)
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        t = batch if project is None else _arrow(project(batch))
+        t = _arrow(batch if project is None else project(batch))
         h = np.zeros(t.num_rows, dtype=np.uint64)
         for k in keys:
             h = splitmix64(h ^ hash64(t[k].to_numpy(zero_copy_only=False)))

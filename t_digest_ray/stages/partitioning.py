@@ -1,7 +1,26 @@
-"""Scale-safe coarse-bucket sizing for hash-bucketed ``map_groups`` stages.
+"""Task and bucket sizing from metadata, never from Ray's defaults.
 
-Several operators group by ``hash(key) % n_buckets`` and run one
-vectorized Python call per bucket: every analytics operator that goes
+Map tasks: ``rows_per_task`` sizes the map-side combines, and
+``read_parquet_per_file`` the registry reader, from source metadata only
+— one task per input file, capped at ``MAX_ROWS_PER_TASK`` rows:
+
+    rows per task = min(ceil(metadata rows / input files), 65,536)
+
+Each task flushes one KB-sized sketch per key, so the partial rows and
+the fold's fan-in grow with the task count; Ray's default read splits a
+file into several blocks and so several tasks (``SplitBlocks(10)`` on an
+8-file, 100k-page read: 80 tasks where 8 do). ``read_parquet_per_file``
+turns the same number into ``override_num_blocks``, which keeps one
+block per small file so Ray fuses the read with the next
+``map_batches``. The cap splits large files again, unfused: with one
+block for the 600k-row sf0.1 lineitem file, ``bench.py``'s
+``q1_pricing_summary`` took 8.8 s against 3.6 s with the cap's ten
+(medians of 5 and 6 runs, 8 Ray CPUs on one vCPU). The rule uses the
+mean file size, so it bounds a task's rows only when the files are
+about equal in size. Neither reads the CPU count.
+
+Hash buckets: several operators group by ``hash(key) % n_buckets`` and
+run one vectorized Python call per bucket: every analytics operator that goes
 through ``stages.aggregate.bucketed_map_groups`` (the windows.py
 per-user operators, graph.py's undirected operators, relational.py's
 joins and per-key operators, stats.py's value-count, cutpoint and
@@ -30,7 +49,10 @@ algorithm, not the bucket count.
 When the row count is unknown (post-transform dataset, no hint), the
 helper falls back to ``min_buckets`` — fine for tests and small jobs; at
 real scale callers must pass ``n_rows`` (the job driver knows its input
-size) and the fallback is logged.
+size) and the fallback is logged. ``bucketed_map_groups`` floors a
+known-size input at the cluster's CPU count (``cluster_cpus``), so a
+small input pays a few pandas calls, not 256, and keeps the 256 floor
+for an unknown size; dedup and ANN keep the 256 default.
 """
 
 from __future__ import annotations
@@ -46,6 +68,9 @@ logger = logging.getLogger(__name__)
 # so the groupby shuffle does not explode into millions of tiny blocks.
 DEFAULT_MIN_BUCKETS = 256
 DEFAULT_MAX_BUCKETS = 1 << 20
+# One map task's row cap: the block size run_checkpointed and
+# synthetic_pages_quantiles use.
+MAX_ROWS_PER_TASK = 65536
 
 
 def cheap_row_count(ds) -> int | None:
@@ -57,6 +82,48 @@ def cheap_row_count(ds) -> int | None:
         return ds._meta_count()
     except Exception:
         return None
+
+
+def _task_rows(n_rows, n_files) -> int | None:
+    """The rule: ``min(ceil(n_rows / n_files), MAX_ROWS_PER_TASK)``."""
+    if not n_rows or not n_files:
+        return None
+    return min(-(-n_rows // n_files), MAX_ROWS_PER_TASK)
+
+
+def rows_per_task(ds) -> int | None:
+    """Rows per map task from source metadata only: the input's mean rows
+    per file, capped at ``MAX_ROWS_PER_TASK``. None unless the dataset is
+    a file read Ray still has metadata for (a transformed dataset,
+    ``from_items``, ``from_arrow`` or ``range`` give None)."""
+    try:
+        n_files = len(ds.input_files())
+    except Exception:
+        return None
+    return _task_rows(cheap_row_count(ds), n_files)
+
+
+def read_parquet_per_file(paths, columns=None):
+    """``rd.read_parquet`` with ``override_num_blocks`` from the files'
+    parquet footers: ``ceil(rows / _task_rows)`` blocks, one per file when
+    the files' mean is at most ``MAX_ROWS_PER_TASK`` rows. Ray splits
+    every file by the same factor, so a file far above the mean gets
+    blocks above the cap. The footers come from pyarrow, not from Ray's
+    metadata, so the read is built once; an unreadable listing falls
+    back to Ray's default split."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    try:
+        frags = pq.ParquetDataset(paths).fragments
+        n_rows = sum(f.metadata.num_rows for f in frags)
+    except Exception:
+        frags, n_rows = [], 0
+    per_task = _task_rows(n_rows, len(frags))
+    return rd.read_parquet(
+        paths, columns=columns,
+        override_num_blocks=None if per_task is None
+        else -(-n_rows // per_task))
 
 
 def coarse_bucket_count(ds=None, *, n_rows: int | None = None,
@@ -82,15 +149,22 @@ def coarse_bucket_count(ds=None, *, n_rows: int | None = None,
     return int(min(max(n, min_buckets), max_buckets))
 
 
+def cluster_cpus() -> int:
+    """The running cluster's CPU count, or 8 before Ray is up."""
+    import ray
+
+    if not ray.is_initialized():
+        return 8
+    return int(ray.cluster_resources().get("CPU", 8))
+
+
 def actor_pool_bounds(lo: int = 1) -> tuple[int, int]:
     """Autoscaling actor-pool bounds for fact-scale stateful stages:
     start small, grow to the cluster's CPU count on demand. A fixed cap
     (the round-3 verdict's concurrency=2, or a literal (1, 8)) starves
     the stage at 32 CPUs and on any real cluster; deriving the upper
     bound from the cluster lets the same code run anywhere."""
-    import ray
-
-    return (lo, max(lo, int(ray.cluster_resources().get("CPU", 8))))
+    return (lo, max(lo, cluster_cpus()))
 
 
 def zorder_interleave(a: np.ndarray, b: np.ndarray,

@@ -126,3 +126,117 @@ def test_hash_bucketed_group_agg_float_sum_ignores_block_order(ray_session):
         assert len(out) == 1
         sums.add(float(out["s"].iloc[0]))
     assert len(sums) == 1, sums
+
+
+def _canon(df: pd.DataFrame) -> pd.DataFrame:
+    df = df[sorted(df.columns)]
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def test_bucket_count_does_not_change_per_key_results(ray_session):
+    """A key's rows never span two buckets and the combine sorts partials
+    before summing, so 4 and 256 buckets give identical frames."""
+    import ray
+
+    from t_digest_ray.stages.aggregate import (_key_runs,
+                                               bucketed_map_groups,
+                                               hash_bucketed_group_agg)
+
+    rng = np.random.default_rng(7)
+    n = 6_000
+    df = pd.DataFrame({
+        "k": rng.integers(0, 300, n).astype(np.int64),
+        "tag": rng.choice(["a", "b|c", "d"], n),
+        "v": rng.standard_normal(n) * 1e6,
+        "ts": rng.permutation(n).astype(np.int64)})
+    ds = ray.data.from_pandas(df).repartition(7)
+
+    def agg(coarse):
+        return _canon(hash_bucketed_group_agg(
+            ds, ["k", "tag"], {"rows": ("v", "count"), "s": ("v", "sum"),
+                               "lo": ("v", "min")},
+            coarse=coarse).to_pandas())
+
+    def first_last(g: pd.DataFrame) -> pd.DataFrame:
+        k = g["k"].to_numpy()
+        order, starts, counts = _key_runs(k, g["ts"].to_numpy())
+        v = g["v"].to_numpy()[order]
+        return pd.DataFrame({"k": k[order][starts], "first": v[starts],
+                             "last": v[starts + counts - 1],
+                             "s": np.add.reduceat(v, starts)})
+
+    def runs(nb):
+        return _canon(bucketed_map_groups(ds, ["k"], first_last,
+                                          n_buckets=nb).to_pandas())
+
+    pd.testing.assert_frame_equal(agg(4), agg(256))
+    pd.testing.assert_frame_equal(runs(4), runs(256))
+    assert len(runs(4)) == df["k"].nunique()
+
+
+def test_bucketed_map_groups_floor_is_the_cluster_cpu_count(ray_session):
+    """A small input of known size gets one bucket per cluster CPU, not
+    256 pandas calls; an input of unknown size keeps the 256 floor. Each
+    call reports itself as one row."""
+    import ray
+
+    from t_digest_ray.stages.aggregate import bucketed_map_groups
+
+    def calls(ds) -> pd.DataFrame:
+        return bucketed_map_groups(
+            ds, ["k"], lambda g: pd.DataFrame({"keys": [len(g)]})).to_pandas()
+
+    ds = ray.data.from_pandas(pd.DataFrame(
+        {"k": np.arange(2_000, dtype=np.int64)}))
+    out = calls(ds)
+    assert len(out) == int(ray.cluster_resources()["CPU"])
+    assert out["keys"].sum() == 2_000
+    # 2,000 keys leave ~0.1 of 256 buckets empty on average
+    out = calls(ds.map_batches(lambda b: b))
+    assert 250 <= len(out) <= 256
+    assert out["keys"].sum() == 2_000
+
+
+def test_bucketed_map_groups_drops_pandas_schema_metadata(ray_session,
+                                                         tmp_path):
+    """A parquet file written from pandas carries pandas' metadata dict;
+    no block of the exchange may carry it, or Ray's reducers log "Failed
+    to hash the schemas" (an unhashable dict). Ray also logs it once per
+    read when the read's metadata is first computed; ``count()`` does
+    that before the handler listens, so only the exchange is checked."""
+    import logging
+
+    import pyarrow as pa
+    import ray
+
+    from t_digest_ray.stages.aggregate import bucketed_map_groups
+
+    path = str(tmp_path / "pandas.parquet")
+    pd.DataFrame({"k": np.arange(3_000) % 50,
+                  "v": np.arange(3_000, dtype=np.float64)}).to_parquet(path)
+
+    def fold(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("k", as_index=False)["v"].sum()
+
+    def as_is(b: pa.Table) -> pa.Table:
+        return b
+
+    messages = []
+
+    class Catch(logging.Handler):
+        def emit(self, record):
+            messages.append(record.getMessage())
+
+    handler = Catch(level=logging.WARNING)
+    log = logging.getLogger("ray.data")
+    for project in (None, as_is):
+        ds = ray.data.read_parquet(path)
+        assert ds.count() == 3_000
+        log.addHandler(handler)
+        try:
+            out = bucketed_map_groups(ds, ["k"], fold,
+                                      project=project).to_pandas()
+        finally:
+            log.removeHandler(handler)
+        assert len(out) == 50
+    assert not [m for m in messages if "Failed to hash the schemas" in m]
