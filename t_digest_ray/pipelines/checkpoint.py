@@ -184,41 +184,26 @@ def run_checkpointed(input_files: list[str], spec: SketchSpec,
                 n_rows += rb.num_rows
                 acc.add(None if key is None else rb.column(key),
                         {value_col: rb.column(value_col)})
-            sketches = sorted(acc.items(), key=lambda kv: kv[0][1])
+            part = acc.flush().sort_by("key")
             pid = partition_id_for(path)
+            m = part.num_rows
             wall = (time.perf_counter() - t0) * 1000
-            rows = [{
-                "partition_id": pid,
-                "input_path": path,
-                "key": kval,
-                "sketch": sk.to_bytes(),
-                "n": n,
-                "n_rows": n_rows,
-                "wall_ms": wall / max(len(sketches), 1),
-                "spec_name": spec.name,
-                "engine_version": ENGINE_VERSION,
-            } for (_m, kval), (sk, n) in sketches]
-            if rows:
-                table = pa.Table.from_pandas(
-                    pd.DataFrame(rows)[CKPT_SCHEMA_COLS],
-                    preserve_index=False)
-            else:
-                # zero-row input file: write a schema-correct empty part so
-                # the partition counts as done (otherwise resume re-hits
-                # and re-fails it forever)
-                table = pa.table({
-                    "partition_id": pa.array([], pa.string()),
-                    "input_path": pa.array([], pa.string()),
-                    "key": pa.array([], pa.string()),
-                    "sketch": pa.array([], pa.binary()),
-                    "n": pa.array([], pa.float64()),
-                    "n_rows": pa.array([], pa.int64()),
-                    "wall_ms": pa.array([], pa.float64()),
-                    "spec_name": pa.array([], pa.string()),
-                    "engine_version": pa.array([], pa.string()),
-                })
+            # a zero-row input file still writes a schema-correct empty
+            # part, so the partition counts as done (otherwise resume
+            # re-hits and re-fails it forever)
+            table = pa.table({
+                "partition_id": pa.array([pid] * m, pa.string()),
+                "input_path": pa.array([path] * m, pa.string()),
+                "key": part["key"],
+                "sketch": part["sketch"],
+                "n": part["n"],
+                "n_rows": pa.array([n_rows] * m, pa.int64()),
+                "wall_ms": pa.array([wall / max(m, 1)] * m, pa.float64()),
+                "spec_name": pa.array([spec.name] * m, pa.string()),
+                "engine_version": pa.array([ENGINE_VERSION] * m, pa.string()),
+            })
             _atomic_write(table, _part_file(ckpt_dir, pid))
-            acks.append((pid, len(rows)))
+            acks.append((pid, m))
         return pa.table({
             "partition_id": pa.array([a[0] for a in acks]),
             "n_keys": pa.array([a[1] for a in acks], type=pa.int64()),

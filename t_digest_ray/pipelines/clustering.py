@@ -370,7 +370,7 @@ def embedding_norm_stats(ds, vec_col: str,
     gather follows the exact-path contract of exact_quantiles_by_key
     (sketch swap-in at 100 TB).
     """
-    import math
+    from .selection import _disc_rank
 
     def norms(b: pa.Table) -> pa.Table:
         col = b[vec_col]
@@ -389,8 +389,7 @@ def embedding_norm_stats(ds, vec_col: str,
         row = {"n": np.array([n], dtype=np.int64),
                "min_norm": [float(v[0])], "max_norm": [float(v[-1])]}
         for q in qs:
-            idx = max(int(math.ceil(q * n)) - 1, 0)
-            row[f"p{int(q * 100)}"] = [float(v[idx])]
+            row[f"p{int(q * 100)}"] = [float(v[_disc_rank(q, n) - 1])]
         return pd.DataFrame(row)
 
     def add_g(b: pa.Table) -> pa.Table:

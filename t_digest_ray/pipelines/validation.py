@@ -31,11 +31,14 @@ import pyarrow as pa
 
 from ..stages.aggregate import sketch_by_key
 from ..state.protocol import SketchSpec
+from .selection import _disc_rank
 
 
 def _disc_index(q: float, n: int) -> int:
-    """duckdb quantile_disc convention: value at max(ceil(q*n) - 1, 0)."""
-    return max(int(math.ceil(q * n)) - 1, 0)
+    """duckdb quantile_disc convention: the value at 0-based index
+    ``ceil(q*n) - 1``, with the exact integer rank of ``_disc_rank`` (a
+    float ``q*n`` rounds 0.55*100 up to rank 56, DuckDB's rank is 55)."""
+    return _disc_rank(q, n) - 1
 
 
 def quantile_bound_check(ds, value_col: str, key: str, spec: SketchSpec,

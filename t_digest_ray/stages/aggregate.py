@@ -40,7 +40,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..state.protocol import SketchSpec
+from ..state.protocol import SketchSpec, to_bytes_many
 from .partitioning import (DEFAULT_MIN_BUCKETS, cheap_row_count,
                            cluster_cpus, coarse_bucket_count, rows_per_task)
 
@@ -96,7 +96,9 @@ class KeyedSketches:
             enc = pc.dictionary_encode(col)
             self._key_type = enc.type.value_type
             codes = enc.indices.to_numpy(zero_copy_only=False)
-            order = np.argsort(codes, kind="stable")
+            # a stable sort of 16-bit codes is a radix sort
+            order = np.argsort(codes.astype(np.uint16) if len(enc.dictionary)
+                               <= 1 << 16 else codes, kind="stable")
             bounds = np.concatenate(([0], np.cumsum(
                 np.bincount(codes, minlength=len(enc.dictionary)))))
             uniq = enc.dictionary.to_pylist()
@@ -129,7 +131,7 @@ class KeyedSketches:
         cols = {
             KEY_COL: pa.array([k for (_m, k), _ in items],
                               type=self._key_type),
-            SKETCH_COL: pa.array([sk.to_bytes() for _, (sk, _n) in items],
+            SKETCH_COL: pa.array(to_bytes_many(sk for _, (sk, _n) in items),
                                  type=pa.binary()),
             COUNT_COL: pa.array([n for _, (_sk, n) in items],
                                 type=pa.float64()),

@@ -10,9 +10,10 @@ storage-partitioned join. The reference has no joins at all
 Layout contract: ``<root>/<name>-<tag>/b=<i>/*.parquet`` where
 ``tag = sha1(normalized inputs | key | n_buckets | columns)`` (the same
 full-path cache discipline as sources/warc.py:46 — ADVICE r4 item 1) and
-bucket ``i = splitmix64(key) % n_buckets``. A ``_SUCCESS`` marker makes
-the write atomic-at-the-directory level: partial writes are invisible,
-re-runs skip finished tables — the resumable-output contract.
+bucket ``i = splitmix64(key) % n_buckets``. The table is written to a tmp
+sibling with its ``_SUCCESS`` marker and renamed into place: partial writes
+are invisible, re-runs skip finished tables — the resumable-output
+contract.
 
 The join itself: for each bucket, the probe side streams through
 ``map_batches`` while an actor pool loads the matching build-side bucket
@@ -25,6 +26,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
+import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -43,23 +46,38 @@ def _bucket_dir(root: str, name: str, sf_dir: str, key: str,
     return os.path.join(root, f"{name}-{tag}")
 
 
+def write_partitioned(ds, dest: str, tag, partition_col: str) -> str:
+    """Write ``ds.map_batches(tag)`` as parquet partitioned on
+    ``partition_col`` under ``dest``, atomically and idempotently.
+
+    Skipped when ``dest/_SUCCESS`` exists. Otherwise the files and the
+    marker go to a tmp sibling directory that is renamed into place, so
+    the files of a run that died before its marker never join the layout
+    (Ray names files per write: a rerun into ``dest`` itself would add a
+    second set beside them)."""
+    if os.path.exists(os.path.join(dest, "_SUCCESS")):
+        return dest
+    tmp = f"{dest}.tmp-{uuid.uuid4().hex[:8]}"
+    ds.map_batches(tag, batch_format="pyarrow").write_parquet(
+        tmp, partition_cols=[partition_col])
+    with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
+        f.write("ok")
+    shutil.rmtree(dest, ignore_errors=True)  # a failed attempt's leftovers
+    os.rename(tmp, dest)
+    return dest
+
+
 def write_bucketed(ds, dest: str, key: str, n_buckets: int) -> str:
     """Hash-bucket ``ds`` by ``key`` into ``dest/b=<i>/`` partitioned
-    parquet. Idempotent: skipped when ``dest/_SUCCESS`` exists."""
-    marker = os.path.join(dest, "_SUCCESS")
-    if os.path.exists(marker):
-        return dest
+    parquet (``write_partitioned``: atomic, skipped when
+    ``dest/_SUCCESS`` exists)."""
 
     def tag(b: pa.Table) -> pa.Table:
         k = b[key].to_numpy(zero_copy_only=False).astype(np.uint64)
         bkt = (splitmix64(k) % np.uint64(n_buckets)).astype(np.int32)
         return b.append_column("b", pa.array(bkt))
 
-    ds.map_batches(tag, batch_format="pyarrow").write_parquet(
-        dest, partition_cols=["b"])
-    with open(marker, "w") as f:
-        f.write("ok")
-    return dest
+    return write_partitioned(ds, dest, tag, "b")
 
 
 class _BucketLookup:

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import hashlib
 import os
-import shutil
-import uuid
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from .bucketed import write_partitioned
 
 _ZM_ROOT = "/tmp/tdr_zonemaps"
 
@@ -55,12 +55,8 @@ def write_range_layout(ds, dest: str, value_col: str, gmin: int,
                        gmax: int, n_zones: int) -> str:
     """Write ``ds`` (with an integer-cents ``value_col``) partitioned
     into ``n_zones`` value ranges under ``dest/v=<zone>/``. Idempotent
-    via the ``_SUCCESS`` marker and atomic: the layout is written to a
-    tmp sibling directory and renamed into place, so files a failed
-    attempt left in ``dest`` never join the layout."""
-    marker = os.path.join(dest, "_SUCCESS")
-    if os.path.exists(marker):
-        return dest
+    via the ``_SUCCESS`` marker and atomic (``bucketed.write_partitioned``):
+    files a failed attempt left in ``dest`` never join the layout."""
     width = gmax - gmin + 1
 
     def tag(b: pa.Table) -> pa.Table:
@@ -68,14 +64,7 @@ def write_range_layout(ds, dest: str, value_col: str, gmin: int,
         z = ((v - gmin) * n_zones) // width
         return b.append_column("v", pa.array(z.astype(np.int32)))
 
-    tmp = f"{dest}.tmp-{uuid.uuid4().hex[:8]}"
-    ds.map_batches(tag, batch_format="pyarrow").write_parquet(
-        tmp, partition_cols=["v"])
-    with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
-        f.write("ok")
-    shutil.rmtree(dest, ignore_errors=True)  # a failed attempt's leftovers
-    os.rename(tmp, dest)
-    return dest
+    return write_partitioned(ds, dest, tag, "v")
 
 
 def _file_min_max(path: str, value_col: str):

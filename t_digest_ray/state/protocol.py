@@ -13,7 +13,9 @@ Contract (all sketches in ``t_digest_ray.state`` implement it):
 * ``merge(*others)``                      — associative, commutative within
   the sketch's published error bound; in-place, returns self.
 * ``to_bytes() / from_bytes(b)``          — stable byte encoding used for the
-  shuffle (Arrow ``binary`` column) and for checkpoints.
+  shuffle (Arrow ``binary`` column) and for checkpoints. A class may also
+  offer ``to_bytes_many(sketches)``, the same bytes for many sketches in one
+  call; ``to_bytes_many`` below uses it when present.
 
 A ``SketchSpec`` names a concrete configuration (factory + how to read its
 summary) so pipelines can be written generically over sketch kinds.
@@ -58,3 +60,13 @@ class SketchSpec:
             return self.factory()
         base = self.factory()
         return base.merge(*sketches)
+
+
+def to_bytes_many(sketches) -> list[bytes]:
+    """``[s.to_bytes() for s in sketches]``, through the first sketch's
+    class's batched ``to_bytes_many`` when it has one (``TDigest``'s builds
+    every fresh per-key digest of a batch in one pass)."""
+    sketches = list(sketches)
+    many = getattr(type(sketches[0]), "to_bytes_many", None) \
+        if sketches else None
+    return many(sketches) if many else [s.to_bytes() for s in sketches]

@@ -64,6 +64,15 @@ class ScaleFunction:
     def normalizer(self, compression: float, n: float) -> float:
         raise NotImplementedError
 
+    # Stateless: all instances of a class are one function, including the
+    # copies that pickling a module singleton makes in a Ray worker, so they
+    # compare and hash equal (``tdigest._unit_starts`` caches on the scale).
+    def __eq__(self, other):
+        return type(other) is type(self)
+
+    def __hash__(self):
+        return hash(type(self))
+
     def __repr__(self):  # pragma: no cover
         return self.name
 

@@ -29,12 +29,23 @@ Differences by design (this is a Ray-Data-native rebuild, not a port):
   (the reference's ``useWeightLimit=False`` branch, MergingDigest.java:427-441,
   which is the semantically primary rule — the weight-limit branch is a speed
   approximation of it).
+* unit-weight input skips the walk: n sorted points of weight 1 have the
+  cumulative weights ``1..n`` exactly, so their cluster boundaries depend
+  only on ``(scale, compression, n)``, in either merge direction.
+  ``_unit_starts`` caches that boundary table, computed once by the scalar
+  walk itself (so exact on any CPU) for n up to a temp buffer (1,005 points
+  at compression 100). ``_unit_clusters`` applies it to many segments at
+  once, each with its own running sums. ``_cluster`` uses it as the
+  one-segment case, and ``TDigest.to_bytes_many`` encodes every fresh
+  per-key digest of a batch in one pass (one sort on (digest, value)) with
+  the bytes ``to_bytes`` gives. Weighted merges keep the scalar walk.
 * weights are float64 (integral weights stay exact below 2**53), avoiding the
   reference's int-overflow hazard (BigCount.java:28-54).
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 
 import numpy as np
@@ -46,6 +57,7 @@ SMALL_ENCODING = 2
 RECORDING_ENCODING = 3  # RecordingDigest: recorded multiset + verbose digest
 
 
+@functools.lru_cache(maxsize=64)
 def _sizes(compression: float, buffer_factor: int) -> tuple[float, int, int]:
     """Replicate the two-level sizing math of MergingDigest.java:142-234.
 
@@ -114,7 +126,8 @@ class TDigest:
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.size == 0:
             return
-        if np.isnan(x).any():
+        lo, hi = float(x.min()), float(x.max())
+        if lo != lo:  # min propagates NaN
             raise ValueError("Cannot add NaN to t-digest")
         if w is not None:
             w = np.ascontiguousarray(w, dtype=np.float64)
@@ -122,8 +135,8 @@ class TDigest:
                 raise ValueError("weights shape mismatch")
             if (w <= 0).any():
                 raise ValueError("weights must be positive")
-        self.min = min(self.min, float(x.min()))
-        self.max = max(self.max, float(x.max()))
+        self.min = min(self.min, lo)
+        self.max = max(self.max, hi)
         cap = self._temp_mean.size
         if x.size >= cap:
             # bulk path: clustering passes over cache-sized chunks — each
@@ -151,8 +164,6 @@ class TDigest:
                 ww = np.concatenate([self._weight[:self._n], wc])
                 self._apply_cluster(m, ww, self.compression)
             return
-        if w is None:
-            w = np.ones_like(x)
         pos = 0
         while pos < x.size:
             room = cap - self._temp_used
@@ -162,9 +173,13 @@ class TDigest:
             take = min(room, x.size - pos)
             sl = slice(self._temp_used, self._temp_used + take)
             self._temp_mean[sl] = x[pos:pos + take]
-            self._temp_weight[sl] = w[pos:pos + take]
+            if w is None:
+                self._temp_weight[sl] = 1.0
+                self._unmerged += take
+            else:
+                self._temp_weight[sl] = w[pos:pos + take]
+                self._unmerged += float(w[pos:pos + take].sum())
             self._temp_used += take
-            self._unmerged += float(w[pos:pos + take].sum())
             pos += take
 
     # ------------------------------------------------------------------- merge
@@ -444,6 +459,34 @@ class TDigest:
         body[1::2] = self._mean[:n]
         return head + body.tobytes()
 
+    @classmethod
+    def to_bytes_many(cls, digests) -> list[bytes]:
+        """``[d.to_bytes() for d in digests]``, with every fresh unit-weight
+        digest encoded in one vectorized pass.
+
+        A digest takes the pass when it is a plain ``TDigest`` holding only
+        buffered weight-1 points (no centroids, an even merge count), none
+        of them -0.0 (a sort may put it on either side of 0.0), at the first
+        plain digest's scale and compression. Those points sort once on
+        (digest, value) and ``_unit_clusters`` emits every digest's
+        centroids at once. Any other digest calls ``to_bytes()``. Unlike
+        ``to_bytes``, the pass leaves its digests' buffers as they are.
+        """
+        digests = list(digests)
+        out = [None] * len(digests)
+        first = next((d for d in digests if type(d) is TDigest), None)
+        if first is not None:
+            scale, comp = first.scale, first.public_compression
+            cap = _buffer_cap(comp)
+            idx = [i for i, d in enumerate(digests)
+                   if type(d) is TDigest and not d._n
+                   and not d._merge_count & 1 and d.scale == scale
+                   and d.public_compression == comp and d._temp_used <= cap]
+            for i, b in zip(idx, _unit_bytes([digests[i] for i in idx],
+                                             scale, comp)):
+                out[i] = b
+        return [d.to_bytes() if b is None else b for d, b in zip(digests, out)]
+
     def to_small_bytes(self) -> bytes:
         """SMALL encoding: float32 centroids, byte-compatible with
         ``asSmallBytes`` (MergingDigest.java:889-903): code(4) min(8) max(8)
@@ -564,7 +607,9 @@ def _cluster(means: np.ndarray, weights: np.ndarray, scale: ScaleFunction,
     against ``w_limit = total * q(k(w_so_far/total) + 1)`` (the k-limit rule of
     MergingDigest.java:427-441); first and last points forced singletons
     (:437-440); every other pass runs in reverse to cancel directional bias
-    (:369-371).
+    (:369-371). Unit-weight input of at most a temp buffer's points takes
+    its boundaries from the cached ``_unit_starts`` table, as the
+    one-segment case of ``_unit_clusters``.
     """
     order = np.argsort(means, kind="stable")
     m = means[order]
@@ -575,46 +620,22 @@ def _cluster(means: np.ndarray, weights: np.ndarray, scale: ScaleFunction,
     if backwards:
         m = m[::-1]
         w = w[::-1]
-    cumw = np.cumsum(w)
-    total = float(cumw[-1])
-    if n <= 2:
+    if n <= _buffer_cap(compression) and (w == 1.0).all():
+        out_m, out_w, _ = _unit_clusters(m, [0, n], scale, compression)
+    elif n <= 2:
         out_m, out_w = m.copy(), w.copy()
     else:
+        cumw = np.cumsum(w)
         cumwx = np.cumsum(w * m)
-        norm = scale.normalizer(compression, total)
-        # Emit loop over centroids only — O(compression) iterations, each a
-        # scalar k/q evaluation plus one searchsorted on the cumulative weight
-        # (the k-limit rule of MergingDigest.java:427-441). The reference runs
-        # the identical math on the reversed order in backwards mode
-        # (MergingDigest.java:408-410): the reversed cumulative fraction plays
-        # the role of q directly.
-        k_fn = scale.k_scalar
-        q_fn = scale.q_scalar
-        search = cumw.searchsorted
-        starts = [0, 1]  # first sorted point is always a singleton
-        s = 1
-        last = n - 1
-        w_so_far = float(cumw[0])
-        while True:
-            k1 = k_fn(w_so_far / total, norm)
-            w_limit = total * q_fn(k1 + 1.0, norm)
-            e = int(search(w_limit, side="right")) - 1
-            if e < s:
-                e = s
-            if e >= last - 1:
-                starts.append(last)
-                break
-            w_so_far = float(cumw[e])
-            s = e + 1
-            starts.append(s)
-        starts = np.asarray(starts, dtype=np.int64)
+        starts = np.asarray(_walk(cumw, scale, compression), dtype=np.int64)
         ends = np.append(starts[1:] - 1, n - 1)
         left_cumw = np.where(starts > 0, cumw[starts - 1], 0.0)
         left_cumwx = np.where(starts > 0, cumwx[starts - 1], 0.0)
         out_w = cumw[ends] - left_cumw
         sums = cumwx[ends] - left_cumwx
         single = ends == starts
-        out_m = np.where(single, m[starts], sums / np.where(out_w == 0, 1, out_w))
+        out_m = np.where(single, m[starts],
+                         sums / np.where(out_w == 0, 1, out_w))
         # clamp each cluster mean into its span (floating-point guard, the
         # analogue of AbstractTDigest.weightedAverageSorted's clamp); note m
         # is descending in backwards mode so order the bounds explicitly
@@ -625,6 +646,147 @@ def _cluster(means: np.ndarray, weights: np.ndarray, scale: ScaleFunction,
         out_m = out_m[::-1].copy()
         out_w = out_w[::-1].copy()
     return out_m, out_w
+
+
+def _walk(cumw: np.ndarray, scale: ScaleFunction,
+          compression: float) -> list[int]:
+    """Cluster starts of the greedy k-limit walk over the cumulative
+    weights ``cumw`` of more than two sorted points.
+
+    A Python loop over *emitted centroids* only — O(compression)
+    iterations, each a scalar k/q evaluation plus one searchsorted on the
+    cumulative weight (the k-limit rule of MergingDigest.java:427-441).
+    The reference runs the identical math on the reversed order in
+    backwards mode (MergingDigest.java:408-410): the reversed cumulative
+    fraction plays the role of q directly.
+    """
+    total = float(cumw[-1])
+    norm = scale.normalizer(compression, total)
+    k_fn = scale.k_scalar
+    q_fn = scale.q_scalar
+    search = cumw.searchsorted
+    starts = [0, 1]  # first sorted point is always a singleton
+    s = 1
+    last = cumw.size - 1
+    w_so_far = float(cumw[0])
+    while True:
+        k1 = k_fn(w_so_far / total, norm)
+        w_limit = total * q_fn(k1 + 1.0, norm)
+        e = int(search(w_limit, side="right")) - 1
+        if e < s:
+            e = s
+        if e >= last - 1:
+            starts.append(last)
+            return starts
+        w_so_far = float(cumw[e])
+        s = e + 1
+        starts.append(s)
+
+
+def _buffer_cap(compression: float) -> int:
+    """Temp-buffer points of a digest at ``compression`` with the default
+    buffer factor: the largest unit-weight run ``_unit_starts`` tables."""
+    return _sizes(compression, 5)[2]
+
+
+@functools.lru_cache(maxsize=8192)
+def _unit_starts(n: int, scale: ScaleFunction,
+                 compression: float) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the clusters of ``n`` sorted unit-weight points.
+
+    Their cumulative weights are exactly ``1..n``, so the boundaries depend
+    only on ``(scale, compression, n)`` and the same table serves either
+    merge direction. The table comes from the scalar ``_walk`` itself (no
+    vectorized log/exp), so it is exact by construction on any CPU; callers
+    keep ``n`` within a temp buffer (``_buffer_cap``), which bounds the
+    cache.
+    """
+    if n <= 2:
+        starts = np.arange(n, dtype=np.int64)
+    else:
+        starts = np.asarray(_walk(np.arange(1.0, n + 1.0), scale,
+                                  compression), dtype=np.int64)
+    ends = np.append(starts[1:] - 1, n - 1) if n else starts
+    starts.flags.writeable = ends.flags.writeable = False
+    return starts, ends
+
+
+def _unit_bytes(digests: list, scale: ScaleFunction,
+                compression: float) -> list:
+    """``to_bytes`` of fresh digests whose buffered points all have weight
+    1, or None for a digest holding another weight or a -0.0."""
+    if not digests:
+        return []
+    lens = [d._temp_used for d in digests]
+    vals = np.concatenate([d._temp_mean[:n] for d, n in zip(digests, lens)])
+    wts = np.concatenate([d._temp_weight[:n] for d, n in zip(digests, lens)])
+    seg = np.repeat(np.arange(len(digests)), lens)
+    ok = np.ones(len(digests), dtype=bool)
+    ok[seg[(wts != 1.0) | ((vals == 0.0) & np.signbit(vals))]] = False
+    if not ok.all():  # their segments go on empty; to_bytes() encodes them
+        keep = ok[seg]
+        vals, seg = vals[keep], seg[keep]
+    # sort on (digest, value): a quicksort of the values, then a stable
+    # (radix, for 16-bit ids) sort of their digest ids
+    order = np.argsort(vals)
+    ids = seg.astype(np.uint16 if len(digests) <= 1 << 16 else np.int64)
+    vals = vals[order][np.argsort(ids[order], kind="stable")]
+    bounds = [0, *np.cumsum(np.bincount(seg, minlength=len(digests)))
+              .tolist()]
+    means, weights, cb = _unit_clusters(vals, bounds, scale, compression)
+    body = np.empty(2 * means.size, dtype=">f8")
+    body[0::2] = weights
+    body[1::2] = means
+    body = body.tobytes()
+    head = struct.Struct(">idddi").pack
+    cb = (16 * cb).tolist()
+    return [head(VERBOSE_ENCODING, d.min if b > a else np.inf,
+                 d.max if b > a else -np.inf, compression,
+                 (b - a) // 16) + body[a:b] if good else None
+            for d, good, a, b in zip(digests, ok.tolist(), cb, cb[1:])]
+
+
+def _unit_clusters(vals: np.ndarray, bounds: list[int],
+                   scale: ScaleFunction, compression: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cluster many unit-weight segments in one vectorized pass.
+
+    ``vals[bounds[s]:bounds[s + 1]]`` is segment s in clustering order
+    (ascending, or descending for a backwards pass) with at most a temp
+    buffer of points. Returns the concatenated centroid (means, weights) and
+    each segment's centroid offsets; every segment's centroids are exactly
+    what the scalar walk of ``_cluster`` gives that segment alone.
+    """
+    if len(bounds) == 2:  # one segment: its table indexes vals directly
+        gs, ge = _unit_starts(bounds[1], scale, compression)
+        base, cb = 0, np.array([0, gs.size])
+        cum = np.cumsum(vals)
+    else:
+        lens = np.diff(bounds)
+        uniq, inv = np.unique(lens, return_inverse=True)
+        tables = [_unit_starts(n, scale, compression) for n in uniq.tolist()]
+        sizes = np.array([t[0].size for t in tables], dtype=np.int64)
+        ncl = sizes[inv]
+        cb = np.zeros(lens.size + 1, dtype=np.int64)
+        np.cumsum(ncl, out=cb[1:])
+        # row j of segment s is row j of its length's table
+        pick = (np.repeat(np.cumsum(sizes)[inv] - ncl - cb[:-1], ncl)
+                + np.arange(cb[-1]))
+        base = np.repeat(bounds[:-1], ncl)
+        gs = base + np.concatenate([t[0] for t in tables])[pick]
+        ge = base + np.concatenate([t[1] for t in tables])[pick]
+        # each segment keeps its own running sum: one running sum across
+        # segments changes the last bits of the cluster means
+        cum = np.concatenate([vals[a:b].cumsum()
+                              for a, b in zip(bounds[:-1], bounds[1:])])
+    # the scalar path's tail with unit weights: cumulative weights are the
+    # indices, so a cluster's weight is its point count
+    first, last = vals[gs], vals[ge]
+    w = (ge - gs + 1).astype(np.float64)
+    left = np.where(gs > base, cum[gs - 1], 0.0)
+    m = np.where(ge == gs, first, (cum[ge] - left) / w)
+    m = np.clip(m, np.minimum(first, last), np.maximum(first, last))
+    return m, w, cb
 
 
 def _weighted_average(x1: float, w1: float, x2: float, w2: float) -> float:

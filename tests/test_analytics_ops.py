@@ -837,6 +837,28 @@ def test_embedding_norm_stats(ray_session, rng):
     assert out["p50"] == v[int(np.ceil(0.5 * n)) - 1]
 
 
+def test_embedding_norm_stats_disc_rank_matches_duckdb(ray_session, rng):
+    """A caller's q goes through the exact integer rank: at q=0.55 over 100
+    norms DuckDB's quantile_disc picks the 55th, not the 56th."""
+    import duckdb
+    import ray
+    from t_digest_ray.pipelines.clustering import embedding_norm_stats
+
+    n, d = 100, 8
+    emb = rng.normal(size=(n, d)).astype(np.float32)
+    df = pd.DataFrame({"embedding": [list(map(float, r)) for r in emb]})
+    out = (embedding_norm_stats(ray.data.from_pandas(df), "embedding",
+                                qs=(0.55,)).to_pandas().iloc[0])
+    norms = pd.DataFrame({"nrm": np.sqrt(np.cumsum(
+        (emb * emb).astype(np.float64), axis=1)[:, -1])})
+    con = duckdb.connect()
+    con.register("t", norms)
+    want = con.execute(
+        "SELECT quantile_disc(nrm, 0.55) FROM t").fetchone()[0]
+    assert want == np.sort(norms["nrm"])[54]
+    assert out["p55"] == want
+
+
 def test_entry_exit_type_counts(ray_session, rng):
     import ray
     from t_digest_ray.pipelines.windows import entry_exit_type_counts

@@ -1,17 +1,23 @@
 """Property-based tests (hypothesis): invariants that must hold for ANY
 input, not just the seeded fixtures — weight conservation, quantile
-monotonicity and range, merge equivalence, serde round trips."""
+monotonicity and range, merge equivalence, serde round trips, and the
+one-pass unit-weight encoder's bytes."""
 
 from __future__ import annotations
+
+import copy
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from t_digest_ray.state import scale_functions as sfn
+from t_digest_ray.state import tdigest
 from t_digest_ray.state.kll import KllSketch
 from t_digest_ray.state.req import ReqSketch
-from t_digest_ray.state.tdigest import TDigest
+from t_digest_ray.state.tdigest import TDigest, _buffer_cap
 
 finite = st.floats(min_value=-1e12, max_value=1e12,
                    allow_nan=False, allow_infinity=False)
@@ -394,3 +400,68 @@ def test_weighted_rank_rule_matches_cumsum(vals, wts, q):
     target = max(-(-num * W // den), 1)          # ceil
     oracle = int(expanded[target - 1])
     assert rule == oracle
+
+
+SCALES = [sfn.K_0, sfn.K_1, sfn.K_2, sfn.K_3,
+          sfn.K_1_GLUED, sfn.K_2_GLUED, sfn.K_3_GLUED]
+KINDS = ["fresh", "rounded", "weighted", "merged", "backwards", "other"]
+
+
+@st.composite
+def digest_batches(draw):
+    """Digests of one scale and compression: fresh unit-weight ones (the
+    one-pass path) beside every fallback — weighted points, centroids from
+    a merge or a compress (the next pass runs backwards), another
+    compression — with ties, -0.0 and group sizes around the buffer."""
+    scale = draw(st.sampled_from(SCALES))
+    comp = draw(st.integers(10, 500))
+    cap = _buffer_cap(float(comp))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    groups = draw(st.lists(st.tuples(
+        st.one_of(st.sampled_from([0, 1, 2, 3, cap - 1, cap, cap + 1]),
+                  st.integers(1, 300)),
+        st.sampled_from(KINDS)), min_size=1, max_size=6))
+    digests = []
+    for n, kind in groups:
+        d = TDigest(comp + (kind == "other"), scale)
+        v = rng.normal(0, 1, n)
+        if kind == "rounded":
+            v = np.round(v, 1)  # ties, and -0.0 beside 0.0
+        if kind == "weighted" and n:
+            d.update_batch(v, rng.integers(1, 5, n).astype(np.float64))
+        else:
+            for part in np.array_split(v, 1 + n % 3):
+                if part.size:
+                    d.update_batch(part)
+        if kind == "merged":
+            o = TDigest(comp, scale)
+            o.update_batch(rng.normal(0, 1, 20))
+            d.merge(o)
+        if kind == "backwards":
+            d.compress()
+            d.update_batch(rng.normal(0, 1, 5))
+        digests.append(d)
+    return digests
+
+
+@settings(max_examples=60, deadline=None)
+@given(digest_batches())
+def test_to_bytes_many_matches_to_bytes(digests):
+    want = [copy.deepcopy(d).to_bytes() for d in digests]
+    assert TDigest.to_bytes_many(digests) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(digest_batches())
+def test_unit_weight_table_matches_scalar_walk(digests):
+    """The cached unit-weight boundary table gives the bytes of the
+    scalar walk, in either merge direction (a second ``to_bytes`` re-merges
+    backwards)."""
+    def encode(ds):
+        ds = copy.deepcopy(ds)
+        return [d.to_bytes() for d in ds] + [d.to_bytes() for d in ds]
+
+    fast = encode(digests)
+    with mock.patch.object(tdigest, "_buffer_cap", lambda c: 0):
+        scalar = encode(digests)
+    assert fast == scalar

@@ -358,6 +358,34 @@ def test_bucketed_join_storage_partitioned(ray_session, tmp_path):
     assert os.path.getmtime(d + "/_SUCCESS") == mtime
 
 
+def test_write_bucketed_rerun_after_lost_marker(ray_session, tmp_path):
+    """A write whose _SUCCESS marker never landed is redone in full: the
+    rerun replaces the first run's files instead of adding a second set."""
+    import os
+
+    import pyarrow.dataset as pads
+    import ray.data as rd
+
+    from t_digest_ray.stages.bucketed import write_bucketed
+
+    ds = rd.from_pandas(pd.DataFrame({"x": np.arange(1000, dtype=np.int64)}))
+    dest = str(tmp_path / "bkt")
+
+    def files():
+        return sorted(os.path.relpath(os.path.join(r, f), dest)
+                      for r, _, fs in os.walk(dest)
+                      for f in fs if f.endswith(".parquet"))
+
+    write_bucketed(ds, dest, "x", 4)
+    first = files()
+    os.remove(os.path.join(dest, "_SUCCESS"))  # the run "died" here
+    write_bucketed(ds, dest, "x", 4)
+    assert os.path.exists(os.path.join(dest, "_SUCCESS"))
+    assert len(files()) == len(first)
+    assert pads.dataset(dest, format="parquet").count_rows() == 1000
+    assert not [f for f in os.listdir(tmp_path) if ".tmp-" in f]
+
+
 def test_zorder_interleave_and_report(ray_session):
     """Morton interleave matches the bit-by-bit definition, and the
     partition report's spans prove 2-D locality: every equal-width

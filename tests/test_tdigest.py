@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from t_digest_ray.state.exact import exact_cdf, exact_quantile
-from t_digest_ray.state.scale_functions import K_1, K_2, K_3
+from t_digest_ray.state.scale_functions import K_0, K_1, K_2, K_2_GLUED, K_3
 from t_digest_ray.state.tdigest import TDigest
 
 # ------------------------------------------------------------------- layer 1
@@ -356,6 +356,67 @@ def test_serde_roundtrip_exact():
     assert d2.public_compression == d.public_compression
     # double round-trip is byte-identical
     assert d2.to_bytes() == b
+
+
+_SECOND_PASS_MERGES = pytest.mark.xfail(
+    strict=True, reason="Known defect: on K_0 and the glued scales a "
+    "second (backwards) pass can merge two centroids")
+
+
+@pytest.mark.parametrize("scale", [
+    K_1, K_2, K_3,
+    pytest.param(K_0, marks=_SECOND_PASS_MERGES),
+    pytest.param(K_2_GLUED, marks=_SECOND_PASS_MERGES)])
+def test_to_bytes_idempotent_and_round_trips(scale):
+    """A second ``to_bytes`` re-merges (backwards) and must give the same
+    bytes, and so must ``from_bytes -> to_bytes``: unit-weight and
+    weighted digests, merged digests, ties and both sides of the temp
+    buffer."""
+    rng = np.random.default_rng(29)
+    for comp, n in [(10, 50), (37, 1500), (100, 3), (100, 900),
+                    (100, 5000), (250, 20_000)]:
+        for weighted in (False, True):
+            v = np.round(rng.lognormal(0, 2, n), 1)
+            w = rng.integers(1, 51, n).astype(np.float64) if weighted \
+                else None
+            d = TDigest(comp, scale)
+            d.update_batch(v, w)
+            o = TDigest(comp, scale)
+            o.update_batch(rng.normal(0, 1, 300))
+            for dig in (d, TDigest.merge_all([d, o])):
+                b = dig.to_bytes()
+                assert dig.to_bytes() == b
+                assert TDigest.from_bytes(b, scale).to_bytes() == b
+
+
+def test_unit_table_walks_once_per_length(monkeypatch):
+    """The scalar walk behind the unit-weight boundary table runs once per
+    distinct (scale, compression, n), however many digests share it."""
+    from t_digest_ray.state import tdigest as td
+
+    walked = []
+    walk = td._walk
+    monkeypatch.setattr(td, "_walk", lambda cumw, *a: (
+        walked.append(cumw.size), walk(cumw, *a))[1])
+    td._unit_starts.cache_clear()
+    rng = np.random.default_rng(31)
+
+    def fresh(n, comp=100, scale=K_2):
+        d = TDigest(comp, scale)
+        d.update_batch(rng.normal(0, 1, n))
+        return d
+
+    sizes = [5, 7, 5, 7, 7, 1, 2, 40]
+    TDigest.to_bytes_many([fresh(n) for n in sizes])
+    assert sorted(walked) == [5, 7, 40]  # n <= 2 needs no walk
+    TDigest.to_bytes_many([fresh(n) for n in sizes])
+    for n in sizes:
+        fresh(n).to_bytes()
+    assert sorted(walked) == [5, 7, 40]
+    fresh(5, comp=50).to_bytes()
+    fresh(5, scale=K_1).to_bytes()
+    assert sorted(walked) == [5, 5, 5, 7, 40]
+    td._unit_starts.cache_clear()
 
 
 def test_serde_merge_equivalence():

@@ -40,6 +40,24 @@ def test_quantile_bound_check_passes_healthy(keyed_values):
         assert r["p50"] == v[max(int(np.ceil(0.5 * len(v))) - 1, 0)]
 
 
+def test_quantile_bound_check_disc_rank_matches_duckdb(ray_session):
+    """At q=0.55, n=100 the float rank ceil(q*n) is 56; DuckDB's
+    quantile_disc picks the 55th value."""
+    import duckdb
+    import ray
+
+    rng = np.random.default_rng(5)
+    df = pd.DataFrame({"k": ["a"] * 100,
+                       "x": rng.permutation(np.arange(1.0, 101.0))})
+    out = quantile_bound_check(ray.data.from_pandas(df), "x", "k",
+                               tdigest_spec(100), qs=(0.55,)).to_pandas()
+    con = duckdb.connect()
+    con.register("t", df)
+    want = con.execute("SELECT quantile_disc(x, 0.55) FROM t").fetchone()[0]
+    assert want == 55.0
+    assert out["p55"].iloc[0] == want
+
+
 def test_quantile_bound_check_flags_regression(keyed_values):
     ds, _ = keyed_values
     spec = tdigest_spec(100)
