@@ -6525,28 +6525,23 @@ def compaction_fingerprint_check(sf_dir: str):
     import os
 
     from t_digest_ray.pipelines.checkpoint import compact_shards
+    from t_digest_ray.stages.bucketed import write_partitioned
 
     tag = hashlib.sha1(
         f"{os.path.normpath(sf_dir)}|compact".encode()).hexdigest()[:10]
     src_dir = f"/tmp/tdr_compact/src-{tag}"
     dest_dir = f"/tmp/tdr_compact/dst-{tag}"
-    marker = os.path.join(src_dir, "_SUCCESS")
-    if not os.path.exists(marker):
-        os.makedirs(src_dir, exist_ok=True)
-        ds = _read(sf_dir, "events", ["event_type", "user_id", "value"])
+    ds = _read(sf_dir, "events", ["event_type", "user_id", "value"])
 
-        def prep(b: pa.Table) -> pa.Table:
-            v = b["value"].to_numpy(zero_copy_only=False)
-            cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
-            return pa.table({"event_type": b["event_type"],
-                             "user_id": b["user_id"],
-                             "cents": pa.array(cents)})
+    def prep(b: pa.Table) -> pa.Table:
+        v = b["value"].to_numpy(zero_copy_only=False)
+        cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
+        return pa.table({"event_type": b["event_type"],
+                         "user_id": b["user_id"],
+                         "cents": pa.array(cents)})
 
-        (ds.map_batches(prep, batch_format="pyarrow")
-         .repartition(16).write_parquet(src_dir))
-        with open(marker, "w") as f:
-            f.write("ok")
-    os.makedirs(dest_dir, exist_ok=True)
+    write_partitioned(ds.map_batches(prep, batch_format="pyarrow")
+                      .repartition(16), src_dir)
     return compact_shards(src_dir, dest_dir, 4, "event_type",
                           ["user_id", "cents"])
 
@@ -6564,30 +6559,23 @@ def schema_evolution_doc_stats(sf_dir: str):
     import os
 
     from t_digest_ray.sources.text_files import read_harmonized_parquet
+    from t_digest_ray.stages.bucketed import write_partitioned
 
     tag = hashlib.sha1(
         f"{os.path.normpath(sf_dir)}|schemaevo".encode()).hexdigest()[:10]
     root = f"/tmp/tdr_schemaevo/{tag}"
     v1, v2 = f"{root}/v1", f"{root}/v2"
-    marker = f"{root}/_SUCCESS"
-    if not os.path.exists(marker):
-        os.makedirs(v1, exist_ok=True)
-        os.makedirs(v2, exist_ok=True)
-        ds = _read(sf_dir, "documents", ["doc_id", "n_chars", "lang"])
+    ds = _read(sf_dir, "documents", ["doc_id", "n_chars", "lang"])
 
-        def side(parity: int, cols):
-            def fn(b: pa.Table) -> pa.Table:
-                ids = b["doc_id"].to_numpy(zero_copy_only=False)
-                return b.filter(pa.array(ids % 2 == parity)) \
-                    .select(cols)
-            return fn
+    def side(parity: int, cols):
+        def fn(b: pa.Table) -> pa.Table:
+            ids = b["doc_id"].to_numpy(zero_copy_only=False)
+            return b.filter(pa.array(ids % 2 == parity)).select(cols)
+        return fn
 
-        (ds.map_batches(side(0, ["doc_id", "n_chars"]),
-                        batch_format="pyarrow").write_parquet(v1))
-        (ds.map_batches(side(1, ["doc_id", "n_chars", "lang"]),
-                        batch_format="pyarrow").write_parquet(v2))
-        with open(marker, "w") as f:
-            f.write("ok")
+    # each generation is its own atomic write (marker inside)
+    write_partitioned(ds, v1, side(0, ["doc_id", "n_chars"]))
+    write_partitioned(ds, v2, side(1, ["doc_id", "n_chars", "lang"]))
 
     target = pa.schema([("doc_id", pa.int64()),
                         ("n_chars", pa.int64()),

@@ -607,8 +607,9 @@ def compact_shards(src_dir: str, dest_dir: str, target_files: int,
                    key: str, mix_cols: list[str]):
     """SMALL-FILE COMPACTION — the lakehouse maintenance operator:
     streaming-rewrite a directory of tiny parquet shards into
-    ``target_files`` well-sized files (repartition + write, atomic
-    ``_SUCCESS``), then PROVE content equality with the order-invariant
+    ``target_files`` well-sized files (repartition + write, atomic and
+    skipped once ``_SUCCESS`` exists: ``bucketed.write_partitioned``),
+    then PROVE content equality with the order-invariant
     per-key table fingerprint (validation.table_fingerprint) of source
     vs destination — compaction must be a pure layout change, and the
     commutative checksum is exactly the tool that can certify that
@@ -620,14 +621,11 @@ def compact_shards(src_dir: str, dest_dir: str, target_files: int,
 
     import ray.data as rd
 
+    from ..stages.bucketed import write_partitioned
     from .validation import table_fingerprint
 
-    marker = os.path.join(dest_dir, "_SUCCESS")
     src = rd.read_parquet(src_dir)
-    if not os.path.exists(marker):
-        src.repartition(target_files).write_parquet(dest_dir)
-        with open(marker, "w") as f:
-            f.write("ok")
+    write_partitioned(src.repartition(target_files), dest_dir)
 
     before = table_fingerprint(src, key, mix_cols).to_pandas()
     after = table_fingerprint(

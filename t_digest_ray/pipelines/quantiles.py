@@ -14,7 +14,7 @@ import pyarrow as pa
 
 from ..state.protocol import SketchSpec
 from ..state.scale_functions import K_2
-from ..state.tdigest import TDigest
+from ..state.tdigest import CompressedSummary, TDigest
 from ..stages.aggregate import (METRIC_COL, KeyedSketches,
                                 merge_multi_partials, sketch_by_key,
                                 summarize)
@@ -37,12 +37,14 @@ def tdigest_spec(compression: float = 100.0, scale=K_2,
                  include_minmax: bool = True) -> SketchSpec:
     """SketchSpec for a t-digest whose summary is quantiles + trimmed means."""
 
-    def summ(sk: TDigest) -> dict:
-        sk.compress()
-        out = {q_col(q): sk.quantile(q) for q in qs}
-        for lo, hi in trims:
-            out[f"trimmed_mean_{int(lo * 100)}_{int(hi * 100)}"] = \
-                sk.trimmed_mean(lo, hi)
+    q_cols = [(q_col(q), q) for q in qs]
+    trim_cols = [(f"trimmed_mean_{int(lo * 100)}_{int(hi * 100)}", lo, hi)
+                 for lo, hi in trims]
+
+    def read(sk: TDigest) -> dict:
+        out = {c: sk.quantile(q) for c, q in q_cols}
+        for c, lo, hi in trim_cols:
+            out[c] = sk.trimmed_mean(lo, hi)
         if include_minmax:
             out["min"] = sk.min if sk.size else float("nan")
             out["max"] = sk.max if sk.size else float("nan")
@@ -52,7 +54,7 @@ def tdigest_spec(compression: float = 100.0, scale=K_2,
         name="tdigest",
         factory=lambda: TDigest(compression, scale),
         from_bytes=lambda b: TDigest.from_bytes(b, scale),
-        summarize=summ,
+        summarize=CompressedSummary(read, scale),
     )
 
 
@@ -160,6 +162,22 @@ def quantiles_by_key(ds, value_col: str, key: str | None = None,
     return summarize(merged, spec, key_name=key_name or (key or "key"))
 
 
+def cdf_spec(thresholds=(0.0,), compression: float = 100.0) -> SketchSpec:
+    """SketchSpec for a K_2 t-digest whose summary is its CDF at fixed
+    thresholds: columns ``cdf_le_<i>`` in threshold order."""
+    t_list = [float(t) for t in thresholds]
+
+    def read(sk: TDigest) -> dict:
+        return {f"cdf_le_{i}": sk.cdf(t) for i, t in enumerate(t_list)}
+
+    return SketchSpec(
+        name="tdigest",
+        factory=lambda: TDigest(compression, K_2),
+        from_bytes=lambda b: TDigest.from_bytes(b, K_2),
+        summarize=CompressedSummary(read, K_2),
+    )
+
+
 def cdf_by_key(ds, value_col: str, key: str | None = None,
                thresholds=(0.0,), compression: float = 100.0,
                batch_size: int | None = None, key_name: str | None = None):
@@ -168,18 +186,7 @@ def cdf_by_key(ds, value_col: str, key: str | None = None,
     (TDigest.java cdf). Output columns ``cdf_le_<i>`` follow the
     threshold order; the value-checked gate for this shape is
     ``validation.cdf_bound_check``."""
-    t_list = [float(t) for t in thresholds]
-
-    def summ(sk: TDigest) -> dict:
-        sk.compress()
-        return {f"cdf_le_{i}": sk.cdf(t) for i, t in enumerate(t_list)}
-
-    spec = SketchSpec(
-        name="tdigest",
-        factory=lambda: TDigest(compression, K_2),
-        from_bytes=lambda b: TDigest.from_bytes(b, K_2),
-        summarize=summ,
-    )
+    spec = cdf_spec(thresholds, compression)
     merged = sketch_by_key(ds, spec, value_col, key, batch_size=batch_size)
     return summarize(merged, spec, key_name=key_name or (key or "key"))
 

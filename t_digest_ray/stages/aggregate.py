@@ -22,6 +22,11 @@ partials go through ONE canonical N-way merge (concat all centroid arrays,
 one sort, one cluster pass — MergingDigest.java:314-357 semantics). The
 fold visits each key's partials in sorted byte order, so the result is a
 function of the partial rows alone, never of the order Ray delivers them.
+For t-digests the fold and the query stage are batched over keys
+(``protocol.merge_bytes_many`` / ``summarize_many``: one segmented merge
+and encode for every key, one compress for every summary), byte for byte
+and value for value what the per-key calls give; other sketches keep the
+per-key loop.
 
 The analytics operators share the other exchange, ``bucketed_map_groups``:
 raw rows hash-bucketed on typed key columns, one vectorized pandas fold per
@@ -40,7 +45,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..state.protocol import SketchSpec, to_bytes_many
+from ..state.protocol import (SketchSpec, merge_bytes_many, summarize_many,
+                              to_bytes_many)
 from .partitioning import (DEFAULT_MIN_BUCKETS, cheap_row_count,
                            cluster_cpus, coarse_bucket_count, rows_per_task)
 
@@ -169,14 +175,15 @@ def _fold(partials, spec: SketchSpec, group: tuple[str, ...]):
     """Partial rows -> one merged row ``(*group, sketch, n)`` per distinct
     ``group`` value, in sorted group order, from one task: every partial
     row meets in one block and each group's sketches go through one
-    ``spec.merge_bytes``. The group columns keep their Arrow types."""
+    ``spec.merge_bytes`` (``protocol.merge_bytes_many``: t-digest groups
+    merge in one batched pass). The group columns keep their Arrow
+    types."""
     sort = [(c, "ascending") for c in (*group, SKETCH_COL)]
 
     def fold(tbl: pa.Table) -> pa.Table:
         agg = tbl.sort_by(sort).group_by(list(group), use_threads=False) \
             .aggregate([(SKETCH_COL, "list"), (COUNT_COL, "sum")])
-        merged = [spec.merge_bytes(blobs).to_bytes()
-                  for blobs in agg[f"{SKETCH_COL}_list"].to_pylist()]
+        merged = merge_bytes_many(spec, agg[f"{SKETCH_COL}_list"])
         return pa.table({**{c: agg[c] for c in group},
                          SKETCH_COL: pa.array(merged, type=pa.binary()),
                          COUNT_COL: agg[f"{COUNT_COL}_sum"]})
@@ -229,20 +236,17 @@ def sketch_by_key(ds, spec: SketchSpec, value_col: str,
 
 
 def summarize(ds, spec: SketchSpec, key_name: str = KEY_COL):
-    """Query stage: expand each merged sketch row into result columns.
-
-    The iterrows loop is deliberate: the input is the MERGED sketch table
-    (one row per key — tens of rows), never per-batch partials; do not
-    reuse this on row-counts proportional to the data."""
+    """Query stage: expand each merged sketch row into result columns,
+    ``spec.summarize(spec.from_bytes(sketch))`` per row
+    (``protocol.summarize_many``: a t-digest spec's summaries share one
+    batched compress). The input is the MERGED sketch table (one row per
+    key), never per-batch partials."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for _, r in df.iterrows():
-            sk = spec.from_bytes(r[SKETCH_COL])
-            out = {key_name: r[KEY_COL], COUNT_COL: r[COUNT_COL]}
-            out.update(spec.summarize(sk))
-            rows.append(out)
-        return pd.DataFrame(rows)
+        summaries = summarize_many(spec, df[SKETCH_COL].tolist())
+        return pd.DataFrame([{key_name: k, COUNT_COL: n, **s} for k, n, s in
+                             zip(df[KEY_COL].tolist(),
+                                 df[COUNT_COL].tolist(), summaries)])
 
     return ds.map_batches(fn, batch_format="pandas")
 

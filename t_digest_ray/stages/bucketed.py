@@ -46,9 +46,11 @@ def _bucket_dir(root: str, name: str, sf_dir: str, key: str,
     return os.path.join(root, f"{name}-{tag}")
 
 
-def write_partitioned(ds, dest: str, tag, partition_col: str) -> str:
-    """Write ``ds.map_batches(tag)`` as parquet partitioned on
-    ``partition_col`` under ``dest``, atomically and idempotently.
+def write_partitioned(ds, dest: str, tag=None,
+                      partition_col: str | None = None) -> str:
+    """Write ``ds`` (through ``ds.map_batches(tag)`` when ``tag`` is
+    given) as parquet under ``dest``, partitioned on ``partition_col``
+    when one is given, atomically and idempotently.
 
     Skipped when ``dest/_SUCCESS`` exists. Otherwise the files and the
     marker go to a tmp sibling directory that is renamed into place, so
@@ -57,9 +59,12 @@ def write_partitioned(ds, dest: str, tag, partition_col: str) -> str:
     second set beside them)."""
     if os.path.exists(os.path.join(dest, "_SUCCESS")):
         return dest
-    tmp = f"{dest}.tmp-{uuid.uuid4().hex[:8]}"
-    ds.map_batches(tag, batch_format="pyarrow").write_parquet(
-        tmp, partition_cols=[partition_col])
+    tmp = f"{os.path.normpath(dest)}.tmp-{uuid.uuid4().hex[:8]}"
+    if tag is not None:
+        ds = ds.map_batches(tag, batch_format="pyarrow")
+    ds.write_parquet(tmp, partition_cols=[partition_col] if partition_col
+                     else None)
+    os.makedirs(tmp, exist_ok=True)  # an empty write may make no directory
     with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
         f.write("ok")
     shutil.rmtree(dest, ignore_errors=True)  # a failed attempt's leftovers

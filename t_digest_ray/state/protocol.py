@@ -15,7 +15,10 @@ Contract (all sketches in ``t_digest_ray.state`` implement it):
 * ``to_bytes() / from_bytes(b)``          — stable byte encoding used for the
   shuffle (Arrow ``binary`` column) and for checkpoints. A class may also
   offer ``to_bytes_many(sketches)``, the same bytes for many sketches in one
-  call; ``to_bytes_many`` below uses it when present.
+  call; ``to_bytes_many`` below uses it when present. Likewise a class's
+  ``merge_bytes_many(groups, like)`` serves ``merge_bytes_many`` (many
+  ``merge_bytes(...).to_bytes()`` at once), and a summary callable's
+  class's ``many(blobs)`` serves ``summarize_many``.
 
 A ``SketchSpec`` names a concrete configuration (factory + how to read its
 summary) so pipelines can be written generically over sketch kinds.
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol, runtime_checkable
+
+import pyarrow as pa
 
 
 @runtime_checkable
@@ -70,3 +75,36 @@ def to_bytes_many(sketches) -> list[bytes]:
     many = getattr(type(sketches[0]), "to_bytes_many", None) \
         if sketches else None
     return many(sketches) if many else [s.to_bytes() for s in sketches]
+
+
+def merge_bytes_many(spec: SketchSpec, groups) -> list[bytes]:
+    """``[spec.merge_bytes(g).to_bytes() for g in groups]``.
+
+    ``groups`` is an Arrow ``list<binary>`` array (chunked or not) or a
+    list of blob lists. When the spec's sketch class has a batched
+    ``merge_bytes_many(groups, like)`` (``TDigest``'s merges and encodes
+    every plain t-digest group in one pass), it goes first, with a fresh
+    ``spec.factory()`` sketch as ``like``; each group it leaves (None)
+    takes the per-group merge."""
+    if isinstance(groups, pa.ChunkedArray):
+        groups = groups.combine_chunks()
+    elif not isinstance(groups, pa.Array):
+        groups = pa.array(list(groups), type=pa.list_(pa.binary()))
+    like = spec.factory()
+    many = getattr(type(like), "merge_bytes_many", None)
+    out = many(groups, like) if many and len(groups) else [None] * len(groups)
+    if None in out:
+        out = [spec.merge_bytes(g).to_bytes() if b is None else b
+               for b, g in zip(out, groups.to_pylist())]
+    return out
+
+
+def summarize_many(spec: SketchSpec, blobs) -> list[dict[str, Any]]:
+    """``[spec.summarize(spec.from_bytes(b)) for b in blobs]``, through
+    the summary callable's class's ``many(blobs)`` when it has one
+    (``tdigest.CompressedSummary`` compresses every digest in one pass)."""
+    blobs = list(blobs)
+    many = getattr(type(spec.summarize), "many", None)
+    if many:
+        return many(spec.summarize, blobs)
+    return [spec.summarize(spec.from_bytes(b)) for b in blobs]

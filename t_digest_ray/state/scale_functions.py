@@ -20,7 +20,10 @@ Each provides four operations used by the merge kernel and invariant checks:
 * ``max_size(q, normalizer)`` — max *relative* cluster weight at quantile q
 * ``normalizer(compression, n)``
 
-All are vectorized over numpy arrays (scalar floats also accepted).  Inputs
+All are vectorized over numpy arrays (scalar floats also accepted).
+``next_q_many(q, normalizer)`` is the merge walk's step, ``q(k(q) + 1)``,
+over arrays but rounded exactly as the scalar ``k_scalar``/``q_scalar``
+calls round, so a batched walk finds the scalar walk's clusters.  Inputs
 to ``k`` are clamped to ``[1e-15, 1 - 1e-15]`` exactly like the reference's
 ``limitCall`` guard (ScaleFunction.java:926-940).
 """
@@ -36,6 +39,11 @@ _EPS = 1e-15
 
 def _clip_q(q):
     return np.clip(q, _EPS, 1.0 - _EPS)
+
+
+def _map(fn, x: np.ndarray) -> np.ndarray:
+    """A scalar ``math`` function applied to each element of ``x``."""
+    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=x.size)
 
 
 class ScaleFunction:
@@ -56,6 +64,14 @@ class ScaleFunction:
 
     def q_scalar(self, k: float, normalizer: float) -> float:
         return float(self.q(k, normalizer))
+
+    def next_q_many(self, q: np.ndarray, normalizer: np.ndarray) -> np.ndarray:
+        """``q_scalar(k_scalar(q, z) + 1.0, z)`` for each ``(q, z)`` pair:
+        the quantile one k-step above q, as the scalar walk computes it."""
+        k_fn, q_fn = self.k_scalar, self.q_scalar
+        return np.array([q_fn(k_fn(a, z) + 1.0, z)
+                         for a, z in zip(q.tolist(), normalizer.tolist())],
+                        dtype=np.float64)
 
     def max_size(self, q, normalizer):
         """Maximum relative cluster weight at quantile q (ScaleFunction.java:831-850)."""
@@ -161,6 +177,15 @@ class K2(ScaleFunction):
 
     def q_scalar(self, k, normalizer):
         w = math.exp(k / normalizer)
+        return w / (1.0 + w)
+
+    def next_q_many(self, q, normalizer):
+        # the scalar pair inlined: numpy's float64 arithmetic rounds as
+        # Python's does; log and exp stay math's, one element at a time
+        # (numpy's SIMD log/exp may round differently on another CPU)
+        q = np.minimum(np.maximum(q, _EPS), 1.0 - _EPS)
+        k = normalizer * _map(math.log, q / (1.0 - q))
+        w = _map(math.exp, (k + 1.0) / normalizer)
         return w / (1.0 + w)
 
     def normalizer(self, compression, n):
@@ -319,6 +344,7 @@ class K2Glued(K2):
 
     name = "K_2_GLUED"
     split = 0.5
+    next_q_many = ScaleFunction.next_q_many  # not K_2's inlined form
 
     def k(self, q, normalizer):
         q = np.asarray(_clip_q(q), dtype=np.float64)

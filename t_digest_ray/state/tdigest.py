@@ -38,7 +38,14 @@ Differences by design (this is a Ray-Data-native rebuild, not a port):
   once, each with its own running sums. ``_cluster`` uses it as the
   one-segment case, and ``TDigest.to_bytes_many`` encodes every fresh
   per-key digest of a batch in one pass (one sort on (digest, value)) with
-  the bytes ``to_bytes`` gives. Weighted merges keep the scalar walk.
+  the bytes ``to_bytes`` gives.
+* weighted merges are batched too: ``_seg_walk`` runs the k-limit walk of
+  many digests in lockstep (float64 numpy arithmetic, math's log/exp per
+  element, one complex-keyed ``searchsorted`` for every segment), so
+  ``TDigest.merge_bytes_many`` merges, compresses and encodes every key's
+  partials of an exchange at once, and ``compressed_many`` compresses
+  every digest a summary reads, each with the bytes and values of the
+  per-digest calls. The scalar ``_walk`` stays for single-digest updates.
 * weights are float64 (integral weights stay exact below 2**53), avoiding the
   reference's int-overflow hazard (BigCount.java:28-54).
 """
@@ -49,6 +56,7 @@ import functools
 import struct
 
 import numpy as np
+import pyarrow as pa
 
 from .scale_functions import K_2, ScaleFunction, get_scale
 
@@ -302,24 +310,29 @@ class TDigest:
         if weight[n - 1] > 1 and total - index <= weight[n - 1] / 2:
             return self.max - (total - index - 1) / (weight[n - 1] / 2 - 1) * (self.max - mean[n - 1])
 
-        w_so_far = weight[0] / 2
-        for i in range(n - 1):
-            dw = (weight[i] + weight[i + 1]) / 2
-            if w_so_far + dw > index:
-                left_unit = 0.0
-                if weight[i] == 1:
-                    if index - w_so_far < 0.5:
-                        return float(mean[i])
-                    left_unit = 0.5
-                right_unit = 0.0
-                if weight[i + 1] == 1:
-                    if w_so_far + dw - index <= 0.5:
-                        return float(mean[i + 1])
-                    right_unit = 0.5
-                z1 = index - w_so_far - left_unit
-                z2 = w_so_far + dw - index - right_unit
-                return _weighted_average(mean[i], z2, mean[i + 1], z1)
-            w_so_far += dw
+        # the reference's running w_so_far, w[0]/2 plus each neighbouring
+        # pair's mean weight, as one sequential cumsum: the first pair
+        # whose running sum passes index holds the quantile
+        steps = np.empty(n)
+        steps[0] = weight[0] / 2
+        steps[1:] = (weight[:n - 1] + weight[1:n]) / 2
+        w_cum = np.cumsum(steps)
+        i = int(w_cum[1:].searchsorted(index, side="right"))
+        if i < n - 1:
+            w_so_far, dw = w_cum[i], steps[i + 1]
+            left_unit = 0.0
+            if weight[i] == 1:
+                if index - w_so_far < 0.5:
+                    return float(mean[i])
+                left_unit = 0.5
+            right_unit = 0.0
+            if weight[i + 1] == 1:
+                if w_so_far + dw - index <= 0.5:
+                    return float(mean[i + 1])
+                right_unit = 0.5
+            z1 = index - w_so_far - left_unit
+            z2 = w_so_far + dw - index - right_unit
+            return _weighted_average(mean[i], z2, mean[i + 1], z1)
         z1 = index - total - weight[n - 1] / 2.0
         z2 = weight[n - 1] / 2 - z1
         return _weighted_average(mean[n - 1], z1, self.max, z2)
@@ -487,6 +500,126 @@ class TDigest:
                 out[i] = b
         return [d.to_bytes() if b is None else b for d, b in zip(digests, out)]
 
+    @classmethod
+    def merge_bytes_many(cls, groups, like: "TDigest") -> list:
+        """For each group of encoded digests, the bytes of
+        ``fresh.merge(*(from_bytes(b) for b in group)).to_bytes()``, where
+        ``fresh`` is an empty digest configured like ``like`` (the scalar
+        ``SketchSpec.merge_bytes`` + ``to_bytes``), or None for a group the
+        batched pass does not take.
+
+        ``groups`` is an Arrow ``list<binary>`` array. Every group whose
+        blobs are all VERBOSE encodings of finite centroids with positive
+        weights goes through one pass: its centroids are decoded from the
+        Arrow buffers and sorted on (mean, weight) per group, then
+        ``_seg_cluster`` merges every group at the internal compression and
+        runs the backwards compress at the public one, and the header
+        follows Python's ``min``/``max`` folds (the first of tied ±0.0
+        extremes wins). Groups with a SMALL or RECORDING blob, a None, no
+        centroid at all, and every group when ``like`` is not a fresh plain
+        ``TDigest``, are left to the caller.
+        """
+        out = [None] * len(groups)
+        if (type(like) is not TDigest or like._n or like._temp_used
+                or like._merge_count or like.min != np.inf
+                or like.max != -np.inf):
+            return out
+        ok, lo, hi, _comp, cstart, m, w = _decode_verbose(groups.values)
+        goff = np.asarray(groups.offsets, dtype=np.int64)
+        sizes = np.diff(goff)
+        nbad = np.concatenate(([0], np.cumsum(~ok)))
+        take = ((sizes > 0) & (nbad[goff[1:]] == nbad[goff[:-1]])
+                & (cstart[goff[1:]] > cstart[goff[:-1]]))
+        if groups.null_count:
+            take &= ~groups.is_null().to_numpy(zero_copy_only=False)
+        gids = np.flatnonzero(take)
+        if not gids.size:
+            return out
+        # each group's centroids sorted on (mean, weight), as merge() does
+        ca, cb = cstart[goff[gids]].tolist(), cstart[goff[gids + 1]].tolist()
+        order = np.concatenate([np.lexsort((w[a:b], m[a:b])) + a
+                                for a, b in zip(ca, cb)])
+        m, w = m[order], w[order]
+        off = np.concatenate(([0], np.cumsum(np.subtract(cb, ca))))
+        # the header's min/max: Python's running min/max over the blobs
+        blob = np.repeat(take, sizes)
+        first = np.concatenate(([0], np.cumsum(sizes[gids])))[:-1]
+        lo = _first_extreme(lo[goff[0]:goff[-1]][blob], first, np.minimum)
+        hi = _first_extreme(hi[goff[0]:goff[-1]][blob], first, np.maximum)
+        cm, cw, co = _seg_cluster(m, w, off, like.scale, like.compression)
+        lo, hi = _lower(lo, cm[co[:-1]]), _higher(hi, cm[co[1:] - 1])
+        if like.use_alternating:  # the compress runs backwards
+            rev = co[-1] - co[::-1]
+            cm, cw, co = _seg_cluster(cm[::-1], cw[::-1], rev, like.scale,
+                                      like.public_compression)
+            cm, cw, co = cm[::-1], cw[::-1], co[-1] - co[::-1]
+        else:
+            cm, cw, co = _seg_cluster(cm, cw, co, like.scale,
+                                      like.public_compression)
+        lo, hi = _lower(lo, cm[co[:-1]]), _higher(hi, cm[co[1:] - 1])
+        body = np.empty(2 * cm.size, dtype=">f8")
+        body[0::2] = cw
+        body[1::2] = cm
+        body = body.tobytes()
+        head = struct.Struct(">idddi").pack
+        cb = (16 * co).tolist()
+        for g, a, b, mn, mx in zip(gids.tolist(), cb, cb[1:], lo.tolist(),
+                                   hi.tolist()):
+            out[g] = head(VERBOSE_ENCODING, mn, mx, like.public_compression,
+                          (b - a) // 16) + body[a:b]
+        return out
+
+    @classmethod
+    def compressed_many(cls, blobs, scale: ScaleFunction | str = K_2
+                        ) -> list["TDigest"]:
+        """``[from_bytes(b, scale) for b in blobs]``, each then
+        ``compress()``ed, with every VERBOSE digest of finite centroids and
+        positive weights compressed in one ``_seg_cluster`` pass per
+        compression. ``blobs`` is a list of bytes or an Arrow binary array.
+        Other blobs take ``from_bytes`` and ``compress()``."""
+        if not isinstance(blobs, pa.Array):
+            blobs = pa.array(list(blobs), type=pa.binary())
+        scale = get_scale(scale)
+        ok, lo, hi, comp, cstart, m, w = _decode_verbose(blobs)
+        ok &= cstart[1:] > cstart[:-1]
+        out = [None] * len(blobs)
+        for c in np.unique(comp[ok]).tolist():
+            pick = ok & (comp == c)
+            ids = np.flatnonzero(pick)
+            keep = np.repeat(pick, np.diff(cstart))
+            lm, lw = m[keep], w[keep]
+            off = np.concatenate(([0], np.cumsum(np.diff(cstart)[ids])))
+            # _cluster's stable sort on the mean, for out-of-order blobs
+            lanes = np.repeat(np.arange(ids.size), np.diff(off))
+            down = np.unique(lanes[1:][(lm[1:] < lm[:-1])
+                                       & (lanes[1:] == lanes[:-1])])
+            for a, b in zip(off[down].tolist(), off[down + 1].tolist()):
+                o = np.argsort(lm[a:b], kind="stable") + a
+                lm[a:b], lw[a:b] = lm[o], lw[o]
+            pub = max(float(c), 10.0)
+            cm, cw, co = _seg_cluster(lm, lw, off, scale, pub)
+            mins = _lower(lo[ids], cm[co[:-1]]).tolist()
+            maxs = _higher(hi[ids], cm[co[1:] - 1]).tolist()
+            for i, a, b, mn, mx in zip(ids.tolist(), co[:-1].tolist(),
+                                       co[1:].tolist(), mins, maxs):
+                d = cls(pub, scale)
+                n = b - a
+                if n > d._mean.size:
+                    d._mean = np.empty(n + 16, dtype=np.float64)
+                    d._weight = np.empty(n + 16, dtype=np.float64)
+                d._mean[:n] = cm[a:b]
+                d._weight[:n] = cw[a:b]
+                d._n = n
+                d._total = float(d._weight[:n].sum())
+                d.min, d.max = mn, mx
+                d._merge_count = 1
+                out[i] = d
+        for i, d in enumerate(out):
+            if d is None:
+                d = out[i] = cls.from_bytes(blobs[i].as_py(), scale)
+                d.compress()
+        return out
+
     def to_small_bytes(self) -> bytes:
         """SMALL encoding: float32 centroids, byte-compatible with
         ``asSmallBytes`` (MergingDigest.java:889-903): code(4) min(8) max(8)
@@ -539,6 +672,29 @@ class TDigest:
         return (f"TDigest(compression={self.public_compression}, "
                 f"scale={self.scale.name}, n={self.size}, "
                 f"centroids={self._n})")
+
+
+class CompressedSummary:
+    """A summary read off a compressed t-digest: ``summary(sk)`` compresses
+    ``sk`` and returns ``read(sk)``. ``summary.many(blobs)`` gives
+    ``[summary(TDigest.from_bytes(b, scale)) for b in blobs]`` with the
+    compresses done in one pass (``TDigest.compressed_many``), which is how
+    ``protocol.summarize_many`` reaches it; ``scale`` must be the one the
+    spec's ``from_bytes`` decodes with."""
+
+    __slots__ = ("read", "scale")
+
+    def __init__(self, read, scale: ScaleFunction | str = K_2):
+        self.read = read
+        self.scale = get_scale(scale)
+
+    def __call__(self, sk: TDigest) -> dict:
+        sk.compress()
+        return self.read(sk)
+
+    def many(self, blobs) -> list[dict]:
+        return [self.read(d) for d in TDigest.compressed_many(blobs,
+                                                              self.scale)]
 
 
 class RecordingDigest(TDigest):
@@ -787,6 +943,205 @@ def _unit_clusters(vals: np.ndarray, bounds: list[int],
     m = np.where(ge == gs, first, (cum[ge] - left) / w)
     m = np.clip(m, np.minimum(first, last), np.maximum(first, last))
     return m, w, cb
+
+
+def _seg_cluster(m: np.ndarray, w: np.ndarray, off: np.ndarray,
+                 scale: ScaleFunction, compression: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_cluster`` of many segments in one pass: ``m[off[i]:off[i + 1]]``
+    (with weights ``w``) is segment i, non-empty and already in clustering
+    order. Returns the concatenated centroid (means, weights) and each
+    segment's centroid offsets, each segment's exactly what ``_cluster``
+    gives it alone.
+
+    Segments take ``_cluster``'s branches: unit-weight ones within a temp
+    buffer the cached table (``_unit_clusters``), other ones of at most two
+    points a copy, the rest the lockstep walk (``_seg_walk``).
+    """
+    lens = np.diff(off)
+    unit = (lens <= _buffer_cap(compression)) \
+        & ~np.logical_or.reduceat(w != 1.0, off[:-1])
+    short = ~unit & (lens <= 2)
+    parts = []
+    for kind in (unit, short, ~unit & ~short):
+        if not kind.any():
+            continue
+        ids = np.flatnonzero(kind)
+        if ids.size < lens.size:
+            pick = np.repeat(kind, lens)
+            km, kw = m[pick], w[pick]
+            koff = np.concatenate(([0], np.cumsum(lens[ids])))
+        else:
+            km, kw, koff = m, w, off
+        if kind is unit:
+            pm, pw, pc = _unit_clusters(km, koff.tolist(), scale, compression)
+        elif kind is short:
+            pm, pw, pc = km, kw, koff
+        else:
+            pm, pw, pc = _walk_clusters(km, kw, koff, scale, compression)
+        parts.append((ids, pm, pw, np.asarray(pc)))
+    if len(parts) == 1:
+        return parts[0][1:]
+    counts = np.zeros(lens.size, dtype=np.int64)
+    for ids, _, _, pc in parts:
+        counts[ids] = np.diff(pc)
+    out_off = np.concatenate(([0], np.cumsum(counts)))
+    out_m = np.empty(out_off[-1])
+    out_w = np.empty(out_off[-1])
+    for ids, pm, pw, pc in parts:
+        dest = np.repeat(out_off[ids] - pc[:-1], np.diff(pc)) \
+            + np.arange(pc[-1])
+        out_m[dest] = pm
+        out_w[dest] = pw
+    return out_m, out_w, out_off
+
+
+def _walk_clusters(m: np.ndarray, w: np.ndarray, off: np.ndarray,
+                   scale: ScaleFunction, compression: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The walk branch of ``_cluster`` for many segments of more than two
+    points: ``_seg_walk``'s starts, then ``_cluster``'s tail formulas. Each
+    segment keeps its own running sums (one running sum across segments
+    changes the last bits)."""
+    cumw = _seg_cumsum(w, off)
+    cumwx = _seg_cumsum(w * m, off)
+    starts = _seg_walk(cumw, off, scale, compression)
+    ends = np.append(starts[1:] - 1, m.size - 1)
+    head = np.zeros(m.size, dtype=bool)
+    head[off[:-1]] = True
+    inner = ~head[starts]
+    left_cumw = np.where(inner, cumw[starts - 1], 0.0)
+    left_cumwx = np.where(inner, cumwx[starts - 1], 0.0)
+    out_w = cumw[ends] - left_cumw
+    sums = cumwx[ends] - left_cumwx
+    out_m = np.where(ends == starts, m[starts],
+                     sums / np.where(out_w == 0, 1, out_w))
+    lo = np.minimum(m[starts], m[ends])
+    hi = np.maximum(m[starts], m[ends])
+    return np.clip(out_m, lo, hi), out_w, np.searchsorted(starts, off)
+
+
+def _seg_cumsum(x: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Each segment ``x[off[i]:off[i + 1]]``'s own sequential running sum,
+    bit for bit what ``np.cumsum`` gives the segment alone."""
+    out = np.empty_like(x)
+    for a, b in zip(off[:-1].tolist(), off[1:].tolist()):
+        np.cumsum(x[a:b], out=out[a:b])
+    return out
+
+
+def _seg_walk(cumw: np.ndarray, off: np.ndarray, scale: ScaleFunction,
+              compression: float) -> np.ndarray:
+    """``_walk`` of many segments in lockstep: ``cumw[off[i]:off[i + 1]]``
+    is segment i's own cumulative weight (more than two points). Returns
+    every segment's cluster starts as sorted indices into ``cumw``.
+
+    Each step takes one k-limit step in every unfinished segment. The
+    arithmetic is float64 numpy, which rounds as Python floats do, and the
+    scale's ``next_q_many`` keeps math's log/exp, so every segment's starts
+    are exactly ``_walk``'s. The per-segment ``searchsorted`` is one
+    ``np.searchsorted`` on the complex keys ``segment + 1j * cumw``: numpy
+    orders complex values by real, then imaginary part, so a probe
+    ``segment + 1j * w_limit`` lands after the segment's last weight at or
+    below the limit and before the next segment.
+    """
+    lens = np.diff(off)
+    key = np.empty(cumw.size, dtype=np.complex128)
+    key.real = np.repeat(np.arange(lens.size), lens)
+    key.imag = cumw
+    probe = np.empty(lens.size, dtype=np.complex128)
+    probe.real = np.arange(lens.size)
+    last = off[1:] - 1
+    total = cumw[last]
+    norm = np.array([scale.normalizer(compression, t)
+                     for t in total.tolist()], dtype=np.float64)
+    s = off[:-1] + 1  # the first point is always a singleton
+    found = [off[:-1], s]
+    w_so_far = cumw[off[:-1]]
+    while s.size:
+        probe.imag = total * scale.next_q_many(w_so_far / total, norm)
+        e = np.maximum(key.searchsorted(probe, side="right") - 1, s)
+        done = e >= last - 1
+        if done.any():
+            found.append(last[done])
+            keep = ~done
+            e, last, total, norm = e[keep], last[keep], total[keep], norm[keep]
+            probe = probe[keep]
+        s = e + 1
+        found.append(s)
+        w_so_far = cumw[e]
+    return np.sort(np.concatenate(found))
+
+
+def _decode_verbose(blobs: pa.Array):
+    """Decode the VERBOSE digests of an Arrow binary array straight from
+    its buffers.
+
+    Returns ``(ok, min, max, compression, cstart, means, weights)``:
+    ``ok[i]`` says blob i is a VERBOSE encoding of exactly 32 + 16 n bytes
+    with finite means, positive finite weights and a NaN-free min/max;
+    the centroids of the ok blobs are concatenated in blob order, blob i's
+    at ``cstart[i]:cstart[i + 1]`` (empty when it is not ok).
+    """
+    nb = len(blobs)
+    if pa.types.is_large_binary(blobs.type):
+        blobs = blobs.cast(pa.binary())
+    offs = np.frombuffer(blobs.buffers()[1], dtype=np.int32, count=nb + 1,
+                         offset=4 * blobs.offset).astype(np.int64)
+    data = blobs.buffers()[2]
+    u8 = np.frombuffer(data, dtype=np.uint8) if data is not None \
+        else np.empty(0, dtype=np.uint8)
+    start, size = offs[:-1], np.diff(offs)
+    ok = size >= 32
+    if blobs.null_count:
+        ok &= blobs.is_valid().to_numpy(zero_copy_only=False)
+    hdr = np.zeros((nb, 32), dtype=np.uint8)
+    hdr[ok] = u8[start[ok, None] + np.arange(32)]
+
+    def field(a, b, dt):
+        return np.ascontiguousarray(hdr[:, a:b]).view(dt).ravel()
+
+    code, n = field(0, 4, ">i4"), field(28, 32, ">i4").astype(np.int64)
+    lo, hi = field(4, 12, ">f8").astype(np.float64), \
+        field(12, 20, ">f8").astype(np.float64)
+    ok &= ((code == VERBOSE_ENCODING) & (n >= 0) & (size == 32 + 16 * n)
+           & ~np.isnan(lo) & ~np.isnan(hi))
+    counts = np.where(ok, n, 0)
+    body = np.concatenate(
+        [u8[a:a + 16 * k] for a, k, good in
+         zip((start + 32).tolist(), n.tolist(), ok.tolist()) if good]
+        or [u8[:0]]).view(">f8").astype(np.float64)
+    w, m = body[0::2], body[1::2]
+    bad = ~((w > 0) & np.isfinite(w) & np.isfinite(m))
+    if bad.any():  # drop every blob holding a bad centroid
+        owner = np.repeat(np.arange(nb), counts)
+        ok[owner[bad]] = False
+        keep = ok[owner]
+        w, m = w[keep], m[keep]
+        counts = np.where(ok, n, 0)
+    cstart = np.concatenate(([0], np.cumsum(counts)))
+    comp = field(20, 28, ">f8").astype(np.float64)
+    return ok, lo, hi, comp, cstart, m, w
+
+
+def _first_extreme(v: np.ndarray, first: np.ndarray, red) -> np.ndarray:
+    """Python's running ``min`` (``red=np.minimum``) or ``max`` over each
+    segment ``v[first[i]:first[i + 1]]`` (non-empty, NaN-free): the FIRST
+    element equal to the extreme, so of tied 0.0 and -0.0 the earlier."""
+    ext = red.reduceat(v, first)
+    hit = np.flatnonzero(v == np.repeat(ext, np.diff(np.append(first,
+                                                               v.size))))
+    return v[hit[np.searchsorted(hit, first)]]
+
+
+def _lower(cur: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Elementwise Python ``min(cur, x)``: x only when strictly lower."""
+    return np.where(x < cur, x, cur)
+
+
+def _higher(cur: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Elementwise Python ``max(cur, x)``: x only when strictly higher."""
+    return np.where(x > cur, x, cur)
 
 
 def _weighted_average(x1: float, w1: float, x2: float, w2: float) -> float:

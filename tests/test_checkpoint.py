@@ -462,6 +462,38 @@ def test_compact_shards_preserves_content(ray_session, tmp_path):
         out2.sort_values("k").reset_index(drop=True))
 
 
+def test_compact_shards_rerun_after_lost_marker(ray_session, tmp_path):
+    """A compaction whose _SUCCESS marker never landed is redone in full:
+    the rerun replaces the first run's files instead of adding a second
+    set beside them."""
+    import os
+
+    import numpy as np
+    import ray.data as rd
+
+    from t_digest_ray.pipelines.checkpoint import compact_shards
+
+    rng = np.random.default_rng(59)
+    df = pd.DataFrame({"k": rng.choice(["a", "b", "c"], 1500),
+                       "u": rng.integers(0, 1 << 30, 1500),
+                       "c": rng.integers(0, 10**6, 1500)})
+    src, dst = tmp_path / "src", tmp_path / "dst"
+    rd.from_pandas(df).repartition(8).write_parquet(str(src))
+
+    def files():
+        return sorted(f for f in os.listdir(dst) if f.endswith(".parquet"))
+
+    compact_shards(str(src), str(dst), 3, "k", ["u", "c"])
+    first = files()
+    os.remove(dst / "_SUCCESS")  # the run "died" here
+    out = compact_shards(str(src), str(dst), 3, "k", ["u", "c"])
+    assert os.path.exists(dst / "_SUCCESS")
+    assert len(files()) == len(first) <= 3
+    assert out["files_reduced"].all() and out["checksum_match"].all()
+    assert out["n_rows"].sum() == 1500
+    assert not [f for f in os.listdir(tmp_path) if ".tmp-" in f]
+
+
 def test_ivm_refresh_merges_base_and_delta(ray_session, tmp_path, rng):
     import ray.data as rd
 

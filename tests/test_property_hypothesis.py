@@ -465,3 +465,163 @@ def test_unit_weight_table_matches_scalar_walk(digests):
     with mock.patch.object(tdigest, "_buffer_cap", lambda c: 0):
         scalar = encode(digests)
     assert fast == scalar
+
+
+WALK_SCALES = SCALES + [sfn.K_2_NO_NORM]
+
+
+def _on_limits(rng, scale, comp: float) -> np.ndarray:
+    """Weights whose running sum steps onto the walk's own k-limits, so a
+    limit one ulp off moves a cluster boundary."""
+    total = float(rng.integers(50, 5000))
+    norm = scale.normalizer(comp, total)
+    cum = [float(rng.uniform(0.5, 2.0))]
+    while len(cum) < 400:
+        lim = total * scale.q_scalar(
+            scale.k_scalar(cum[-1] / total, norm) + 1.0, norm)
+        if not cum[-1] < lim < total:
+            break
+        cum += sorted(rng.uniform(cum[-1], lim, rng.integers(0, 3)).tolist())
+        cum.append(lim)
+    return np.diff([0.0, *cum, total])
+
+
+@st.composite
+def weighted_lanes(draw):
+    """Weights of many segments: one lane or hundreds, of different
+    lengths, integer, float or unit weights, runs of weights too small
+    to move the running sum (tied cumulative weights), and running sums
+    that land on the walk's limits."""
+    scale = draw(st.sampled_from(WALK_SCALES))
+    comp = float(draw(st.integers(10, 500)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["int", "float", "unit", "ties", "limits"]))
+    lanes = []
+    for _ in range(draw(st.sampled_from([1, 2, 9, 300]))):
+        n = int(rng.integers(3, 400))
+        if kind == "limits":
+            w = _on_limits(rng, scale, comp)
+        elif kind == "int":
+            w = rng.integers(1, 50, n).astype(np.float64)
+        elif kind == "float":
+            w = rng.lognormal(0, 1.5, n)
+        elif kind == "unit":
+            w = np.ones(n)
+        else:
+            w = np.where(rng.random(n) < 0.3, 1e-18,
+                         rng.integers(1, 5, n).astype(np.float64))
+        lanes.append(w)
+    return scale, comp, lanes
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_lanes())
+def test_segmented_walk_matches_scalar_walk(case):
+    """The lockstep walk over concatenated segments, on their per-segment
+    running sums, gives every segment exactly the cluster starts of the
+    scalar ``_walk`` on that segment's ``np.cumsum``."""
+    scale, comp, lanes = case
+    off = np.concatenate(([0], np.cumsum([w.size for w in lanes])))
+    cumw = tdigest._seg_cumsum(np.concatenate(lanes), off)
+    starts = tdigest._seg_walk(cumw, off, scale, comp)
+    got = np.split(starts, np.searchsorted(starts, off[1:-1]))
+    for w, a, s in zip(lanes, off.tolist(), got):
+        assert (s - a).tolist() == tdigest._walk(np.cumsum(w), scale, comp)
+
+
+def _verbose_blob(means, weights, comp, lo=None, hi=None) -> bytes:
+    """A VERBOSE digest encoding written by hand."""
+    import struct
+    body = np.empty(2 * len(means), dtype=">f8")
+    body[0::2] = weights
+    body[1::2] = means
+    return struct.pack(">idddi", tdigest.VERBOSE_ENCODING,
+                       means[0] if lo is None else lo,
+                       means[-1] if hi is None else hi,
+                       float(comp), len(means)) + body.tobytes()
+
+
+GROUP_KINDS = ["digests", "weighted", "rounded", "small", "empty", "none",
+               "short", "unit", "zeros", "other_comp"]
+
+
+@st.composite
+def blob_groups(draw):
+    """A spec and groups of encoded digests covering every branch of the
+    batched fold: VERBOSE blobs from fresh, weighted and rounded digests
+    (ties, -0.0 beside 0.0), SMALL and empty (n=0) blobs, None entries,
+    merges of at most two points, all-unit-weight groups of cap - 1, cap
+    and cap + 1 points (the temp buffer at the internal compression),
+    header minima -0.0 and 0.0 in either order, and blobs encoded at
+    another compression."""
+    from t_digest_ray.pipelines.quantiles import tdigest_spec
+    from t_digest_ray.state.protocol import SketchSpec
+
+    scale = draw(st.sampled_from(SCALES))
+    comp = draw(st.integers(10, 300))
+    if draw(st.booleans()):
+        spec = tdigest_spec(comp, scale)
+    else:
+        spec = SketchSpec(
+            name="td", factory=lambda: TDigest(comp, scale,
+                                               use_alternating=False),
+            from_bytes=lambda b: TDigest.from_bytes(b, scale))
+    cap = _buffer_cap(spec.factory().compression)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def blob(n, weighted=False, rounded=False, c=comp):
+        d = TDigest(c, scale)
+        if n:
+            v = rng.lognormal(0, 1, n) * rng.choice([-1, 1], n)
+            if rounded:
+                v = np.round(v, 1)
+            d.update_batch(v, rng.integers(1, 9, n).astype(np.float64)
+                           if weighted else None)
+        return d.to_bytes()
+
+    groups = []
+    for kind in draw(st.lists(st.sampled_from(GROUP_KINDS), min_size=1,
+                              max_size=10)):
+        k = int(rng.integers(1, 6))
+        sizes = rng.integers(1, 400, k).tolist()
+        if kind == "digests":
+            g = [blob(n) for n in sizes]
+        elif kind == "weighted":
+            g = [blob(n, weighted=True) for n in sizes]
+        elif kind == "rounded":
+            g = [blob(n, rounded=True) for n in sizes]
+        elif kind == "small":
+            d = TDigest(comp, scale)
+            d.update_batch(rng.normal(0, 1, 200))
+            g = [blob(n) for n in sizes] + [d.to_small_bytes()]
+        elif kind == "empty":
+            g = [blob(0)] + [blob(n) for n in sizes[:int(rng.integers(0, 2))]]
+        elif kind == "none":
+            g = [blob(sizes[0]), None]
+        elif kind == "short":
+            g = [_verbose_blob(np.sort(rng.normal(0, 1, 1)), [3.0], comp),
+                 blob(int(rng.integers(0, 2)))]
+        elif kind == "unit":
+            n = cap + int(rng.integers(-1, 2))
+            parts = np.array_split(np.sort(np.round(rng.normal(0, 1, n), 2)),
+                                   int(rng.integers(1, 4)))
+            g = [_verbose_blob(p, np.ones(p.size), comp) for p in parts]
+        elif kind == "zeros":
+            a = _verbose_blob(np.array([-0.0, 1.0, 2.0]), np.ones(3), comp)
+            b = _verbose_blob(np.array([0.0, 0.5, 3.0]), [1.0, 2.0, 1.0],
+                              comp)
+            g = [a, b] if rng.random() < 0.5 else [b, a]
+        else:
+            g = [blob(n, c=comp * 2) for n in sizes]
+        groups.append(g)
+    return spec, groups
+
+
+@settings(max_examples=60, deadline=None)
+@given(blob_groups())
+def test_merge_bytes_many_matches_merge_bytes(case):
+    from t_digest_ray.state.protocol import merge_bytes_many
+
+    spec, groups = case
+    want = [spec.merge_bytes(g).to_bytes() for g in groups]
+    assert merge_bytes_many(spec, groups) == want

@@ -344,3 +344,30 @@ def test_summarize_yields_no_schema_less_blocks(ray_session):
     blocks = ray.get(out.to_pandas_refs())
     assert sum(len(b) for b in blocks) == 8
     assert all(len(b.columns) for b in blocks)
+
+
+@pytest.mark.parametrize("key_type", [pa.string(), pa.int64()])
+def test_summarize_rows_match_per_row_summaries(ray_session, key_type):
+    """The query stage's rows are, column for column, the per-row
+    ``spec.summarize(spec.from_bytes(sketch))`` with the key and count."""
+    import ray.data as rd
+
+    from t_digest_ray.stages.aggregate import summarize
+
+    spec = tdigest_spec(qs=(0.1, 0.5, 0.9))
+    rng = np.random.default_rng(7)
+    blobs = []
+    for n in (0, 1, 40, 3000):
+        sk = spec.factory()
+        if n:
+            sk.update_batch(rng.normal(size=n))
+        blobs.append(sk.to_bytes())
+    merged = pa.table({"key": pa.array([3, 1, 2, 0]).cast(key_type),
+                       "sketch": pa.array(blobs, pa.binary()),
+                       "n": pa.array([0.0, 1.0, 40.0, 3000.0])})
+    got = summarize(rd.from_arrow(merged), spec, key_name="g").to_pandas()
+    want = pd.DataFrame([{"g": k, "n": n,
+                          **spec.summarize(spec.from_bytes(b))}
+                         for k, b, n in zip(merged["key"].to_pylist(), blobs,
+                                            merged["n"].to_pylist())])
+    pd.testing.assert_frame_equal(got, want, check_exact=True)
