@@ -54,7 +54,7 @@ def tdigest_spec(compression: float = 100.0, scale=K_2,
         name="tdigest",
         factory=lambda: TDigest(compression, scale),
         from_bytes=lambda b: TDigest.from_bytes(b, scale),
-        summarize=CompressedSummary(read, scale),
+        summarize=CompressedSummary(read),
     )
 
 
@@ -174,7 +174,7 @@ def cdf_spec(thresholds=(0.0,), compression: float = 100.0) -> SketchSpec:
         name="tdigest",
         factory=lambda: TDigest(compression, K_2),
         from_bytes=lambda b: TDigest.from_bytes(b, K_2),
-        summarize=CompressedSummary(read, K_2),
+        summarize=CompressedSummary(read),
     )
 
 

@@ -16,9 +16,9 @@ Contract (all sketches in ``t_digest_ray.state`` implement it):
   shuffle (Arrow ``binary`` column) and for checkpoints. A class may also
   offer ``to_bytes_many(sketches)``, the same bytes for many sketches in one
   call; ``to_bytes_many`` below uses it when present. Likewise a class's
-  ``merge_bytes_many(groups, like)`` serves ``merge_bytes_many`` (many
-  ``merge_bytes(...).to_bytes()`` at once), and a summary callable's
-  class's ``many(blobs)`` serves ``summarize_many``.
+  ``merge_bytes_many(groups, spec)`` serves ``merge_bytes_many`` (many
+  ``spec.merge_bytes(...).to_bytes()`` at once), and a summary callable's
+  class's ``many(spec, blobs)`` serves ``summarize_many``.
 
 A ``SketchSpec`` names a concrete configuration (factory + how to read its
 summary) so pipelines can be written generically over sketch kinds.
@@ -49,6 +49,13 @@ class SketchSpec:
     ``from_bytes`` rebuilds one from its byte encoding;
     ``summarize``  maps a finished sketch to a flat dict of result columns
                    (used by the finalize stage of pipelines).
+
+    The batched helpers below assume ``from_bytes`` is the factory class's
+    own decoder, configured like the factory's sketch (for a t-digest,
+    ``TDigest.from_bytes(b, factory().scale)``): they decode blobs
+    themselves. The t-digest helpers check that the decoder returns a
+    plain ``TDigest`` at the factory's scale, and otherwise fall back to
+    the per-key calls.
     """
 
     name: str
@@ -82,17 +89,15 @@ def merge_bytes_many(spec: SketchSpec, groups) -> list[bytes]:
 
     ``groups`` is an Arrow ``list<binary>`` array (chunked or not) or a
     list of blob lists. When the spec's sketch class has a batched
-    ``merge_bytes_many(groups, like)`` (``TDigest``'s merges and encodes
-    every plain t-digest group in one pass), it goes first, with a fresh
-    ``spec.factory()`` sketch as ``like``; each group it leaves (None)
-    takes the per-group merge."""
+    ``merge_bytes_many(groups, spec)`` (``TDigest``'s merges and encodes
+    every plain t-digest group in one pass), it goes first; each group it
+    leaves (None) takes the per-group merge."""
     if isinstance(groups, pa.ChunkedArray):
         groups = groups.combine_chunks()
     elif not isinstance(groups, pa.Array):
         groups = pa.array(list(groups), type=pa.list_(pa.binary()))
-    like = spec.factory()
-    many = getattr(type(like), "merge_bytes_many", None)
-    out = many(groups, like) if many and len(groups) else [None] * len(groups)
+    many = getattr(type(spec.factory()), "merge_bytes_many", None)
+    out = many(groups, spec) if many and len(groups) else [None] * len(groups)
     if None in out:
         out = [spec.merge_bytes(g).to_bytes() if b is None else b
                for b, g in zip(out, groups.to_pylist())]
@@ -101,10 +106,10 @@ def merge_bytes_many(spec: SketchSpec, groups) -> list[bytes]:
 
 def summarize_many(spec: SketchSpec, blobs) -> list[dict[str, Any]]:
     """``[spec.summarize(spec.from_bytes(b)) for b in blobs]``, through
-    the summary callable's class's ``many(blobs)`` when it has one
+    the summary callable's class's ``many(spec, blobs)`` when it has one
     (``tdigest.CompressedSummary`` compresses every digest in one pass)."""
     blobs = list(blobs)
     many = getattr(type(spec.summarize), "many", None)
     if many:
-        return many(spec.summarize, blobs)
+        return many(spec.summarize, spec, blobs)
     return [spec.summarize(spec.from_bytes(b)) for b in blobs]

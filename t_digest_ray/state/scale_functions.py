@@ -180,9 +180,14 @@ class K2(ScaleFunction):
         return w / (1.0 + w)
 
     def next_q_many(self, q, normalizer):
-        # the scalar pair inlined: numpy's float64 arithmetic rounds as
-        # Python's does; log and exp stay math's, one element at a time
-        # (numpy's SIMD log/exp may round differently on another CPU)
+        # the scalar pair inlined (a quarter off the batched fold's time):
+        # numpy's float64 arithmetic rounds as Python's does; log and exp
+        # stay math's, one element at a time (numpy's SIMD log/exp may
+        # round differently on another CPU). A subclass with its own
+        # scalar pair takes the generic form.
+        cls = type(self)
+        if cls.k_scalar is not K2.k_scalar or cls.q_scalar is not K2.q_scalar:
+            return super().next_q_many(q, normalizer)
         q = np.minimum(np.maximum(q, _EPS), 1.0 - _EPS)
         k = normalizer * _map(math.log, q / (1.0 - q))
         w = _map(math.exp, (k + 1.0) / normalizer)
@@ -344,7 +349,6 @@ class K2Glued(K2):
 
     name = "K_2_GLUED"
     split = 0.5
-    next_q_many = ScaleFunction.next_q_many  # not K_2's inlined form
 
     def k(self, q, normalizer):
         q = np.asarray(_clip_q(q), dtype=np.float64)

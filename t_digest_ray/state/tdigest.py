@@ -310,29 +310,24 @@ class TDigest:
         if weight[n - 1] > 1 and total - index <= weight[n - 1] / 2:
             return self.max - (total - index - 1) / (weight[n - 1] / 2 - 1) * (self.max - mean[n - 1])
 
-        # the reference's running w_so_far, w[0]/2 plus each neighbouring
-        # pair's mean weight, as one sequential cumsum: the first pair
-        # whose running sum passes index holds the quantile
-        steps = np.empty(n)
-        steps[0] = weight[0] / 2
-        steps[1:] = (weight[:n - 1] + weight[1:n]) / 2
-        w_cum = np.cumsum(steps)
-        i = int(w_cum[1:].searchsorted(index, side="right"))
-        if i < n - 1:
-            w_so_far, dw = w_cum[i], steps[i + 1]
-            left_unit = 0.0
-            if weight[i] == 1:
-                if index - w_so_far < 0.5:
-                    return float(mean[i])
-                left_unit = 0.5
-            right_unit = 0.0
-            if weight[i + 1] == 1:
-                if w_so_far + dw - index <= 0.5:
-                    return float(mean[i + 1])
-                right_unit = 0.5
-            z1 = index - w_so_far - left_unit
-            z2 = w_so_far + dw - index - right_unit
-            return _weighted_average(mean[i], z2, mean[i + 1], z1)
+        w_so_far = weight[0] / 2
+        for i in range(n - 1):
+            dw = (weight[i] + weight[i + 1]) / 2
+            if w_so_far + dw > index:
+                left_unit = 0.0
+                if weight[i] == 1:
+                    if index - w_so_far < 0.5:
+                        return float(mean[i])
+                    left_unit = 0.5
+                right_unit = 0.0
+                if weight[i + 1] == 1:
+                    if w_so_far + dw - index <= 0.5:
+                        return float(mean[i + 1])
+                    right_unit = 0.5
+                z1 = index - w_so_far - left_unit
+                z2 = w_so_far + dw - index - right_unit
+                return _weighted_average(mean[i], z2, mean[i + 1], z1)
+            w_so_far += dw
         z1 = index - total - weight[n - 1] / 2.0
         z2 = weight[n - 1] / 2 - z1
         return _weighted_average(mean[n - 1], z1, self.max, z2)
@@ -501,11 +496,9 @@ class TDigest:
         return [d.to_bytes() if b is None else b for d, b in zip(digests, out)]
 
     @classmethod
-    def merge_bytes_many(cls, groups, like: "TDigest") -> list:
+    def merge_bytes_many(cls, groups, spec) -> list:
         """For each group of encoded digests, the bytes of
-        ``fresh.merge(*(from_bytes(b) for b in group)).to_bytes()``, where
-        ``fresh`` is an empty digest configured like ``like`` (the scalar
-        ``SketchSpec.merge_bytes`` + ``to_bytes``), or None for a group the
+        ``spec.merge_bytes(group).to_bytes()``, or None for a group the
         batched pass does not take.
 
         ``groups`` is an Arrow ``list<binary>`` array. Every group whose
@@ -516,13 +509,12 @@ class TDigest:
         runs the backwards compress at the public one, and the header
         follows Python's ``min``/``max`` folds (the first of tied ±0.0
         extremes wins). Groups with a SMALL or RECORDING blob, a None, no
-        centroid at all, and every group when ``like`` is not a fresh plain
-        ``TDigest``, are left to the caller.
+        centroid at all, and every group of a spec that is not a plain
+        t-digest (``_plain_like``), are left to the caller.
         """
         out = [None] * len(groups)
-        if (type(like) is not TDigest or like._n or like._temp_used
-                or like._merge_count or like.min != np.inf
-                or like.max != -np.inf):
+        like = _plain_like(spec)
+        if like is None:
             return out
         ok, lo, hi, _comp, cstart, m, w = _decode_verbose(groups.values)
         goff = np.asarray(groups.offsets, dtype=np.int64)
@@ -676,25 +668,43 @@ class TDigest:
 
 class CompressedSummary:
     """A summary read off a compressed t-digest: ``summary(sk)`` compresses
-    ``sk`` and returns ``read(sk)``. ``summary.many(blobs)`` gives
-    ``[summary(TDigest.from_bytes(b, scale)) for b in blobs]`` with the
-    compresses done in one pass (``TDigest.compressed_many``), which is how
-    ``protocol.summarize_many`` reaches it; ``scale`` must be the one the
-    spec's ``from_bytes`` decodes with."""
+    ``sk`` and returns ``read(sk)``. ``summary.many(spec, blobs)`` gives
+    ``[summary(spec.from_bytes(b)) for b in blobs]``, with the compresses
+    done in one pass (``TDigest.compressed_many``) when the spec is a
+    plain t-digest (``_plain_like``); ``protocol.summarize_many`` reaches
+    it."""
 
-    __slots__ = ("read", "scale")
+    __slots__ = ("read",)
 
-    def __init__(self, read, scale: ScaleFunction | str = K_2):
+    def __init__(self, read):
         self.read = read
-        self.scale = get_scale(scale)
 
     def __call__(self, sk: TDigest) -> dict:
         sk.compress()
         return self.read(sk)
 
-    def many(self, blobs) -> list[dict]:
-        return [self.read(d) for d in TDigest.compressed_many(blobs,
-                                                              self.scale)]
+    def many(self, spec, blobs) -> list[dict]:
+        like = _plain_like(spec)
+        if like is None:
+            return [self(spec.from_bytes(b)) for b in blobs]
+        return [self.read(d)
+                for d in TDigest.compressed_many(blobs, like.scale)]
+
+
+def _plain_like(spec) -> TDigest | None:
+    """A fresh ``spec.factory()`` digest when the spec is a plain t-digest
+    (a ``TDigest``, not a subclass) whose ``from_bytes`` decodes a
+    ``TDigest`` at the factory's scale, else None. The batched fold and
+    summary decode blobs themselves at that scale, so they serve only
+    such specs (the contract ``SketchSpec`` documents)."""
+    like = spec.factory()
+    if (type(like) is not TDigest or like._n or like._temp_used
+            or like._merge_count or like.min != np.inf
+            or like.max != -np.inf):
+        return None
+    probe = spec.from_bytes(spec.factory().to_bytes())
+    return like if type(probe) is TDigest and probe.scale == like.scale \
+        else None
 
 
 class RecordingDigest(TDigest):
@@ -763,41 +773,19 @@ def _cluster(means: np.ndarray, weights: np.ndarray, scale: ScaleFunction,
     against ``w_limit = total * q(k(w_so_far/total) + 1)`` (the k-limit rule of
     MergingDigest.java:427-441); first and last points forced singletons
     (:437-440); every other pass runs in reverse to cancel directional bias
-    (:369-371). Unit-weight input of at most a temp buffer's points takes
-    its boundaries from the cached ``_unit_starts`` table, as the
-    one-segment case of ``_unit_clusters``.
+    (:369-371). The clustering itself is the one-segment case of
+    ``_seg_cluster``.
     """
     order = np.argsort(means, kind="stable")
     m = means[order]
     w = weights[order]
-    n = m.size
-    if n == 0:
+    if m.size == 0:
         return m, w
     if backwards:
         m = m[::-1]
         w = w[::-1]
-    if n <= _buffer_cap(compression) and (w == 1.0).all():
-        out_m, out_w, _ = _unit_clusters(m, [0, n], scale, compression)
-    elif n <= 2:
-        out_m, out_w = m.copy(), w.copy()
-    else:
-        cumw = np.cumsum(w)
-        cumwx = np.cumsum(w * m)
-        starts = np.asarray(_walk(cumw, scale, compression), dtype=np.int64)
-        ends = np.append(starts[1:] - 1, n - 1)
-        left_cumw = np.where(starts > 0, cumw[starts - 1], 0.0)
-        left_cumwx = np.where(starts > 0, cumwx[starts - 1], 0.0)
-        out_w = cumw[ends] - left_cumw
-        sums = cumwx[ends] - left_cumwx
-        single = ends == starts
-        out_m = np.where(single, m[starts],
-                         sums / np.where(out_w == 0, 1, out_w))
-        # clamp each cluster mean into its span (floating-point guard, the
-        # analogue of AbstractTDigest.weightedAverageSorted's clamp); note m
-        # is descending in backwards mode so order the bounds explicitly
-        lo = np.minimum(m[starts], m[ends])
-        hi = np.maximum(m[starts], m[ends])
-        out_m = np.clip(out_m, lo, hi)
+    out_m, out_w, _ = _seg_cluster(m, w, np.array([0, m.size]), scale,
+                                   compression)
     if backwards:
         out_m = out_m[::-1].copy()
         out_w = out_w[::-1].copy()
@@ -948,25 +936,25 @@ def _unit_clusters(vals: np.ndarray, bounds: list[int],
 def _seg_cluster(m: np.ndarray, w: np.ndarray, off: np.ndarray,
                  scale: ScaleFunction, compression: float
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_cluster`` of many segments in one pass: ``m[off[i]:off[i + 1]]``
-    (with weights ``w``) is segment i, non-empty and already in clustering
+    """Cluster many segments in one pass: ``m[off[i]:off[i + 1]]`` (with
+    weights ``w``) is segment i, non-empty and already in clustering
     order. Returns the concatenated centroid (means, weights) and each
-    segment's centroid offsets, each segment's exactly what ``_cluster``
-    gives it alone.
+    segment's centroid offsets, each segment's exactly what it gets
+    clustered alone (``_cluster`` is the one-segment case).
 
-    Segments take ``_cluster``'s branches: unit-weight ones within a temp
-    buffer the cached table (``_unit_clusters``), other ones of at most two
-    points a copy, the rest the lockstep walk (``_seg_walk``).
+    Unit-weight segments within a temp buffer take the cached table
+    (``_unit_clusters``), other segments of at most two points stay as
+    they are, and the rest take the k-limit walk (``_walk_clusters``).
     """
-    lens = np.diff(off)
+    lens = off[1:] - off[:-1]
     unit = (lens <= _buffer_cap(compression)) \
         & ~np.logical_or.reduceat(w != 1.0, off[:-1])
     short = ~unit & (lens <= 2)
     parts = []
     for kind in (unit, short, ~unit & ~short):
-        if not kind.any():
-            continue
         ids = np.flatnonzero(kind)
+        if not ids.size:
+            continue
         if ids.size < lens.size:
             pick = np.repeat(kind, lens)
             km, kw = m[pick], w[pick]
@@ -999,17 +987,23 @@ def _seg_cluster(m: np.ndarray, w: np.ndarray, off: np.ndarray,
 def _walk_clusters(m: np.ndarray, w: np.ndarray, off: np.ndarray,
                    scale: ScaleFunction, compression: float
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The walk branch of ``_cluster`` for many segments of more than two
-    points: ``_seg_walk``'s starts, then ``_cluster``'s tail formulas. Each
-    segment keeps its own running sums (one running sum across segments
-    changes the last bits)."""
+    """The k-limit walk's clusters of many segments of more than two
+    points: ``_seg_walk``'s starts, then each cluster's weight and mean
+    from the running sums, the mean clamped into its span (a
+    floating-point guard, the analogue of
+    AbstractTDigest.weightedAverageSorted's clamp; a backwards segment is
+    descending, so the bounds are ordered explicitly). Each segment keeps
+    its own running sums (one running sum across segments changes the
+    last bits)."""
     cumw = _seg_cumsum(w, off)
     cumwx = _seg_cumsum(w * m, off)
     starts = _seg_walk(cumw, off, scale, compression)
-    ends = np.append(starts[1:] - 1, m.size - 1)
-    head = np.zeros(m.size, dtype=bool)
-    head[off[:-1]] = True
-    inner = ~head[starts]
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:] - 1
+    ends[-1] = m.size - 1
+    co = starts.searchsorted(off)
+    inner = np.ones(starts.size, dtype=bool)
+    inner[co[:-1]] = False
     left_cumw = np.where(inner, cumw[starts - 1], 0.0)
     left_cumwx = np.where(inner, cumwx[starts - 1], 0.0)
     out_w = cumw[ends] - left_cumw
@@ -1018,7 +1012,7 @@ def _walk_clusters(m: np.ndarray, w: np.ndarray, off: np.ndarray,
                      sums / np.where(out_w == 0, 1, out_w))
     lo = np.minimum(m[starts], m[ends])
     hi = np.maximum(m[starts], m[ends])
-    return np.clip(out_m, lo, hi), out_w, np.searchsorted(starts, off)
+    return np.clip(out_m, lo, hi), out_w, co
 
 
 def _seg_cumsum(x: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -1043,9 +1037,12 @@ def _seg_walk(cumw: np.ndarray, off: np.ndarray, scale: ScaleFunction,
     ``np.searchsorted`` on the complex keys ``segment + 1j * cumw``: numpy
     orders complex values by real, then imaginary part, so a probe
     ``segment + 1j * w_limit`` lands after the segment's last weight at or
-    below the limit and before the next segment.
+    below the limit and before the next segment. One segment (``off`` is
+    ``[0, n]``) takes the scalar ``_walk``.
     """
-    lens = np.diff(off)
+    if off.size == 2:
+        return np.asarray(_walk(cumw, scale, compression), dtype=np.int64)
+    lens = off[1:] - off[:-1]
     key = np.empty(cumw.size, dtype=np.complex128)
     key.real = np.repeat(np.arange(lens.size), lens)
     key.imag = cumw

@@ -470,34 +470,52 @@ def test_unit_weight_table_matches_scalar_walk(digests):
 WALK_SCALES = SCALES + [sfn.K_2_NO_NORM]
 
 
+def _step_to(s: float, target: float) -> float:
+    """A weight w with ``s + w == target`` in float64 (a running sum
+    steps exactly onto ``target``), or the nearest try."""
+    w = target - s
+    for _ in range(8):
+        miss = target - (s + w)
+        if not miss:
+            break
+        w += miss
+    return w
+
+
 def _on_limits(rng, scale, comp: float) -> np.ndarray:
-    """Weights whose running sum steps onto the walk's own k-limits, so a
-    limit one ulp off moves a cluster boundary."""
+    """Weights whose running sum (``np.cumsum``, sequential) steps exactly
+    onto the walk's own k-limits, computed with the total that sum ends
+    on, so a limit one ulp off moves a cluster boundary."""
     total = float(rng.integers(50, 5000))
     norm = scale.normalizer(comp, total)
-    cum = [float(rng.uniform(0.5, 2.0))]
-    while len(cum) < 400:
+    s = float(rng.uniform(0.5, 2.0))
+    w = [s]
+    while len(w) < 400:
         lim = total * scale.q_scalar(
-            scale.k_scalar(cum[-1] / total, norm) + 1.0, norm)
-        if not cum[-1] < lim < total:
+            scale.k_scalar(s / total, norm) + 1.0, norm)
+        if not s < lim < total:
             break
-        cum += sorted(rng.uniform(cum[-1], lim, rng.integers(0, 3)).tolist())
-        cum.append(lim)
-    return np.diff([0.0, *cum, total])
+        for x in sorted(rng.uniform(s, lim, rng.integers(0, 3)).tolist()):
+            w.append(_step_to(s, x))
+            s += w[-1]
+        w.append(_step_to(s, lim))
+        s += w[-1]
+    w.append(_step_to(s, total))
+    return np.array(w)
 
 
 @st.composite
 def weighted_lanes(draw):
     """Weights of many segments: one lane or hundreds, of different
-    lengths, integer, float or unit weights, runs of weights too small
-    to move the running sum (tied cumulative weights), and running sums
-    that land on the walk's limits."""
+    lengths, each lane with integer, float or unit weights, runs of
+    weights too small to move the running sum (tied cumulative weights),
+    or running sums that land on the walk's limits."""
     scale = draw(st.sampled_from(WALK_SCALES))
     comp = float(draw(st.integers(10, 500)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    kind = draw(st.sampled_from(["int", "float", "unit", "ties", "limits"]))
     lanes = []
     for _ in range(draw(st.sampled_from([1, 2, 9, 300]))):
+        kind = ["int", "float", "unit", "ties", "limits"][rng.integers(5)]
         n = int(rng.integers(3, 400))
         if kind == "limits":
             w = _on_limits(rng, scale, comp)

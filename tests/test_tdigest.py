@@ -514,81 +514,33 @@ def _summary_blobs(spec, rng) -> list[bytes]:
     return out
 
 
-@pytest.mark.parametrize("kind", ["trims", "no_minmax", "cdf", "kll"])
+@pytest.mark.parametrize("kind", ["trims", "no_minmax", "cdf", "kll",
+                                  "decoder_scale"])
 def test_summarize_many_matches_per_row(kind):
     """The batched summaries equal the per-row
     ``spec.summarize(spec.from_bytes(b))`` value for value (NaN-equal):
-    t-digest quantiles with trims, without min/max, CDFs, and a KLL spec
-    through the per-row fallback."""
+    t-digest quantiles with trims, without min/max, CDFs, a KLL spec
+    through the per-row fallback, and a spec whose decoder's scale is not
+    its factory's (the per-row fallback again: a compress at the
+    factory's scale would give other values)."""
     import pandas as pd
 
     from t_digest_ray.pipelines.quantiles import (cdf_spec, kll_spec,
                                                   tdigest_spec)
-    from t_digest_ray.state.protocol import summarize_many
+    from t_digest_ray.state.protocol import SketchSpec, summarize_many
 
     spec = {"trims": lambda: tdigest_spec(
                 100, qs=(0.001, 0.3, 0.5, 0.999),
                 trims=((0.05, 0.95), (0.1, 0.9), (0.0, 1.0))),
             "no_minmax": lambda: tdigest_spec(37, K_3, include_minmax=False),
             "cdf": lambda: cdf_spec((-1.0, 0.0, 0.5, 3.0, 1e9)),
-            "kll": lambda: kll_spec(64)}[kind]()
+            "kll": lambda: kll_spec(64),
+            "decoder_scale": lambda: SketchSpec(
+                "tdigest", lambda: TDigest(100, K_2),
+                lambda b: TDigest.from_bytes(b, K_3),
+                tdigest_spec(100, K_3).summarize)}[kind]()
     blobs = _summary_blobs(spec, np.random.default_rng(61))
     want = [spec.summarize(spec.from_bytes(b)) for b in blobs]
     got = summarize_many(spec, blobs)
     pd.testing.assert_frame_equal(pd.DataFrame(got), pd.DataFrame(want),
                                   check_exact=True)
-
-
-def _loop_quantile(d: TDigest, q: float) -> float:
-    """The reference's pair-by-pair quantile walk (MergingDigest.java:
-    705-790) as a plain loop, past the tail cases."""
-    from t_digest_ray.state.tdigest import _weighted_average
-
-    n, mean, weight, total = d._n, d._mean, d._weight, d._total
-    index = q * total
-    w_so_far = weight[0] / 2
-    for i in range(n - 1):
-        dw = (weight[i] + weight[i + 1]) / 2
-        if w_so_far + dw > index:
-            left_unit = right_unit = 0.0
-            if weight[i] == 1:
-                if index - w_so_far < 0.5:
-                    return float(mean[i])
-                left_unit = 0.5
-            if weight[i + 1] == 1:
-                if w_so_far + dw - index <= 0.5:
-                    return float(mean[i + 1])
-                right_unit = 0.5
-            return _weighted_average(mean[i], w_so_far + dw - index
-                                     - right_unit, mean[i + 1],
-                                     index - w_so_far - left_unit)
-        w_so_far += dw
-    z1 = index - total - weight[n - 1] / 2.0
-    return _weighted_average(mean[n - 1], z1, d.max,
-                             weight[n - 1] / 2 - z1)
-
-
-def test_quantile_matches_pairwise_loop():
-    """``quantile``'s cumsum + searchsorted finds the value the
-    reference's pair-by-pair loop finds, bit for bit, wherever the loop
-    runs (between the tail cases)."""
-    rng = np.random.default_rng(71)
-    qs = np.concatenate([np.linspace(0, 1, 401), rng.random(100)])
-    for trial in range(120):
-        n = int(rng.choice([3, 5, 20, 200, 5000]))
-        v = rng.lognormal(0, 1, n)
-        if trial % 3 == 0:
-            v = np.round(v, 1)
-        d = TDigest(float(rng.choice([10, 50, 100, 300])))
-        d.update_batch(v, rng.integers(1, 5, n).astype(np.float64)
-                       if trial % 4 == 0 else None)
-        d.compress()
-        w, total = d._weight, d._total
-        for q in qs.tolist():
-            index = q * total
-            if (d._n < 2 or index < 1 or index > total - 1
-                    or (w[0] > 1 and index < w[0] / 2)
-                    or (w[d._n - 1] > 1
-                        and total - index <= w[d._n - 1] / 2)):
-                continue
-            assert d.quantile(q) == _loop_quantile(d, q)
