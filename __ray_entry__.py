@@ -2544,10 +2544,10 @@ def events_watermarked_window_digest(sf_dir: str):
     VALUE-CHECKED output per (window_start, event_type): exact accepted
     count, exact late-dropped count, exact p50 of accepted values
     (hash-matched vs DuckDB window SQL) + within_bound for the digest."""
-    from ray.data.aggregate import Sum
     from t_digest_ray.pipelines.quantiles import tdigest_spec
     from t_digest_ray.pipelines.validation import quantile_bound_check
     from t_digest_ray.pipelines.windows import watermarked_window_split
+    from t_digest_ray.stages.aggregate import hash_bucketed_group_agg
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "event_type", "value"])
 
@@ -2571,8 +2571,10 @@ def events_watermarked_window_digest(sf_dir: str):
     accepted = split.map_batches(accepted_only, batch_format="pandas")
     qb = quantile_bound_check(accepted, "value", "wkey", tdigest_spec(100),
                               qs=(0.5,), rank_bound=0.015).to_pandas()
-    drops = (split.groupby("wkey")
-             .aggregate(Sum("drop_i", alias_name="n_dropped"))).to_pandas()
+    drops = hash_bucketed_group_agg(
+        split.select_columns(["wkey", "drop_i"]), ["wkey"],
+        {"n_dropped": ("drop_i", "sum")},
+        n_rows=split.count()).to_pandas()  # one split row per event
     out = qb.merge(drops, on="wkey", how="left")
     parts = out["wkey"].str.split("|", n=1, expand=True)
     out["window_start"] = parts[0].astype(np.int64)

@@ -123,7 +123,8 @@ def kmeans_fit_predict(ds, embedding_col: str, id_col: str, *,
     * ``<= materialize_budget_rows``: ``.materialize()`` — iterations
       read object-store blocks, zero re-compute (the sf0.1 path).
     * above budget: the quantized table is written ONCE to partitioned
-      parquet under ``spill_dir`` and every iteration streams it back
+      parquet in a fresh subdirectory of ``spill_dir`` (a default under
+      ``/tmp``) and every iteration streams it back
       from disk — object-store residency is one pass's working set
       instead of the whole corpus, which is what survives at 100 TB.
 
@@ -145,9 +146,12 @@ def kmeans_fit_predict(ds, embedding_col: str, id_col: str, *,
     else:
         import os
         import uuid
-        spill_dir = spill_dir or os.path.join(
-            "/tmp", "tdr_kmeans_spill", uuid.uuid4().hex[:12])
-        os.makedirs(spill_dir, exist_ok=True)
+        # a fresh directory per call: part files of an earlier spill in
+        # the caller's directory must not be read back with this one
+        spill_dir = os.path.join(
+            spill_dir or os.path.join("/tmp", "tdr_kmeans_spill"),
+            uuid.uuid4().hex[:12])
+        os.makedirs(spill_dir)
         qds.write_parquet(spill_dir)
         qds = rd.read_parquet(spill_dir)
 

@@ -31,6 +31,16 @@ the corpus look like"; these decide "what goes into the training run"):
 All hashes come from ``functions.hashing.splitmix64`` and are reproducible
 in ANSI SQL with 128-bit integer arithmetic — every operator here is graded
 against a DuckDB oracle, including the "random" samplers.
+
+Every keyed step runs on the library's one analytics exchange,
+``stages.aggregate.bucketed_map_groups`` (directly or through
+``hash_bucketed_group_agg``): the map that makes the rows (a per-batch
+head-k, a doc→line explode, an order-range bucket) is its ``project``,
+so rows are partitioned where they are produced, and each call folds a
+whole hash bucket of keys with one ``_key_runs`` sort — several strata,
+documents, line hashes or order ranges per call, never one pandas call
+per key. The global top-k of ``dsir_importance_stats`` is its
+one-bucket case.
 """
 
 from __future__ import annotations
@@ -41,11 +51,64 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import hash64, splitmix64
+from ..stages.aggregate import (_key_runs, bucketed_map_groups,
+                                hash_bucketed_group_agg)
+from ..stages.partitioning import cheap_row_count, coarse_bucket_count
+
+# docs explode into ~tens of lines each before the line-hash exchange
+_LINE_FANOUT = 64
 
 
 # ---------------------------------------------------------------------------
 # token-budget shard packing (exact distributed prefix sum)
 # ---------------------------------------------------------------------------
+
+def _order_ranges(ds, order_col: str, weight_col: str, carry_cols,
+                  n_buckets: int | None, order_range, what: str):
+    """The contiguous ``order_col`` ranges both shard packers exchange on.
+
+    Returns ``(project, n_buckets, n_rows)``: ``project(batch,
+    carry=True)`` gives rows ``(bucket, order_col, weight_col[,
+    *carry_cols])`` with int64 order and weight and raises on a negative
+    weight; ``n_rows`` is the input's row count when known (counted with
+    the order range, else from metadata), the exchange's size hint."""
+    n_rows = cheap_row_count(ds)
+    if order_range is not None:
+        lo, hi = int(order_range[0]), int(order_range[1])
+    else:
+        from ray.data.aggregate import Count, Max, Min
+        rng = ds.aggregate(Min(order_col, alias_name="lo"),
+                           Max(order_col, alias_name="hi"),
+                           Count(alias_name="n"))
+        lo, hi, n_rows = int(rng["lo"]), int(rng["hi"]), int(rng["n"])
+    if n_buckets is None:
+        n_buckets = coarse_bucket_count(n_rows=n_rows,
+                                        rows_per_bucket=262144, what=what)
+    width = -(-max(hi - lo + 1, 1) // n_buckets)
+
+    def project(batch: pa.Table, carry: bool = True) -> pa.Table:
+        o = batch[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        w = batch[weight_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        if len(w) and w.min() < 0:
+            raise ValueError(f"{what}: negative weight")
+        cols = {
+            "bucket": pa.array(((o - lo) // width).astype(np.int32)),
+            order_col: pa.array(o),
+            weight_col: pa.array(w),
+        }
+        for c in carry_cols if carry else ():
+            cols[c] = batch[c]
+        return pa.table(cols)
+
+    return project, n_buckets, n_rows
+
+
+def _sorted_runs(g: pd.DataFrame, key: str, by: str):
+    """One exchange call's rows sorted by ``(key, by)`` (``_key_runs``):
+    the sorted frame, each key's first position and its row count."""
+    order, starts, counts = _key_runs(g[key].to_numpy(), g[by].to_numpy())
+    return g.iloc[order].reset_index(drop=True), starts, counts
+
 
 def prefix_sum_shards(ds, order_col: str, weight_col: str, budget: int,
                       carry_cols: tuple[str, ...] = (),
@@ -63,11 +126,12 @@ def prefix_sum_shards(ds, order_col: str, weight_col: str, budget: int,
     Distribution (exact at any parallelism): rows are bucketed by
     contiguous ``order_col`` ranges; a per-bucket weight-sum table (KBs)
     is reduced on the driver into exclusive prefix bases ``B[b] = sum of
-    all buckets < b`` and broadcast; each bucket group then sorts by
-    ``order_col`` and adds its in-bucket exclusive cumsum to ``B[b]``.
-    One shuffle of (order, weight, carry) rows, one tiny driver table —
-    same two-level shape as ``windows.watermark_flags`` (prefix-max), with
-    ``+`` instead of ``max``.
+    all buckets < b`` and broadcast; the keyed exchange on the range
+    bucket then sorts each call's rows by (bucket, ``order_col``) and adds
+    each bucket's in-bucket exclusive cumsum to ``B[b]``. One shuffle of
+    (order, weight, carry) rows, one tiny driver table — same two-level
+    shape as ``windows.watermark_flags`` (prefix-max), with ``+`` instead
+    of ``max``.
 
     Weights must be non-negative integers (token counts); sums are exact
     int64 (a 100 TB corpus is ~2.5e13 tokens, 18 bits of headroom).
@@ -76,68 +140,34 @@ def prefix_sum_shards(ds, order_col: str, weight_col: str, budget: int,
     """
     import ray
 
-    from ..stages.aggregate import hash_bucketed_group_agg
-    from ..stages.partitioning import coarse_bucket_count
-
-    if n_buckets is None:
-        n_buckets = coarse_bucket_count(ds, rows_per_bucket=262144,
-                                        what="prefix_sum_shards")
-
-    if order_range is not None:
-        lo, hi = int(order_range[0]), int(order_range[1])
-    else:
-        from ray.data.aggregate import Max as AggMax
-        from ray.data.aggregate import Min as AggMin
-        rng = ds.aggregate(AggMin(order_col, alias_name="lo"),
-                           AggMax(order_col, alias_name="hi"))
-        lo, hi = int(rng["lo"]), int(rng["hi"])
-    span = max(hi - lo + 1, 1)
-    width = -(-span // n_buckets)
-
-    def project(batch: pa.Table) -> pa.Table:
-        o = batch[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        w = batch[weight_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(w) and w.min() < 0:
-            raise ValueError("prefix_sum_shards: negative weight")
-        cols = {
-            "bucket": pa.array(((o - lo) // width).astype(np.int32)),
-            order_col: pa.array(o),
-            weight_col: pa.array(w),
-        }
-        for c in carry_cols:
-            cols[c] = batch[c]
-        return pa.table(cols)
-
-    projected = ds.map_batches(project, batch_format="pyarrow")
+    project, n_buckets, n_rows = _order_ranges(
+        ds, order_col, weight_col, carry_cols, n_buckets, order_range,
+        "prefix_sum_shards")
 
     # level 1: per-bucket weight sums -> driver exclusive prefix sum.
     bucket_sum = hash_bucketed_group_agg(
-        projected.select_columns(["bucket", weight_col]), ["bucket"],
-        {"w_sum": (weight_col, "sum")}, n_rows=n_buckets).to_pandas()
-    bucket_sum = bucket_sum.sort_values("bucket")
+        ds.map_batches(lambda b: project(b, carry=False),
+                       batch_format="pyarrow"),
+        ["bucket"], {"w_sum": (weight_col, "sum")},
+        n_rows=n_buckets).to_pandas().sort_values("bucket")
     sums = bucket_sum["w_sum"].to_numpy(dtype=np.int64)
-    bases = np.cumsum(np.r_[np.int64(0), sums[:-1]])
-    base_map = dict(zip(bucket_sum["bucket"].astype(int), bases))
-    base_ref = ray.put(base_map)
+    base_ref = ray.put((bucket_sum["bucket"].to_numpy(),
+                        np.cumsum(np.r_[np.int64(0), sums[:-1]])))
     budget = int(budget)
 
     def bucket_pack(g: pd.DataFrame) -> pd.DataFrame:
-        bmap = ray.get(base_ref)
-        g = g.sort_values(order_col, kind="stable")
+        ids, bases = ray.get(base_ref)
+        g, starts, counts = _sorted_runs(g, "bucket", order_col)
         w = g[weight_col].to_numpy(dtype=np.int64)
-        base = bmap[int(g["bucket"].iloc[0])]
+        base = bases[np.searchsorted(ids, g["bucket"].to_numpy()[starts])]
         # exclusive in-bucket cumsum + cross-bucket base
-        offset = base + np.cumsum(np.r_[np.int64(0), w[:-1]])
-        out = {order_col: g[order_col].to_numpy()}
-        for c in carry_cols:
-            out[c] = g[c].to_numpy()
-        out[weight_col] = w
-        out["offset"] = offset
-        out["shard_id"] = offset // budget
-        return pd.DataFrame(out)
+        excl = np.cumsum(w) - w
+        offset = excl + np.repeat(base - excl[starts], counts)
+        return g[[order_col, *carry_cols, weight_col]].assign(
+            offset=offset, shard_id=offset // budget)
 
-    return projected.groupby("bucket").map_groups(bucket_pack,
-                                                  batch_format="pandas")
+    return bucketed_map_groups(ds, ["bucket"], bucket_pack, project=project,
+                               n_rows=n_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +182,16 @@ def _pack_jump(P: np.ndarray, budget: int) -> np.ndarray:
     m = len(P) - 1
     e = np.searchsorted(P, P[:-1] + budget, side="right") - 1
     return np.maximum(e, np.arange(1, m + 1, dtype=np.int64))
+
+
+def _walk_shards(jump: np.ndarray, out: np.ndarray, pos: int, t: int):
+    """Fill ``out[pos:]`` with shard ids ``t + 1, t + 2, ...`` along the
+    jump graph: one step per SHARD, not per row."""
+    while pos < len(out):
+        t += 1
+        end = int(jump[pos])
+        out[pos:end] = t
+        pos = end
 
 
 def _fresh_pack_summary(P: np.ndarray, budget: int):
@@ -181,6 +221,28 @@ def _fresh_pack_summary(P: np.ndarray, budget: int):
     return K, pos
 
 
+def _lead_summary(bucket: int, w: np.ndarray, budget: int) -> pd.DataFrame:
+    """One range bucket's packing function (pass A of
+    ``greedy_pack_shards``): for each cut j up to the end of the bucket's
+    first fresh shard, the lead prefix sum and the shard count and final
+    fill of a fresh pack of the rest."""
+    m = len(w)
+    P = np.concatenate(([np.int64(0)], np.cumsum(w)))
+    K, last = _fresh_pack_summary(P, budget)
+    j0 = int(_pack_jump(P, budget)[0]) if m else 0
+    sl = slice(0, j0 + 1)
+    F = np.where(np.arange(m + 1)[sl] < m, P[m] - P[last[sl]], np.int64(0))
+    return pd.DataFrame({
+        "bucket": np.full(j0 + 1, bucket, dtype=np.int32),
+        "j": np.arange(j0 + 1, dtype=np.int64),
+        "p": P[sl],            # lead prefix sums
+        "k": K[sl],            # fresh-pack shard count from cut j
+        "f": F,                # fresh-pack final fill from cut j
+        "m": np.full(j0 + 1, m, dtype=np.int64),
+        "tot": np.full(j0 + 1, P[m], dtype=np.int64),
+    })
+
+
 def greedy_pack_shards(ds, order_col: str, weight_col: str, budget: int,
                        carry_cols: tuple[str, ...] = (),
                        n_buckets: int | None = None,
@@ -207,15 +269,17 @@ def greedy_pack_shards(ds, order_col: str, weight_col: str, budget: int,
     shard can hold — plus fresh-pack shard counts / final fills for each
     possible cut, via binary lifting), the driver folds the per-bucket
     functions left-to-right, broadcasts each bucket's (open-shard index,
-    incoming fill), and a second pass assigns ids. EXACT at any
-    parallelism / batch layout.
+    incoming fill), and a second pass assigns ids. Both passes are keyed
+    exchanges on the range bucket; a call takes its range buckets one
+    at a time in ``_key_runs`` order. EXACT at any parallelism / batch
+    layout.
 
     Driver memory bound: the fold holds ``O(n_buckets x rows_per_shard)``
     summary rows (each bucket ships at most one shard's worth of lead
     prefix sums). At 10^12 rows / 256k-row buckets / ~10 docs per shard
     that is ~40M small rows — raise ``rows_per_bucket`` via ``n_buckets``
     if shards hold many tiny docs. Pass A's binary-lifting scratch is
-    ``O(rows_per_bucket x log2(rows_per_bucket))`` int64 per task
+    ``O(rows_per_bucket x log2(rows_per_bucket))`` int64 per range bucket
     (~40 MB at the 262144 default), which also caps the useful bucket
     size.
 
@@ -223,65 +287,23 @@ def greedy_pack_shards(ds, order_col: str, weight_col: str, budget: int,
     """
     import ray
 
-    from ..stages.partitioning import coarse_bucket_count
-
-    if n_buckets is None:
-        n_buckets = coarse_bucket_count(ds, rows_per_bucket=262144,
-                                        what="greedy_pack_shards")
+    project, _, n_rows = _order_ranges(
+        ds, order_col, weight_col, carry_cols, n_buckets, order_range,
+        "greedy_pack_shards")
     budget = int(budget)
-
-    if order_range is not None:
-        lo, hi = int(order_range[0]), int(order_range[1])
-    else:
-        from ray.data.aggregate import Max as AggMax
-        from ray.data.aggregate import Min as AggMin
-        rng = ds.aggregate(AggMin(order_col, alias_name="lo"),
-                           AggMax(order_col, alias_name="hi"))
-        lo, hi = int(rng["lo"]), int(rng["hi"])
-    span = max(hi - lo + 1, 1)
-    width = -(-span // n_buckets)
-
-    def project(batch: pa.Table) -> pa.Table:
-        o = batch[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        w = batch[weight_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(w) and w.min() < 0:
-            raise ValueError("greedy_pack_shards: negative weight")
-        cols = {
-            "bucket": pa.array(((o - lo) // width).astype(np.int32)),
-            order_col: pa.array(o),
-            weight_col: pa.array(w),
-        }
-        for c in carry_cols:
-            cols[c] = batch[c]
-        return pa.table(cols)
-
-    projected = ds.map_batches(project, batch_format="pyarrow")
 
     # pass A (narrow: bucket/order/weight only): per-bucket function summary
     def summarize(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(order_col, kind="stable")
+        g, starts, counts = _sorted_runs(g, "bucket", order_col)
         w = g[weight_col].to_numpy(dtype=np.int64)
-        m = len(w)
-        P = np.concatenate(([np.int64(0)], np.cumsum(w)))
-        K, last = _fresh_pack_summary(P, budget)
-        j0 = int(_pack_jump(P, budget)[0]) if m else 0
-        sl = slice(0, j0 + 1)
-        F = np.where(np.arange(m + 1)[sl] < m,
-                     P[m] - P[last[sl]], np.int64(0))
-        return pd.DataFrame({
-            "bucket": np.full(j0 + 1, int(g["bucket"].iloc[0]),
-                              dtype=np.int32),
-            "j": np.arange(j0 + 1, dtype=np.int64),
-            "p": P[sl],            # lead prefix sums
-            "k": K[sl],            # fresh-pack shard count from cut j
-            "f": F,                # fresh-pack final fill from cut j
-            "m": np.full(j0 + 1, m, dtype=np.int64),
-            "tot": np.full(j0 + 1, P[m], dtype=np.int64),
-        })
+        return pd.concat([_lead_summary(int(b), w[s:s + m], budget)
+                          for b, s, m in zip(g["bucket"].to_numpy()[starts],
+                                             starts, counts)],
+                         ignore_index=True)
 
-    summary = (projected.select_columns(["bucket", order_col, weight_col])
-               .groupby("bucket")
-               .map_groups(summarize, batch_format="pandas")).to_pandas()
+    summary = bucketed_map_groups(
+        ds, ["bucket"], summarize, project=lambda b: project(b, carry=False),
+        n_rows=n_rows).to_pandas()
 
     # driver fold: evaluate each bucket's function at its incoming fill
     meta = {}
@@ -303,71 +325,55 @@ def greedy_pack_shards(ds, order_col: str, weight_col: str, budget: int,
     # pass B: re-sort each bucket, assign ids from (open-shard base, fill)
     def assign(g: pd.DataFrame) -> pd.DataFrame:
         bmeta = ray.get(meta_ref)
-        g = g.sort_values(order_col, kind="stable")
-        base_, fill_ = bmeta[int(g["bucket"].iloc[0])]
+        g, starts, counts = _sorted_runs(g, "bucket", order_col)
         w = g[weight_col].to_numpy(dtype=np.int64)
-        m = len(w)
-        P = np.concatenate(([np.int64(0)], np.cumsum(w)))
-        jump = _pack_jump(P, budget)
-        j = max(int(np.searchsorted(P, budget - fill_, side="right")) - 1,
-                0)
-        shard = np.empty(m, dtype=np.int64)
-        shard[:j] = base_
-        pos, t = j, base_
-        while pos < m:                  # one iteration PER SHARD, not row
-            t += 1
-            end = int(jump[pos])
-            shard[pos:end] = t
-            pos = end
-        out = {order_col: g[order_col].to_numpy()}
-        for c in carry_cols:
-            out[c] = g[c].to_numpy()
-        out[weight_col] = w
-        out["shard_id"] = shard
-        return pd.DataFrame(out)
+        shard = np.empty(len(w), dtype=np.int64)
+        for b, s, m in zip(g["bucket"].to_numpy()[starts], starts, counts):
+            base_, fill_ = bmeta[int(b)]
+            P = np.concatenate(([np.int64(0)], np.cumsum(w[s:s + m])))
+            j = max(int(np.searchsorted(P, budget - fill_, side="right"))
+                    - 1, 0)
+            shard[s:s + j] = base_
+            _walk_shards(_pack_jump(P, budget), shard[s:s + m], j, base_)
+        return g[[order_col, *carry_cols, weight_col]].assign(shard_id=shard)
 
-    return projected.groupby("bucket").map_groups(assign,
-                                                  batch_format="pandas")
+    return bucketed_map_groups(ds, ["bucket"], assign, project=project,
+                               n_rows=n_rows)
 
 
 def greedy_pack_by_key(ds, key_col: str, order_col: str, weight_col: str,
                        budget: int, carry_cols: tuple[str, ...] = ()):
     """Per-key no-straddle packing: each key (lang / source / host) packs
     its own shard sequence fresh — the usual layout when training shards
-    must be homogeneous per stratum. Embarrassingly parallel (one
-    hash(key) group per stratum, no cross-task state, no driver fold);
-    the in-group assignment walks the same jump graph as
-    ``greedy_pack_shards``, one step per SHARD, not per row.
+    must be homogeneous per stratum. Embarrassingly parallel (one keyed
+    exchange on ``key_col``, no cross-task state, no driver fold): each
+    call sorts its keys once by (key, ``order_col``) and walks the same
+    jump graph as ``greedy_pack_shards``, cut at every key's end, one
+    step per SHARD, not per row.
 
-    Partitioning assumption (same as any per-key map_groups): one key's
-    rows fit in a worker's heap. Returns rows
+    Partitioning assumption (the keyed exchange's): one key's rows fit in
+    a worker's heap. Returns rows
     ``(key_col, order_col, *carry_cols, weight_col, shard_id)`` with
     shard ids local to the key (0-based).
     """
     budget = int(budget)
     cols = [key_col, order_col, *carry_cols, weight_col]
 
-    def pack_group(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(order_col, kind="stable")
+    def pack(g: pd.DataFrame) -> pd.DataFrame:
+        g, starts, counts = _sorted_runs(g, key_col, order_col)
         w = g[weight_col].to_numpy(dtype=np.int64)
         if len(w) and w.min() < 0:
             raise ValueError("greedy_pack_by_key: negative weight")
-        m = len(w)
         P = np.concatenate(([np.int64(0)], np.cumsum(w)))
-        jump = _pack_jump(P, budget)
-        shard = np.empty(m, dtype=np.int64)
-        pos, t = 0, -1
-        while pos < m:
-            t += 1
-            end = int(jump[pos])
-            shard[pos:end] = t
-            pos = end
-        out = g[cols].copy()
-        out["shard_id"] = shard
-        return out
+        jump = np.minimum(_pack_jump(P, budget),
+                          np.repeat(starts + counts, counts))
+        shard = np.empty(len(w), dtype=np.int64)
+        for s, m in zip(starts, counts):
+            _walk_shards(jump[s:s + m] - s, shard[s:s + m], 0, -1)
+        return g[cols].assign(shard_id=shard)
 
-    return ds.groupby(key_col).map_groups(pack_group,
-                                          batch_format="pandas")
+    return bucketed_map_groups(ds, [key_col], pack,
+                               project=lambda b: b.select(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +388,26 @@ def _mix(ids: np.ndarray, seed: int) -> np.ndarray:
     return splitmix64(x)
 
 
+def _head_k_by_key(ds, key_col: str, cols, rank, k: int):
+    """The first ``k`` rows of each ``key_col`` value in ``rank`` order,
+    columns ``cols``. ``rank(frame)`` gives the np.lexsort keys (last
+    primary) that totally order a key's rows, before the key itself.
+
+    Combiner topology: the head-k runs once per batch as the keyed
+    exchange's projection, so the shuffle moves at most
+    ``k * keys_per_block`` rows, and once more per bucket, which holds
+    whole keys: ``k * #blocks`` rows per key regardless of corpus size."""
+    cols = list(cols)
+
+    def head_k(df: pd.DataFrame) -> pd.DataFrame:
+        keys = df[key_col].to_numpy()
+        return df.iloc[_head_k_per_run((*rank(df), keys), keys, k)][cols]
+
+    return bucketed_map_groups(
+        ds, [key_col], head_k,
+        project=lambda b: head_k(b.select(cols).to_pandas()))
+
+
 def stratified_sample(ds, key_col: str, id_col: str, k: int,
                       carry_cols: tuple[str, ...] = (), seed: int = 0):
     """Deterministic k-per-stratum sample: the k rows with the SMALLEST
@@ -389,42 +415,19 @@ def stratified_sample(ds, key_col: str, id_col: str, k: int,
     fixed bijection of the id space), yet fully reproducible: no RNG
     state, identical output at any parallelism, batch layout, or retry.
 
-    Combiner topology: each batch locally keeps its k smallest hashes per
-    key (one vectorized lexsort + positional head-k, no Python per group),
-    so the shuffle moves at most ``k * keys_per_block`` rows; the final
-    per-key top-k runs in ``hash(key)``-bucketed groups whose size is
-    bounded by ``k * #blocks`` regardless of corpus size.
+    Combiner topology (``_head_k_by_key``): each batch locally keeps its
+    k smallest hashes per key (one vectorized lexsort + positional
+    head-k, no Python per group), so the shuffle moves at most
+    ``k * keys_per_block`` rows; the final per-key top-k runs in
+    ``hash(key)``-bucketed groups whose size is bounded by
+    ``k * #blocks`` regardless of corpus size.
 
     Returns rows ``(key_col, id_col, *carry_cols)``.
     """
-    from ..stages.partitioning import coarse_bucket_count
-
-    coarse = coarse_bucket_count(ds, rows_per_bucket=1 << 22,
-                                 what="stratified_sample")
-    k = int(k)
-    cols = [key_col, id_col, *carry_cols]
-
-    def local_topk(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df[id_col].to_numpy()
-        h = _mix(ids.astype(np.uint64), seed)
-        keys = df[key_col].to_numpy()
-        take = _head_k_per_run((h, keys), keys, k)
-        out = df.iloc[take][cols].copy()
-        out["_h"] = h[take]
-        with np.errstate(over="ignore"):
-            kb = hash64(out[key_col].to_numpy())
-        out["_kbucket"] = (kb % np.uint64(coarse)).astype(np.int32)
-        return out
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        # bucket holds whole keys; redo the head-k on merged partials
-        keys = g[key_col].to_numpy()
-        take = _head_k_per_run((g["_h"].to_numpy(), keys), keys, k)
-        return g.iloc[take][cols]
-
-    return (ds.map_batches(local_topk, batch_format="pandas")
-            .groupby("_kbucket")
-            .map_groups(final_topk, batch_format="pandas"))
+    return _head_k_by_key(
+        ds, key_col, [key_col, id_col, *carry_cols],
+        lambda df: (_mix(df[id_col].to_numpy().astype(np.uint64), seed),),
+        int(k))
 
 
 def _head_k_per_run(sort_keys: tuple[np.ndarray, ...],
@@ -448,44 +451,26 @@ def topk_per_key(ds, key_col: str, value_col: str, id_col: str, k: int,
     layout-independent). The quota/selection primitive of corpus curation:
     "keep the k highest-quality documents per host/stratum".
 
-    Same combiner topology as ``stratified_sample``: each batch locally
-    keeps its k best rows per key (one vectorized lexsort), so the shuffle
-    carries at most ``k * keys_per_block`` rows; the final per-key top-k
-    runs in hash(key)-bucketed groups bounded by ``k * #blocks``.
+    Same combiner topology as ``stratified_sample`` (``_head_k_by_key``):
+    each batch locally keeps its k best rows per key (one vectorized
+    lexsort), so the shuffle carries at most ``k * keys_per_block`` rows;
+    the final per-key top-k runs in hash(key)-bucketed groups bounded by
+    ``k * #blocks``.
 
     Returns rows ``(key_col, id_col, value_col, *carry_cols)``.
     """
-    from ..stages.partitioning import coarse_bucket_count
 
-    coarse = coarse_bucket_count(ds, rows_per_bucket=1 << 22,
-                                 what="topk_per_key")
-    k = int(k)
-    cols = [key_col, id_col, value_col, *carry_cols]
-
-    def rank_take(df: pd.DataFrame) -> np.ndarray:
+    def rank(df: pd.DataFrame):
         vals = df[value_col].to_numpy()
         if largest:
             if vals.dtype.kind == "u":  # negation would wrap unsigned
                 vals = vals.astype(np.int64)
             vals = -vals
-        ids = df[id_col].to_numpy()
-        keys = df[key_col].to_numpy()
-        # lexsort: primary key last -> (id, value, key)
-        return _head_k_per_run((ids, vals, keys), keys, k)
+        return df[id_col].to_numpy(), vals
 
-    def local_topk(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.iloc[rank_take(df)][cols].copy()
-        with np.errstate(over="ignore"):
-            kb = hash64(out[key_col].to_numpy())
-        out["_kbucket"] = (kb % np.uint64(coarse)).astype(np.int32)
-        return out
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        return g.iloc[rank_take(g)][cols]
-
-    return (ds.map_batches(local_topk, batch_format="pandas")
-            .groupby("_kbucket")
-            .map_groups(final_topk, batch_format="pandas"))
+    return _head_k_by_key(ds, key_col,
+                          [key_col, id_col, value_col, *carry_cols], rank,
+                          int(k))
 
 
 def weighted_mixture(ds, key_col: str, id_col: str, rates: dict,
@@ -665,31 +650,54 @@ def normalized_distinct_by_key(ds, text_col: str, key_col: str,
         out_name)
 
 
-def _explode_lines(b, text_col: str, carry_cols, sep: str):
-    """Vectorized doc→line explode: one row per line with carried doc
-    columns repeated; emits (carry..., line_h: uint64->int64, line_len,
-    line_idx). Line identity is the literal separator-split segment, so
-    SQL's string_split reproduces the exact same line set."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from ..functions.hashing import hash64
-
+def _explode_lines(b: pa.Table, text_col: str, carry_col: str, sep: str,
+                   with_line: bool = False) -> pa.Table:
+    """Vectorized doc→line explode of one batch, splitting its text once:
+    one row per line with the doc's ``carry_col`` repeated —
+    ``(carry_col, line_h: uint64->int64, line_len, line_idx[, line])``.
+    Line identity is the literal separator-split segment, so SQL's
+    string_split reproduces the exact same line set."""
     lists = pc.split_pattern(b[text_col].combine_chunks(), sep)
     lines = pc.list_flatten(lists)
     lens = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
     rep = np.repeat(np.arange(len(lens)), lens)
-    cols = {c: b[c].take(pa.array(rep)) for c in carry_cols}
-    cols["line_h"] = pa.array(
-        hash64(lines.to_numpy(zero_copy_only=False)).astype(np.int64))
-    cols["line_len"] = pa.array(
-        pc.utf8_length(lines).to_numpy(zero_copy_only=False)
-        .astype(np.int64))
     # within-doc position, for order-preserving rebuilds
     starts = np.concatenate(([0], np.cumsum(lens)))[:-1]
-    cols["line_idx"] = pa.array(
-        (np.arange(len(rep)) - starts[rep]).astype(np.int64))
+    cols = {
+        carry_col: b[carry_col].take(pa.array(rep)),
+        "line_h": pa.array(
+            hash64(lines.to_numpy(zero_copy_only=False)).astype(np.int64)),
+        "line_len": pa.array(pc.utf8_length(lines)
+                             .to_numpy(zero_copy_only=False).astype(np.int64)),
+        "line_idx": pa.array((np.arange(len(rep)) - starts[rep])
+                             .astype(np.int64)),
+    }
+    if with_line:
+        cols["line"] = lines
     return pa.table(cols)
+
+
+def _mark_duplicate_lines(ds, text_col: str, carry_col: str, sep: str,
+                          min_dup: int, n_rows: int | None, fold,
+                          with_line: bool = False):
+    """The line-hash exchange both line-dedup operators share: docs
+    explode into lines in its projection (``_explode_lines``), every
+    occurrence of a line meets in one call, and ``fold(g, dup)`` gets the
+    call's line rows with ``dup`` marking those whose global occurrence
+    count reaches ``min_dup``. ``n_rows`` counts documents (None when
+    unknown); the exchange sizes for ``_LINE_FANOUT`` lines each."""
+
+    def mark(g: pd.DataFrame):
+        order, _, counts = _key_runs(g["line_h"].to_numpy())
+        dup = np.empty(len(g), dtype=bool)
+        dup[order] = np.repeat(counts >= min_dup, counts)
+        return fold(g, dup)
+
+    return bucketed_map_groups(
+        ds, ["line_h"], mark,
+        project=lambda b: _explode_lines(b, text_col, carry_col, sep,
+                                         with_line),
+        n_rows=None if n_rows is None else n_rows * _LINE_FANOUT)
 
 
 def line_dedup_stats(ds, text_col: str, key_col: str, sep: str = ". ",
@@ -701,55 +709,30 @@ def line_dedup_stats(ds, text_col: str, key_col: str, sep: str = ". ",
     duplicated lines are dropped.
 
     ONE wide shuffle: exploded (key, line_h, line_len) rows co-partition
-    on the 8-byte line hash (hash-bucketed, cost ∝ line instances); the
-    count-and-mark happens inside each bucket, and only O(keys) partial
-    rows leave it. No broadcast of the duplicate set — it never
-    materializes anywhere.
+    on the 8-byte line hash (``_mark_duplicate_lines``, cost ∝ line
+    instances); the count-and-mark happens inside each bucket, and only
+    O(keys) partial rows leave it, summed per key by
+    ``hash_bucketed_group_agg``. No broadcast of the duplicate set — it
+    never materializes anywhere.
     """
-    import pyarrow as pa
-
-    from ..stages.partitioning import coarse_bucket_count
-
     if n_rows is None:
-        from ..stages.partitioning import cheap_row_count
         n_rows = cheap_row_count(ds)
-    # fanout: docs explode into ~tens of lines each before the shuffle
-    coarse = coarse_bucket_count(n_rows=n_rows,
-                                 rows_per_bucket=262144, fanout=64,
-                                 what="line_dedup_stats")
 
-    def explode(b: pa.Table) -> pa.Table:
-        t = _explode_lines(b, text_col, [key_col], sep)
-        h = t["line_h"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return t.append_column(
-            "_b", pa.array((h % np.uint64(coarse)).astype(np.int32)))
-
-    def mark(g: pd.DataFrame) -> pd.DataFrame:
-        cnt = g.groupby("line_h")["line_h"].transform("size")
-        dup = (cnt >= min_dup).to_numpy()
-        keep_chars = np.where(dup, 0, g["line_len"].to_numpy())
+    def per_key(g: pd.DataFrame, dup: np.ndarray) -> pd.DataFrame:
         out = pd.DataFrame({
             key_col: g[key_col].to_numpy(),
             "n_lines": np.int64(1),
             "n_dup_lines": dup.astype(np.int64),
-            "chars_kept": keep_chars.astype(np.int64)})
+            "chars_kept": np.where(dup, 0, g["line_len"].to_numpy())
+            .astype(np.int64)})
         return out.groupby(key_col, as_index=False, sort=False).sum()
 
-    from ray.data.aggregate import Sum
-
-    out = (ds.map_batches(explode, batch_format="pyarrow")
-           .groupby("_b").map_groups(mark, batch_format="pandas")
-           .groupby(key_col)
-           .aggregate(Sum("n_lines", alias_name="n_lines"),
-                      Sum("n_dup_lines", alias_name="n_dup_lines"),
-                      Sum("chars_kept", alias_name="chars_kept")))
-
-    def fin(df: pd.DataFrame) -> pd.DataFrame:
-        for c in ("n_lines", "n_dup_lines", "chars_kept"):
-            df[c] = df[c].astype(np.int64)
-        return df
-
-    return out.map_batches(fin, batch_format="pandas")
+    partials = _mark_duplicate_lines(ds, text_col, key_col, sep, min_dup,
+                                     n_rows, per_key)
+    return hash_bucketed_group_agg(
+        partials, [key_col],
+        {c: (c, "sum") for c in ("n_lines", "n_dup_lines", "chars_kept")},
+        n_rows=n_rows)
 
 
 def drop_duplicate_lines(ds, text_col: str, id_col: str,
@@ -761,45 +744,32 @@ def drop_duplicate_lines(ds, text_col: str, id_col: str,
 
     Two keyed exchanges, both ∝ line instances (inherent for a rewrite —
     the lines ARE the output): co-partition on the line hash to mark
-    duplicates, then regroup by document to rebuild. The duplicate set
-    itself never materializes.
+    duplicates (``_mark_duplicate_lines``), then regroup by document,
+    where each call sorts its documents' lines once by (doc, line_idx)
+    and joins every document's kept lines with one Arrow kernel. The
+    duplicate set itself never materializes.
     """
-    import pyarrow as pa
-
-    from ..stages.partitioning import coarse_bucket_count
-
     if n_rows is None:
-        from ..stages.partitioning import cheap_row_count
         n_rows = cheap_row_count(ds)
-    coarse = coarse_bucket_count(n_rows=n_rows,
-                                 rows_per_bucket=262144, fanout=64,
-                                 what="drop_duplicate_lines")
+    marked = _mark_duplicate_lines(
+        ds, text_col, id_col, sep, min_dup, n_rows,
+        lambda g, dup: g[[id_col, "line_idx", "line"]].assign(_dup=dup),
+        with_line=True)
 
-    def explode(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        t = _explode_lines(b, text_col, [id_col], sep)
-        lists = pc.split_pattern(b[text_col].combine_chunks(), sep)
-        t = t.append_column("line", pc.list_flatten(lists))
-        h = t["line_h"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return t.append_column(
-            "_b", pa.array((h % np.uint64(coarse)).astype(np.int32)))
+    def rebuild(g: pd.DataFrame) -> pa.Table:
+        g, starts, counts = _sorted_runs(g, id_col, "line_idx")
+        keep = ~g["_dup"].to_numpy(dtype=bool)
+        kept = np.add.reduceat(keep.astype(np.int64), starts)
+        lines = pa.ListArray.from_arrays(
+            pa.array(np.r_[0, np.cumsum(kept)].astype(np.int32)),
+            pa.array(g["line"].to_numpy()[keep], type=pa.string()))
+        return pa.table({id_col: g[id_col].to_numpy()[starts],
+                         text_col: pc.binary_join(lines, sep),
+                         "n_dropped": counts - kept})
 
-    def mark(g: pd.DataFrame) -> pd.DataFrame:
-        cnt = g.groupby("line_h")["line_h"].transform("size")
-        g = g.assign(_dup=(cnt >= min_dup).to_numpy())
-        return g[[id_col, "line_idx", "line", "_dup"]]
-
-    def rebuild(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("line_idx", kind="stable")
-        keep = ~g["_dup"].to_numpy()
-        return pd.DataFrame({
-            id_col: [g[id_col].iloc[0]],
-            text_col: [sep.join(g["line"].to_numpy()[keep])],
-            "n_dropped": [np.int64((~keep).sum())]})
-
-    return (ds.map_batches(explode, batch_format="pyarrow")
-            .groupby("_b").map_groups(mark, batch_format="pandas")
-            .groupby(id_col).map_groups(rebuild, batch_format="pandas"))
+    return bucketed_map_groups(
+        marked, [id_col], rebuild,
+        n_rows=None if n_rows is None else n_rows * _LINE_FANOUT)
 
 
 def priority_sample_subset_check(ds, key_col: str, k: int = 512,
@@ -829,8 +799,7 @@ def priority_sample_subset_check(ds, key_col: str, k: int = 512,
     within_bound)`` — the three exact columns hash-match
     ``COUNT(DISTINCT ..)`` / filtered-COUNT SQL.
     """
-    from ..stages.aggregate import (SKETCH_COL, KeyedSketches,
-                                    hash_bucketed_group_agg, merge_partials)
+    from ..stages.aggregate import SKETCH_COL, KeyedSketches, merge_partials
     from ..state.priority import PrioritySample
     from ..state.protocol import SketchSpec
 
@@ -895,62 +864,40 @@ def hash_split_counts(ds, id_col: str, key: str, stat_col: str,
     in 'test' iff ``splitmix64(id) < test_rate * 2^64`` else 'train'
     (disjoint by construction — the complement of bernoulli_sample's
     keep-set), and the op reports per (key, split) row counts and an
-    exact int64 sum of ``stat_col``. Pure per-batch labelling + combine;
-    only (keys × 2) integer rows ride the exchange.
+    exact int64 sum of ``stat_col``. Pure per-batch labelling + the
+    ``hash_bucketed_group_agg`` combine; only (keys × 2) integer rows
+    per batch ride the exchange, so it takes no input row count (a
+    metadata count of a parquet read written from pandas logs Ray's
+    "Failed to hash the schemas").
     """
-    from ray.data.aggregate import Sum
-
     threshold = np.uint64(min(int(test_rate * 2.0 ** 64), 2 ** 64 - 1))
 
     def label(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        h = _mix(ids.astype(np.uint64), seed)
-        split = np.where(h < threshold, "test", "train")
-        df = pd.DataFrame({
-            key: batch[key].to_numpy(zero_copy_only=False),
-            "split": split,
-            "n_docs": np.int64(1),
-            "sum_stat": batch[stat_col].to_numpy(zero_copy_only=False)
-            .astype(np.int64)})
-        g = df.groupby([key, "split"], as_index=False, sort=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        h = _mix(batch[id_col].to_numpy(zero_copy_only=False)
+                 .astype(np.uint64), seed)
+        return pa.table({
+            key: batch[key],
+            "split": pa.array(np.where(h < threshold, "test", "train")),
+            "sum_stat": pa.array(batch[stat_col].to_numpy(
+                zero_copy_only=False).astype(np.int64))})
 
-    out = (ds.map_batches(label, batch_format="pyarrow")
-           .groupby([key, "split"])
-           .aggregate(Sum("n_docs", alias_name="n_docs"),
-                      Sum("sum_stat", alias_name="sum_stat")))
-
-    def fin(df: pd.DataFrame) -> pd.DataFrame:
-        df["n_docs"] = df["n_docs"].astype(np.int64)
-        df["sum_stat"] = df["sum_stat"].astype(np.int64)
-        return df
-
-    return out.map_batches(fin, batch_format="pandas")
+    return hash_bucketed_group_agg(
+        ds.map_batches(label, batch_format="pyarrow"), [key, "split"],
+        {"n_docs": (key, "count"), "sum_stat": ("sum_stat", "sum")})
 
 
 def k_anonymity_audit(ds, qi_cols, k: int = 5):
     """Privacy-hygiene audit: treating ``qi_cols`` as a quasi-identifier
     tuple, how many equivalence classes exist, how many are smaller
     than ``k`` (re-identifiable under k-anonymity), and how many rows
-    sit in those at-risk classes. Per-batch QI counts combine first, so
-    only equivalence-class-sized integer rows ride the exchange; the
-    fold emits one row.
+    sit in those at-risk classes. Per-batch QI counts combine first
+    (``hash_bucketed_group_agg``), so only equivalence-class-sized
+    integer rows ride the exchange; the fold emits one row.
     """
-    from ray.data.aggregate import Sum
-
     qi_cols = list(qi_cols)
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({c: b[c].to_numpy(zero_copy_only=False)
-                           for c in qi_cols})
-        g = df.groupby(qi_cols, as_index=False, sort=False).size()
-        g = g.rename(columns={"size": "partial"})
-        g["partial"] = g["partial"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    classes = (ds.map_batches(partial, batch_format="pyarrow")
-               .groupby(qi_cols)
-               .aggregate(Sum("partial", alias_name="cnt")))
+    classes = hash_bucketed_group_agg(
+        ds.select_columns(qi_cols), qi_cols, {"cnt": (qi_cols[0], "count")},
+        n_rows=cheap_row_count(ds))
 
     def summarize_batch(b: pa.Table) -> pa.Table:
         cnt = b["cnt"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -985,7 +932,7 @@ def dsir_importance_stats(ds, text_col: str = "text",
 
     Pass 1 (two KB-sized aggregates in one map): per-batch partial
     counts of token-hash buckets for the TARGET slice and for ALL docs
-    -> ``groupby(bucket)`` sum -> the driver pulls the
+    -> ``hash_bucketed_group_agg`` sum per bucket -> the driver pulls the
     ``n_buckets``-row table and broadcasts the per-bucket log-ratio
         lam[b] = ln((T[b]+a) / (T_tot+a*B)) - ln((R[b]+a) / (R_tot+a*B)).
     Pass 2: per-doc importance log-weight = sum over its tokens of
@@ -995,19 +942,16 @@ def dsir_importance_stats(ds, text_col: str = "text",
     with u a splitmix64 uniform of the doc id, so the draw is
     reproducible and layout-invariant. The top-k runs with the same
     per-batch-combiner topology as ``topk_per_key`` (at most k rows per
-    batch survive to the final fold).
+    batch survive to the final fold, the keyed exchange's one-bucket
+    case).
 
     Returns a pandas DataFrame, one row per ``key`` group:
     ``(key, n_docs, n_selected)``. The feature hash (splitmix64 family)
     has no SQL equivalent, so the graded entry is rows-only; the pytest
     twin replays the whole path in pure Python.
     """
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
-
-    from ..functions.hashing import hash64, splitmix64
-
     B = int(n_buckets)
+    n_rows = cheap_row_count(ds)
 
     def bucket_partials(b: pa.Table) -> pd.DataFrame:
         lists = pc.split_pattern(b[text_col].combine_chunks(), " ")
@@ -1028,11 +972,10 @@ def dsir_importance_stats(ds, text_col: str = "text",
             "t_part": t_cnt[nz].astype(np.int64),
             "r_part": r_cnt[nz].astype(np.int64)})
 
-    counts = (ds.map_batches(bucket_partials, batch_format="pyarrow")
-              .groupby("bucket")
-              .aggregate(Sum("t_part", alias_name="t_cnt"),
-                         Sum("r_part", alias_name="r_cnt"))
-              .to_pandas())  # <= n_buckets rows — KB-sized by design
+    counts = hash_bucketed_group_agg(
+        ds.map_batches(bucket_partials, batch_format="pyarrow"), ["bucket"],
+        {"t_cnt": ("t_part", "sum"), "r_cnt": ("r_part", "sum")},
+        n_rows=n_rows).to_pandas()  # <= n_buckets rows — KB-sized by design
     t = np.zeros(B, dtype=np.int64)
     r = np.zeros(B, dtype=np.int64)
     t[counts["bucket"].to_numpy()] = counts["t_cnt"].to_numpy()
@@ -1064,22 +1007,17 @@ def dsir_importance_stats(ds, text_col: str = "text",
                              "skey": skey[order],
                              key: kv.iloc[order].to_numpy()})
 
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df["_g"] = np.int64(0)
-        return df
-
     def final_topk(g: pd.DataFrame) -> pd.DataFrame:
         order = np.lexsort((g["doc"].to_numpy(),
                             -g["skey"].to_numpy()))[:k]
         return g.iloc[order][["doc", "skey", key]]
 
-    selected = (ds.map_batches(score_and_keep, batch_format="pyarrow")
-                .map_batches(tag, batch_format="pandas")
-                .groupby("_g").map_groups(final_topk,
-                                          batch_format="pandas")
-                .to_pandas())  # k rows
-    n_docs = (ds.groupby(key).aggregate(Count(alias_name="n_docs"))
-              .to_pandas())
+    selected = bucketed_map_groups(ds, [], final_topk,
+                                   project=score_and_keep,
+                                   n_buckets=1).to_pandas()  # k rows
+    n_docs = hash_bucketed_group_agg(
+        ds.select_columns([key]), [key], {"n_docs": (key, "count")},
+        n_rows=n_rows).to_pandas()
     sel = (selected.groupby(key).size().rename("n_selected")
            .reset_index())
     out = n_docs.merge(sel, on=key, how="left")
@@ -1094,40 +1032,29 @@ def canonical_url_report(ds, url_col: str):
     fragment, case, www., :80, utm_* params, separator repair, trailing
     slash), then per canonical HOST report page count, exact distinct
     canonical URLs, and the duplicate count the canonicalization
-    exposed. Canonical/host derivation is one vectorized Arrow pass;
-    the exact distinct rides relational.distinct_count_by_key (pair
-    dedup inside each batch, hash-bucketed global dedup — only unique
-    (host, canon) pairs reach the exchange).
+    exposed. Canonical/host derivation is one vectorized Arrow pass, and
+    each batch counts its own (host, canon) pairs, so only unique pairs
+    per batch reach ONE keyed exchange on host, whose calls give every
+    host's page count and distinct canonical URLs together.
 
     Output: (host, n_pages, n_canonical, n_dup) per host.
     """
-    from ray.data.aggregate import Sum
-
     from ..functions.url import canonicalize_urls, url_host
-    from .relational import distinct_count_by_key
 
-    def canon(b: pa.Table) -> pa.Table:
+    def pair_counts(b: pa.Table) -> pd.DataFrame:
         c = canonicalize_urls(b[url_col])
-        return pa.table({"host": url_host(c), "canon": c})
+        pairs = pd.DataFrame({"host": url_host(c).to_numpy(
+            zero_copy_only=False), "canon": c.to_numpy(zero_copy_only=False)})
+        return pairs.groupby(["host", "canon"], as_index=False,
+                             sort=False).size()
 
-    pairs = ds.map_batches(canon, batch_format="pyarrow")
+    def per_host(g: pd.DataFrame) -> pd.DataFrame:
+        pages = g.groupby(["host", "canon"], sort=False)["size"].sum() \
+            .groupby(level="host", sort=False)
+        return pd.DataFrame({"n_pages": pages.sum(),
+                             "n_canonical": pages.size()}).reset_index()
 
-    def count_partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"host": b["host"].to_numpy(
-            zero_copy_only=False)})
-        g = df.groupby("host", as_index=False, sort=False).size()
-        return pa.table({"host": pa.array(g["host"]),
-                         "n_pages": pa.array(
-                             g["size"].to_numpy(np.int64))})
-
-    totals = (pairs.map_batches(count_partial, batch_format="pyarrow")
-              .groupby("host").aggregate(Sum("n_pages",
-                                             alias_name="n_pages"))
-              .to_pandas())
-    uniq = (distinct_count_by_key(pairs, "host", "canon", "n_canonical")
-            .to_pandas())
-    out = totals.merge(uniq, on="host", how="left")
-    out["n_pages"] = out["n_pages"].astype(np.int64)
-    out["n_canonical"] = out["n_canonical"].fillna(0).astype(np.int64)
-    out["n_dup"] = (out["n_pages"] - out["n_canonical"]).astype(np.int64)
+    out = bucketed_map_groups(ds, ["host"], per_host,
+                              project=pair_counts).to_pandas()
+    out["n_dup"] = out["n_pages"] - out["n_canonical"]
     return out.sort_values("host").reset_index(drop=True)

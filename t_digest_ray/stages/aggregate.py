@@ -34,8 +34,10 @@ bucket, most of them sorting the bucket once with ``_key_runs``. Its users
 are ``hash_bucketed_group_agg``, the per-user operators in
 ``pipelines/windows.py``, the undirected half of ``pipelines/graph.py``,
 ``pipelines/relational.py`` (the hash, semi/anti and band joins and every
-per-key operator there) and ``pipelines/stats.py`` (the value-count and
-cutpoint folds and every per-key scan there).
+per-key operator there), ``pipelines/stats.py`` (the value-count and
+cutpoint folds and every per-key scan there) and
+``pipelines/curation.py`` (the head-k samplers, the shard packers on
+their order-range buckets, the line dedup and every per-key audit there).
 """
 
 from __future__ import annotations

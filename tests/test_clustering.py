@@ -147,6 +147,29 @@ def test_kmeans_spill_path_identical(ray_session, tmp_path):
     assert os.listdir(tmp_path / "kmeans_spill")  # spill actually used
 
 
+def test_kmeans_spill_dir_reused_across_calls(ray_session, tmp_path):
+    """Two spilled runs on one caller-given ``spill_dir``: the second
+    reads back only its own part files, so each id is assigned once and
+    the answer equals the first run's."""
+    rng = np.random.default_rng(3)
+    n = 60
+    rows = {
+        "vec_id": pa.array(list(range(n)), type=pa.int64()),
+        "embedding": pa.array(
+            [list(map(float, rng.normal(0, 0.3, 4))) for _ in range(n)],
+            type=pa.list_(pa.float32()))}
+    spill = str(tmp_path / "spill")
+    outs = []
+    for _ in range(2):
+        assigned, _ = kmeans_fit_predict(
+            _emb_ds(ray_session, rows), "embedding", "vec_id", k=3, dim=4,
+            iters=2, materialize_budget_rows=0, spill_dir=spill)
+        outs.append(assigned.to_pandas().sort_values("vec_id")
+                    .reset_index(drop=True))
+    assert outs[1]["vec_id"].tolist() == list(range(n))
+    pd.testing.assert_frame_equal(outs[0], outs[1])
+
+
 def test_embedding_diversity_exact_small_case(ray_session):
     """Hand-checkable 3-vector case: identical vectors give avg cos 1.0
     (up to grid quantization), orthogonal give 0; singleton key -> 0.0."""

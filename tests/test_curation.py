@@ -525,3 +525,120 @@ def test_canonical_url_report_matches_pandas(ray_session):
             out.reset_index(drop=True), exp)
         # the fixture actually plants collisions
         assert (exp["n_dup"] > 0).any()
+
+
+# ---------------------------------------------------------------------------
+# keyed-exchange layout: the same frame at 1 and 7 input blocks, with a few
+# keys and with enough keys that every exchange bucket folds several
+# ---------------------------------------------------------------------------
+
+def _corpus(n_docs: int, n_keys: int, seed: int = 5) -> pa.Table:
+    rng = np.random.default_rng(seed)
+    vocab = np.array([f"line {i}" for i in range(max(n_docs // 3, 4))])
+    ids = rng.permutation(n_docs).astype(np.int64)
+    keys = rng.integers(0, n_keys, n_docs).astype(np.int64)
+    return pa.table({
+        "doc_id": ids,
+        "key": keys,
+        "source": rng.choice(["web", "wiki", "code"], n_docs),
+        "n_chars": rng.integers(1, 400, n_docs).astype(np.int64),
+        "text": [". ".join(rng.choice(vocab, size=rng.integers(1, 6)))
+                 for _ in range(n_docs)],
+        # two spellings per (host, path) that collide once canonical
+        "url": [f"HTTPS://WWW.Host{k}.COM:80/p/{i % 3}/" if i % 2 else
+                f"https://host{k}.com/p/{i % 3}?utm_source=x"
+                for k, i in zip(keys, ids)],
+    })
+
+
+def _layout_ops():
+    from t_digest_ray.pipelines.curation import (canonical_url_report,
+                                                 drop_duplicate_lines,
+                                                 greedy_pack_by_key,
+                                                 hash_split_counts,
+                                                 k_anonymity_audit,
+                                                 line_dedup_stats)
+    return {
+        "greedy_pack_by_key": lambda ds: greedy_pack_by_key(
+            ds, "key", "doc_id", "n_chars", budget=700).to_pandas(),
+        "line_dedup_stats": lambda ds: line_dedup_stats(
+            ds, "text", "key").to_pandas(),
+        "drop_duplicate_lines": lambda ds: drop_duplicate_lines(
+            ds, "text", "doc_id").to_pandas(),
+        "hash_split_counts": lambda ds: hash_split_counts(
+            ds, "doc_id", "key", "n_chars").to_pandas(),
+        "k_anonymity_audit": lambda ds: k_anonymity_audit(
+            ds, ["key", "source"]),
+        "canonical_url_report": lambda ds: canonical_url_report(ds, "url"),
+    }
+
+
+def _canon(df: pd.DataFrame) -> pd.DataFrame:
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+@pytest.mark.parametrize("n_docs,n_keys", [(600, 7), (6000, 2500)])
+@pytest.mark.parametrize("op", sorted(_layout_ops()))
+def test_keyed_ops_same_frame_at_1_and_7_blocks(ray_session, op, n_docs,
+                                                n_keys):
+    t = _corpus(n_docs, n_keys)
+    fn = _layout_ops()[op]
+    one, seven = (_canon(fn(_ds(t, blocks))) for blocks in (1, 7))
+    assert len(one) > 0
+    pd.testing.assert_frame_equal(one, seven)
+
+
+def test_multi_key_folds_match_reference(ray_session):
+    """2,000+ keys over a few exchange buckets: every call folds many
+    keys (documents, strata, line hashes, hosts), and each key's answer
+    equals a per-key reference."""
+    from t_digest_ray.functions.url import canonicalize_urls, url_host
+    from t_digest_ray.pipelines.curation import (canonical_url_report,
+                                                 drop_duplicate_lines,
+                                                 greedy_pack_by_key,
+                                                 line_dedup_stats)
+
+    t = _corpus(6000, 2500)
+    df = t.to_pandas()
+    ds = _ds(t, 7)
+    assert df["key"].nunique() >= 2000
+
+    got = greedy_pack_by_key(ds, "key", "doc_id", "n_chars",
+                             budget=700).to_pandas() \
+        .sort_values(["key", "doc_id"])
+    want = np.concatenate([
+        _seq_pack_fresh(g.sort_values("doc_id")["n_chars"].to_numpy(), 700)
+        for _, g in df.groupby("key", sort=True)])
+    np.testing.assert_array_equal(got["shard_id"].to_numpy(), want)
+
+    lines = df.assign(line=df["text"].str.split(". ", regex=False)) \
+        .explode("line")
+    lines["dup"] = lines.groupby("line")["line"].transform("size") >= 2
+    rebuilt = _canon(drop_duplicate_lines(ds, "text", "doc_id").to_pandas())
+    ref = lines.groupby("doc_id", sort=True)[["line", "dup"]].apply(
+        lambda g: pd.Series({"text": ". ".join(g["line"][~g["dup"]]),
+                             "n_dropped": int(g["dup"].sum())}))
+    assert rebuilt["doc_id"].tolist() == ref.index.tolist()
+    assert rebuilt["text"].tolist() == ref["text"].tolist()
+    assert rebuilt["n_dropped"].tolist() == ref["n_dropped"].tolist()
+
+    stats = _canon(line_dedup_stats(ds, "text", "key").to_pandas())
+    lines["kept"] = np.where(lines["dup"], 0, lines["line"].str.len())
+    ref = lines.groupby("key", sort=True).agg(
+        n_lines=("line", "size"), n_dup_lines=("dup", "sum"),
+        chars_kept=("kept", "sum"))
+    assert stats["key"].tolist() == ref.index.tolist()
+    for c in ("n_lines", "n_dup_lines", "chars_kept"):
+        assert stats[c].tolist() == ref[c].tolist(), c
+
+    urls = pa.array(df["url"])
+    canon = canonicalize_urls(urls)
+    ref = (pd.DataFrame({"host": url_host(canon).to_pylist(),
+                         "canon": canon.to_pylist()})
+           .groupby("host").agg(n_pages=("canon", "size"),
+                                n_canonical=("canon", "nunique")))
+    report = canonical_url_report(ds, "url")
+    assert report["host"].tolist() == ref.index.tolist()
+    assert report["n_pages"].tolist() == ref["n_pages"].tolist()
+    assert report["n_canonical"].tolist() == ref["n_canonical"].tolist()
+    assert (report["n_dup"] > 0).any()
