@@ -27,8 +27,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from t_digest_ray.stages.partitioning import (actor_pool_bounds,
-                                              read_parquet_per_file)
+from t_digest_ray.stages.partitioning import read_parquet_per_file
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -437,11 +436,10 @@ def q18_large_orders(sf_dir: str):
 def region_supplier_revenue(sf_dir: str):
     """Broadcast-chain join: the supplier->nation->region dimension chain
     is folded into ONE suppkey->region_name dict on the driver (three
-    small tables), shipped via ray.put once, and looked up inside
-    map_batches — lineitem (the fact table) never shuffles for the join,
+    small tables), shipped once with the map function, and looked up
+    inside map_batches — lineitem (the fact table) never shuffles for the join,
     only the KB-sized per-region partials do."""
     import pyarrow.parquet as pq
-    import ray
     from ray.data.aggregate import Count, Sum
 
     sup = pq.read_table(f"{sf_dir}/supplier.parquet",
@@ -452,27 +450,22 @@ def region_supplier_revenue(sf_dir: str):
                         columns=["r_regionkey", "r_name"]).to_pandas()
     chain = (sup.merge(nat, left_on="s_nationkey", right_on="n_nationkey")
              .merge(reg, left_on="n_regionkey", right_on="r_regionkey"))
-    ref = ray.put(dict(zip(chain["s_suppkey"], chain["r_name"])))
+    lookup = dict(zip(chain["s_suppkey"], chain["r_name"]))
 
     ds = _read(sf_dir, "lineitem",
                ["l_suppkey", "l_extendedprice", "l_discount"])
 
-    class Joiner:
-        def __init__(self):
-            self.lookup = ray.get(ref)
+    def joiner(b: pa.Table) -> pa.Table:
+        keys = b["l_suppkey"].to_numpy(zero_copy_only=False)
+        names = pd.Series(keys).map(lookup).to_numpy(dtype=object)
+        price = b["l_extendedprice"].to_numpy(zero_copy_only=False)
+        disc = b["l_discount"].to_numpy(zero_copy_only=False)
+        cents = np.floor(price * (1.0 - disc) * 100.0 + 0.5) \
+            .astype(np.int64)
+        return pa.table({"r_name": pa.array(names, type=pa.string()),
+                         "rev": pa.array(cents)})
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            keys = b["l_suppkey"].to_numpy(zero_copy_only=False)
-            names = pd.Series(keys).map(self.lookup).to_numpy(dtype=object)
-            price = b["l_extendedprice"].to_numpy(zero_copy_only=False)
-            disc = b["l_discount"].to_numpy(zero_copy_only=False)
-            cents = np.floor(price * (1.0 - disc) * 100.0 + 0.5) \
-                .astype(np.int64)
-            return pa.table({"r_name": pa.array(names, type=pa.string()),
-                             "rev": pa.array(cents)})
-
-    out = (ds.map_batches(Joiner, batch_format="pyarrow",
-                          concurrency=actor_pool_bounds())
+    out = (ds.map_batches(joiner, batch_format="pyarrow")
            .groupby("r_name")
            .aggregate(Count(alias_name="n_items"),
                       Sum("rev", alias_name="revenue_cents")))
@@ -489,8 +482,8 @@ def q5_local_supplier_revenue(sf_dir: str):
     for orders in a date range where the customer and the supplier sit
     in the SAME nation of one region. Mixed join strategy, picked per
     side's true scale: nation⋈region fold and the supplier→nationkey
-    map are driver-folded dimensions (broadcast once via ray.put, looked
-    up with a sorted-array searchsorted inside the lineitem map — the
+    map are driver-folded dimensions (shipped once with the map function,
+    looked up with a sorted-array searchsorted inside the lineitem map — the
     fact table never shuffles for them), while orders⋈customer and
     lineitem⋈(orders⋈customer) — all fact-scale sides — go through the
     co-partitioned ``hash_join``. The c_nationkey = s_nationkey equality
@@ -499,7 +492,6 @@ def q5_local_supplier_revenue(sf_dir: str):
 
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-    import ray
     from ray.data.aggregate import Sum
     from t_digest_ray.pipelines.relational import hash_join
     from t_digest_ray.stages.partitioning import cheap_row_count
@@ -515,8 +507,8 @@ def q5_local_supplier_revenue(sf_dir: str):
                         columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sup = sup[sup["s_nationkey"].astype(np.int64).isin(nation_name)]
     order_ = np.argsort(sup["s_suppkey"].to_numpy())
-    sup_ref = ray.put((sup["s_suppkey"].to_numpy()[order_].astype(np.int64),
-                       sup["s_nationkey"].to_numpy()[order_].astype(np.int64)))
+    sk = sup["s_suppkey"].to_numpy()[order_].astype(np.int64)
+    sn = sup["s_nationkey"].to_numpy()[order_].astype(np.int64)
 
     region_keys = pa.array(list(nation_name), type=pa.int32())
 
@@ -556,33 +548,24 @@ def q5_local_supplier_revenue(sf_dir: str):
                 "l_discount"])
     n_li = cheap_row_count(li)
 
-    class SupplierLookup:
-        """Actor-pool stage: the broadcast (suppkey, nationkey) arrays are
-        fetched from plasma ONCE per actor; each batch is a vectorized
-        searchsorted membership test + gather (no Python per-row work)."""
+    def supplier_lookup(b: pa.Table) -> pa.Table:
+        keys = b["l_suppkey"].to_numpy(zero_copy_only=False)
+        idx = np.searchsorted(sk, keys)
+        idx_c = np.minimum(idx, len(sk) - 1)
+        hit = (sk[idx_c] == keys) if len(sk) else \
+            np.zeros(len(keys), dtype=bool)
+        t = b.filter(pa.array(hit))
+        price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
+        disc = t["l_discount"].to_numpy(zero_copy_only=False)
+        cents = np.floor(price * (1.0 - disc) * 100.0 + 0.5) \
+            .astype(np.int64)
+        return pa.table({
+            "okey": t["l_orderkey"],
+            "rev": pa.array(cents),
+            "s_nat": pa.array(sn[idx_c[hit]]),
+        })
 
-        def __init__(self):
-            self.sk, self.sn = ray.get(sup_ref)
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            keys = b["l_suppkey"].to_numpy(zero_copy_only=False)
-            idx = np.searchsorted(self.sk, keys)
-            idx_c = np.minimum(idx, len(self.sk) - 1)
-            hit = (self.sk[idx_c] == keys) if len(self.sk) else \
-                np.zeros(len(keys), dtype=bool)
-            t = b.filter(pa.array(hit))
-            price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-            disc = t["l_discount"].to_numpy(zero_copy_only=False)
-            cents = np.floor(price * (1.0 - disc) * 100.0 + 0.5) \
-                .astype(np.int64)
-            return pa.table({
-                "okey": t["l_orderkey"],
-                "rev": pa.array(cents),
-                "s_nat": pa.array(self.sn[idx_c[hit]]),
-            })
-
-    j2 = hash_join(li.map_batches(SupplierLookup, batch_format="pyarrow",
-                                  concurrency=actor_pool_bounds()),
+    j2 = hash_join(li.map_batches(supplier_lookup, batch_format="pyarrow"),
                    j1.map_batches(j1_p, batch_format="pyarrow"),
                    on="okey", left_cols=["rev", "s_nat"],
                    right_cols=["c_nat"],
@@ -627,7 +610,6 @@ def q7_nation_volume(sf_dir: str):
     ``hash_join``. Per-item integer cents throughout."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-    import ray
     from ray.data.aggregate import Sum
     from t_digest_ray.pipelines.relational import hash_join
     from t_digest_ray.stages.partitioning import cheap_row_count
@@ -644,9 +626,8 @@ def q7_nation_volume(sf_dir: str):
                         columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sup = sup[sup["s_nationkey"].astype(np.int64).isin(nation_name)]
     order_ = np.argsort(sup["s_suppkey"].to_numpy())
-    sup_ref = ray.put((sup["s_suppkey"].to_numpy()[order_].astype(np.int64),
-                       sup["s_nationkey"].to_numpy()[order_]
-                       .astype(np.int64)))
+    sk = sup["s_suppkey"].to_numpy()[order_].astype(np.int64)
+    sn = sup["s_nationkey"].to_numpy()[order_].astype(np.int64)
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     n_cust = cheap_row_count(cust)
@@ -683,27 +664,22 @@ def q7_nation_volume(sf_dir: str):
                 "l_discount"])
     n_li = cheap_row_count(li)
 
-    class SupplierLookup:
-        def __init__(self):
-            self.sk, self.sn = ray.get(sup_ref)
+    def supplier_lookup(b: pa.Table) -> pa.Table:
+        keys = b["l_suppkey"].to_numpy(zero_copy_only=False)
+        idx = np.searchsorted(sk, keys)
+        idx_c = np.minimum(idx, len(sk) - 1)
+        hit = (sk[idx_c] == keys) if len(sk) else \
+            np.zeros(len(keys), dtype=bool)
+        t = b.filter(pa.array(hit))
+        price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
+        disc = t["l_discount"].to_numpy(zero_copy_only=False)
+        cents = np.floor(price * (1.0 - disc) * 100.0 + 0.5) \
+            .astype(np.int64)
+        return pa.table({"okey": t["l_orderkey"],
+                         "rev": pa.array(cents),
+                         "s_nat": pa.array(sn[idx_c[hit]])})
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            keys = b["l_suppkey"].to_numpy(zero_copy_only=False)
-            idx = np.searchsorted(self.sk, keys)
-            idx_c = np.minimum(idx, len(self.sk) - 1)
-            hit = (self.sk[idx_c] == keys) if len(self.sk) else \
-                np.zeros(len(keys), dtype=bool)
-            t = b.filter(pa.array(hit))
-            price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-            disc = t["l_discount"].to_numpy(zero_copy_only=False)
-            cents = np.floor(price * (1.0 - disc) * 100.0 + 0.5) \
-                .astype(np.int64)
-            return pa.table({"okey": t["l_orderkey"],
-                             "rev": pa.array(cents),
-                             "s_nat": pa.array(self.sn[idx_c[hit]])})
-
-    j2 = hash_join(li.map_batches(SupplierLookup, batch_format="pyarrow",
-                                  concurrency=actor_pool_bounds()),
+    j2 = hash_join(li.map_batches(supplier_lookup, batch_format="pyarrow"),
                    j1.map_batches(j1_p, batch_format="pyarrow"),
                    on="okey", left_cols=["rev", "s_nat"],
                    right_cols=["o_year", "c_nat"],
@@ -758,7 +734,6 @@ def q8_market_share(sf_dir: str):
 
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-    import ray
     from ray.data.aggregate import Sum
     from t_digest_ray.pipelines.relational import hash_join
     from t_digest_ray.stages.partitioning import cheap_row_count
@@ -780,9 +755,8 @@ def q8_market_share(sf_dir: str):
     sup = pq.read_table(f"{sf_dir}/supplier.parquet",
                         columns=["s_suppkey", "s_nationkey"]).to_pandas()
     so = np.argsort(sup["s_suppkey"].to_numpy())
-    dims_ref = ray.put((pk,
-                        sup["s_suppkey"].to_numpy()[so].astype(np.int64),
-                        sup["s_nationkey"].to_numpy()[so].astype(np.int64)))
+    sk = sup["s_suppkey"].to_numpy()[so].astype(np.int64)
+    sn = sup["s_nationkey"].to_numpy()[so].astype(np.int64)
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     n_cust = cheap_row_count(cust)
@@ -821,35 +795,26 @@ def q8_market_share(sf_dir: str):
                 "l_extendedprice", "l_discount"])
     n_li = cheap_row_count(li)
 
-    class DimLookup:
-        """Actor-pool stage: PROMO partkeys + supplier nation map fetched
-        from plasma once per actor; per batch two vectorized searchsorted
-        passes (part membership, supplier nation gather)."""
+    def dim_lookup(b: pa.Table) -> pa.Table:
+        lpk = b["l_partkey"].to_numpy(zero_copy_only=False)
+        pidx = np.searchsorted(pk, lpk)
+        pidx_c = np.minimum(pidx, len(pk) - 1)
+        hit = (pk[pidx_c] == lpk) if len(pk) else \
+            np.zeros(len(lpk), dtype=bool)
+        t = b.filter(pa.array(hit))
+        keys = t["l_suppkey"].to_numpy(zero_copy_only=False)
+        sidx = np.minimum(np.searchsorted(sk, keys),
+                          len(sk) - 1)
+        price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
+        disc = t["l_discount"].to_numpy(zero_copy_only=False)
+        cents = np.floor(price * (1.0 - disc) * 100.0 + 0.5) \
+            .astype(np.int64)
+        is_t = (sn[sidx] == target_key).astype(np.int64)
+        return pa.table({"okey": t["l_orderkey"],
+                         "rev": pa.array(cents),
+                         "rev_t": pa.array(cents * is_t)})
 
-        def __init__(self):
-            self.pk, self.sk, self.sn = ray.get(dims_ref)
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            lpk = b["l_partkey"].to_numpy(zero_copy_only=False)
-            pidx = np.searchsorted(self.pk, lpk)
-            pidx_c = np.minimum(pidx, len(self.pk) - 1)
-            hit = (self.pk[pidx_c] == lpk) if len(self.pk) else \
-                np.zeros(len(lpk), dtype=bool)
-            t = b.filter(pa.array(hit))
-            keys = t["l_suppkey"].to_numpy(zero_copy_only=False)
-            sidx = np.minimum(np.searchsorted(self.sk, keys),
-                              len(self.sk) - 1)
-            price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-            disc = t["l_discount"].to_numpy(zero_copy_only=False)
-            cents = np.floor(price * (1.0 - disc) * 100.0 + 0.5) \
-                .astype(np.int64)
-            is_t = (self.sn[sidx] == target_key).astype(np.int64)
-            return pa.table({"okey": t["l_orderkey"],
-                             "rev": pa.array(cents),
-                             "rev_t": pa.array(cents * is_t)})
-
-    j2 = hash_join(li.map_batches(DimLookup, batch_format="pyarrow",
-                                  concurrency=actor_pool_bounds()),
+    j2 = hash_join(li.map_batches(dim_lookup, batch_format="pyarrow"),
                    j1.map_batches(j1_p, batch_format="pyarrow"),
                    on="okey", left_cols=["rev", "rev_t"],
                    right_cols=["o_year"],
@@ -2889,12 +2854,11 @@ def embedding_near_dup_docs(sf_dir: str):
 
     # materialize the (id, vector) projection: embedding_near_dup_pairs
     # scans its input twice (signature pass + candidate-vector gather),
-    # and without this the actor-pool embed stage re-executes per scan.
+    # and without this the embed stage re-executes per scan.
     # Real pipelines read embeddings from a stored table (computed once);
     # this mirrors that — the projection is ~100x smaller than the text.
     emb = (ds.map_batches(to_media, batch_format="pyarrow")
-           .map_batches(EmbedStub, batch_format="pyarrow",
-                        concurrency=actor_pool_bounds())
+           .map_batches(EmbedStub(), batch_format="pyarrow")
            .select_columns(["vec_id", "embedding"])
            .materialize())
     return embedding_near_dup_pairs(emb, threshold=0.999, n_bands=8,
@@ -2903,7 +2867,7 @@ def embedding_near_dup_docs(sf_dir: str):
 
 def media_decode_stats(sf_dir: str):
     """Multimodal plumbing: documents' text bytes as opaque media payloads
-    -> actor-pool decode (stub codec) -> resize plan -> frame-sample plan
+    -> decode (stub codec) -> resize plan -> frame-sample plan
     -> per-channel aggregate. The stub codec derives dims from payload
     bytes, so the whole pipeline is oracle-checkable in SQL."""
     from ray.data.aggregate import Count, Sum
@@ -2918,8 +2882,8 @@ def media_decode_stats(sf_dir: str):
         return pa.table({"doc_id": b["doc_id"], "payload": payload})
 
     media = (ds.map_batches(to_media, batch_format="pyarrow")
-             .map_batches(ImageDecode, batch_format="pyarrow",
-                          concurrency=actor_pool_bounds(), batch_size=256)
+             .map_batches(ImageDecode(), batch_format="pyarrow",
+                          batch_size=256)
              .map_batches(ImageResize(), batch_format="pyarrow")
              .map_batches(FrameSample(), batch_format="pyarrow"))
     out = (media.groupby("channels")
@@ -2940,7 +2904,7 @@ def media_decode_stats(sf_dir: str):
 
 def image_dedup_stats(sf_dir: str):
     """Image-dedup composition over the stub codec: documents' bytes as
-    opaque image payloads -> actor-pool decode (metadata + decodability
+    opaque image payloads -> decode (metadata + decodability
     filter) -> EXACT payload dedup (uint64 content hash, keep the min
     doc_id per distinct image via the hash-bucketed combine — one group
     per distinct image, so the sort-based groupby is replaced) -> a
@@ -2962,8 +2926,8 @@ def image_dedup_stats(sf_dir: str):
                          "payload": pc.cast(b["text"], pa.binary())})
 
     decoded = (ds.map_batches(to_media, batch_format="pyarrow")
-               .map_batches(ImageDecode, batch_format="pyarrow",
-                            concurrency=actor_pool_bounds(), batch_size=256))
+               .map_batches(ImageDecode(), batch_format="pyarrow",
+                            batch_size=256))
 
     def hash_meta(b: pa.Table) -> pa.Table:
         t = b.filter(b["decode_ok"])
@@ -3152,26 +3116,22 @@ def pages_host_quota(sf_dir: str):
     from t_digest_ray.functions.text import quality_features
     from t_digest_ray.pipelines.curation import topk_per_key
     from t_digest_ray.sources.pages import pages_from_documents
+    from t_digest_ray.stages.extract import ExtractText
 
     pages = pages_from_documents(sf_dir)
+    extract = ExtractText()
 
-    class HostQuality:
-        def __init__(self):
-            from t_digest_ray.stages.extract import ExtractText
-            self.extract = ExtractText()
+    def host_quality(b: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+        t = extract(b)
+        host = pc.list_element(pc.split_pattern(t["url"], "/"), 2)
+        q = quality_features(t["extracted_text"].to_pandas())
+        q_e6 = np.floor(q["quality_score"].to_numpy() * 1e6
+                        + 0.5).astype(np.int64)
+        return pa.table({"host": host, "url": t["url"],
+                         "q_e6": pa.array(q_e6)})
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-            t = self.extract(b)
-            host = pc.list_element(pc.split_pattern(t["url"], "/"), 2)
-            q = quality_features(t["extracted_text"].to_pandas())
-            q_e6 = np.floor(q["quality_score"].to_numpy() * 1e6
-                            + 0.5).astype(np.int64)
-            return pa.table({"host": host, "url": t["url"],
-                             "q_e6": pa.array(q_e6)})
-
-    scored = pages.map_batches(HostQuality, batch_format="pyarrow",
-                               concurrency=actor_pool_bounds())
+    scored = pages.map_batches(host_quality, batch_format="pyarrow")
     sel = topk_per_key(scored, "host", "q_e6", "url", k=3)
 
     def fin(df: pd.DataFrame) -> pd.DataFrame:
@@ -3228,8 +3188,8 @@ def q4_order_priority(sf_dir: str):
 def q14_promo_revenue(sf_dir: str):
     """TPC-H Q14-shaped promotion effect: share of shipped revenue in a
     two-quarter window coming from PROMO parts. The part table rides as a
-    broadcast sorted-partkey membership array (``ray.put`` once, fetched
-    per actor, searchsorted per batch — never re-shipped per batch);
+    broadcast sorted-partkey membership array (shipped once with the map
+    function, searchsorted per batch — never re-shipped per batch);
     each batch emits a ONE-ROW partial (promo/total cent sums), so the
     final groupby moves rows = number of batches. promo_share is one IEEE
     expression over the two exact int64 sums — bit-identical to the
@@ -3238,45 +3198,38 @@ def q14_promo_revenue(sf_dir: str):
 
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-    import ray
     from ray.data.aggregate import Sum
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_type"]).to_pandas()
     pk = np.sort(part.loc[part["p_type"] == "PROMO", "p_partkey"]
                  .to_numpy().astype(np.int64))
-    pk_ref = ray.put(pk)
     lo = datetime.datetime(1996, 1, 1)
     hi = datetime.datetime(1996, 7, 1)
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"])
 
-    class PromoPartial:
-        def __init__(self):
-            self.pk = ray.get(pk_ref)
+    def promo_partial(b: pa.Table) -> pa.Table:
+        m = pc.and_(pc.greater_equal(b["l_shipdate"], pa.scalar(lo)),
+                    pc.less(b["l_shipdate"], pa.scalar(hi)))
+        t = b.filter(m)
+        lpk = t["l_partkey"].to_numpy(zero_copy_only=False)
+        if len(pk):
+            idx = np.minimum(np.searchsorted(pk, lpk),
+                             len(pk) - 1)
+            promo = pk[idx] == lpk
+        else:
+            promo = np.zeros(len(lpk), dtype=bool)
+        price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
+        disc = t["l_discount"].to_numpy(zero_copy_only=False)
+        cents = np.floor(price * (1.0 - disc) * 100.0 + 0.5) \
+            .astype(np.int64)
+        return pa.table({
+            "g": pa.array([0], type=pa.int64()),
+            "promo_cents": pa.array([int(cents[promo].sum())]),
+            "total_cents": pa.array([int(cents.sum())])})
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            m = pc.and_(pc.greater_equal(b["l_shipdate"], pa.scalar(lo)),
-                        pc.less(b["l_shipdate"], pa.scalar(hi)))
-            t = b.filter(m)
-            lpk = t["l_partkey"].to_numpy(zero_copy_only=False)
-            if len(self.pk):
-                idx = np.minimum(np.searchsorted(self.pk, lpk),
-                                 len(self.pk) - 1)
-                promo = self.pk[idx] == lpk
-            else:
-                promo = np.zeros(len(lpk), dtype=bool)
-            price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-            disc = t["l_discount"].to_numpy(zero_copy_only=False)
-            cents = np.floor(price * (1.0 - disc) * 100.0 + 0.5) \
-                .astype(np.int64)
-            return pa.table({
-                "g": pa.array([0], type=pa.int64()),
-                "promo_cents": pa.array([int(cents[promo].sum())]),
-                "total_cents": pa.array([int(cents.sum())])})
-
-    out = (li.map_batches(PromoPartial, batch_format="pyarrow",
-                          concurrency=actor_pool_bounds())
+    out = (li.map_batches(promo_partial, batch_format="pyarrow")
            .groupby("g")
            .aggregate(Sum("promo_cents", alias_name="promo_cents"),
                       Sum("total_cents", alias_name="total_cents")))
@@ -3302,7 +3255,6 @@ def q19_bracket_revenue(sf_dir: str):
     3-group aggregate."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-    import ray
     from ray.data.aggregate import Count, Sum
 
     part = pq.read_table(
@@ -3316,35 +3268,29 @@ def q19_bracket_revenue(sf_dir: str):
     bracket[(brand == "Brand#12") & (size >= 1) & (size <= 15)] = 1
     bracket[(brand == "Brand#23") & (size >= 1) & (size <= 25)] = 2
     bracket[(brand == "Brand#3") & (size >= 1) & (size <= 35)] = 3
-    dims_ref = ray.put((pkeys, bracket))
     qlo = np.array([0, 1, 10, 20], dtype=np.float64)
     qhi = np.array([-1, 20, 30, 40], dtype=np.float64)
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"])
 
-    class BracketTag:
-        def __init__(self):
-            self.pkeys, self.bracket = ray.get(dims_ref)
+    def bracket_tag(b: pa.Table) -> pa.Table:
+        lpk = b["l_partkey"].to_numpy(zero_copy_only=False)
+        idx = np.minimum(np.searchsorted(pkeys, lpk),
+                         len(pkeys) - 1)
+        br = np.where(pkeys[idx] == lpk,
+                      bracket[idx], 0).astype(np.int64)
+        qty = b["l_quantity"].to_numpy(zero_copy_only=False)
+        keep = (br > 0) & (qty >= qlo[br]) & (qty <= qhi[br])
+        t = b.filter(pa.array(keep))
+        price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
+        disc = t["l_discount"].to_numpy(zero_copy_only=False)
+        cents = np.floor(price * (1.0 - disc) * 100.0 + 0.5) \
+            .astype(np.int64)
+        return pa.table({"bracket": pa.array(br[keep]),
+                         "cents": pa.array(cents)})
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            lpk = b["l_partkey"].to_numpy(zero_copy_only=False)
-            idx = np.minimum(np.searchsorted(self.pkeys, lpk),
-                             len(self.pkeys) - 1)
-            br = np.where(self.pkeys[idx] == lpk,
-                          self.bracket[idx], 0).astype(np.int64)
-            qty = b["l_quantity"].to_numpy(zero_copy_only=False)
-            keep = (br > 0) & (qty >= qlo[br]) & (qty <= qhi[br])
-            t = b.filter(pa.array(keep))
-            price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-            disc = t["l_discount"].to_numpy(zero_copy_only=False)
-            cents = np.floor(price * (1.0 - disc) * 100.0 + 0.5) \
-                .astype(np.int64)
-            return pa.table({"bracket": pa.array(br[keep]),
-                             "cents": pa.array(cents)})
-
-    out = (li.map_batches(BracketTag, batch_format="pyarrow",
-                          concurrency=actor_pool_bounds())
+    out = (li.map_batches(bracket_tag, batch_format="pyarrow")
            .groupby("bracket")
            .aggregate(Count(alias_name="n_items"),
                       Sum("cents", alias_name="revenue_cents")))
@@ -3410,11 +3356,12 @@ def doc_dominant_term(sf_dir: str):
     """Per-document dominant term + its global df
     (pipelines/textstats.dominant_term): the broadcast-of-an-aggregate
     pattern — the vocabulary-sized df table from a first aggregation
-    pass is ray.put once and merged vectorized inside each batch."""
+    pass ships once with the map function and is merged vectorized
+    inside each batch."""
     from t_digest_ray.pipelines.textstats import dominant_term
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return dominant_term(ds, "text", "doc_id", concurrency=actor_pool_bounds())
+    return dominant_term(ds, "text", "doc_id")
 
 
 def rollup_doc_stats(sf_dir: str):
@@ -4258,7 +4205,6 @@ def q17_small_quantity_revenue(sf_dir: str):
     one-row cent partials."""
     import pyarrow.compute as pc  # noqa: F401  (kept for parity w/ kin)
     import pyarrow.parquet as pq
-    import ray
     from ray.data.aggregate import Count, Sum
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
@@ -4267,31 +4213,25 @@ def q17_small_quantity_revenue(sf_dir: str):
     sel = part[(part["p_brand"] == "Brand#23")
                & (part["p_type"] == "PROMO")]
     pk = np.sort(sel["p_partkey"].to_numpy().astype(np.int64))
-    pk_ref = ray.put(pk)
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_quantity", "l_extendedprice"])
 
-    class QtyPartial:
-        def __init__(self):
-            self.pk = ray.get(pk_ref)
+    def qty_partial(b: pa.Table) -> pa.Table:
+        lpk = b["l_partkey"].to_numpy(zero_copy_only=False)
+        if len(pk):
+            idx = np.minimum(np.searchsorted(pk, lpk),
+                             len(pk) - 1)
+            hit = pk[idx] == lpk
+        else:
+            hit = np.zeros(len(lpk), dtype=bool)
+        t = b.filter(pa.array(hit))
+        qty = t["l_quantity"].to_numpy(zero_copy_only=False) \
+            .astype(np.int64)  # quantities are integral by contract
+        return pa.table({"pk": t["l_partkey"],
+                         "sumq": pa.array(qty)})
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            lpk = b["l_partkey"].to_numpy(zero_copy_only=False)
-            if len(self.pk):
-                idx = np.minimum(np.searchsorted(self.pk, lpk),
-                                 len(self.pk) - 1)
-                hit = self.pk[idx] == lpk
-            else:
-                hit = np.zeros(len(lpk), dtype=bool)
-            t = b.filter(pa.array(hit))
-            qty = t["l_quantity"].to_numpy(zero_copy_only=False) \
-                .astype(np.int64)  # quantities are integral by contract
-            return pa.table({"pk": t["l_partkey"],
-                             "sumq": pa.array(qty)})
-
-    per_part = (li.map_batches(QtyPartial, batch_format="pyarrow",
-                               concurrency=actor_pool_bounds())
+    per_part = (li.map_batches(qty_partial, batch_format="pyarrow")
                 .groupby("pk")
                 .aggregate(Sum("sumq", alias_name="sumq"),
                            Count(alias_name="n"))
@@ -4303,33 +4243,27 @@ def q17_small_quantity_revenue(sf_dir: str):
     # matches DuckDB's 0.2 * (SUM / COUNT) bit for bit
     thr = 0.2 * (per_part["sumq"].to_numpy().astype(np.float64)[order]
                  / per_part["n"].to_numpy().astype(np.float64)[order])
-    thr_ref = ray.put((tk, thr))
 
-    class BelowAvg:
-        def __init__(self):
-            self.tk, self.thr = ray.get(thr_ref)
+    def below_avg(b: pa.Table) -> pa.Table:
+        lpk = b["l_partkey"].to_numpy(zero_copy_only=False)
+        if len(tk):
+            idx = np.minimum(np.searchsorted(tk, lpk),
+                             len(tk) - 1)
+            hit = tk[idx] == lpk
+        else:
+            idx = np.zeros(len(lpk), dtype=np.int64)
+            hit = np.zeros(len(lpk), dtype=bool)
+        qty = b["l_quantity"].to_numpy(zero_copy_only=False)
+        keep = hit & (qty < np.where(hit, thr[idx], 0.0))
+        t = b.filter(pa.array(keep))
+        price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
+        cents = np.floor(price * 100.0 + 0.5).astype(np.int64)
+        return pa.table({"g": pa.array([0], type=pa.int64()),
+                         "total_cents": pa.array([int(cents.sum())]),
+                         "n_items": pa.array([t.num_rows],
+                                             type=pa.int64())})
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            lpk = b["l_partkey"].to_numpy(zero_copy_only=False)
-            if len(self.tk):
-                idx = np.minimum(np.searchsorted(self.tk, lpk),
-                                 len(self.tk) - 1)
-                hit = self.tk[idx] == lpk
-            else:
-                idx = np.zeros(len(lpk), dtype=np.int64)
-                hit = np.zeros(len(lpk), dtype=bool)
-            qty = b["l_quantity"].to_numpy(zero_copy_only=False)
-            keep = hit & (qty < np.where(hit, self.thr[idx], 0.0))
-            t = b.filter(pa.array(keep))
-            price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-            cents = np.floor(price * 100.0 + 0.5).astype(np.int64)
-            return pa.table({"g": pa.array([0], type=pa.int64()),
-                             "total_cents": pa.array([int(cents.sum())]),
-                             "n_items": pa.array([t.num_rows],
-                                                 type=pa.int64())})
-
-    out = (li.map_batches(BelowAvg, batch_format="pyarrow",
-                          concurrency=actor_pool_bounds())
+    out = (li.map_batches(below_avg, batch_format="pyarrow")
            .groupby("g")
            .aggregate(Sum("total_cents", alias_name="total_cents"),
                       Sum("n_items", alias_name="n_items")))
@@ -4353,7 +4287,6 @@ def q9_nation_profit(sf_dir: str):
     (nation, year), exact integer-cents sums."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-    import ray
     from ray.data.aggregate import Sum
     from t_digest_ray.pipelines.relational import hash_join
     from t_digest_ray.stages.partitioning import cheap_row_count
@@ -4372,7 +4305,6 @@ def q9_nation_profit(sf_dir: str):
     no = np.argsort(nat["n_nationkey"].to_numpy())
     nk = nat["n_nationkey"].to_numpy()[no].astype(np.int64)
     nname = nat["n_name"].to_numpy()[no].astype(object)
-    dims_ref = ray.put((pk, sk, snat, nk, nname))
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_partkey", "l_suppkey",
@@ -4380,40 +4312,34 @@ def q9_nation_profit(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
     n_li, n_ord = cheap_row_count(li), cheap_row_count(orders)
 
-    class PartNation:
-        def __init__(self):
-            (self.pk, self.sk, self.snat,
-             self.nk, self.nname) = ray.get(dims_ref)
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            lpk = b["l_partkey"].to_numpy(zero_copy_only=False)
-            if len(self.pk):
-                idx = np.minimum(np.searchsorted(self.pk, lpk),
-                                 len(self.pk) - 1)
-                hit = self.pk[idx] == lpk
-            else:
-                hit = np.zeros(len(lpk), dtype=bool)
-            t = b.filter(pa.array(hit))
-            spk = t["l_suppkey"].to_numpy(zero_copy_only=False)
-            si = np.searchsorted(self.sk, spk)
-            nkey = self.snat[np.minimum(si, len(self.sk) - 1)]
-            names = self.nname[np.searchsorted(self.nk, nkey)]
-            price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-            disc = t["l_discount"].to_numpy(zero_copy_only=False)
-            cents = np.floor(price * (1.0 - disc) * 100.0 + 0.5) \
-                .astype(np.int64)
-            return pa.table({"okey": t["l_orderkey"],
-                             "nation": pa.array(names,
-                                                type=pa.string()),
-                             "cents": pa.array(cents)})
+    def part_nation(b: pa.Table) -> pa.Table:
+        lpk = b["l_partkey"].to_numpy(zero_copy_only=False)
+        if len(pk):
+            idx = np.minimum(np.searchsorted(pk, lpk),
+                             len(pk) - 1)
+            hit = pk[idx] == lpk
+        else:
+            hit = np.zeros(len(lpk), dtype=bool)
+        t = b.filter(pa.array(hit))
+        spk = t["l_suppkey"].to_numpy(zero_copy_only=False)
+        si = np.searchsorted(sk, spk)
+        nkey = snat[np.minimum(si, len(sk) - 1)]
+        names = nname[np.searchsorted(nk, nkey)]
+        price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
+        disc = t["l_discount"].to_numpy(zero_copy_only=False)
+        cents = np.floor(price * (1.0 - disc) * 100.0 + 0.5) \
+            .astype(np.int64)
+        return pa.table({"okey": t["l_orderkey"],
+                         "nation": pa.array(names,
+                                            type=pa.string()),
+                         "cents": pa.array(cents)})
 
     def ord_p(b: pa.Table) -> pa.Table:
         return pa.table({"okey": b["o_orderkey"],
                          "o_year": pc.cast(pc.year(b["o_orderdate"]),
                                            pa.int64())})
 
-    j = hash_join(li.map_batches(PartNation, batch_format="pyarrow",
-                                 concurrency=actor_pool_bounds()),
+    j = hash_join(li.map_batches(part_nation, batch_format="pyarrow"),
                   orders.map_batches(ord_p, batch_format="pyarrow"),
                   on="okey", left_cols=["nation", "cents"],
                   right_cols=["o_year"],
@@ -4443,44 +4369,37 @@ def q20_heavy_shippers(sf_dir: str):
 
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-    import ray
     from ray.data.aggregate import Sum
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_name"]).to_pandas()
     pk = np.sort(part.loc[part["p_name"].str.startswith("small"),
                           "p_partkey"].to_numpy().astype(np.int64))
-    pk_ref = ray.put(pk)
     lo = datetime.datetime(1996, 1, 1)
     hi = datetime.datetime(1997, 1, 1)
 
     li = _read(sf_dir, "lineitem",
                ["l_suppkey", "l_partkey", "l_quantity", "l_shipdate"])
 
-    class PairPartial:
-        def __init__(self):
-            self.pk = ray.get(pk_ref)
+    def pair_partial(b: pa.Table) -> pa.Table:
+        m = pc.and_(pc.greater_equal(b["l_shipdate"], pa.scalar(lo)),
+                    pc.less(b["l_shipdate"], pa.scalar(hi)))
+        t = b.filter(m)
+        lpk = t["l_partkey"].to_numpy(zero_copy_only=False)
+        if len(pk):
+            idx = np.minimum(np.searchsorted(pk, lpk),
+                             len(pk) - 1)
+            hit = pk[idx] == lpk
+        else:
+            hit = np.zeros(len(lpk), dtype=bool)
+        t = t.filter(pa.array(hit))
+        qty = t["l_quantity"].to_numpy(zero_copy_only=False) \
+            .astype(np.int64)
+        return pa.table({"s_suppkey": t["l_suppkey"],
+                         "pk": t["l_partkey"],
+                         "q": pa.array(qty)})
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            m = pc.and_(pc.greater_equal(b["l_shipdate"], pa.scalar(lo)),
-                        pc.less(b["l_shipdate"], pa.scalar(hi)))
-            t = b.filter(m)
-            lpk = t["l_partkey"].to_numpy(zero_copy_only=False)
-            if len(self.pk):
-                idx = np.minimum(np.searchsorted(self.pk, lpk),
-                                 len(self.pk) - 1)
-                hit = self.pk[idx] == lpk
-            else:
-                hit = np.zeros(len(lpk), dtype=bool)
-            t = t.filter(pa.array(hit))
-            qty = t["l_quantity"].to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            return pa.table({"s_suppkey": t["l_suppkey"],
-                             "pk": t["l_partkey"],
-                             "q": pa.array(qty)})
-
-    pairs = (li.map_batches(PairPartial, batch_format="pyarrow",
-                            concurrency=actor_pool_bounds())
+    pairs = (li.map_batches(pair_partial, batch_format="pyarrow")
              .groupby(["s_suppkey", "pk"])
              .aggregate(Sum("q", alias_name="pair_qty")))
     pairs = pairs.materialize()  # reused twice below; pair-cardinality
@@ -4491,25 +4410,19 @@ def q20_heavy_shippers(sf_dir: str):
     tk = totals["pk"].to_numpy().astype(np.int64)
     order = np.argsort(tk)
     tk = tk[order]
-    tq = totals["part_qty"].to_numpy().astype(np.float64)[order]
-    thr_ref = ray.put((tk, 0.2 * tq))
+    thr = 0.2 * totals["part_qty"].to_numpy().astype(np.float64)[order]
 
-    class HeavyFilter:
-        def __init__(self):
-            self.tk, self.thr = ray.get(thr_ref)
+    def heavy_filter(b: pa.Table) -> pa.Table:
+        pk_ = b["pk"].to_numpy(zero_copy_only=False)
+        idx = np.searchsorted(tk, pk_)  # totals cover every pk
+        heavy = (b["pair_qty"].to_numpy(zero_copy_only=False)
+                 .astype(np.float64) > thr[idx])
+        t = b.filter(pa.array(heavy))
+        return pa.table({"s_suppkey": t["s_suppkey"],
+                         "one": pa.array(
+                             np.ones(t.num_rows, dtype=np.int64))})
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            pk_ = b["pk"].to_numpy(zero_copy_only=False)
-            idx = np.searchsorted(self.tk, pk_)  # totals cover every pk
-            heavy = (b["pair_qty"].to_numpy(zero_copy_only=False)
-                     .astype(np.float64) > self.thr[idx])
-            t = b.filter(pa.array(heavy))
-            return pa.table({"s_suppkey": t["s_suppkey"],
-                             "one": pa.array(
-                                 np.ones(t.num_rows, dtype=np.int64))})
-
-    counts = (pairs.map_batches(HeavyFilter, batch_format="pyarrow",
-                                concurrency=actor_pool_bounds())
+    counts = (pairs.map_batches(heavy_filter, batch_format="pyarrow")
               .groupby("s_suppkey")
               .aggregate(Sum("one", alias_name="n_heavy_parts"))
               .to_pandas())  # rows = suppliers: dimension-sized
@@ -5478,52 +5391,45 @@ def q11_important_part_values(sf_dir: str):
     """TPC-H Q11-shaped important-stock report: per-part value (exact
     integer cents × quantity) over lineitems from nation-1 suppliers,
     keeping parts whose value exceeds 0.01% of the nation total — the
-    scalar-subquery HAVING shape. Supplier keys broadcast via ray.put
+    scalar-subquery HAVING shape. Supplier keys ship with the map function
     (sorted membership array, searchsorted per batch); per-part int64
     partials combine before the exchange; the threshold comparison is
     one IEEE expression over exact sums, bit-identical to the oracle."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-    import ray
     from ray.data.aggregate import Sum
 
     sup = pq.read_table(f"{sf_dir}/supplier.parquet",
                         columns=["s_suppkey", "s_nationkey"]).to_pandas()
     sk = np.sort(sup.loc[sup["s_nationkey"] == 1, "s_suppkey"]
                  .to_numpy().astype(np.int64))
-    sk_ref = ray.put(sk)
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_suppkey", "l_extendedprice",
                 "l_quantity"])
 
-    class PartValue:
-        def __init__(self):
-            self.sk = ray.get(sk_ref)
+    def part_value(b: pa.Table) -> pa.Table:
+        lsk = b["l_suppkey"].to_numpy(zero_copy_only=False)
+        if len(sk):
+            idx = np.minimum(np.searchsorted(sk, lsk),
+                             len(sk) - 1)
+            keep = sk[idx] == lsk
+        else:
+            keep = np.zeros(len(lsk), dtype=bool)
+        price = b["l_extendedprice"].to_numpy(
+            zero_copy_only=False)[keep]
+        qty = b["l_quantity"].to_numpy(
+            zero_copy_only=False)[keep].astype(np.int64)
+        cents = np.floor(price * 100.0 + 0.5).astype(np.int64)
+        df = pd.DataFrame({
+            "l_partkey": b["l_partkey"].to_numpy(
+                zero_copy_only=False)[keep],
+            "partial": cents * qty})
+        g = df.groupby("l_partkey", as_index=False,
+                       sort=False).sum()
+        g["partial"] = g["partial"].astype(np.int64)
+        return pa.Table.from_pandas(g, preserve_index=False)
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            lsk = b["l_suppkey"].to_numpy(zero_copy_only=False)
-            if len(self.sk):
-                idx = np.minimum(np.searchsorted(self.sk, lsk),
-                                 len(self.sk) - 1)
-                keep = self.sk[idx] == lsk
-            else:
-                keep = np.zeros(len(lsk), dtype=bool)
-            price = b["l_extendedprice"].to_numpy(
-                zero_copy_only=False)[keep]
-            qty = b["l_quantity"].to_numpy(
-                zero_copy_only=False)[keep].astype(np.int64)
-            cents = np.floor(price * 100.0 + 0.5).astype(np.int64)
-            df = pd.DataFrame({
-                "l_partkey": b["l_partkey"].to_numpy(
-                    zero_copy_only=False)[keep],
-                "partial": cents * qty})
-            g = df.groupby("l_partkey", as_index=False,
-                           sort=False).sum()
-            g["partial"] = g["partial"].astype(np.int64)
-            return pa.Table.from_pandas(g, preserve_index=False)
-
-    parts = (li.map_batches(PartValue, batch_format="pyarrow",
-                            concurrency=actor_pool_bounds())
+    parts = (li.map_batches(part_value, batch_format="pyarrow")
              .groupby("l_partkey")
              .aggregate(Sum("partial", alias_name="value_cents"))
              .to_pandas())  # O(distinct parts)
@@ -5538,72 +5444,50 @@ def q16_supplier_part_counts(sf_dir: str):
     """TPC-H Q16-shaped supplier diversity: distinct supplier count per
     (p_brand, p_size) over lineitem⋈part, excluding an anti-set of
     suppliers (negative account balance — the NOT IN shape). Part
-    attributes and the anti-set broadcast via ray.put; globally-distinct
-    (brand, size, supp) triples via the per-batch combine + one
-    groupby; output one count row per (brand, size)."""
+    attributes and the anti-set ship with the map function; distinct
+    (brand, size, supp) triples per batch, then one keyed exchange on
+    (brand, size) that dedups and counts each bucket's groups; output
+    one count row per (brand, size)."""
     import pyarrow.parquet as pq
-    import ray
-    from ray.data.aggregate import Sum
+    from t_digest_ray.stages.aggregate import bucketed_map_groups
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_brand",
                                   "p_size"]).to_pandas()
     pk = np.sort(part["p_partkey"].to_numpy().astype(np.int64))
     brands = part.sort_values("p_partkey")["p_brand"].to_numpy()
-    sizes = part.sort_values("p_partkey")["p_size"].to_numpy()         .astype(np.int64)
+    sizes = part.sort_values("p_partkey")["p_size"].to_numpy() \
+        .astype(np.int64)
     sup = pq.read_table(f"{sf_dir}/supplier.parquet",
                         columns=["s_suppkey", "s_acctbal"]).to_pandas()
     bad = np.sort(sup.loc[sup["s_acctbal"] < 0, "s_suppkey"]
                   .to_numpy().astype(np.int64))
-    refs = ray.put((pk, brands, sizes, bad))
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
 
-    class Triples:
-        def __init__(self):
-            self.pk, self.brands, self.sizes, self.bad = ray.get(refs)
+    def triples(b: pa.Table) -> pa.Table:
+        lpk = b["l_partkey"].to_numpy(zero_copy_only=False)
+        lsk = b["l_suppkey"].to_numpy(zero_copy_only=False)
+        if len(bad):
+            j = np.minimum(np.searchsorted(bad, lsk),
+                           len(bad) - 1)
+            ok = bad[j] != lsk
+        else:
+            ok = np.ones(len(lsk), dtype=bool)
+        i = np.searchsorted(pk, lpk[ok])
+        df = pd.DataFrame({"p_brand": brands[i],
+                           "p_size": sizes[i],
+                           "l_suppkey": lsk[ok]}).drop_duplicates()
+        return pa.Table.from_pandas(df, preserve_index=False)
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            lpk = b["l_partkey"].to_numpy(zero_copy_only=False)
-            lsk = b["l_suppkey"].to_numpy(zero_copy_only=False)
-            if len(self.bad):
-                j = np.minimum(np.searchsorted(self.bad, lsk),
-                               len(self.bad) - 1)
-                ok = self.bad[j] != lsk
-            else:
-                ok = np.ones(len(lsk), dtype=bool)
-            i = np.searchsorted(self.pk, lpk[ok])
-            df = pd.DataFrame({"p_brand": self.brands[i],
-                               "p_size": self.sizes[i],
-                               "l_suppkey": lsk[ok]}).drop_duplicates()
-            return pa.Table.from_pandas(df, preserve_index=False)
+    # one keyed exchange on (brand, size): each bucket holds whole
+    # groups, so one call drops the duplicate triples and counts
+    def count(g: pd.DataFrame) -> pd.DataFrame:
+        return (g.drop_duplicates()
+                .groupby(["p_brand", "p_size"], as_index=False, sort=False)
+                .size().rename(columns={"size": "supplier_cnt"}))
 
-    # globally-distinct triples via the hash-bucket co-partition (a
-    # per-TRIPLE groupby would pay ~1 ms of sort-based Python per group;
-    # 256 bucket groups keep the distinct fully vectorized)
-    from t_digest_ray.functions.hashing import hash64 as _h64
-
-    def bucketed(b: pa.Table) -> pa.Table:
-        h = (_h64(b["l_suppkey"].to_numpy(zero_copy_only=False))
-             ^ _h64(b["p_brand"].to_numpy(zero_copy_only=False))
-             ^ _h64(b["p_size"].to_numpy(zero_copy_only=False)))
-        return b.append_column("bucket", pa.array(
-            (h % np.uint64(256)).astype(np.int32)))
-
-    def bucket_count(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(["p_brand", "p_size", "l_suppkey"])
-        out = (g.groupby(["p_brand", "p_size"], as_index=False,
-                         sort=False).size()
-               .rename(columns={"size": "partial"}))
-        out["partial"] = out["partial"].astype(np.int64)
-        return out
-
-    out = (li.map_batches(Triples, batch_format="pyarrow",
-                          concurrency=actor_pool_bounds())
-           .map_batches(bucketed, batch_format="pyarrow")
-           .groupby("bucket")
-           .map_groups(bucket_count, batch_format="pandas")
-           .groupby(["p_brand", "p_size"])
-           .aggregate(Sum("partial", alias_name="supplier_cnt")))
+    out = bucketed_map_groups(li, ["p_brand", "p_size"], count,
+                              project=triples)
 
     def fin(df: pd.DataFrame) -> pd.DataFrame:
         df["p_size"] = df["p_size"].astype(np.int64)
@@ -6002,9 +5886,9 @@ def bucketed_join_priority_revenue(sf_dir: str):
     and lineitem are each hash-bucketed by orderkey into partitioned
     parquet ONCE (cached under /tmp with a _SUCCESS marker — the
     resumable-output contract), then the join runs bucket-by-bucket
-    with zero runtime exchange: per bucket an actor pool loads the
-    orders bucket from storage in __init__ and streams the lineitem
-    bucket through searchsorted probes. The repeated-join-at-100TB
+    with zero runtime exchange: per bucket, map tasks load the orders
+    bucket from storage and stream the lineitem bucket through
+    searchsorted probes. The repeated-join-at-100TB
     technique (Hive bucketed tables / Spark storage-partitioned join).
     Revenue per order priority in exact integer cents; full value-hash
     oracle via a plain SQL join."""
@@ -6609,8 +6493,8 @@ def schema_evolution_doc_stats(sf_dir: str):
 def audio_energy_by_lang(sf_dir: str):
     """REAL audio decode end-to-end (stages/multimodal.WavPcmCodec +
     AudioEnergy): deterministic 16-bit mono PCM WAV containers are
-    synthesized per doc (closed-form samples), an actor-pool stage
-    parses the actual RIFF/WAVE bytes with stdlib ``wave`` and emits
+    synthesized per doc (closed-form samples), a map stage parses the
+    actual RIFF/WAVE bytes with stdlib ``wave`` and emits
     exact integer energy features, aggregated per lang. Upgrades the
     multimodal seam from honest stubs to a real container parse for
     the audio modality; VALUE-CHECKED because the oracle replays the
@@ -6632,9 +6516,8 @@ def audio_energy_by_lang(sf_dir: str):
 
     feats = (ds.map_batches(synth, batch_format="pyarrow",
                             batch_size=256)
-             .map_batches(AudioEnergy, batch_format="pyarrow",
-                          batch_size=256,
-                          concurrency=actor_pool_bounds()))
+             .map_batches(AudioEnergy(), batch_format="pyarrow",
+                          batch_size=256))
     out = (feats.groupby("lang")
            .aggregate(Sum("n_samples", alias_name="n_samples"),
                       Sum("energy", alias_name="energy")))
@@ -7405,7 +7288,7 @@ def token_weighted_length_quantiles(sf_dir: str):
 def audio_dominant_freq_by_lang(sf_dir: str):
     """REAL DSP end-to-end (stages/multimodal.AudioDominantFreq):
     per-doc pure-tone WAVs at exactly k = 3 + doc_id % 20 cycles per
-    256-sample window are synthesized, an actor-pool stage parses the
+    256-sample window are synthesized, a map stage parses the
     RIFF/WAVE bytes and recovers each clip's dominant rfft bin, and the
     per-lang SUM of measured bins is compared against the closed-form
     expectation — equality proves every single clip's container parse,
@@ -7427,9 +7310,8 @@ def audio_dominant_freq_by_lang(sf_dir: str):
 
     feats = (ds.map_batches(synth, batch_format="pyarrow",
                             batch_size=256)
-             .map_batches(AudioDominantFreq, batch_format="pyarrow",
-                          batch_size=256,
-                          concurrency=actor_pool_bounds()))
+             .map_batches(AudioDominantFreq(), batch_format="pyarrow",
+                          batch_size=256))
     out = (feats.groupby("lang")
            .aggregate(Count(alias_name="n_clips"),
                       Sum("dom_bin", alias_name="sum_dom_bin")))

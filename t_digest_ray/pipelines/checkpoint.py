@@ -250,8 +250,7 @@ def checkpoint_manifest(ckpt_dir: str) -> pd.DataFrame:
 
 def resumable_map_write(input_files: list[str], transform_fn, out_dir: str,
                         columns: list[str] | None = None,
-                        reader_batch_size: int = 65536,
-                        concurrency: int | None = None):
+                        reader_batch_size: int = 65536):
     """Generic resumable partitioned map sink: ``transform_fn`` over each
     input parquet file, one output partition per input file, finished
     partitions skipped on re-run (the row-transform analogue of
@@ -318,17 +317,15 @@ def resumable_map_write(input_files: list[str], transform_fn, out_dir: str,
         })
 
     files_ds = rd.from_items([{"path": f} for f in sorted(todo)])
-    kwargs = {"concurrency": concurrency} if concurrency else {}
     return files_ds.map_batches(process_file, batch_size=1,
-                                batch_format="pyarrow", **kwargs)
+                                batch_format="pyarrow")
 
 
 def resumable_text_write(input_files: list[str], out_dir: str,
                          fmt: str = "jsonl",
                          transform_fn=None,
                          columns: list[str] | None = None,
-                         reader_batch_size: int = 65536,
-                         concurrency: int | None = None):
+                         reader_batch_size: int = 65536):
     """Resumable partitioned TEXT export (the CSV/JSONL sink twin of
     ``resumable_map_write``; reference parity: the Java driver's CSV
     result sink, IIDgenerator.java write paths): one ``part-{pid}.csv``
@@ -400,9 +397,8 @@ def resumable_text_write(input_files: list[str], out_dir: str,
         })
 
     files_ds = rd.from_items([{"path": f} for f in sorted(todo)])
-    kwargs = {"concurrency": concurrency} if concurrency else {}
     return files_ds.map_batches(process_file, batch_size=1,
-                                batch_format="pyarrow", **kwargs)
+                                batch_format="pyarrow")
 
 
 PACK_FORMAT_FILE = "PACK_FORMAT"

@@ -482,8 +482,8 @@ def scalar_quantization_stats(ds, embedding_col: str, label_col: str):
 
     Two streaming passes, neither materializing the corpus:
       1. per-batch per-dim min/max partials (d rows per batch) ->
-         ``groupby(dim)`` -> a d-row calibration table broadcast via
-         ``ray.put`` (the model-broadcast pattern, never per-batch);
+         ``groupby(dim)`` -> a d-row calibration table shipped once with
+         the map function (the model-broadcast pattern, never per-batch);
       2. per-batch code computation + per-label integer partials
          (sum of codes, extreme-code count) -> tiny label groupby.
 
@@ -493,7 +493,6 @@ def scalar_quantization_stats(ds, embedding_col: str, label_col: str):
     bit-for-bit against a SQL oracle — the same exactness contract as
     the k-means grid above. Constant dimensions (mx == mn) code to 0.
     """
-    import ray
     from ray.data.aggregate import Max, Min, Sum
 
     # the hash aggregate widens integer keys; restore the input type
@@ -521,30 +520,23 @@ def scalar_quantization_stats(ds, embedding_col: str, label_col: str):
     span = mx - mn
     scale = np.where(span > 0, 255.0 / np.where(span > 0, span, 1.0),
                      0.0)
-    cal_ref = ray.put((mn, scale))
 
-    class Encode:
-        def __init__(self):
-            self.mn, self.scale = ray.get(cal_ref)
+    def encode(b: pa.Table) -> pa.Table:
+        x = np.stack(
+            b[embedding_col].to_numpy(zero_copy_only=False)) \
+            .astype(np.float64)
+        code = np.floor((x - mn) * scale + 0.5)
+        code = np.clip(code, 0, 255).astype(np.int64)
+        return pa.table({
+            label_col: b[label_col].combine_chunks(),
+            "n_vals": pa.array(
+                np.full(len(b), x.shape[1], dtype=np.int64)),
+            "sum_codes": pa.array(code.sum(axis=1)),
+            "n_extreme": pa.array(
+                ((code == 0) | (code == 255)).sum(axis=1)
+                .astype(np.int64))})
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            x = np.stack(
-                b[embedding_col].to_numpy(zero_copy_only=False)) \
-                .astype(np.float64)
-            code = np.floor((x - self.mn) * self.scale + 0.5)
-            code = np.clip(code, 0, 255).astype(np.int64)
-            return pa.table({
-                label_col: b[label_col].combine_chunks(),
-                "n_vals": pa.array(
-                    np.full(len(b), x.shape[1], dtype=np.int64)),
-                "sum_codes": pa.array(code.sum(axis=1)),
-                "n_extreme": pa.array(
-                    ((code == 0) | (code == 255)).sum(axis=1)
-                    .astype(np.int64))})
-
-    from ..stages.partitioning import actor_pool_bounds
-    out = (ds.map_batches(Encode, batch_format="pyarrow",
-                          concurrency=actor_pool_bounds())
+    out = (ds.map_batches(encode, batch_format="pyarrow")
            .groupby(label_col)
            .aggregate(Sum("n_vals", alias_name="n_vals"),
                       Sum("sum_codes", alias_name="sum_codes"),

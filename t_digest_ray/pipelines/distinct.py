@@ -10,7 +10,6 @@ from ..state.bloom import BloomFilter
 from ..state.hll import HyperLogLog
 from ..state.protocol import SketchSpec
 from ..stages.aggregate import sketch_by_key, summarize
-from ..stages.partitioning import actor_pool_bounds
 
 
 def hll_spec(p: int = 14) -> SketchSpec:
@@ -58,36 +57,26 @@ def bloom_semi_join(probe_ds, bloom: BloomFilter, probe_col: str,
                     exact_keys=None):
     """Filter probe rows whose ``probe_col`` is (probably) in the filter.
 
-    The Bloom prefilter is broadcast once via ray.put and drops non-members
-    with zero false negatives; pass ``exact_keys`` (a set, also broadcast) to
+    The Bloom prefilter ships once with the map function and drops
+    non-members with zero false negatives; pass ``exact_keys`` (a set, also broadcast) to
     verify survivors and make the semi-join exact — the standard
     filter-then-verify pattern for distributed semi joins.
     """
-    import ray
+    keys = None if exact_keys is None else np.asarray(sorted(exact_keys))
 
-    bloom_ref = ray.put(bloom.to_bytes())
-    keys_ref = ray.put(None if exact_keys is None
-                       else np.asarray(sorted(exact_keys)))
+    def probe(batch: pa.Table) -> pa.Table:
+        vals = batch[probe_col].to_numpy(zero_copy_only=False)
+        mask = bloom.contains(vals)
+        if keys is not None and mask.any():
+            idx = np.searchsorted(keys, vals[mask])
+            idx = np.clip(idx, 0, len(keys) - 1)
+            exact = keys[idx] == vals[mask]
+            m = mask.copy()
+            m[np.flatnonzero(mask)[~exact]] = False
+            mask = m
+        return batch.filter(pa.array(mask))
 
-    class Probe:
-        def __init__(self):
-            self.bloom = BloomFilter.from_bytes(ray.get(bloom_ref))
-            self.keys = ray.get(keys_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vals = batch[probe_col].to_numpy(zero_copy_only=False)
-            mask = self.bloom.contains(vals)
-            if self.keys is not None and mask.any():
-                idx = np.searchsorted(self.keys, vals[mask])
-                idx = np.clip(idx, 0, len(self.keys) - 1)
-                exact = self.keys[idx] == vals[mask]
-                m = mask.copy()
-                m[np.flatnonzero(mask)[~exact]] = False
-                mask = m
-            return batch.filter(pa.array(mask))
-
-    return probe_ds.map_batches(Probe, batch_format="pyarrow",
-                                concurrency=actor_pool_bounds())
+    return probe_ds.map_batches(probe, batch_format="pyarrow")
 
 
 def hll_set_algebra_gate(ds_a, ds_b, value_col: str, p: int = 14,
@@ -213,39 +202,30 @@ def incremental_dedup_counts(new_ds, bloom: BloomFilter,
     filter's fill-derived rate.
 
     Topology: the Bloom bitset and the sorted member-hash array are
-    broadcast once via ray.put; one vectorized pass emits O(keys) count
+    shipped once with the map function; one vectorized pass emits O(keys) count
     rows. The 100-TB path drops the exact array and keeps only the
     KB–MB bitset — the envelope then comes from fpp alone.
     """
-    import ray
     from ray.data.aggregate import Count, Sum
 
     from ..functions.hashing import hash64
 
-    bloom_ref = ray.put(bloom.to_bytes())
-    members_ref = ray.put(np.sort(np.asarray(member_hashes,
-                                             dtype=np.uint64)))
+    members = np.sort(np.asarray(member_hashes, dtype=np.uint64))
 
-    class Audit:
-        def __init__(self):
-            self.bloom = BloomFilter.from_bytes(ray.get(bloom_ref))
-            self.members = ray.get(members_ref)
+    def audit(b: pa.Table) -> pa.Table:
+        vals = b[value_col].to_numpy(zero_copy_only=False)
+        hits = bloom.contains(vals)
+        member = np.isin(hash64(vals), members)
+        return pa.table({
+            key: b[key],
+            "member": pa.array(member.astype(np.int64)),
+            "bloom_hit": pa.array(hits.astype(np.int64)),
+            # a member the Bloom filter missed = false negative,
+            # impossible for a correct filter
+            "false_neg": pa.array((member & ~hits).astype(np.int64)),
+        })
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            vals = b[value_col].to_numpy(zero_copy_only=False)
-            hits = self.bloom.contains(vals)
-            member = np.isin(hash64(vals), self.members)
-            return pa.table({
-                key: b[key],
-                "member": pa.array(member.astype(np.int64)),
-                "bloom_hit": pa.array(hits.astype(np.int64)),
-                # a member the Bloom filter missed = false negative,
-                # impossible for a correct filter
-                "false_neg": pa.array((member & ~hits).astype(np.int64)),
-            })
-
-    out = (new_ds.map_batches(Audit, batch_format="pyarrow",
-                              concurrency=actor_pool_bounds())
+    out = (new_ds.map_batches(audit, batch_format="pyarrow")
            .groupby(key)
            .aggregate(Count(alias_name="n_docs"),
                       Sum("member", alias_name="n_members"),
@@ -414,8 +394,6 @@ def cuckoo_membership_report(build_ds, delete_ds, probe_ds,
     16-bit entry collisions) and fp_within_bound (the published
     2*SLOTS/2^16 per-probe bound with 10x slack + an absolute floor).
     """
-    import ray
-
     from ..state.cuckoo import CuckooFilter
 
     spec = cuckoo_spec(n_buckets)
@@ -426,34 +404,25 @@ def cuckoo_membership_report(build_ds, delete_ds, probe_ds,
     del_keys = np.asarray(delete_ds.unique(delete_col))
     d = np.intersect1d(build_keys, del_keys)   # only retract inserted
     ck.delete_batch(d)
-    live = np.setdiff1d(build_keys, d)
+    live = np.setdiff1d(build_keys, d)          # sorted
 
-    ck_ref = ray.put(ck.to_bytes())
-    live_ref = ray.put(np.sort(live))
+    def probe(b: pa.Table) -> pa.Table:
+        vals = b[probe_col].to_numpy(zero_copy_only=False)
+        passed = ck.contains(vals)
+        idx = np.searchsorted(live, vals)
+        idx = np.clip(idx, 0, max(len(live) - 1, 0))
+        member = np.zeros(len(vals), dtype=bool) \
+            if not len(live) else live[idx] == vals
+        return pa.table({
+            "n_probed": pa.array([len(vals)], type=pa.int64()),
+            "n_members": pa.array([int(member.sum())],
+                                  type=pa.int64()),
+            "n_pass": pa.array([int(passed.sum())],
+                               type=pa.int64()),
+            "n_fn": pa.array([int((member & ~passed).sum())],
+                             type=pa.int64())})
 
-    class Probe:
-        def __init__(self):
-            self.ck = CuckooFilter.from_bytes(ray.get(ck_ref))
-            self.live = ray.get(live_ref)
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            vals = b[probe_col].to_numpy(zero_copy_only=False)
-            passed = self.ck.contains(vals)
-            idx = np.searchsorted(self.live, vals)
-            idx = np.clip(idx, 0, max(len(self.live) - 1, 0))
-            member = np.zeros(len(vals), dtype=bool) \
-                if not len(self.live) else self.live[idx] == vals
-            return pa.table({
-                "n_probed": pa.array([len(vals)], type=pa.int64()),
-                "n_members": pa.array([int(member.sum())],
-                                      type=pa.int64()),
-                "n_pass": pa.array([int(passed.sum())],
-                                   type=pa.int64()),
-                "n_fn": pa.array([int((member & ~passed).sum())],
-                                 type=pa.int64())})
-
-    parts = probe_ds.map_batches(Probe, batch_format="pyarrow",
-                                 concurrency=actor_pool_bounds())
+    parts = probe_ds.map_batches(probe, batch_format="pyarrow")
 
     def fin(df: pd.DataFrame) -> pd.DataFrame:
         n_probed = int(df["n_probed"].sum())

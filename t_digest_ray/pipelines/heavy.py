@@ -80,24 +80,17 @@ def heavy_hitters(ds, key_col: str, k: int = 10,
 
     # 2-3. score candidates against the merged global CMS inside Ray (the
     # candidate set can be large at corpus scale — it never lands on the
-    # driver); the ~width*depth*8-byte CMS is broadcast once via ray.put
-    import ray
+    # driver); the ~width*depth*8-byte CMS ships once with the map
+    # function
+    cms = CountMin.from_bytes(cms_ds.take(1)[0]["sketch"])
 
-    cms_row = cms_ds.take(1)[0]
-    cms_ref = ray.put(cms_row["sketch"])
+    def scorer(batch: pa.Table) -> pa.Table:
+        keys = batch[key_col].to_numpy(zero_copy_only=False)
+        est = cms.estimate(keys)
+        return pa.table({key_col: pa.array(keys),
+                         "est_count": pa.array(est.astype(np.int64))})
 
-    class Scorer:
-        def __init__(self):
-            self.cms = CountMin.from_bytes(ray.get(cms_ref))
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            keys = batch[key_col].to_numpy(zero_copy_only=False)
-            est = self.cms.estimate(keys.astype(object))
-            return pa.table({key_col: pa.array(keys),
-                             "est_count": pa.array(est.astype(np.int64))})
-
-    scored = cand.map_batches(Scorer, batch_format="pyarrow",
-                              concurrency=(1, 4))
+    scored = cand.map_batches(scorer, batch_format="pyarrow")
     return (scored.sort(["est_count", key_col], descending=[True, False])
             .limit(k))
 
@@ -291,8 +284,6 @@ def heavy_hitters_unbiased(ds, key_col: str, k: int = 5,
     it feeds both the F2 fold and the top-k; it is post-aggregation,
     #distinct-keys-sized, never the input.
     """
-    import ray
-
     from ..state.countsketch import CountSketch
 
     spec = countsketch_spec(width, depth)
@@ -301,28 +292,24 @@ def heavy_hitters_unbiased(ds, key_col: str, k: int = 5,
     counts = exact_counts_table(ds, key_col,
                                 batch_size=batch_size).materialize()
     f2 = fold_f2(counts)
-    cs_ref = ray.put(cs_ds.take(1)[0]["sketch"])
+    cs = CountSketch.from_bytes(cs_ds.take(1)[0]["sketch"])
 
-    class Gate:
-        def __init__(self):
-            self.cs = CountSketch.from_bytes(ray.get(cs_ref))
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            keys = batch[key_col].to_numpy(zero_copy_only=False)
-            exact = batch["exact_count"].to_numpy(zero_copy_only=False)
-            est = self.cs.estimate(keys.astype(object))
-            f2_res = np.maximum(f2 - exact.astype(np.float64) ** 2, 0.0)
-            bound = 3.0 * np.sqrt(f2_res / self.cs.width)
-            ok = np.abs(est - exact) <= bound + 1e-9
-            return pa.table({
-                key_col: pa.array(keys),
-                "exact_count": pa.array(exact.astype(np.int64)),
-                "within_bound": pa.array(ok),
-            })
+    def gate(batch: pa.Table) -> pa.Table:
+        keys = batch[key_col].to_numpy(zero_copy_only=False)
+        exact = batch["exact_count"].to_numpy(zero_copy_only=False)
+        est = cs.estimate(keys)
+        f2_res = np.maximum(f2 - exact.astype(np.float64) ** 2, 0.0)
+        bound = 3.0 * np.sqrt(f2_res / cs.width)
+        ok = np.abs(est - exact) <= bound + 1e-9
+        return pa.table({
+            key_col: pa.array(keys),
+            "exact_count": pa.array(exact.astype(np.int64)),
+            "within_bound": pa.array(ok),
+        })
 
     return (counts.sort(["exact_count", key_col],
                         descending=[True, False]).limit(k)
-            .map_batches(Gate, batch_format="pyarrow", concurrency=(1, 2)))
+            .map_batches(gate, batch_format="pyarrow"))
 
 
 def join_size_unbiased(ds_a, ds_b, value_col: str, width: int = 8192,

@@ -619,43 +619,32 @@ def broadcast_join_count(ds, small_df: pd.DataFrame, left_key: str,
                          right_key: str, label_col: str,
                          value: str, out_names: dict[str, str],
                          nd: int = 4):
-    """Broadcast hash join (small side shipped via ray.put once) followed by
-    a grouped count/avg — the no-shuffle join pattern for dimension tables."""
-    import ray
-
-    # Broadcast the small side ONCE as sorted parallel arrays (zero-copy
-    # ray.get for the int keys) and resolve per batch with a vectorized
-    # searchsorted + Arrow take — no per-element Python dict lookups.
+    """Broadcast hash join (small side shipped once with the map function)
+    followed by a grouped count/avg — the no-shuffle join pattern for
+    dimension tables."""
+    # Broadcast the small side ONCE as sorted parallel arrays and resolve
+    # per batch with a vectorized searchsorted + Arrow take — no
+    # per-element Python dict lookups.
     order = np.argsort(small_df[right_key].to_numpy(), kind="stable")
     keys_sorted = np.ascontiguousarray(
         small_df[right_key].to_numpy()[order])
-    labels_sorted = [str(x) for x in small_df[label_col].to_numpy()[order]]
-    ref = ray.put((keys_sorted, labels_sorted))
+    labels_sorted = pa.array(
+        [str(x) for x in small_df[label_col].to_numpy()[order]],
+        type=pa.string())
 
-    class Joiner:
-        def __init__(self):
-            self.keys, labels = ray.get(ref)
-            self.labels = pa.array(labels, type=pa.string())
+    def joiner(batch: pa.Table) -> pa.Table:
+        keys = batch[left_key].to_numpy(zero_copy_only=False)
+        pos = np.searchsorted(keys_sorted, keys)
+        pos_c = np.minimum(pos, len(keys_sorted) - 1)
+        hit = keys_sorted[pos_c] == keys
+        labels = labels_sorted.take(
+            pa.array(np.where(hit, pos_c, 0), type=pa.int64()))
+        if not hit.all():
+            labels = pc.if_else(pa.array(hit), labels,
+                                pa.scalar(None, type=pa.string()))
+        return batch.append_column(label_col, labels)
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            keys = batch[left_key].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(self.keys, keys)
-            pos_c = np.minimum(pos, len(self.keys) - 1)
-            hit = self.keys[pos_c] == keys
-            labels = self.labels.take(
-                pa.array(np.where(hit, pos_c, 0), type=pa.int64()))
-            if not hit.all():
-                labels = pc.if_else(pa.array(hit), labels,
-                                    pa.scalar(None, type=pa.string()))
-            return batch.append_column(label_col, labels)
-
-    # Size the actor pool to the cluster instead of a hardcoded constant
-    # (r3 verdict: concurrency=2 starved the stage at 32 CPUs). An
-    # autoscaling (min, max) range lets Ray stop short when the input has
-    # fewer blocks than CPUs.
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    joined = ds.map_batches(Joiner, batch_format="pyarrow",
-                            concurrency=(2, max(2, cpus)))
+    joined = ds.map_batches(joiner, batch_format="pyarrow")
     return grouped_stats(joined, label_col, value, out_names, nd)
 
 

@@ -1,7 +1,7 @@
 """Similarity search over an embedding column (``list<float>``).
 
 * ``brute_force_topk`` — the exact baseline: the (small) query matrix is
-  broadcast once via ``ray.put``; every batch computes one numpy matmul
+  broadcast once inside the map function; every batch computes one numpy matmul
   against it and emits only its local top-k per query, so the global
   reduce sees ``#batches * k`` candidate rows per query, never the corpus.
 * ``lsh_topk`` — the scale path: random-hyperplane LSH (Charikar 2002)
@@ -19,8 +19,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
-from .partitioning import actor_pool_bounds
 
 
 def _embeddings_matrix(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -53,39 +51,32 @@ def brute_force_topk(ds, queries: np.ndarray, k: int = 10,
     Returns a Dataset (query_id, vec_id, score) with k rows per query,
     score = cosine similarity rounded to 6 decimals for stability.
     """
-    import ray
-
     qm = _normalize(np.asarray(queries, dtype=np.float32))
-    q_ref = ray.put(qm)
 
-    class Score:
-        def __init__(self):
-            self.q = ray.get(q_ref)  # fetched once per actor
+    def score(batch: pa.Table) -> pa.Table:
+        v = _normalize(_embeddings_matrix(batch[vec_col]))
+        ids = batch[id_col].to_numpy(zero_copy_only=False)
+        if len(ids) == 0:
+            return pa.table({"query_id": pa.array([], pa.int32()),
+                             id_col: pa.array([], pa.int64()),
+                             "score": pa.array([], pa.float64())})
+        scores = v @ qm.T  # (n, q)
+        take = min(k, len(ids))
+        out_q, out_i, out_s = [], [], []
+        for qi in range(qm.shape[0]):
+            s = scores[:, qi]
+            top = np.argpartition(-s, take - 1)[:take]
+            out_q.append(np.full(take, qi, dtype=np.int32))
+            out_i.append(ids[top])
+            out_s.append(s[top].astype(np.float64))
+        return pa.table({
+            "query_id": pa.array(np.concatenate(out_q)),
+            id_col: pa.array(np.concatenate(out_i)),
+            "score": pa.array(np.concatenate(out_s)),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            v = _normalize(_embeddings_matrix(batch[vec_col]))
-            ids = batch[id_col].to_numpy(zero_copy_only=False)
-            if len(ids) == 0:
-                return pa.table({"query_id": pa.array([], pa.int32()),
-                                 id_col: pa.array([], pa.int64()),
-                                 "score": pa.array([], pa.float64())})
-            scores = v @ self.q.T  # (n, q)
-            take = min(k, len(ids))
-            out_q, out_i, out_s = [], [], []
-            for qi in range(self.q.shape[0]):
-                s = scores[:, qi]
-                top = np.argpartition(-s, take - 1)[:take]
-                out_q.append(np.full(take, qi, dtype=np.int32))
-                out_i.append(ids[top])
-                out_s.append(s[top].astype(np.float64))
-            return pa.table({
-                "query_id": pa.array(np.concatenate(out_q)),
-                id_col: pa.array(np.concatenate(out_i)),
-                "score": pa.array(np.concatenate(out_s)),
-            })
-
-    candidates = ds.map_batches(Score, batch_format="pyarrow",
-                                batch_size=batch_size, concurrency=actor_pool_bounds())
+    candidates = ds.map_batches(score, batch_format="pyarrow",
+                                batch_size=batch_size)
 
     def final_topk(g: pd.DataFrame) -> pd.DataFrame:
         g = g.copy()
@@ -357,8 +348,6 @@ def lsh_topk(ds, queries: np.ndarray, k: int = 10, n_planes: int = 8,
              seed: int = 42, batch_size: int = 4096):
     """Approximate cosine top-k: score only vectors whose hyperplane
     signature is within Hamming distance 1 of the query's signature."""
-    import ray
-
     qm = _normalize(np.asarray(queries, dtype=np.float32))
     d = qm.shape[1]
     planes = np.random.default_rng(seed).normal(size=(n_planes, d)) \
@@ -369,54 +358,50 @@ def lsh_topk(ds, queries: np.ndarray, k: int = 10, n_planes: int = 8,
     for s in qsig:
         for b in range(n_planes):
             probes.add(int(s) ^ (1 << b))
-    q_ref = ray.put((qm, planes, qsig, np.asarray(sorted(probes))))
+    probes = np.asarray(sorted(probes))
 
-    class Score:
-        def __init__(self):
-            self.q, self.planes, self.qsig, self.probes = ray.get(q_ref)
+    def score(batch: pa.Table) -> pa.Table:
+        v = _normalize(_embeddings_matrix(batch[vec_col]))
+        ids = batch[id_col].to_numpy(zero_copy_only=False)
+        empty = pa.table({"query_id": pa.array([], pa.int32()),
+                          id_col: pa.array([], pa.int64()),
+                          "score": pa.array([], pa.float64())})
+        if len(ids) == 0:
+            return empty
+        sig = _plane_signatures(v, planes)
+        mask = np.isin(sig, probes)
+        if not mask.any():
+            return empty
+        v, ids, sig = v[mask], ids[mask], sig[mask]
+        scores = v @ qm.T
+        take = min(k, len(ids))
+        out_q, out_i, out_s = [], [], []
+        for qi in range(qm.shape[0]):
+            # only vectors within hamming-1 of this query's signature
+            ham = np.zeros(len(sig), dtype=bool)
+            s0 = qsig[qi]
+            ham |= sig == s0
+            for b in range(planes.shape[0]):
+                ham |= sig == (s0 ^ (1 << b))
+            if not ham.any():
+                continue
+            s = np.where(ham, scores[:, qi], -np.inf)
+            t = min(take, int(ham.sum()))
+            top = np.argpartition(-s, t - 1)[:t]
+            top = top[np.isfinite(s[top])]
+            out_q.append(np.full(len(top), qi, dtype=np.int32))
+            out_i.append(ids[top])
+            out_s.append(s[top].astype(np.float64))
+        if not out_q:
+            return empty
+        return pa.table({
+            "query_id": pa.array(np.concatenate(out_q)),
+            id_col: pa.array(np.concatenate(out_i)),
+            "score": pa.array(np.concatenate(out_s)),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            v = _normalize(_embeddings_matrix(batch[vec_col]))
-            ids = batch[id_col].to_numpy(zero_copy_only=False)
-            empty = pa.table({"query_id": pa.array([], pa.int32()),
-                              id_col: pa.array([], pa.int64()),
-                              "score": pa.array([], pa.float64())})
-            if len(ids) == 0:
-                return empty
-            sig = _plane_signatures(v, self.planes)
-            mask = np.isin(sig, self.probes)
-            if not mask.any():
-                return empty
-            v, ids, sig = v[mask], ids[mask], sig[mask]
-            scores = v @ self.q.T
-            take = min(k, len(ids))
-            out_q, out_i, out_s = [], [], []
-            for qi in range(self.q.shape[0]):
-                # only vectors within hamming-1 of this query's signature
-                ham = np.zeros(len(sig), dtype=bool)
-                s0 = self.qsig[qi]
-                ham |= sig == s0
-                for b in range(self.planes.shape[0]):
-                    ham |= sig == (s0 ^ (1 << b))
-                if not ham.any():
-                    continue
-                s = np.where(ham, scores[:, qi], -np.inf)
-                t = min(take, int(ham.sum()))
-                top = np.argpartition(-s, t - 1)[:t]
-                top = top[np.isfinite(s[top])]
-                out_q.append(np.full(len(top), qi, dtype=np.int32))
-                out_i.append(ids[top])
-                out_s.append(s[top].astype(np.float64))
-            if not out_q:
-                return empty
-            return pa.table({
-                "query_id": pa.array(np.concatenate(out_q)),
-                id_col: pa.array(np.concatenate(out_i)),
-                "score": pa.array(np.concatenate(out_s)),
-            })
-
-    candidates = ds.map_batches(Score, batch_format="pyarrow",
-                                batch_size=batch_size, concurrency=actor_pool_bounds())
+    candidates = ds.map_batches(score, batch_format="pyarrow",
+                                batch_size=batch_size)
 
     def final_topk(g: pd.DataFrame) -> pd.DataFrame:
         g = g.copy()

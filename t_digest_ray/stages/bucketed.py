@@ -16,10 +16,11 @@ are invisible, re-runs skip finished tables — the resumable-output
 contract.
 
 The join itself: for each bucket, the probe side streams through
-``map_batches`` while an actor pool loads the matching build-side bucket
-from storage ONCE in ``__init__`` (never via the driver, never shipped
-per batch). Memory per actor = one bucket of the build side — sized by
-``n_buckets``, independent of cluster width.
+``map_batches`` tasks that each load the matching build-side bucket
+from storage (never via the driver, never shipped per batch). Memory
+per task = one bucket of the build side — sized by ``n_buckets``,
+independent of cluster width. A task holds no CPU beyond its call, so
+the B unioned branches cannot starve each other of CPUs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.hashing import splitmix64
-from .partitioning import actor_pool_bounds
 
 _BUCKET_ROOT = "/tmp/tdr_buckets"
 
@@ -85,42 +85,37 @@ def write_bucketed(ds, dest: str, key: str, n_buckets: int) -> str:
     return write_partitioned(ds, dest, tag, "b")
 
 
-class _BucketLookup:
-    """Actor that loads ONE build-side bucket from storage in __init__
-    and inner-joins every probe batch against it (storage-partitioned
-    join: no shuffle, no driver materialization, no per-batch ship).
-    The build side must be UNIQUE on its key (a PK/dimension side) —
-    asserted at load."""
-
-    def __init__(self, build_dir: str, bucket: int, probe_key: str,
-                 build_key: str, build_cols: list[str]):
-        import pyarrow.dataset as pads
-        path = os.path.join(build_dir, f"b={bucket}")
-        if os.path.isdir(path):
-            t = pads.dataset(path, format="parquet").to_table(
-                columns=[build_key] + build_cols)
-        else:                         # empty bucket on the build side
-            t = pa.table({c: pa.array([], type=pa.int64())
-                          for c in [build_key] + build_cols})
-        keys = t[build_key].to_numpy(zero_copy_only=False)
-        order = np.argsort(keys, kind="stable")
-        self.probe_key = probe_key
-        self.keys = keys[order]
-        assert len(np.unique(self.keys)) == len(self.keys), \
-            "bucketed_join build side must be unique on its key"
-        self.cols = {c: t[c].take(pa.array(order)) for c in build_cols}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        probe = batch[self.probe_key].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(self.keys, probe)
-        pos = np.clip(pos, 0, max(len(self.keys) - 1, 0))
-        hit = np.zeros(len(probe), dtype=bool) if not len(self.keys) \
-            else self.keys[pos] == probe
-        out = batch.filter(pa.array(hit))
-        take = pa.array(pos[hit])
-        for c, col in self.cols.items():
-            out = out.append_column(c, col.take(take))
-        return out
+def _bucket_lookup(batch: pa.Table, build_dir: str, bucket: int,
+                   probe_key: str, build_key: str,
+                   build_cols: list[str]) -> pa.Table:
+    """Inner-join one probe batch against build-side bucket ``bucket``,
+    read from storage inside the task (storage-partitioned join: no
+    shuffle, no driver materialization, no per-batch ship). The build
+    side must be UNIQUE on its key (a PK/dimension side) — asserted at
+    load."""
+    import pyarrow.dataset as pads
+    path = os.path.join(build_dir, f"b={bucket}")
+    if os.path.isdir(path):
+        t = pads.dataset(path, format="parquet").to_table(
+            columns=[build_key] + build_cols)
+    else:                             # empty bucket on the build side
+        t = pa.table({c: pa.array([], type=pa.int64())
+                      for c in [build_key] + build_cols})
+    keys = t[build_key].to_numpy(zero_copy_only=False)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    assert len(np.unique(keys)) == len(keys), \
+        "bucketed_join build side must be unique on its key"
+    probe = batch[probe_key].to_numpy(zero_copy_only=False)
+    pos = np.searchsorted(keys, probe)
+    pos = np.clip(pos, 0, max(len(keys) - 1, 0))
+    hit = np.zeros(len(probe), dtype=bool) if not len(keys) \
+        else keys[pos] == probe
+    out = batch.filter(pa.array(hit))
+    take = pa.array(order[pos[hit]])
+    for c in build_cols:
+        out = out.append_column(c, t[c].take(take))
+    return out
 
 
 def bucketed_join(probe_sf_dir: str, probe_table: str, build_sf_dir: str,
@@ -144,8 +139,6 @@ def bucketed_join(probe_sf_dir: str, probe_table: str, build_sf_dir: str,
     build_dir = load(build_sf_dir, build_table, build_key, build_cols)
 
     parts = []
-    lo, hi = actor_pool_bounds()
-    per_bucket = (max(1, lo // n_buckets), max(1, hi // n_buckets))
     for i in range(n_buckets):
         pdir = os.path.join(probe_dir, f"b={i}")
         if not os.path.isdir(pdir):   # empty bucket on the probe side
@@ -153,9 +146,8 @@ def bucketed_join(probe_sf_dir: str, probe_table: str, build_sf_dir: str,
         p = ray.data.read_parquet(pdir,
                                   columns=[probe_key] + probe_cols)
         parts.append(p.map_batches(
-            _BucketLookup, batch_format="pyarrow",
-            concurrency=per_bucket,
-            fn_constructor_kwargs={
+            _bucket_lookup, batch_format="pyarrow",
+            fn_kwargs={
                 "build_dir": build_dir, "bucket": i,
                 "probe_key": probe_key, "build_key": build_key,
                 "build_cols": build_cols}))

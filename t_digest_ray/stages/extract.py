@@ -2,10 +2,10 @@
 
 ``ExtractText`` is the per-row-deterministic extractor required by the
 north_star invariant: re-running at any parallelism yields byte-identical
-``text`` per ``url``. It is a callable class (actor-pool stage) so the
-delimiter search tables are built once per actor, per the stateful-stage
-pattern; the per-batch body is a C-speed ``bytes.find`` scan (no Python
-regex per row in the common path).
+``text`` per ``url``. It is a callable class: an instance is built once
+on the driver and called per batch inside a task map; the per-batch body
+is a C-speed ``bytes.find`` scan (no Python regex per row in the common
+path).
 
 ``derive_metrics`` adds the numeric columns the sketches consume —
 ``text_length`` (utf8 chars), ``html_size`` (bytes), ``host`` (url authority)

@@ -2,13 +2,15 @@
 
 Large-scale training-data pipelines treat media as opaque ``binary`` columns
 with typed metadata and run decode / resize / feature-extract / frame-sample
-as actor-pool ``map_batches`` stages. The decode libraries (PIL/ffmpeg/...)
-are NOT in this container, so the codec kernel itself is pluggable:
+as ``map_batches`` stages: callable instances, configured in
+``__init__`` on the driver and shipped to every task with the map
+function. The decode libraries (PIL/ffmpeg/...) are NOT in this
+container, so the codec kernel itself is pluggable:
 
-* ``ImageDecode(codec=None)``     — actor-pool stage; with no codec installed
-  it uses ``FakeCodec`` (deterministic, pure function of the payload bytes)
+* ``ImageDecode(codec=None)``     — with no codec installed it uses
+  ``FakeCodec`` (deterministic, pure function of the payload bytes)
   or raises ``NotImplementedError`` if ``strict=True``. The Ray-side
-  contract — schema in/out, batch sizing, actor ``__init__`` setup,
+  contract — schema in/out, batch sizing, ``__init__`` setup,
   zero-copy binary handling — is real and tested.
 * ``ImageResize``                 — metadata-level resize planning (target
   dims, scale factors); the pixel kernel is the pluggable part.
@@ -16,12 +18,12 @@ are NOT in this container, so the codec kernel itself is pluggable:
   video payloads (uniform stride from a content-derived seed).
 * ``EmbedStub``                   — fixed-dim feature vector derived from
   payload bytes (stands in for a model forward pass; exercises the
-  actor-pool batched-inference shape: load "model" once in __init__,
-  batch matmul in __call__).
+  batched-inference shape: build the "model" once in __init__, batch
+  matmul in __call__).
 
 Batch-size guidance (SURVEY.md §4 / memory-aware): media batches should be
 sized by BYTES not rows — callers pass ``batch_size`` small enough that
-``batch_size x avg_payload x concurrency`` fits the worker heap.
+``batch_size x avg_payload`` per task fits the worker heap.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import pyarrow as pa
 class FakeCodec:
     """Deterministic stand-in decoder: dims/channels are pure functions of
     the payload length and first bytes. Lets the full pipeline (schema,
-    actors, aggregation over decoded metadata) run and be oracle-checked
+    tasks, aggregation over decoded metadata) run and be oracle-checked
     (width/height are SQL-expressible over the payload) without PIL."""
 
     name = "fake"
@@ -111,11 +113,11 @@ class BmpCodec:
 
 
 class ImageDecode:
-    """Actor-pool stage: media binary -> image metadata columns.
+    """Map stage: media binary -> image metadata columns.
 
     Use as ``ds.map_batches(ImageDecode(), batch_format="pyarrow",
-    concurrency=N, batch_size=B)`` with B sized by payload bytes. Setup
-    (codec load) happens once per actor in __init__.
+    batch_size=B)`` with B sized by payload bytes. Setup (codec load)
+    happens once, on the driver, in __init__.
     """
 
     def __init__(self, payload_col: str = "payload", codec=None,
@@ -194,9 +196,9 @@ class FrameSample:
 class EmbedStub:
     """Batched "model inference" stub: payload -> fixed-dim float32 vector.
 
-    The "model" (a fixed random projection) is built ONCE per actor in
-    __init__ — the stateful-stage pattern for real encoders. The per-batch
-    path is one matmul over byte histograms (vectorized)."""
+    The "model" (a fixed random projection) is built ONCE in __init__ and
+    ships to every task with the instance. The per-batch path is one
+    matmul over byte histograms (vectorized)."""
 
     def __init__(self, payload_col: str = "payload", dim: int = 64,
                  seed: int = 7):
@@ -260,7 +262,7 @@ class WavPcmCodec:
 
 
 class AudioEnergy:
-    """Actor-pool stage: decode WAV payloads (codec built once in
+    """Map stage: decode WAV payloads (codec built once in
     __init__) and emit exact integer energy features per clip —
     n_samples and the int64 sum of squared samples (the RMS numerator;
     exact, so the whole audio path is value-hash checkable)."""
@@ -306,7 +308,7 @@ def synth_wav_tone(doc_id: int, n_samples: int = 256,
 
 
 class AudioDominantFreq:
-    """Actor-pool DSP stage: decode WAV payloads (codec built once in
+    """DSP map stage: decode WAV payloads (codec built once in
     __init__), run a real rfft, and emit each clip's dominant frequency
     BIN (argmax of spectral magnitude). On the planted pure tones the
     argmax is exact — rounding the sine to int16 leaves harmonic noise

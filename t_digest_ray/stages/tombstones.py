@@ -11,18 +11,23 @@ into the base when they accumulate.
 
 Scan-side application is budget-switched like every small-side lookup
 in this repo (stages/dedup.py:386): a vector within ``broadcast_budget``
-ids rides to every actor once via ``ray.put`` (sorted array,
-searchsorted membership — vectorized); a larger vector falls back to
-the hash-partitioned anti join (relational.hash_semi_anti_join), which
+ids (16 MB at the default) rides inside the map function, which Ray
+puts in the object store once per operator (sorted array, searchsorted
+membership — vectorized); a larger vector falls back to the
+hash-partitioned anti join (relational.hash_semi_anti_join), which
 never materializes either side.
 
-The write is idempotent (``_SUCCESS`` marker, atomic-at-directory) and
-the vector is stored sorted so readers can binary-search it directly.
+The write is idempotent and atomic: ``deletes.parquet`` and its
+``_SUCCESS`` marker go to a tmp sibling directory that is renamed into
+place, so a write that dies halfway leaves nothing under ``dest``. The
+vector is stored sorted so readers can binary-search it directly.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
+import uuid
 
 import numpy as np
 import pandas as pd
@@ -36,15 +41,17 @@ def write_delete_vector(dest: str, ids: np.ndarray,
     """Persist a sorted delete vector under ``dest/`` (idempotent)."""
     import pyarrow.parquet as pq
 
-    marker = os.path.join(dest, "_SUCCESS")
-    if os.path.exists(marker):
+    if os.path.exists(os.path.join(dest, "_SUCCESS")):
         return dest
-    os.makedirs(dest, exist_ok=True)
+    tmp = f"{os.path.normpath(dest)}.tmp-{uuid.uuid4().hex[:8]}"
+    os.makedirs(tmp)
     arr = np.sort(np.unique(np.asarray(ids, dtype=np.int64)))
     pq.write_table(pa.table({id_col: pa.array(arr)}),
-                   os.path.join(dest, "deletes.parquet"))
-    with open(marker, "w") as f:
+                   os.path.join(tmp, "deletes.parquet"))
+    with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
         f.write("ok")
+    shutil.rmtree(dest, ignore_errors=True)  # a failed attempt's leftovers
+    os.rename(tmp, dest)
     return dest
 
 
@@ -61,28 +68,17 @@ def scan_with_deletes(ds, id_col: str, delete_dir: str,
     """Apply a positional delete vector at read time: rows whose
     ``id_col`` appears in the vector never leave the scan. Returns the
     filtered Dataset (all input columns)."""
-    import ray
-
     vec = read_delete_vector(delete_dir)
     if len(vec) <= broadcast_budget:
-        vec_ref = ray.put(vec)     # sorted; shipped once, read zero-copy
+        def apply_deletes(b: pa.Table) -> pa.Table:
+            ids = b[id_col].to_numpy(zero_copy_only=False)
+            pos = np.clip(np.searchsorted(vec, ids), 0,
+                          max(len(vec) - 1, 0))
+            deleted = (np.zeros(len(ids), dtype=bool) if not len(vec)
+                       else vec[pos] == ids)
+            return b.filter(pa.array(~deleted))
 
-        class ApplyDeletes:
-            def __init__(self):
-                self.vec = ray.get(vec_ref)
-
-            def __call__(self, b: pa.Table) -> pa.Table:
-                ids = b[id_col].to_numpy(zero_copy_only=False)
-                pos = np.searchsorted(self.vec, ids)
-                pos = np.clip(pos, 0, max(len(self.vec) - 1, 0))
-                deleted = (np.zeros(len(ids), dtype=bool)
-                           if not len(self.vec)
-                           else self.vec[pos] == ids)
-                return b.filter(pa.array(~deleted))
-
-        from .partitioning import actor_pool_bounds
-        return ds.map_batches(ApplyDeletes, batch_format="pyarrow",
-                              concurrency=actor_pool_bounds())
+        return ds.map_batches(apply_deletes, batch_format="pyarrow")
 
     # oversized vector: hash-partitioned anti join, nothing broadcast
     import ray.data as rd

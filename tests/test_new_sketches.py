@@ -522,3 +522,23 @@ class TestSparseHLL:
         rb2 = SparseHyperLogLog.from_bytes(d.to_bytes())
         assert isinstance(rb2, HyperLogLog)
         assert rb2.estimate() == d.estimate()
+
+
+def test_heavy_hitters_score_integer_keys(ray_session):
+    """The scoring pass hashes integer keys as the sketch pass did, so
+    int64 keys get their counts (not the empty cells of object-hashed
+    positions) and pass the Count-Sketch bound."""
+    import pandas as pd
+    import ray.data as rd
+
+    from t_digest_ray.pipelines.heavy import (heavy_hitters,
+                                              heavy_hitters_unbiased)
+
+    keys = np.repeat(np.arange(20), np.arange(20, 0, -1)).astype(np.int64)
+    ds = rd.from_pandas(pd.DataFrame(
+        {"k": np.random.default_rng(3).permutation(keys)}))
+    cm = heavy_hitters(ds, "k", k=3).to_pandas()
+    assert cm.values.tolist() == [[0, 20], [1, 19], [2, 18]]
+    cs = heavy_hitters_unbiased(ds, "k", k=3).to_pandas()
+    assert cs["exact_count"].tolist() == [20, 19, 18]
+    assert cs["within_bound"].all()

@@ -62,3 +62,24 @@ def test_empty_vector_keeps_everything(ray_session, tmp_path):
     write_delete_vector(dest, np.array([], dtype=np.int64))
     out = scan_with_deletes(_ds(50), "event_id", dest).to_pandas()
     assert len(out) == 50
+
+
+def test_write_dying_before_marker_leaves_nothing(tmp_path, monkeypatch):
+    """A write that raises between ``deletes.parquet`` and ``_SUCCESS``
+    leaves ``dest`` without a vector, and the rerun writes all of it."""
+    import pytest
+
+    from t_digest_ray.stages import tombstones
+
+    def die(*a, **k):
+        raise OSError("killed before the marker")
+
+    dest = str(tmp_path / "dv5")
+    monkeypatch.setattr(tombstones, "open", die, raising=False)
+    with pytest.raises(OSError):
+        tombstones.write_delete_vector(dest, np.arange(10))
+    assert not os.path.exists(os.path.join(dest, "deletes.parquet"))
+    monkeypatch.undo()
+    tombstones.write_delete_vector(dest, np.arange(10))
+    assert tombstones.read_delete_vector(dest).tolist() == list(range(10))
+    assert os.path.exists(os.path.join(dest, "_SUCCESS"))
