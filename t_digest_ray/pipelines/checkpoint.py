@@ -17,11 +17,13 @@ path, so retries and re-runs map to the same file.
 Execution
 ---------
 Still a streaming Ray Data pipeline (NOT a driver loop): a dataset OF FILES,
-one task per incomplete file::
+one task per cluster CPU, each taking its share of the incomplete files in
+turn::
 
     from_items(incomplete files)
-      -> map_batches(read file -> per-key sketches -> atomic write, batch_size=1)
-      -> tiny ack rows
+      -> map_batches(per file: read -> per-key sketches -> atomic write,
+                     batch_size=ceil(files / CPUs))
+      -> tiny ack rows, one per file
 
 Each partition's sketch is computed *inside one task* with a fixed reader
 chunking (``ParquetFile.iter_batches(batch_size)``), so it is a pure
@@ -56,6 +58,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..stages.aggregate import KeyedSketches, merge_partials, summarize
+from ..stages.partitioning import cluster_cpus
 from ..state.protocol import SketchSpec
 
 ENGINE_VERSION = "0.1.0"
@@ -209,8 +212,10 @@ def run_checkpointed(input_files: list[str], spec: SketchSpec,
             "n_keys": pa.array([a[1] for a in acks], type=pa.int64()),
         })
 
+    # one task per CPU, so Ray's fixed cost per task is paid once per CPU
     ds = rd.from_items([{"path": f} for f in todo])
-    acks = ds.map_batches(process_file, batch_format="pyarrow", batch_size=1)
+    acks = ds.map_batches(process_file, batch_format="pyarrow",
+                          batch_size=-(-len(todo) // cluster_cpus()))
     n_processed = acks.count()
     return CheckpointRun(ckpt_dir, len(input_files), len(done), n_processed)
 

@@ -48,6 +48,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .quantiles import pct
+
 GRID = 1_000_000  # quantization grid: 1e-6 of embedding space
 
 
@@ -393,7 +395,7 @@ def embedding_norm_stats(ds, vec_col: str,
         row = {"n": np.array([n], dtype=np.int64),
                "min_norm": [float(v[0])], "max_norm": [float(v[-1])]}
         for q in qs:
-            row[f"p{int(q * 100)}"] = [float(v[_disc_rank(q, n) - 1])]
+            row[f"p{pct(q)}"] = [float(v[_disc_rank(q, n) - 1])]
         return pd.DataFrame(row)
 
     def add_g(b: pa.Table) -> pa.Table:

@@ -14,7 +14,7 @@ import pyarrow as pa
 
 from ..state.protocol import SketchSpec
 from ..state.scale_functions import K_2
-from ..state.tdigest import CompressedSummary, TDigest
+from ..state.tdigest import CompressedSummary, QuantileSummary, TDigest
 from ..stages.aggregate import (METRIC_COL, KeyedSketches,
                                 merge_multi_partials, sketch_by_key,
                                 summarize)
@@ -32,29 +32,27 @@ def q_col(q: float) -> str:
     return "q" + f"{pct:.4f}".rstrip("0").replace(".", "_")
 
 
+def pct(q: float) -> int:
+    """q as a whole percent, for ``p<pct>`` column names: 0.29 -> 29, where
+    ``int(q * 100)`` gives 28 (0.29 * 100 is 28.999999999999996), so two
+    quantiles a point apart never share a name. A fraction of a percent
+    still truncates (0.999 -> 99, 0.125 -> 12)."""
+    return int(round(q * 100, 9))
+
+
 def tdigest_spec(compression: float = 100.0, scale=K_2,
                  qs=DEFAULT_QS, trims=((0.05, 0.95),),
                  include_minmax: bool = True) -> SketchSpec:
     """SketchSpec for a t-digest whose summary is quantiles + trimmed means."""
 
-    q_cols = [(q_col(q), q) for q in qs]
-    trim_cols = [(f"trimmed_mean_{int(lo * 100)}_{int(hi * 100)}", lo, hi)
-                 for lo, hi in trims]
-
-    def read(sk: TDigest) -> dict:
-        out = {c: sk.quantile(q) for c, q in q_cols}
-        for c, lo, hi in trim_cols:
-            out[c] = sk.trimmed_mean(lo, hi)
-        if include_minmax:
-            out["min"] = sk.min if sk.size else float("nan")
-            out["max"] = sk.max if sk.size else float("nan")
-        return out
-
     return SketchSpec(
         name="tdigest",
         factory=lambda: TDigest(compression, scale),
         from_bytes=lambda b: TDigest.from_bytes(b, scale),
-        summarize=CompressedSummary(read),
+        summarize=QuantileSummary(
+            [(q_col(q), q) for q in qs],
+            [(f"trimmed_mean_{pct(lo)}_{pct(hi)}", lo, hi)
+             for lo, hi in trims], include_minmax),
     )
 
 

@@ -23,6 +23,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.aggregate import _key_runs, bucketed_map_groups
+from .quantiles import pct
 from .selection import _disc_rank
 
 
@@ -59,10 +60,10 @@ def exact_quantiles_by_key(ds, key: str, value: str,
     One keyed exchange on ``key`` (``_cutpoints``). Groups must
     individually fit in a worker's heap — this is the exact small-scale
     oracle operator (Dist.java port), not the sketch path. Columns are
-    named ``p{int(100q)}``, so two q that share a name share a column.
+    named ``p{pct(q)}`` (``quantiles.pct``: 0.29 -> ``p29``).
     """
     return _cutpoints(ds, [key], [value], qs,
-                      names=[f"p{int(q * 100)}" for q in qs])
+                      names=[f"p{pct(q)}" for q in qs])
 
 
 def _cutpoints(ds, keys, values, qs, *, project=None, names=None):
@@ -204,7 +205,7 @@ def key_skew_report(ds, key: str, n_rows: int | None = None):
                "n_keys": [np.int64(n_keys)],
                "max_count": [np.int64(c[-1])]}
         for q in (0.5, 0.9, 0.99):
-            row[f"p{int(q * 100)}_count"] = [np.int64(
+            row[f"p{pct(q)}_count"] = [np.int64(
                 c[_disc_rank(q, n_keys) - 1])]
         row["top_share_ppm"] = [np.int64(c[-1] * 1_000_000 // total)]
         return pd.DataFrame(row)

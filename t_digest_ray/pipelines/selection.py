@@ -42,6 +42,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .quantiles import pct
+
 
 def _to_cents(col: pa.ChunkedArray) -> np.ndarray:
     v = col.to_numpy(zero_copy_only=False).astype(np.float64)
@@ -166,7 +168,7 @@ def selection_quantiles_by_key(ds, key: str, value: str,
     for _, r in ext.iterrows():
         rows[r[key]] = {key: r[key], "n_rows": int(r["n"])}
     for s in states:
-        rows[s["key"]][f"p{int(s['q'] * 100)}_cents"] = s["answer"]
+        rows[s["key"]][f"p{pct(s['q'])}_cents"] = s["answer"]
     out = pd.DataFrame(sorted(rows.values(), key=lambda d: str(d[key])))
     for c in out.columns:
         if c != key:
@@ -359,7 +361,7 @@ def equidepth_histogram(ds, value: str, n_buckets: int = 10,
                                     n_bins=n_bins,
                                     max_passes=max_passes)
     bounds = np.array(
-        [int(qt[f"p{int(q * 100)}_cents"].iloc[0]) for q in qs],
+        [int(qt[f"p{pct(q)}_cents"].iloc[0]) for q in qs],
         dtype=np.int64)
 
     def partial(b: pa.Table) -> pa.Table:

@@ -31,6 +31,7 @@ import pyarrow as pa
 
 from ..stages.aggregate import sketch_by_key
 from ..state.protocol import SketchSpec
+from .quantiles import pct
 from .selection import _disc_rank
 
 
@@ -82,7 +83,7 @@ def quantile_bound_check(ds, value_col: str, key: str, spec: SketchSpec,
             ok = sk_bytes[kval][1] == float(n)
         for q in qs:
             exact_v = float(v[_disc_index(q, n)])
-            row[f"p{int(q * 100)}"] = [exact_v]
+            row[f"p{pct(q)}"] = [exact_v]
             if ok:
                 b = max(bound_at(q), 2.5 / n)
                 est = float(sk.quantile(q))
@@ -143,7 +144,7 @@ def relative_quantile_bound_check(ds, value_col: str, key: str,
             ok = sk_bytes[kval][1] == float(n)
         for q in qs:
             exact_v = float(v[_disc_index(q, n)])
-            row[f"p{int(q * 100)}"] = [exact_v]
+            row[f"p{pct(q)}"] = [exact_v]
             if ok:
                 est = float(sk.quantile(q))
                 ok = (math.isfinite(est)
@@ -408,7 +409,7 @@ def weighted_quantile_bound_check(ds, value_col: str, weight_col: str,
         for q in qs:
             thr = q * W
             idx = int(np.searchsorted(cw, thr, side="left"))
-            row[f"wp{int(q * 100)}"] = [float(v[min(idx, n - 1)])]
+            row[f"wp{pct(q)}"] = [float(v[min(idx, n - 1)])]
             if ok:
                 b = max(bound_at(q), 2.5 / n)
                 est = float(sk.quantile(q))
@@ -463,7 +464,7 @@ def turnstile_quantile_bound_check(stream_ds, net_ds, value_col: str,
         if ok:
             ok = float(sk.size) == float(n)
         for q in qs:
-            row[f"p{int(q * 100)}"] = [float(v[_disc_index(q, n)])]
+            row[f"p{pct(q)}"] = [float(v[_disc_index(q, n)])]
             if ok:
                 b = max(bound_mult * sk.net_rank_bound(), 2.5 / n)
                 est = float(sk.quantile(q))
@@ -780,7 +781,7 @@ def scale_function_gate(ds, value_col: str = "value",
         v = np.sort(g[value_col].to_numpy())
         n = len(v)
         rows: dict = {"scale_fn": [], "n": [],
-                      **{f"p{int(q * 100)}": [] for q in qs},
+                      **{f"p{pct(q)}": [] for q in qs},
                       "within_bound": []}
         for nm in names:
             ok = nm in sk_by_name
@@ -790,7 +791,7 @@ def scale_function_gate(ds, value_col: str = "value",
             rows["scale_fn"].append(nm)
             rows["n"].append(np.int64(n))
             for q in qs:
-                rows[f"p{int(q * 100)}"].append(float(v[_disc_index(q, n)]))
+                rows[f"p{pct(q)}"].append(float(v[_disc_index(q, n)]))
                 if ok:
                     b = max(rank_bound, 2.5 / n)
                     est = float(sk.quantile(q))
@@ -852,7 +853,7 @@ def recording_provenance_check(ds, value_col: str, key: str,
         src = rec if rec.size == n and n > 0 else v
         row: dict = {key: [kval], "n": [np.int64(n)]}
         for q in qs:
-            row[f"p{int(q * 100)}"] = [float(src[_disc_index(q, n)])]
+            row[f"p{pct(q)}"] = [float(src[_disc_index(q, n)])]
         row["provenance_intact"] = [bool(ok)]
         return pd.DataFrame(row)
 

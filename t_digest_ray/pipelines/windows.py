@@ -32,6 +32,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..stages.aggregate import bucketed_map_groups, hash_bucketed_group_agg
+from .quantiles import pct
 
 
 def _epoch_us(col: pa.ChunkedArray) -> np.ndarray:
@@ -1026,7 +1027,7 @@ def session_duration_quantiles(ds, user_col: str, ts_col: str,
         n = len(v)
         row = {"n_sessions": np.array([n], dtype=np.int64)}
         for q in qs:
-            row[f"p{int(q * 100)}"] = np.array([v[_disc_rank(q, n) - 1]],
+            row[f"p{pct(q)}"] = np.array([v[_disc_rank(q, n) - 1]],
                                                dtype=np.int64)
         row["max_dur"] = np.array([v[-1]], dtype=np.int64)
         return pd.DataFrame(row)

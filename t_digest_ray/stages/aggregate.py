@@ -14,7 +14,11 @@ Every partial sketch in the library comes from ONE accumulator,
 (``pipelines.quantiles.make_fused_partials``), the checkpointed per-file
 partials (``pipelines.checkpoint.run_checkpointed``) and hand-built
 single-row partials all feed it batches and flush its wire rows. It groups
-each batch once, on Arrow dictionary codes, for every metric.
+each batch once, on Arrow dictionary codes, for every metric. For a plain
+t-digest it keeps each key's raw values while they fit the digest's temp
+buffer (what the digest itself would hold) and encodes every such key in
+one pass at flush; a key that would pass the buffer, or gets weights,
+replays its values into a ``TDigest`` and stays one.
 
 Raw values never shuffle — only serialized sketches (KBs per row), so the
 partial rows number (tasks x keys) and one task folds them all: every key's
@@ -24,9 +28,10 @@ fold visits each key's partials in sorted byte order, so the result is a
 function of the partial rows alone, never of the order Ray delivers them.
 For t-digests the fold and the query stage are batched over keys
 (``protocol.merge_bytes_many`` / ``summarize_many``: one segmented merge
-and encode for every key, one compress for every summary), byte for byte
-and value for value what the per-key calls give; other sketches keep the
-per-key loop.
+and encode for every key; one compress and, for ``tdigest_spec``'s
+quantiles and trimmed means, one segmented read for every summary), byte
+for byte and value for value what the per-key calls give; other sketches
+keep the per-key loop.
 
 The analytics operators share the other exchange, ``bucketed_map_groups``:
 raw rows hash-bucketed on typed key columns, one vectorized pandas fold per
@@ -47,8 +52,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..state.protocol import (SketchSpec, merge_bytes_many, summarize_many,
-                              to_bytes_many)
+from ..state.protocol import SketchSpec, merge_bytes_many, summarize_many
+from ..state.tdigest import (_buffer_cap, _plain_like, _seg_sort,
+                             _unit_bytes)
 from .partitioning import (DEFAULT_MIN_BUCKETS, cheap_row_count,
                            cluster_cpus, coarse_bucket_count, rows_per_task)
 
@@ -71,8 +77,24 @@ class KeyedSketches:
     ``np.bincount`` bounds split every metric's values (and the weights)
     by key. Within a key the values keep their input order, so each sketch
     sees exactly what a per-key filter of the batch would give it. A batch
-    visits its keys in sorted order; states, and so the flushed rows, keep
-    the order they were first seen in.
+    visits its keys in sorted order; the flushed rows keep the order their
+    (metric, key) was first seen in.
+
+    For a plain t-digest spec (``tdigest._plain_like``) a key starts as a
+    raw run: the value slices it was given, kept while their total fits
+    the digest's temp buffer (``_buffer_cap``, 1,005 points at
+    compression 100). Until the buffer fills, ``update_batch`` only
+    appends to it, so those slices are the digest's whole state. A key
+    that would pass the buffer, gets a slice of a whole buffer (the
+    digest's bulk path) or gets weights becomes a sketch: a fresh
+    ``spec.factory()`` replays its slices in order, one ``update_batch``
+    each, which gives the state the per-key calls would have given, and
+    the key stays a sketch. ``flush`` encodes every raw run at once (one
+    sort on (key, value), then ``tdigest._unit_bytes``), so the common
+    path builds no per-key object; a run holding a -0.0 replays and
+    takes ``to_bytes()``. Other specs (KLL, priority, ...) make every key
+    a sketch at once. A task holds at most one buffer of raw values per
+    key.
 
     Instances live inside one task: the flushed rows depend only on the
     rows that task added, which keeps tasks stateless and
@@ -85,15 +107,33 @@ class KeyedSketches:
         self._key_name = key_name  # for error messages only
         self._with_metric = with_metric
         self._key_type = pa.string()
-        self._acc: dict = {}  # (metric, key) -> [sketch, n]
+        self._like = _plain_like(spec)
+        # a raw run fits the digest's temp buffer and the unit table
+        self._cap = 0 if self._like is None else min(
+            self._like._temp_mean.size,
+            _buffer_cap(self._like.public_compression))
+        self._keys = None  # key values, by key id (first seen)
+        self._metrics: dict = {}  # metric -> (id, key id -> slot or -1)
+        # one slot per (metric, key), in first-seen order
+        self._slot_metric = np.empty(0, dtype=np.int64)
+        self._slot_key = np.empty(0, dtype=np.int64)
+        self._n = np.empty(0, dtype=np.float64)
+        self._raw = np.empty(0, dtype=np.int64)  # raw points; -1: sketch
+        self._sketches: dict = {}  # slot -> sketch
+        self._runs: list = []  # (values, slot per segment, segment lengths)
 
     def add(self, keys, values: dict, weights=None) -> None:
         """Update the sketches with one batch of Arrow columns: ``keys``,
         or None for the global key ""; ``values`` maps metric name -> value
         column; ``weights`` is optional per-row."""
         w = None if weights is None else weights.to_numpy(zero_copy_only=False)
-        order, groups = None, [(_GLOBAL_KEY, 0, None)]
-        if keys is not None:
+        order = None
+        if keys is None:
+            rows = len(next(iter(values.values()))) if values else 0
+            dictionary = pa.array([_GLOBAL_KEY])
+            counts = np.array([rows], dtype=np.int64)
+            by_key = np.zeros(1, dtype=np.int64)
+        else:
             col = keys.combine_chunks() \
                 if isinstance(keys, pa.ChunkedArray) else keys
             if col.null_count:
@@ -103,50 +143,171 @@ class KeyedSketches:
                     "before sketching")
             enc = pc.dictionary_encode(col)
             self._key_type = enc.type.value_type
+            dictionary = enc.dictionary
             codes = enc.indices.to_numpy(zero_copy_only=False)
             # a stable sort of 16-bit codes is a radix sort
-            order = np.argsort(codes.astype(np.uint16) if len(enc.dictionary)
+            order = np.argsort(codes.astype(np.uint16) if len(dictionary)
                                <= 1 << 16 else codes, kind="stable")
-            bounds = np.concatenate(([0], np.cumsum(
-                np.bincount(codes, minlength=len(enc.dictionary)))))
-            uniq = enc.dictionary.to_pylist()
-            groups = [(uniq[c], bounds[c], bounds[c + 1])
-                      for c in pc.sort_indices(enc.dictionary).to_pylist()
-                      if bounds[c + 1] > bounds[c]]
+            counts = np.bincount(codes, minlength=len(dictionary))
+            by_key = pc.sort_indices(dictionary).to_numpy()
+            by_key = by_key[counts[by_key] > 0]
             if w is not None:
                 w = w[order]
+        key_ids = self._key_ids(dictionary)
+        # segments in code order, which is the order of the sorted values
+        segs = np.flatnonzero(counts > 0) if order is not None \
+            else np.zeros(1, dtype=np.int64)
+        lens = counts[segs]
         for metric, vals in values.items():
             vals = vals.to_numpy(zero_copy_only=False)
             if order is not None:
                 vals = vals[order]
-            for k, lo, hi in groups:
-                acc = self._acc.get((metric, k))
-                if acc is None:
-                    acc = self._acc[(metric, k)] = [self._spec.factory(), 0.0]
-                part = vals[lo:hi]
-                acc[0].update_batch(part, None if w is None else w[lo:hi])
-                acc[1] += float(len(part))
+            slot_of_code = np.empty(len(dictionary), dtype=np.int64)
+            slot_of_code[by_key] = self._slots(metric, key_ids[by_key])
+            slots = slot_of_code[segs]
+            self._n[slots] += lens
+            self._update(slots, lens, vals, w)
+
+    def _key_ids(self, dictionary: pa.Array) -> np.ndarray:
+        """Each dictionary value's key id; new values get the next ids."""
+        if self._keys is None:
+            self._keys = dictionary
+            return np.arange(len(dictionary))
+        if dictionary.type != self._keys.type:
+            dictionary = dictionary.cast(self._keys.type)
+        ids = pc.index_in(dictionary, value_set=self._keys) \
+            .fill_null(-1).to_numpy().astype(np.int64)
+        new = ids < 0
+        if new.any():
+            ids[new] = len(self._keys) + np.arange(int(new.sum()))
+            self._keys = pa.concat_arrays([self._keys,
+                                         dictionary.filter(pa.array(new))])
+        return ids
+
+    def _slots(self, metric: str, key_ids: np.ndarray) -> np.ndarray:
+        """The slots of ``metric`` at ``key_ids``; unseen pairs get new
+        slots in ``key_ids`` order."""
+        mid, slot_of = self._metrics.get(metric, (len(self._metrics), None))
+        if slot_of is None or slot_of.size < len(self._keys):
+            grown = np.full(len(self._keys), -1, dtype=np.int64)
+            if slot_of is not None:
+                grown[:slot_of.size] = slot_of
+            slot_of = grown
+        self._metrics[metric] = (mid, slot_of)
+        slots = slot_of[key_ids]
+        new = slots < 0
+        if new.any():
+            k = int(new.sum())
+            slots[new] = self._n.size + np.arange(k)
+            slot_of[key_ids[new]] = slots[new]
+            self._slot_metric = np.append(self._slot_metric,
+                                          np.full(k, mid))
+            self._slot_key = np.append(self._slot_key, key_ids[new])
+            self._n = np.append(self._n, np.zeros(k))
+            self._raw = np.append(self._raw, np.zeros(k, dtype=np.int64))
+        return slots
+
+    def _update(self, slots, lens, vals, w) -> None:
+        """One metric's segments (values grouped by slot, in ``slots``
+        order) onto raw runs or sketches."""
+        raw = self._raw[slots] >= 0
+        total = self._raw[slots] + lens
+        grow = raw & ((w is not None) | (lens == 0) | (lens >= self._cap)
+                      | (total > self._cap))
+        if grow.any():
+            self._replay(slots[grow])
+        keep = raw & ~grow
+        if keep.any():
+            run = np.asarray(vals, dtype=np.float64)
+            if not keep.all():
+                run = run[np.repeat(keep, lens)]
+            if np.isnan(run.min()):  # as update_batch rejects it
+                raise ValueError("Cannot add NaN to t-digest")
+            self._raw[slots[keep]] = total[keep]
+            self._runs.append((run, slots[keep], lens[keep]))
+        ends = np.cumsum(lens)
+        for s, a, b in zip(slots[~keep].tolist(), (ends - lens)[~keep].tolist(),
+                           ends[~keep].tolist()):
+            self._sketches[s].update_batch(
+                vals[a:b], None if w is None else w[a:b])
+
+    def _replayed(self, slots: np.ndarray) -> dict:
+        """slot -> a fresh ``spec.factory()`` sketch fed the slot's raw
+        slices in the order they came: what the per-key calls built."""
+        out = {s: self._spec.factory() for s in slots.tolist()}
+        pending = np.zeros(self._n.size, dtype=bool)
+        pending[slots] = True
+        for run, ss, ls in self._runs:
+            ends = np.cumsum(ls)
+            for i in np.flatnonzero(pending[ss]).tolist():
+                out[int(ss[i])].update_batch(run[ends[i] - ls[i]:ends[i]])
+        return out
+
+    def _replay(self, slots: np.ndarray) -> None:
+        """Raw runs become sketches for good."""
+        self._sketches.update(self._replayed(slots))
+        self._raw[slots] = -1
+
+    def _run_values(self):
+        """The raw runs' values grouped by slot and sorted within each
+        slot, each slot's offsets into them and the slots in that order; a
+        run holding a -0.0 replays first."""
+        if not self._runs:
+            return np.empty(0), np.empty(0, dtype=np.int64), np.zeros(1)
+        vals, slots, lens = (np.concatenate(c) for c in zip(*self._runs))
+        owner = np.repeat(slots, lens)
+        live = self._raw[owner] > 0  # runs of later sketches are dead
+        neg0 = live & (vals == 0.0) & np.signbit(vals)
+        if neg0.any():
+            self._replay(np.unique(owner[neg0]))
+            live = self._raw[owner] > 0
+        if len(self._runs) != 1 or not live.all():
+            # a stable (radix, for 16-bit slots) sort on the slot
+            ids = owner.astype(np.uint16) if self._n.size <= 1 << 16 \
+                else owner
+            order = np.argsort(ids[live], kind="stable")
+            vals = vals[live][order]
+            slots = np.flatnonzero(self._raw > 0)
+            lens = self._raw[slots]
+        off = np.concatenate(([0], np.cumsum(lens)))
+        return _seg_sort(vals, off), slots.astype(np.int64), off
 
     def items(self):
-        """``((metric, key), [sketch, n])`` pairs in first-seen order."""
-        return self._acc.items()
+        """``((metric, key), (sketch, n))`` pairs in first-seen order; a
+        raw run shows as the sketch its replay gives."""
+        metrics = {mid: m for m, (mid, _s) in self._metrics.items()}
+        keys = [] if self._keys is None else \
+            self._keys.take(pa.array(self._slot_key)).to_pylist()
+        replayed = self._replayed(np.flatnonzero(self._raw >= 0))
+        for s, (mid, k) in enumerate(zip(self._slot_metric.tolist(), keys)):
+            sk = replayed[s] if s in replayed else self._sketches[s]
+            yield (metrics[mid], k), (sk, float(self._n[s]))
 
     def flush(self) -> pa.Table:
         """Wire rows ``(key, sketch, n[, metric])``, one per (metric, key).
         With no rows added the table is empty but keeps the full wire
         schema."""
-        items = list(self._acc.items())
-        cols = {
-            KEY_COL: pa.array([k for (_m, k), _ in items],
-                              type=self._key_type),
-            SKETCH_COL: pa.array(to_bytes_many(sk for _, (sk, _n) in items),
-                                 type=pa.binary()),
-            COUNT_COL: pa.array([n for _, (_sk, n) in items],
-                                type=pa.float64()),
-        }
+        vals, raw, off = self._run_values()
+        sketches = [self._sketches[s].to_bytes()
+                    for s in np.flatnonzero(self._raw < 0).tolist()]
+        sketch = pa.array(sketches, type=pa.binary())
+        if raw.size:
+            like = self._like
+            # raw rows first, then the sketches; take puts them in slot order
+            place = np.empty(self._n.size, dtype=np.int64)
+            place[raw] = np.arange(raw.size)
+            place[self._raw < 0] = raw.size + np.arange(len(sketches))
+            sketch = pa.concat_arrays([
+                _unit_bytes(vals, off, like.scale, like.public_compression),
+                sketch]).take(pa.array(place))
+        keys = pa.array([], type=self._key_type) if self._keys is None \
+            else self._keys.take(pa.array(self._slot_key)).cast(self._key_type)
+        cols = {KEY_COL: keys, SKETCH_COL: sketch,
+                COUNT_COL: pa.array(self._n, type=pa.float64())}
         if self._with_metric:
-            cols[METRIC_COL] = pa.array([m for (m, _k), _ in items],
-                                        type=pa.string())
+            names = sorted(self._metrics, key=lambda m: self._metrics[m][0])
+            cols[METRIC_COL] = pa.array(names, type=pa.string()).take(
+                pa.array(self._slot_metric))
         return pa.table(cols)
 
 

@@ -42,6 +42,7 @@ def sort_merge_join(left, right, on: str, left_cols, right_cols,
     """Inner sort-merge join of two Datasets on an int64 key ``on``.
     Returns columns ``[on] + left_cols + right_cols``, key-ordered
     within and across range buckets."""
+    from ..pipelines.quantiles import pct
     from ..pipelines.selection import selection_quantiles_by_key
 
     left_cols = list(left_cols)
@@ -57,7 +58,7 @@ def sort_merge_join(left, right, on: str, left_cols, right_cols,
     qt = selection_quantiles_by_key(left.map_batches(
         keyed, batch_format="pyarrow"), "_all", on, qs=qs,
         already_cents=True)
-    bounds = np.array([int(qt[f"p{int(q * 100)}_cents"].iloc[0])
+    bounds = np.array([int(qt[f"p{pct(q)}_cents"].iloc[0])
                        for q in qs], dtype=np.int64)
 
     types = dict(types) if types else {}

@@ -14,11 +14,10 @@ Contract (all sketches in ``t_digest_ray.state`` implement it):
   the sketch's published error bound; in-place, returns self.
 * ``to_bytes() / from_bytes(b)``          — stable byte encoding used for the
   shuffle (Arrow ``binary`` column) and for checkpoints. A class may also
-  offer ``to_bytes_many(sketches)``, the same bytes for many sketches in one
-  call; ``to_bytes_many`` below uses it when present. Likewise a class's
-  ``merge_bytes_many(groups, spec)`` serves ``merge_bytes_many`` (many
-  ``spec.merge_bytes(...).to_bytes()`` at once), and a summary callable's
-  class's ``many(spec, blobs)`` serves ``summarize_many``.
+  offer ``merge_bytes_many(groups, spec)``, which serves
+  ``merge_bytes_many`` (many ``spec.merge_bytes(...).to_bytes()`` at
+  once), and a summary callable's class's ``many(spec, blobs)`` serves
+  ``summarize_many``.
 
 A ``SketchSpec`` names a concrete configuration (factory + how to read its
 summary) so pipelines can be written generically over sketch kinds.
@@ -74,16 +73,6 @@ class SketchSpec:
         return base.merge(*sketches)
 
 
-def to_bytes_many(sketches) -> list[bytes]:
-    """``[s.to_bytes() for s in sketches]``, through the first sketch's
-    class's batched ``to_bytes_many`` when it has one (``TDigest``'s builds
-    every fresh per-key digest of a batch in one pass)."""
-    sketches = list(sketches)
-    many = getattr(type(sketches[0]), "to_bytes_many", None) \
-        if sketches else None
-    return many(sketches) if many else [s.to_bytes() for s in sketches]
-
-
 def merge_bytes_many(spec: SketchSpec, groups) -> list[bytes]:
     """``[spec.merge_bytes(g).to_bytes() for g in groups]``.
 
@@ -107,7 +96,9 @@ def merge_bytes_many(spec: SketchSpec, groups) -> list[bytes]:
 def summarize_many(spec: SketchSpec, blobs) -> list[dict[str, Any]]:
     """``[spec.summarize(spec.from_bytes(b)) for b in blobs]``, through
     the summary callable's class's ``many(spec, blobs)`` when it has one
-    (``tdigest.CompressedSummary`` compresses every digest in one pass)."""
+    (``tdigest.QuantileSummary`` reads every column of every digest in
+    one segmented pass, ``tdigest.CompressedSummary`` compresses every
+    digest in one pass)."""
     blobs = list(blobs)
     many = getattr(type(spec.summarize), "many", None)
     if many:

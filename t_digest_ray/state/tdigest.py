@@ -36,16 +36,19 @@ Differences by design (this is a Ray-Data-native rebuild, not a port):
   walk itself (so exact on any CPU) for n up to a temp buffer (1,005 points
   at compression 100). ``_unit_clusters`` applies it to many segments at
   once, each with its own running sums. ``_cluster`` uses it as the
-  one-segment case, and ``TDigest.to_bytes_many`` encodes every fresh
-  per-key digest of a batch in one pass (one sort on (digest, value)) with
-  the bytes ``to_bytes`` gives.
+  one-segment case, and ``_unit_bytes`` encodes many runs of raw points
+  at once (``stages.aggregate.KeyedSketches`` keeps a key's points raw
+  while they fit a temp buffer) with the bytes ``to_bytes`` gives.
 * weighted merges are batched too: ``_seg_walk`` runs the k-limit walk of
   many digests in lockstep (float64 numpy arithmetic, math's log/exp per
   element, one complex-keyed ``searchsorted`` for every segment), so
   ``TDigest.merge_bytes_many`` merges, compresses and encodes every key's
-  partials of an exchange at once, and ``compressed_many`` compresses
-  every digest a summary reads, each with the bytes and values of the
-  per-digest calls. The scalar ``_walk`` stays for single-digest updates.
+  partials of an exchange at once, and ``_compressed`` compresses every
+  digest a summary reads, each with the bytes and values of the
+  per-digest calls. ``QuantileSummary`` then reads every quantile and
+  trimmed mean off those arrays in one segmented pass (``_seg_cumsum``:
+  each segment's sequential running sum, bit for bit). The scalar
+  ``_walk`` stays for single-digest updates.
 * weights are float64 (integral weights stay exact below 2**53), avoiding the
   reference's int-overflow hazard (BigCount.java:28-54).
 """
@@ -468,34 +471,6 @@ class TDigest:
         return head + body.tobytes()
 
     @classmethod
-    def to_bytes_many(cls, digests) -> list[bytes]:
-        """``[d.to_bytes() for d in digests]``, with every fresh unit-weight
-        digest encoded in one vectorized pass.
-
-        A digest takes the pass when it is a plain ``TDigest`` holding only
-        buffered weight-1 points (no centroids, an even merge count), none
-        of them -0.0 (a sort may put it on either side of 0.0), at the first
-        plain digest's scale and compression. Those points sort once on
-        (digest, value) and ``_unit_clusters`` emits every digest's
-        centroids at once. Any other digest calls ``to_bytes()``. Unlike
-        ``to_bytes``, the pass leaves its digests' buffers as they are.
-        """
-        digests = list(digests)
-        out = [None] * len(digests)
-        first = next((d for d in digests if type(d) is TDigest), None)
-        if first is not None:
-            scale, comp = first.scale, first.public_compression
-            cap = _buffer_cap(comp)
-            idx = [i for i, d in enumerate(digests)
-                   if type(d) is TDigest and not d._n
-                   and not d._merge_count & 1 and d.scale == scale
-                   and d.public_compression == comp and d._temp_used <= cap]
-            for i, b in zip(idx, _unit_bytes([digests[i] for i in idx],
-                                             scale, comp)):
-                out[i] = b
-        return [d.to_bytes() if b is None else b for d, b in zip(digests, out)]
-
-    @classmethod
     def merge_bytes_many(cls, groups, spec) -> list:
         """For each group of encoded digests, the bytes of
         ``spec.merge_bytes(group).to_bytes()``, or None for a group the
@@ -549,16 +524,9 @@ class TDigest:
             cm, cw, co = _seg_cluster(cm, cw, co, like.scale,
                                       like.public_compression)
         lo, hi = _lower(lo, cm[co[:-1]]), _higher(hi, cm[co[1:] - 1])
-        body = np.empty(2 * cm.size, dtype=">f8")
-        body[0::2] = cw
-        body[1::2] = cm
-        body = body.tobytes()
-        head = struct.Struct(">idddi").pack
-        cb = (16 * co).tolist()
-        for g, a, b, mn, mx in zip(gids.tolist(), cb, cb[1:], lo.tolist(),
-                                   hi.tolist()):
-            out[g] = head(VERBOSE_ENCODING, mn, mx, like.public_compression,
-                          (b - a) // 16) + body[a:b]
+        enc = _verbose_array(cm, cw, co, lo, hi, like.public_compression)
+        for g, b in zip(gids.tolist(), enc.to_pylist()):
+            out[g] = b
         return out
 
     @classmethod
@@ -567,33 +535,15 @@ class TDigest:
         """``[from_bytes(b, scale) for b in blobs]``, each then
         ``compress()``ed, with every VERBOSE digest of finite centroids and
         positive weights compressed in one ``_seg_cluster`` pass per
-        compression. ``blobs`` is a list of bytes or an Arrow binary array.
-        Other blobs take ``from_bytes`` and ``compress()``."""
-        if not isinstance(blobs, pa.Array):
-            blobs = pa.array(list(blobs), type=pa.binary())
-        scale = get_scale(scale)
-        ok, lo, hi, comp, cstart, m, w = _decode_verbose(blobs)
-        ok &= cstart[1:] > cstart[:-1]
+        compression (``_compressed``). ``blobs`` is a list of bytes or an
+        Arrow binary array. Other blobs take ``from_bytes`` and
+        ``compress()``."""
+        blobs = _binary(blobs)
         out = [None] * len(blobs)
-        for c in np.unique(comp[ok]).tolist():
-            pick = ok & (comp == c)
-            ids = np.flatnonzero(pick)
-            keep = np.repeat(pick, np.diff(cstart))
-            lm, lw = m[keep], w[keep]
-            off = np.concatenate(([0], np.cumsum(np.diff(cstart)[ids])))
-            # _cluster's stable sort on the mean, for out-of-order blobs
-            lanes = np.repeat(np.arange(ids.size), np.diff(off))
-            down = np.unique(lanes[1:][(lm[1:] < lm[:-1])
-                                       & (lanes[1:] == lanes[:-1])])
-            for a, b in zip(off[down].tolist(), off[down + 1].tolist()):
-                o = np.argsort(lm[a:b], kind="stable") + a
-                lm[a:b], lw[a:b] = lm[o], lw[o]
-            pub = max(float(c), 10.0)
-            cm, cw, co = _seg_cluster(lm, lw, off, scale, pub)
-            mins = _lower(lo[ids], cm[co[:-1]]).tolist()
-            maxs = _higher(hi[ids], cm[co[1:] - 1]).tolist()
+        for pub, ids, cm, cw, co, mins, maxs in _compressed(blobs, scale):
             for i, a, b, mn, mx in zip(ids.tolist(), co[:-1].tolist(),
-                                       co[1:].tolist(), mins, maxs):
+                                       co[1:].tolist(), mins.tolist(),
+                                       maxs.tolist()):
                 d = cls(pub, scale)
                 n = b - a
                 if n > d._mean.size:
@@ -691,6 +641,178 @@ class CompressedSummary:
                 for d in TDigest.compressed_many(blobs, like.scale)]
 
 
+class QuantileSummary:
+    """The t-digest summary stated as data: quantile columns ``(name, q)``,
+    trimmed-mean columns ``(name, lo, hi)`` and, with ``minmax``, the
+    digest's ``min`` and ``max`` (NaN when empty), in that column order.
+    ``summary(sk)`` compresses ``sk`` and reads it with
+    ``TDigest.quantile`` / ``trimmed_mean``. ``summary.many(spec, blobs)``
+    gives ``[summary(spec.from_bytes(b)) for b in blobs]`` value for value;
+    for a plain t-digest spec (``_plain_like``) it reads every column of
+    every digest ``_compressed`` decodes in one segmented pass
+    (``_quantile_lanes``, ``_trimmed_means``), and other blobs take the
+    per-digest read. ``protocol.summarize_many`` reaches it."""
+
+    __slots__ = ("quantiles", "trims", "minmax")
+
+    def __init__(self, quantiles=(), trims=(), minmax: bool = True):
+        self.quantiles = tuple((c, float(q)) for c, q in quantiles)
+        self.trims = tuple((c, float(lo), float(hi)) for c, lo, hi in trims)
+        self.minmax = minmax
+
+    def __call__(self, sk: TDigest) -> dict:
+        sk.compress()
+        out = {c: sk.quantile(q) for c, q in self.quantiles}
+        for c, lo, hi in self.trims:
+            out[c] = sk.trimmed_mean(lo, hi)
+        if self.minmax:
+            out["min"] = sk.min if sk.size else float("nan")
+            out["max"] = sk.max if sk.size else float("nan")
+        return out
+
+    def many(self, spec, blobs) -> list[dict]:
+        like = _plain_like(spec)
+        qs = [q for _c, q in self.quantiles]
+        if like is None or not all(0.0 <= q <= 1.0 for q in qs):
+            return [self(spec.from_bytes(b)) for b in blobs]
+        blobs = _binary(blobs)
+        names = [c for c, _q in self.quantiles] \
+            + [c for c, _lo, _hi in self.trims] \
+            + (["min", "max"] if self.minmax else [])
+        out = [None] * len(blobs)
+        for _pub, ids, cm, cw, co, mins, maxs in _compressed(blobs,
+                                                              like.scale):
+            total = _seg_total(cw, co)
+            cols = [*_quantile_lanes(qs, cm, cw, co, total, mins, maxs).T,
+                    *_trimmed_means(self.trims, cm, cw, co, total)]
+            if self.minmax:
+                cols += [mins, maxs]
+            for i, *row in zip(ids.tolist(), *(c.tolist() for c in cols)):
+                out[i] = dict(zip(names, row))
+        return [self(spec.from_bytes(blobs[i].as_py())) if r is None else r
+                for i, r in enumerate(out)]
+
+
+def _seg_total(w: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Each segment's ``w[a:b].sum()``, the total a decoded digest keeps.
+    Integral weights below 2**53 sum exactly in any order, so those
+    segments take one ``reduceat``; the others sum one by one (numpy sums
+    pairwise)."""
+    starts = off[:-1]
+    total = np.add.reduceat(w, starts)
+    odd = np.flatnonzero(np.logical_or.reduceat(w != np.floor(w), starts)
+                         | (total >= 2.0 ** 53))
+    for i, a, b in zip(odd.tolist(), off[odd].tolist(),
+                       off[odd + 1].tolist()):
+        total[i] = w[a:b].sum()
+    return total
+
+
+def _quantile_lanes(qs, m: np.ndarray, w: np.ndarray, off: np.ndarray,
+                    total: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray) -> np.ndarray:
+    """``TDigest.quantile(q)`` of many compressed digests at every q of
+    ``qs`` (each in [0, 1]), as a (digests, qs) array, value for value.
+
+    Digest i has centroids ``m, w[off[i]:off[i + 1]]`` (at least one),
+    weight ``total[i]`` and extremes ``lo[i]``, ``hi[i]``. The loop's
+    running weight ``w_so_far`` is one sequential ``_seg_cumsum`` of
+    ``w[0] / 2, (w[0] + w[1]) / 2, ...`` per digest, the same float
+    additions in the same order, and one ``searchsorted`` over every
+    (digest, q) lane finds where the loop stops. Each early return of the
+    loop is a mask, taken in the loop's order by ``np.select``."""
+    k, nq = off.size - 1, len(qs)
+    starts, last = off[:-1], off[1:] - 1
+    half = np.empty_like(w)
+    half[1:] = (w[:-1] + w[1:]) / 2
+    half[starts] = w[starts] / 2
+    run = _seg_cumsum(half, off)  # w_so_far before centroid j's step
+    lane = np.repeat(np.arange(k), nq)
+    q = np.tile(np.asarray(qs, dtype=np.float64), k)
+    tot, mn, mx = total[lane], lo[lane], hi[lane]
+    a, z = starts[lane], last[lane]
+    index = q * tot
+    # where the loop stops: its first i with w_so_far + dw > index
+    key = np.empty(run.size, dtype=np.complex128)
+    key.real = np.repeat(np.arange(k), np.diff(off))
+    key.imag = run
+    probe = np.empty(lane.size, dtype=np.complex128)
+    probe.real, probe.imag = lane, index
+    nxt = key.searchsorted(probe, side="right")
+    found = nxt <= z
+    # centroids i and j = i + 1 of the stopping step; lanes an earlier
+    # branch takes read any in-digest pair
+    i = np.maximum(np.minimum(nxt, z) - 1, a)
+    j = np.minimum(i + 1, z)
+    w0, wl, m0, ml = w[a], w[z], m[a], m[z]
+    with np.errstate(all="ignore"):
+        so_far, passed = run[i], run[j]
+        left_unit = np.where(w[i] == 1, 0.5, 0.0)
+        right_unit = np.where(w[j] == 1, 0.5, 0.0)
+        inner = _clamped_average(m[i], passed - index - right_unit,
+                                 m[j], index - so_far - left_unit)
+        z1 = index - tot - wl / 2.0
+        tail = _clamped_average(ml, z1, mx, wl / 2 - z1)
+        out = np.select([
+            a == z,
+            index < 1,
+            (w0 > 1) & (index < w0 / 2),
+            index > tot - 1,
+            (wl > 1) & (tot - index <= wl / 2),
+            ~found,
+            (w[i] == 1) & (index - so_far < 0.5),
+            (w[j] == 1) & (passed - index <= 0.5),
+        ], [
+            m0,
+            mn,
+            mn + (index - 1) / (w0 / 2 - 1) * (m0 - mn),
+            mx,
+            mx - (tot - index - 1) / (wl / 2 - 1) * (mx - ml),
+            tail,
+            m[i],
+            m[j],
+        ], inner)
+    return out.reshape(k, nq)
+
+
+def _clamped_average(x1, w1, x2, w2) -> np.ndarray:
+    """``_weighted_average`` elementwise: the average clamped into
+    ``[min(x1, x2), max(x1, x2)]`` with Python's ``max``/``min`` ties."""
+    x = (x1 * w1 + x2 * w2) / (w1 + w2)
+    low, high = np.where(x1 <= x2, x1, x2), np.where(x1 <= x2, x2, x1)
+    x = np.where(low > x, low, x)
+    return np.where(high < x, high, x)
+
+
+def _trimmed_means(trims, m: np.ndarray, w: np.ndarray, off: np.ndarray,
+                   total: np.ndarray) -> list[np.ndarray]:
+    """``TDigest.trimmed_mean(lo, hi)`` of many compressed digests for each
+    ``(name, lo, hi)`` of ``trims``, value for value: the clipped window
+    weights come from one ``_seg_cumsum``; their two sums stay per
+    digest, as the loop sums them (numpy sums pairwise)."""
+    if not trims:
+        return []
+    cum = _seg_cumsum(w, off)
+    left = np.empty_like(cum)
+    left[1:] = cum[:-1]
+    left[off[:-1]] = 0.0
+    lens = np.diff(off)
+    spans = list(zip(off[:-1].tolist(), off[1:].tolist()))
+    cols = []
+    for _c, lo, hi in trims:
+        take = np.minimum(cum, np.repeat(hi * total, lens)) \
+            - np.maximum(left, np.repeat(lo * total, lens))
+        take = np.clip(take, 0.0, None)
+        mt = m * take
+        col = np.full(lens.size, np.nan)
+        for j, (a, b) in enumerate(spans):
+            tw = take[a:b].sum()
+            if tw > 0:
+                col[j] = mt[a:b].sum() / tw
+        cols.append(col)
+    return cols
+
+
 def _plain_like(spec) -> TDigest | None:
     """A fresh ``spec.factory()`` digest when the spec is a plain t-digest
     (a ``TDigest``, not a subclass) whose ``from_bytes`` decodes a
@@ -705,6 +827,45 @@ def _plain_like(spec) -> TDigest | None:
     probe = spec.from_bytes(spec.factory().to_bytes())
     return like if type(probe) is TDigest and probe.scale == like.scale \
         else None
+
+
+def _binary(blobs) -> pa.Array:
+    """A list of bytes (or an Arrow binary array) as an Arrow binary
+    array."""
+    if isinstance(blobs, pa.ChunkedArray):
+        return blobs.combine_chunks()
+    if isinstance(blobs, pa.Array):
+        return blobs
+    return pa.array(list(blobs), type=pa.binary())
+
+
+def _compressed(blobs: pa.Array, scale):
+    """What ``from_bytes`` then ``compress()`` leaves of every VERBOSE blob
+    of finite centroids and positive weights, as arrays: yields one
+    ``(public compression, blob ids, means, weights, offsets, mins,
+    maxs)`` per distinct compression, blob ``ids[j]``'s centroids at
+    ``offsets[j]:offsets[j + 1]``. Blobs it skips (other encodings, no
+    centroid, a bad value) are in no id list."""
+    scale = get_scale(scale)
+    ok, lo, hi, comp, cstart, m, w = _decode_verbose(blobs)
+    ok &= cstart[1:] > cstart[:-1]
+    for c in np.unique(comp[ok]).tolist():
+        pick = ok & (comp == c)
+        ids = np.flatnonzero(pick)
+        keep = np.repeat(pick, np.diff(cstart))
+        lm, lw = m[keep], w[keep]
+        off = np.concatenate(([0], np.cumsum(np.diff(cstart)[ids])))
+        # _cluster's stable sort on the mean, for out-of-order blobs
+        lanes = np.repeat(np.arange(ids.size), np.diff(off))
+        down = np.unique(lanes[1:][(lm[1:] < lm[:-1])
+                                   & (lanes[1:] == lanes[:-1])])
+        for a, b in zip(off[down].tolist(), off[down + 1].tolist()):
+            o = np.argsort(lm[a:b], kind="stable") + a
+            lm[a:b], lw[a:b] = lm[o], lw[o]
+        pub = max(float(c), 10.0)
+        cm, cw, co = _seg_cluster(lm, lw, off, scale, pub)
+        yield (pub, ids, cm, cw, co, _lower(lo[ids], cm[co[:-1]]),
+               _higher(hi[ids], cm[co[1:] - 1]))
 
 
 class RecordingDigest(TDigest):
@@ -855,42 +1016,50 @@ def _unit_starts(n: int, scale: ScaleFunction,
     return starts, ends
 
 
-def _unit_bytes(digests: list, scale: ScaleFunction,
-                compression: float) -> list:
-    """``to_bytes`` of fresh digests whose buffered points all have weight
-    1, or None for a digest holding another weight or a -0.0."""
-    if not digests:
-        return []
-    lens = [d._temp_used for d in digests]
-    vals = np.concatenate([d._temp_mean[:n] for d, n in zip(digests, lens)])
-    wts = np.concatenate([d._temp_weight[:n] for d, n in zip(digests, lens)])
-    seg = np.repeat(np.arange(len(digests)), lens)
-    ok = np.ones(len(digests), dtype=bool)
-    ok[seg[(wts != 1.0) | ((vals == 0.0) & np.signbit(vals))]] = False
-    if not ok.all():  # their segments go on empty; to_bytes() encodes them
-        keep = ok[seg]
-        vals, seg = vals[keep], seg[keep]
-    # sort on (digest, value): a quicksort of the values, then a stable
-    # (radix, for 16-bit ids) sort of their digest ids
-    order = np.argsort(vals)
-    ids = seg.astype(np.uint16 if len(digests) <= 1 << 16 else np.int64)
-    vals = vals[order][np.argsort(ids[order], kind="stable")]
-    bounds = [0, *np.cumsum(np.bincount(seg, minlength=len(digests)))
-              .tolist()]
-    means, weights, cb = _unit_clusters(vals, bounds, scale, compression)
-    body = np.empty(2 * means.size, dtype=">f8")
-    body[0::2] = weights
-    body[1::2] = means
-    body = body.tobytes()
-    head = struct.Struct(">idddi").pack
-    cb = (16 * cb).tolist()
-    return [head(VERBOSE_ENCODING, d.min if b > a else np.inf,
-                 d.max if b > a else -np.inf, compression,
-                 (b - a) // 16) + body[a:b] if good else None
-            for d, good, a, b in zip(digests, ok.tolist(), cb, cb[1:])]
+def _unit_bytes(vals: np.ndarray, off: np.ndarray, scale: ScaleFunction,
+                compression: float) -> pa.Array:
+    """The VERBOSE bytes ``to_bytes`` gives fresh digests holding only
+    buffered weight-1 points, one per run: ``vals[off[i]:off[i + 1]]`` is
+    run i's points sorted ascending, non-empty, within a temp buffer and
+    free of -0.0 (a sort may put it on either side of 0.0). The header's
+    min and max are each run's first and last point."""
+    means, weights, cb = _unit_clusters(vals, off, scale, compression)
+    return _verbose_array(means, weights, cb, vals[off[:-1]],
+                          vals[off[1:] - 1], compression)
 
 
-def _unit_clusters(vals: np.ndarray, bounds: list[int],
+_VERBOSE_HEAD = np.dtype([("code", ">i4"), ("min", ">f8"), ("max", ">f8"),
+                          ("compression", ">f8"), ("n", ">i4")])
+
+
+def _verbose_array(means: np.ndarray, weights: np.ndarray, co: np.ndarray,
+                   lo: np.ndarray, hi: np.ndarray,
+                   compression: float) -> pa.Array:
+    """An Arrow binary array of VERBOSE encodings, digest i's centroids at
+    ``co[i]:co[i + 1]`` with header min ``lo[i]`` and max ``hi[i]``: the
+    bytes ``to_bytes`` packs, written into one buffer. The 32-byte header
+    and each 16-byte centroid are whole 16-byte rows of that buffer."""
+    k = co.size - 1
+    head = np.empty(k, dtype=_VERBOSE_HEAD)
+    head["code"] = VERBOSE_ENCODING
+    head["min"], head["max"] = lo, hi
+    head["compression"] = compression
+    head["n"] = np.diff(co)
+    body = np.empty((means.size, 2), dtype=">f8")
+    body[:, 0], body[:, 1] = weights, means
+    rows = np.empty(2 * k + means.size, dtype="V16")
+    at = 2 * np.arange(k) + co[:-1]  # digest i's header rows
+    head = head.view("V16").reshape(k, 2)
+    rows[at], rows[at + 1] = head[:, 0], head[:, 1]
+    rows[np.arange(means.size) + 2 * np.repeat(np.arange(1, k + 1),
+                                                np.diff(co))] = \
+        body.view("V16").ravel()
+    offsets = (32 * np.arange(k + 1) + 16 * co).astype(np.int32)
+    return pa.Array.from_buffers(pa.binary(), k, [
+        None, pa.py_buffer(offsets), pa.py_buffer(rows.view(np.uint8))])
+
+
+def _unit_clusters(vals: np.ndarray, bounds: np.ndarray,
                    scale: ScaleFunction, compression: float
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cluster many unit-weight segments in one vectorized pass.
@@ -901,8 +1070,8 @@ def _unit_clusters(vals: np.ndarray, bounds: list[int],
     each segment's centroid offsets; every segment's centroids are exactly
     what the scalar walk of ``_cluster`` gives that segment alone.
     """
-    if len(bounds) == 2:  # one segment: its table indexes vals directly
-        gs, ge = _unit_starts(bounds[1], scale, compression)
+    if bounds.size == 2:  # one segment: its table indexes vals directly
+        gs, ge = _unit_starts(int(bounds[1]), scale, compression)
         base, cb = 0, np.array([0, gs.size])
         cum = np.cumsum(vals)
     else:
@@ -921,8 +1090,7 @@ def _unit_clusters(vals: np.ndarray, bounds: list[int],
         ge = base + np.concatenate([t[1] for t in tables])[pick]
         # each segment keeps its own running sum: one running sum across
         # segments changes the last bits of the cluster means
-        cum = np.concatenate([vals[a:b].cumsum()
-                              for a, b in zip(bounds[:-1], bounds[1:])])
+        cum = _seg_cumsum(vals, bounds)
     # the scalar path's tail with unit weights: cumulative weights are the
     # indices, so a cluster's weight is its point count
     first, last = vals[gs], vals[ge]
@@ -962,7 +1130,7 @@ def _seg_cluster(m: np.ndarray, w: np.ndarray, off: np.ndarray,
         else:
             km, kw, koff = m, w, off
         if kind is unit:
-            pm, pw, pc = _unit_clusters(km, koff.tolist(), scale, compression)
+            pm, pw, pc = _unit_clusters(km, koff, scale, compression)
         elif kind is short:
             pm, pw, pc = km, kw, koff
         else:
@@ -1015,12 +1183,67 @@ def _walk_clusters(m: np.ndarray, w: np.ndarray, off: np.ndarray,
     return np.clip(out_m, lo, hi), out_w, co
 
 
+def _seg_rows(off: np.ndarray):
+    """The segments ``off[i]:off[i + 1]`` as rows of 2-D arrays, one per
+    power-of-two length class (so padding at most doubles the work):
+    yields ``(pick, fill)`` per class, ``pick`` selecting its segments'
+    elements in order and ``fill`` marking where they sit, left-aligned,
+    in a (segments, longest) grid."""
+    lens = np.diff(off)
+    cls = np.frexp(lens)[1]  # 2**(c-1) <= len < 2**c; 0 when empty
+    kinds = np.unique(cls[lens > 0])
+    for c in kinds.tolist():
+        rows = cls == c
+        ln = lens[rows]
+        fill = np.arange(int(ln.max())) < ln[:, None]
+        yield (np.repeat(rows, lens) if kinds.size > 1 else slice(None),
+               fill)
+
+
 def _seg_cumsum(x: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Each segment ``x[off[i]:off[i + 1]]``'s own sequential running sum,
-    bit for bit what ``np.cumsum`` gives the segment alone."""
+    bit for bit what ``np.cumsum`` gives the segment alone: one
+    ``np.cumsum(axis=1)`` per ``_seg_rows`` grid, zero-padded.
+    ``add.accumulate`` along a row is the same sequential loop as on the
+    row alone, and the padding trails every segment, so it never enters a
+    sum."""
+    if off.size == 2:
+        return np.cumsum(x)
     out = np.empty_like(x)
-    for a, b in zip(off[:-1].tolist(), off[1:].tolist()):
-        np.cumsum(x[a:b], out=out[a:b])
+    for pick, fill in _seg_rows(off):
+        grid = np.zeros(fill.shape, dtype=x.dtype)
+        grid[fill] = x[pick]
+        out[pick] = np.cumsum(grid, axis=1)[fill]
+    return out
+
+
+def _seg_sort(x: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Each segment ``x[off[i]:off[i + 1]]`` (NaN-free) sorted ascending.
+    Segments of 32 points or more sort as ``_seg_rows`` grid rows padded
+    with +inf; the shorter ones take one quicksort of their values and a
+    stable (radix) sort of their segment ids, where a row sort would cost
+    more than its few points."""
+    lens = np.diff(off)
+    long = lens >= 32
+    out = np.empty_like(x)
+    for part, sort_rows in ((long, True), (~long, False)):
+        if not part.any():
+            continue
+        pick = slice(None) if part.all() else np.repeat(part, lens)
+        xs, ls = x[pick], lens[part]
+        if sort_rows:
+            for p, fill in _seg_rows(np.concatenate(([0], np.cumsum(ls)))):
+                grid = np.full(fill.shape, np.inf)
+                grid[fill] = xs[p]
+                grid.sort(axis=1)
+                xs[p] = grid[fill]
+        else:
+            seg = np.repeat(np.arange(ls.size), ls)
+            order = np.argsort(xs)
+            seg = seg[order]
+            seg = seg.astype(np.uint16) if ls.size <= 1 << 16 else seg
+            xs = xs[order][np.argsort(seg, kind="stable")]
+        out[pick] = xs
     return out
 
 

@@ -1,7 +1,8 @@
 """Property-based tests (hypothesis): invariants that must hold for ANY
 input, not just the seeded fixtures — weight conservation, quantile
-monotonicity and range, merge equivalence, serde round trips, and the
-one-pass unit-weight encoder's bytes."""
+monotonicity and range, merge equivalence, serde round trips, the
+partial layer's bytes against the per-key path and the segmented
+summaries against the per-digest reads."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import copy
 from unittest import mock
 
 import numpy as np
+import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -410,9 +412,9 @@ KINDS = ["fresh", "rounded", "weighted", "merged", "backwards", "other"]
 @st.composite
 def digest_batches(draw):
     """Digests of one scale and compression: fresh unit-weight ones (the
-    one-pass path) beside every fallback — weighted points, centroids from
-    a merge or a compress (the next pass runs backwards), another
-    compression — with ties, -0.0 and group sizes around the buffer."""
+    table's path) beside weighted points, centroids from a merge or a
+    compress (the next pass runs backwards) and another compression, with
+    ties, -0.0 and group sizes around the buffer."""
     scale = draw(st.sampled_from(SCALES))
     comp = draw(st.integers(10, 500))
     cap = _buffer_cap(float(comp))
@@ -444,11 +446,147 @@ def digest_batches(draw):
     return digests
 
 
-@settings(max_examples=60, deadline=None)
-@given(digest_batches())
-def test_to_bytes_many_matches_to_bytes(digests):
-    want = [copy.deepcopy(d).to_bytes() for d in digests]
-    assert TDigest.to_bytes_many(digests) == want
+VALUE_KINDS = ["plain", "rounded", "neg_zero", "zero_extremes"]
+
+
+@st.composite
+def keyed_batches(draw):
+    """A spec and the batches one task feeds ``KeyedSketches``: a plain
+    t-digest at any scale and compression, or a KLL spec; int keys whose
+    totals sit at the temp buffer's cap - 1, cap and cap + 1 or anywhere
+    below; one batch or several chunks (a key's slice of a whole buffer
+    takes ``update_batch``'s bulk path, a later slice past the buffer
+    replays); ties, a -0.0 inside a run, 0.0 and -0.0 as a run's
+    extremes; weighted batches; one or two metrics; the global key."""
+    from t_digest_ray.pipelines.quantiles import kll_spec, tdigest_spec
+
+    scale = draw(st.sampled_from(SCALES))
+    comp = draw(st.integers(10, 300))
+    kll = draw(st.integers(0, 5)) == 0
+    spec = kll_spec(32) if kll else tdigest_spec(comp, scale)
+    cap = _buffer_cap(float(comp))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sizes = draw(st.lists(st.one_of(
+        st.sampled_from([1, 2, cap - 1, cap, cap + 1]),
+        st.integers(1, 300)), min_size=1, max_size=6))
+    keys = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    vals = np.empty(keys.size)
+    for k, n in enumerate(sizes):
+        v = rng.normal(0, 1, n)
+        kind = VALUE_KINDS[rng.integers(len(VALUE_KINDS))]
+        if kind == "rounded":
+            v = np.round(v, 1)  # ties, and -0.0 beside 0.0
+        elif kind == "neg_zero":
+            v[rng.integers(0, n, 2)] = -0.0
+        elif kind == "zero_extremes":
+            v = np.abs(v) * rng.choice([-1, 1])
+            v[rng.integers(0, n, 2)] = rng.choice([0.0, -0.0], 2)
+        vals[keys == k] = v
+    order = rng.permutation(keys.size)
+    table = pa.table({"k": keys[order], "x": vals[order],
+                      "y": rng.lognormal(0, 1, keys.size),
+                      "w": rng.integers(1, 4, keys.size).astype(float)})
+    cuts = np.sort(rng.integers(0, keys.size + 1,
+                                draw(st.sampled_from([0, 0, 1, 2, 4]))))
+    chunks = [table.slice(a, b - a)
+              for a, b in zip(np.r_[0, cuts], np.r_[cuts, keys.size])]
+    weighted = not kll and draw(st.integers(0, 4)) == 0
+    return (spec, chunks, draw(st.sampled_from([("x",), ("x", "y")])),
+            draw(st.sampled_from(["k", "k", None])), weighted)
+
+
+def _per_key_rows(spec, chunks, metrics, key, weighted) -> list:
+    """The rows the per-key object path gives: one fresh sketch per
+    (metric, key), one ``update_batch`` per chunk with the key's values
+    in input order, then ``to_bytes``; first-seen order, keys sorted
+    within a chunk."""
+    accs: dict = {}
+    for c in chunks:
+        w = c["w"].to_numpy() if weighted else None
+        ks = np.zeros(c.num_rows, dtype=np.int64) if key is None \
+            else c[key].to_numpy()
+        for m in metrics:
+            v = c[m].to_numpy()
+            for k in (np.unique(ks) if c.num_rows or key else [0]):
+                idx = np.flatnonzero(ks == k)
+                acc = accs.setdefault((m, "" if key is None else int(k)),
+                                      [spec.factory(), 0.0])
+                acc[0].update_batch(v[idx], None if w is None else w[idx])
+                acc[1] += float(idx.size)
+    return [(m, k, sk.to_bytes(), n) for (m, k), (sk, n) in accs.items()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(keyed_batches())
+def test_flush_matches_per_key_path(case):
+    """``KeyedSketches`` (raw runs, replay on overflow, the one-pass
+    encode) flushes the rows of the per-key object path: same order,
+    bytes and counts."""
+    from t_digest_ray.stages.aggregate import KeyedSketches
+
+    spec, chunks, metrics, key, weighted = case
+    acc = KeyedSketches(spec, key or "key", with_metric=True)
+    for c in chunks:
+        acc.add(None if key is None else c[key], {m: c[m] for m in metrics},
+                c["w"] if weighted else None)
+    rows = acc.flush().to_pylist()
+    assert [(r["metric"], r["key"], r["sketch"], r["n"]) for r in rows] \
+        == _per_key_rows(spec, chunks, metrics, key, weighted)
+
+
+@st.composite
+def summary_cases(draw):
+    """A quantile spec and encoded digests for the segmented summaries:
+    any scale (K_0 and the glued ones too) and compression; q of 0 and 1,
+    q near either tail (the tail interpolation) and anywhere; trims;
+    digests of 0, 1, 2, 3 and many points, unit-weight (weight-1
+    neighbours), with integer or fractional weights (running sums that
+    round), rounded (ties) and merged; hand-made blobs of two
+    centroids."""
+    from t_digest_ray.pipelines.quantiles import tdigest_spec
+    from t_digest_ray.state.protocol import merge_bytes_many
+
+    scale = draw(st.sampled_from(SCALES))
+    comp = draw(st.integers(10, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    qs = sorted({0.0, 1.0, 1e-4, 1 - 1e-4,
+                 *draw(st.lists(st.floats(0, 1), max_size=4))})
+    trims = draw(st.lists(st.tuples(st.floats(0, 0.5), st.floats(0.5, 1)),
+                          max_size=2))
+    spec = tdigest_spec(comp, scale, qs=qs, trims=trims,
+                        include_minmax=draw(st.booleans()))
+    blobs = []
+    for n in draw(st.lists(st.sampled_from([0, 1, 2, 3, 7, 60, 2000]),
+                           min_size=1, max_size=8)):
+        d = spec.factory()
+        if n:
+            v = rng.lognormal(0, 1, n)
+            if rng.random() < 0.3:
+                v = np.round(v, 1)
+            d.update_batch(v, [None, rng.integers(1, 4, n).astype(float),
+                               rng.uniform(0.3, 3.0, n)][rng.integers(3)])
+        blobs.append(d.to_bytes())
+    blobs += merge_bytes_many(spec, [blobs, blobs[::2]])
+    for w in ([1.0, 1.0], [1.0, 5.0], [4.0, 1.0], [3.0, 6.0], [0.7, 2.9]):
+        blobs.append(_verbose_blob(np.sort(rng.normal(0, 1, 2)), w, comp))
+    return spec, blobs
+
+
+@settings(max_examples=80, deadline=None)
+@given(summary_cases())
+def test_segmented_summaries_match_per_digest(case):
+    """``summarize_many`` (one segmented pass over every digest) gives
+    each row's ``spec.summarize(spec.from_bytes(b))``: equal values, or
+    both NaN, in the same columns."""
+    from t_digest_ray.state.protocol import summarize_many
+
+    spec, blobs = case
+    want = [spec.summarize(spec.from_bytes(b)) for b in blobs]
+    got = summarize_many(spec, blobs)
+    assert [list(r) for r in got] == [list(r) for r in want]
+    for g, w in zip(got, want):
+        for c in w:
+            assert g[c] == w[c] or (np.isnan(g[c]) and np.isnan(w[c])), c
 
 
 @settings(max_examples=60, deadline=None)

@@ -525,6 +525,33 @@ def test_exact_quantiles_by_key_exact_rank_vs_duckdb(ray_session):
     assert (got["p55"], got["p7"]) == want == (55, 7)
 
 
+def test_quantile_names_a_point_apart_are_distinct(ray_session):
+    """0.29 * 100 is 28.999999999999996, so ``p{int(q * 100)}`` named
+    q=0.29 ``p28`` and q=0.57 ``p56``, and each collided with its
+    neighbour; ``quantiles.pct`` names them p28/p29 and p57/p58, each with
+    its own DuckDB ``quantile_disc``, and keeps every default q's name."""
+    import duckdb
+    import ray.data as rd
+
+    from t_digest_ray.pipelines.quantiles import DEFAULT_QS, pct
+    from t_digest_ray.pipelines.relational import exact_quantiles_by_key
+
+    qs = (0.28, 0.29, 0.57, 0.58)
+    assert [pct(q) for q in qs] == [28, 29, 57, 58]
+    for q in (*DEFAULT_QS, 0.5, 0.9, 0.99, *(i / 8 for i in range(1, 8)),
+              0.999):
+        assert pct(q) == int(q * 100), q
+    df = pd.DataFrame({"k": np.zeros(100, dtype=np.int64),
+                       "v": np.random.default_rng(4).permutation(100) + 1})
+    got = exact_quantiles_by_key(rd.from_pandas(df), "k", "v",
+                                 qs=qs).to_pandas().iloc[0]
+    con = duckdb.connect()
+    con.register("d", df)
+    want = con.execute("SELECT " + ", ".join(
+        f"quantile_disc(v, {q})" for q in qs) + " FROM d").fetchone()
+    assert tuple(got[f"p{pct(q)}"] for q in qs) == want == (28, 29, 57, 58)
+
+
 @pytest.mark.parametrize("how", ["inner", "semi", "anti"])
 def test_hash_joins_mixed_key_widths(ray_session, how):
     """An int32 left key meets an int64 right key: both sides are cast to

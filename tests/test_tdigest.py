@@ -392,6 +392,10 @@ def test_to_bytes_idempotent_and_round_trips(scale):
 def test_unit_table_walks_once_per_length(monkeypatch):
     """The scalar walk behind the unit-weight boundary table runs once per
     distinct (scale, compression, n), however many digests share it."""
+    import pyarrow as pa
+
+    from t_digest_ray.pipelines.quantiles import tdigest_spec
+    from t_digest_ray.stages.aggregate import KeyedSketches
     from t_digest_ray.state import tdigest as td
 
     walked = []
@@ -406,10 +410,18 @@ def test_unit_table_walks_once_per_length(monkeypatch):
         d.update_batch(rng.normal(0, 1, n))
         return d
 
+    def flush(sizes):
+        """One ``KeyedSketches`` batch of a key per size: its flush
+        encodes every run in one pass."""
+        keys = np.repeat(np.arange(len(sizes)), sizes)
+        acc = KeyedSketches(tdigest_spec(100))
+        acc.add(pa.array(keys), {"v": pa.array(rng.normal(0, 1, keys.size))})
+        acc.flush()
+
     sizes = [5, 7, 5, 7, 7, 1, 2, 40]
-    TDigest.to_bytes_many([fresh(n) for n in sizes])
+    flush(sizes)
     assert sorted(walked) == [5, 7, 40]  # n <= 2 needs no walk
-    TDigest.to_bytes_many([fresh(n) for n in sizes])
+    flush(sizes)
     for n in sizes:
         fresh(n).to_bytes()
     assert sorted(walked) == [5, 7, 40]
