@@ -1,7 +1,11 @@
 """Text analysis for large-scale training-data pipelines.
 
-Vectorized (pandas str / numpy) per-batch kernels, all deterministic:
+Vectorized (pandas str / numpy / Arrow) per-batch kernels, all
+deterministic:
 
+* ``split_tokens``     — the single-space Arrow tokenizer of the corpus
+  operators (empty tokens dropped; SQL ``string_split`` + filter), with
+  ``token_bigrams`` for the adjacent pairs on the same split.
 * ``token_count``      — number of ``\\S+`` runs (the whitespace tokenizer;
   oracle-expressible in DuckDB via regexp_split_to_array).
 * ``LangId``           — stopword-profile language identification heuristic
@@ -31,6 +35,48 @@ _STOPWORDS = {
     "pt": {"o", "a", "os", "as", "de", "que", "e", "em", "para", "com"},
     "nl": {"de", "het", "een", "en", "van", "is", "dat", "op", "te", "met"},
 }
+
+
+def _split_spaces(texts):
+    """Single-space split of an Arrow string column: every token, empty
+    ones included, the row index of each, and the non-empty mask."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    lists = pc.split_pattern(texts, " ")
+    toks = pc.list_flatten(lists)
+    lens = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
+    row = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
+    return toks, row, pc.not_equal(toks, "").to_numpy(zero_copy_only=False)
+
+
+def split_tokens(texts):
+    """The Arrow tokenizer of the corpus operators: split an Arrow string
+    column on single spaces and drop empty tokens (SQL
+    ``list_filter(string_split(text, ' '), x -> x <> '')``). Returns the
+    tokens (an Arrow string array, in row order) and each token's row
+    index (int64)."""
+    import pyarrow as pa
+
+    toks, row, keep = _split_spaces(texts)
+    return toks.filter(pa.array(keep)), row[keep]
+
+
+def token_bigrams(texts):
+    """Adjacent token pairs within each row, on ``split_tokens``' split:
+    an empty token (two spaces in a row) breaks adjacency, and no pair
+    crosses rows. Returns each pair's first token, its space-joined
+    bigram (both Arrow string arrays) and its row index."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    toks, row, keep = _split_spaces(texts)
+    i = np.flatnonzero(keep[:-1] & keep[1:] & (row[:-1] == row[1:]))
+    first = toks.take(pa.array(i))
+    return (first, pc.binary_join_element_wise(
+        first, toks.take(pa.array(i + 1)), " "), row[i])
 
 
 def tokens_series(texts: pd.Series) -> pd.Series:

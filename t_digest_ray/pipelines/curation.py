@@ -51,6 +51,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import hash64, splitmix64
+from ..functions.text import split_tokens
 from ..stages.aggregate import (_key_runs, bucketed_map_groups,
                                 hash_bucketed_group_agg)
 from ..stages.partitioning import cheap_row_count, coarse_bucket_count
@@ -953,15 +954,13 @@ def dsir_importance_stats(ds, text_col: str = "text",
     B = int(n_buckets)
     n_rows = cheap_row_count(ds)
 
+    def token_buckets(b: pa.Table):
+        toks, doc_of = split_tokens(b[text_col])
+        return (hash64(toks.to_numpy(zero_copy_only=False))
+                % np.uint64(B)).astype(np.int64), doc_of
+
     def bucket_partials(b: pa.Table) -> pd.DataFrame:
-        lists = pc.split_pattern(b[text_col].combine_chunks(), " ")
-        toks = pc.list_flatten(lists)
-        mask = pc.not_equal(toks, "").to_numpy(zero_copy_only=False)
-        lens = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
-        doc_of = np.repeat(np.arange(len(lens), dtype=np.int64), lens)[mask]
-        bkt = (hash64(toks.filter(pa.array(mask))
-                      .to_numpy(zero_copy_only=False))
-               % np.uint64(B)).astype(np.int64)
+        bkt, doc_of = token_buckets(b)
         is_tgt = (b[key].to_numpy(zero_copy_only=False)
                   == target_group)[doc_of]
         r_cnt = np.bincount(bkt, minlength=B)
@@ -985,16 +984,8 @@ def dsir_importance_stats(ds, text_col: str = "text",
            - np.log((r + alpha) / (r_tot + alpha * B)))
 
     def score_and_keep(b: pa.Table) -> pd.DataFrame:
-        lists = pc.split_pattern(b[text_col].combine_chunks(), " ")
-        toks = pc.list_flatten(lists)
-        mask = pc.not_equal(toks, "").to_numpy(zero_copy_only=False)
-        lens = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
-        nd = len(lens)
-        doc_of = np.repeat(np.arange(nd, dtype=np.int64), lens)[mask]
-        bkt = (hash64(toks.filter(pa.array(mask))
-                      .to_numpy(zero_copy_only=False))
-               % np.uint64(B)).astype(np.int64)
-        logw = np.bincount(doc_of, weights=lam[bkt], minlength=nd)
+        bkt, doc_of = token_buckets(b)
+        logw = np.bincount(doc_of, weights=lam[bkt], minlength=b.num_rows)
         ids = b[doc_id_col].to_numpy(zero_copy_only=False)
         u = (splitmix64(ids.astype(np.uint64)
                         ^ np.uint64(seed)).astype(np.float64)

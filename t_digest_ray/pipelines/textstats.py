@@ -13,100 +13,179 @@ Scale contract shared by the token aggregations: a document lives in
 exactly ONE Arrow batch, so (token, doc)-level partials computed inside
 ``map_batches`` are globally exact and only vocabulary-sized rows ride
 the shuffle — cost ~ distinct tokens per batch, never corpus tokens.
-Tokenization is a single-space split with empty tokens dropped
-(reproducible bit-for-bit by SQL ``string_split``).
+Tokenization is ``functions.text.split_tokens``: a single-space split
+with empty tokens dropped (reproducible bit-for-bit by SQL
+``string_split``).
+
+Every keyed step runs on the library's one analytics exchange,
+``stages.aggregate.bucketed_map_groups``: per-batch integer partials
+combine through ``hash_bucketed_group_agg``; the per-key folds (JSON
+field stats, vocabulary richness, entropy, Zipf, Heaps) take whole
+hash buckets of keys and sort each once with ``_key_runs``, keeping
+their float sums in the order the SQL twins replay; the ExactSubstr
+span operators key their window map (the ``project``) by gram, then
+their duplicated windows by doc. A global top-k is the exchange's
+one-bucket case over per-block head-ks, and ``dominant_term`` joins
+each document's top term to the df table with ``relational.hash_join``
+instead of pulling the vocabulary to the driver. Each operator counts
+its source's rows once (``cheap_row_count``) and sizes every exchange
+from that count, times ``_TOKEN_FANOUT`` after a token or n-gram
+explode.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..functions.text import split_tokens, token_bigrams, token_count
+from ..stages.aggregate import (_key_runs, bucketed_map_groups,
+                                hash_bucketed_group_agg)
+from ..stages.partitioning import cheap_row_count
+from ..state.tdigest import _seg_cumsum
+from .relational import hash_join
+
+# a document explodes into ~tens of tokens, bigrams or n-gram windows
+_TOKEN_FANOUT = 64
+
+
+def _exploded(n_rows: int | None) -> int | None:
+    """The row bound of a token or n-gram explode of ``n_rows`` source
+    rows (None when the source count is unknown)."""
+    return None if n_rows is None else n_rows * _TOKEN_FANOUT
+
+
+def _summed(ds, partial, keys, out: str, n_rows: int | None):
+    """``partial``'s per-batch int64 ``partial`` column summed per
+    ``keys`` into ``out``, on the keyed exchange."""
+    return hash_bucketed_group_agg(
+        ds.map_batches(partial, batch_format="pyarrow"), keys,
+        {out: ("partial", "sum")}, n_rows=n_rows)
+
+
+def _top_k(ds, order: dict, k: int, project=None):
+    """The first ``k`` rows under ``order`` (``{column: ascending}``, a
+    total order): a head-k of every block (of ``project``'s frame when
+    given), then one head-k of those, the keyed exchange's one-bucket
+    case. Any global winner is a winner of its own block."""
+    cols, asc = list(order), list(order.values())
+
+    def head(t) -> pd.DataFrame:
+        df = t.to_pandas() if isinstance(t, pa.Table) else t
+        return df.sort_values(cols, ascending=asc, kind="stable").head(k)
+
+    return bucketed_map_groups(
+        ds, [], head, n_buckets=1,
+        project=head if project is None else lambda b: head(project(b)))
+
+
+def _ln(x: np.ndarray) -> np.ndarray:
+    """``math.log`` of each value, once per distinct value: libm's log,
+    the one DuckDB's ``ln`` calls, where numpy's vectorized log may
+    round differently."""
+    u, inv = np.unique(np.asarray(x, dtype=np.float64), return_inverse=True)
+    return np.array([math.log(v) for v in u.tolist()],
+                    dtype=np.float64)[inv]
+
+
+def _seq_sums(x: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The float sum of each run of ``lens`` values, added left to right
+    as a Python loop would (``_seg_cumsum``); 0.0 for an empty run."""
+    off = np.r_[0, np.cumsum(lens)]
+    cs = np.r_[0.0, _seg_cumsum(x, off)]
+    return np.where(lens > 0, cs[off[1:]], 0.0)
+
+
+def _ols(x: np.ndarray, y: np.ndarray, lens: np.ndarray):
+    """Per run of ``lens`` points, the OLS fit of y on x: the four moment
+    sums folded in point order and one fixed parenthesization, as the SQL
+    twins' ordered SUMs replay it. Returns (slope, intercept), both 0.0
+    below two points or for a flat x."""
+    sx, sy, sxy, sxx = (_seq_sums(v, lens) for v in (x, y, x * y, x * x))
+    m = lens.astype(np.float64)
+    den = m * sxx - sx * sx
+    fit = (lens >= 2) & (den != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(fit, (m * sxy - sx * sy) / den, 0.0)
+        return slope, np.where(fit, (sy - slope * sx) / m, 0.0)
+
+
+def _run_cumsum(x: np.ndarray, starts: np.ndarray,
+                runs: np.ndarray) -> np.ndarray:
+    """Integer running sums of ``x``, restarted at each key run."""
+    cs = np.cumsum(x)
+    return cs - np.repeat(cs[starts] - x[starts], runs)
 
 
 def _token_doc_pairs(b: pa.Table, text_col: str, id_col: str):
     """Vectorized explode: (token, doc) pairs for one batch."""
-    import pyarrow.compute as pc
+    toks, row = split_tokens(b[text_col])
+    return pd.DataFrame({
+        "token": toks.to_pandas(),
+        "doc": b[id_col].to_numpy(zero_copy_only=False)[row]})
 
-    lists = pc.split_pattern(b[text_col].combine_chunks(), " ")
-    toks = pc.list_flatten(lists).to_pandas()
-    docs = np.repeat(
-        b[id_col].to_numpy(zero_copy_only=False),
-        pc.list_value_length(lists).to_numpy(zero_copy_only=False))
-    pairs = pd.DataFrame({"token": toks, "doc": docs})
-    return pairs[pairs["token"] != ""]
+
+def _vocab_counts(ds, text_col: str, col: str, out: str,
+                  n_rows: int | None):
+    """Exact corpus count of every token, as ``(col, out)`` rows: one
+    Arrow ``value_counts`` per batch, summed on the keyed exchange."""
+
+    def partial(b: pa.Table) -> pa.Table:
+        vc = split_tokens(b[text_col])[0].value_counts()
+        return pa.table({col: vc.field("values"),
+                         "partial": pc.cast(vc.field("counts"), pa.int64())})
+
+    return _summed(ds, partial, [col], out, n_rows)
 
 
 def token_topk(ds, text_col: str, k: int, count_name: str = "cnt"):
     """Corpus token-frequency top-k with a deterministic
     (count desc, token asc) tie-break — the unnest-heavy aggregation
-    shape. Per-batch split+count combiner (Arrow C kernels), tiny final
-    sort."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    shape. Per-batch split+count combiner (Arrow C kernels), a
+    vocabulary-sized count exchange, then a head-k per count block and
+    one final head-k."""
+    return _token_topk(ds, text_col, k, count_name,
+                       _exploded(cheap_row_count(ds)))
 
-    def partial(b: pa.Table) -> pa.Table:
-        toks = pc.list_flatten(pc.split_pattern(
-            b[text_col].combine_chunks(), " "))
-        toks = toks.filter(pc.not_equal(toks, ""))
-        vc = toks.value_counts()
-        return pa.table({"token": vc.field("values"),
-                         "partial": pc.cast(vc.field("counts"),
-                                            pa.int64())})
 
-    counts = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("token")
-              .aggregate(Sum("partial", alias_name=count_name)))
-    return counts.sort([count_name, "token"],
-                       descending=[True, False]).limit(k)
+def _token_topk(ds, text_col: str, k: int, count_name: str,
+                n_rows: int | None):
+    """``token_topk`` with its exchange sized from a caller's count."""
+    return _top_k(_vocab_counts(ds, text_col, "token", count_name, n_rows),
+                  {count_name: False, "token": True}, k)
 
 
 def bigram_topk(ds, text_col: str, k: int, count_name: str = "cnt"):
     """Corpus bigram-frequency top-k: adjacent-token pairs WITHIN each
-    document (split arrays are never joined across docs), both tokens
-    non-empty. Fully Arrow-vectorized — the pair array is two shifted
-    slices of the flattened token array joined by
-    ``binary_join_element_wise``; adjacency across document boundaries
-    is masked with a repeat of the per-doc list lengths. Only
-    bigram-vocabulary-sized partials ride the shuffle."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    document (``functions.text.token_bigrams``: never across documents,
+    both tokens non-empty), fully Arrow-vectorized. Only
+    bigram-vocabulary-sized partials ride the shuffle; the top-k is the
+    same two head-ks as ``token_topk``."""
 
     def partial(b: pa.Table) -> pa.Table:
-        lists = pc.split_pattern(b[text_col].combine_chunks(), " ")
-        flat = pc.list_flatten(lists)
-        if isinstance(flat, pa.ChunkedArray):
-            flat = flat.combine_chunks()
-        n = len(flat)
-        if n < 2:
-            return pa.table({"bigram": pa.array([], type=pa.string()),
-                             "partial": pa.array([], type=pa.int64())})
-        lens = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
-        doc_idx = np.repeat(np.arange(len(lens)), lens)
-        same_doc = doc_idx[:-1] == doc_idx[1:]
-        a = flat.slice(0, n - 1)
-        c = flat.slice(1)
-        nonempty = pc.and_(pc.not_equal(a, ""), pc.not_equal(c, ""))
-        mask = pc.and_(nonempty, pa.array(same_doc))
-        big = pc.binary_join_element_wise(a.filter(mask),
-                                          c.filter(mask), " ")
-        vc = big.value_counts()
+        vc = token_bigrams(b[text_col])[1].value_counts()
         return pa.table({"bigram": vc.field("values"),
-                         "partial": pc.cast(vc.field("counts"),
-                                            pa.int64())})
+                         "partial": pc.cast(vc.field("counts"), pa.int64())})
 
-    counts = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("bigram")
-              .aggregate(Sum("partial", alias_name=count_name)))
-    return counts.sort([count_name, "bigram"],
-                       descending=[True, False]).limit(k)
+    counts = _summed(ds, partial, ["bigram"], count_name,
+                     _exploded(cheap_row_count(ds)))
+    return _top_k(counts, {count_name: False, "bigram": True}, k)
 
 
 def token_df_stats(ds, text_col: str, id_col: str):
     """Inverted-index posting statistics: per token its document
     frequency (``df``), corpus frequency (``cf``) and smallest posting
     id (``min_doc``) — the TF-IDF foundation."""
-    from ray.data.aggregate import Min, Sum
+    return _token_df_stats(ds, text_col, id_col,
+                           _exploded(cheap_row_count(ds)))
+
+
+def _token_df_stats(ds, text_col: str, id_col: str, n_rows: int | None):
+    """``token_df_stats`` with its exchange sized from a caller's count."""
 
     def partial(b: pa.Table) -> pa.Table:
         pairs = _token_doc_pairs(b, text_col, id_col)
@@ -124,18 +203,10 @@ def token_df_stats(ds, text_col: str, id_col: str):
             "min_doc": pa.array(agg["min_doc"].to_numpy()
                                 .astype(np.int64))})
 
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("token")
-           .aggregate(Sum("df_part", alias_name="df"),
-                      Sum("cf_part", alias_name="cf"),
-                      Min("min_doc", alias_name="min_doc")))
-
-    def fin(df: pd.DataFrame) -> pd.DataFrame:
-        for c in ("df", "cf", "min_doc"):
-            df[c] = df[c].astype(np.int64)
-        return df
-
-    return out.map_batches(fin, batch_format="pandas")
+    return hash_bucketed_group_agg(
+        ds.map_batches(partial, batch_format="pyarrow"), ["token"],
+        {"df": ("df_part", "sum"), "cf": ("cf_part", "sum"),
+         "min_doc": ("min_doc", "min")}, n_rows=n_rows)
 
 
 def repetition_stats(ds, text_col: str, id_col: str,
@@ -148,7 +219,6 @@ def repetition_stats(ds, text_col: str, id_col: str,
     cross-multiplication ``max_tf * 100 > n_tokens * pct`` so the flag
     is bit-reproducible in SQL). Fully per-batch local (a doc lives in
     one batch); emits one small row per document."""
-    import pyarrow.compute as pc
 
     def per_batch(b: pa.Table) -> pa.Table:
         ids = b[id_col].to_numpy(zero_copy_only=False)
@@ -158,26 +228,9 @@ def repetition_stats(ds, text_col: str, id_col: str,
         mt = (tf.groupby("doc", sort=False)["c"]
               .agg(n_tokens="sum", max_tf="max").reset_index())
 
-        lists = pc.split_pattern(b[text_col].combine_chunks(), " ")
-        flat = pc.list_flatten(lists)
-        if isinstance(flat, pa.ChunkedArray):
-            flat = flat.combine_chunks()
-        lens = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
-        doc_idx = np.repeat(np.arange(len(lens)), lens)
-        n = len(flat)
-        if n >= 2:
-            a = flat.slice(0, n - 1)
-            c = flat.slice(1)
-            mask_np = doc_idx[:-1] == doc_idx[1:]
-            mask = pc.and_(pc.and_(pc.not_equal(a, ""),
-                                   pc.not_equal(c, "")),
-                           pa.array(mask_np))
-            big = pc.binary_join_element_wise(a.filter(mask),
-                                              c.filter(mask), " ")
-            bdf = pd.DataFrame({
-                "doc": ids[doc_idx[:-1][mask.to_numpy(
-                    zero_copy_only=False)]],
-                "bigram": big.to_pandas()})
+        _, big, row = token_bigrams(b[text_col])
+        if len(row):
+            bdf = pd.DataFrame({"doc": ids[row], "bigram": big.to_pandas()})
             btf = (bdf.groupby(["doc", "bigram"], sort=False)
                    .size().reset_index(name="c"))
             mb = (btf.groupby("doc", sort=False)["c"].max()
@@ -206,18 +259,12 @@ def repetition_stats(ds, text_col: str, id_col: str,
 
 def dominant_term(ds, text_col: str, id_col: str):
     """Per-document dominant term (highest tf, token-asc tie-break)
-    joined with that term's global document frequency — the
-    broadcast-of-an-aggregate pattern: the vocabulary-sized df table
-    from a first aggregation pass rides to every task inside the map
-    function, put in the object store once; each batch then resolves its
-    own documents fully locally (per-doc tf + one vectorized merge
-    against the broadcast frame).
-
-    Partitioning assumption: the vocabulary (DISTINCT token set — far
-    smaller than the corpus) fits one node's heap; for an unbounded
-    vocabulary the fallback is a ``hash_join`` on token."""
-    dfreq = token_df_stats(ds, text_col, id_col) \
-        .to_pandas()[["token", "df"]]
+    joined with that term's global document frequency: each batch
+    resolves its own documents' top terms locally (a doc lives in one
+    batch), and one distributed equi-join (``relational.hash_join``) on
+    the term attaches ``token_df_stats``' df. Nothing vocabulary-sized
+    reaches the driver."""
+    n_rows = _exploded(cheap_row_count(ds))
 
     def dominant(b: pa.Table) -> pa.Table:
         pairs = _token_doc_pairs(b, text_col, id_col) \
@@ -228,16 +275,18 @@ def dominant_term(ds, text_col: str, id_col: str):
                               ascending=[True, False, True],
                               kind="mergesort")
                .drop_duplicates(id_col))
-        top = top.merge(dfreq.rename(columns={"token": "term"}),
-                        on="term", how="left")
         return pa.table({
-            id_col: pa.array(top[id_col].to_numpy()
-                             .astype(np.int64)),
+            id_col: pa.array(top[id_col].to_numpy().astype(np.int64)),
             "term": pa.array(top["term"], type=pa.string()),
-            "tf": pa.array(top["tf"].to_numpy().astype(np.int64)),
-            "df": pa.array(top["df"].to_numpy().astype(np.int64))})
+            "tf": pa.array(top["tf"].to_numpy().astype(np.int64))})
 
-    return ds.map_batches(dominant, batch_format="pyarrow")
+    dfreq = _token_df_stats(ds, text_col, id_col, n_rows) \
+        .rename_columns({"token": "term"})
+    return hash_join(ds.map_batches(dominant, batch_format="pyarrow"),
+                     dfreq, "term", [id_col, "tf"], ["df"], n_rows=n_rows,
+                     types={id_col: pa.int64(), "term": pa.string(),
+                            "tf": pa.int64(), "df": pa.int64()}) \
+        .select_columns([id_col, "term", "tf", "df"])
 
 
 def regex_scrub_stats(ds, text_col: str, key: str, pattern: str,
@@ -246,8 +295,6 @@ def regex_scrub_stats(ds, text_col: str, key: str, pattern: str,
     post-scrub character count. Vectorized Arrow RE2 kernels
     (count_substring_regex / replace_substring_regex) — reproducible by
     SQL regexp_extract_all / regexp_replace (RE2 on both sides)."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
 
     def scrub(b: pa.Table) -> pa.Table:
         hits = pc.count_substring_regex(b[text_col], pattern)
@@ -260,12 +307,12 @@ def regex_scrub_stats(ds, text_col: str, key: str, pattern: str,
             "chars_after": pc.cast(pc.utf8_length(redacted),
                                    pa.int64())})
 
-    return (ds.map_batches(scrub, batch_format="pyarrow")
-            .groupby(key)
-            .aggregate(Count(alias_name="n_docs"),
-                       Sum("touched", alias_name="docs_touched"),
-                       Sum("n_hits", alias_name="n_redactions"),
-                       Sum("chars_after", alias_name="chars_after_scrub")))
+    return hash_bucketed_group_agg(
+        ds.map_batches(scrub, batch_format="pyarrow"), [key],
+        {"n_docs": (key, "count"), "docs_touched": ("touched", "sum"),
+         "n_redactions": ("n_hits", "sum"),
+         "chars_after_scrub": ("chars_after", "sum")},
+        n_rows=cheap_row_count(ds))
 
 
 def scrub_text(ds, text_col: str, id_col: str, pattern: str,
@@ -273,7 +320,6 @@ def scrub_text(ds, text_col: str, id_col: str, pattern: str,
     """The redaction rewrite itself: (id, scrubbed text, n_redactions)
     per row — the streaming map stage a real pipeline wires before its
     training-shard sink."""
-    import pyarrow.compute as pc
 
     def scrub(b: pa.Table) -> pa.Table:
         hits = pc.count_substring_regex(b[text_col], pattern)
@@ -300,20 +346,11 @@ def _word_gram_hashes(texts: pa.ChunkedArray | pa.Array, n: int,
     oracle can reproduce the exact same gram set with
     ``array_to_string(tokens[i:i+n-1], ' ')``.
     """
-    import pyarrow.compute as pc
-
     from ..functions.hashing import hash64
 
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    lists = pc.split_pattern(texts, " ")
-    toks = pc.list_flatten(lists)
-    lens = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
-    mask = pc.not_equal(toks, "").to_numpy(zero_copy_only=False)
-    n_docs = len(lens)
-    doc_idx = np.repeat(np.arange(n_docs, dtype=np.int64), lens)
-    flens = np.bincount(doc_idx[mask], minlength=n_docs)
-    ftoks = toks.filter(pa.array(mask))
+    ftoks, doc_idx = split_tokens(texts)
+    n_docs = len(texts)
+    flens = np.bincount(doc_idx, minlength=n_docs)
     m = len(ftoks)
     if m < n:
         empty = (np.empty(0, dtype=np.uint64),
@@ -321,13 +358,11 @@ def _word_gram_hashes(texts: pa.ChunkedArray | pa.Array, n: int,
         if with_positions:
             return (*empty, np.empty(0, dtype=np.int64), flens)
         return empty
-    import pyarrow.compute as pc2
     shifted = [ftoks.slice(j, m - n + 1) for j in range(n)]
-    grams = pc2.binary_join_element_wise(*shifted, " ")
+    grams = pc.binary_join_element_wise(*shifted, " ")
     # drop grams straddling a document boundary
     starts = np.concatenate(([0], np.cumsum(flens)))[:-1]
-    doc_of = np.repeat(np.arange(n_docs, dtype=np.int64),
-                       flens)[:m - n + 1]
+    doc_of = doc_idx[:m - n + 1]
     valid = (np.arange(m - n + 1) + n) <= (starts + flens)[doc_of]
     grams = grams.filter(pa.array(valid))
     hashes = hash64(grams.to_numpy(zero_copy_only=False))
@@ -360,7 +395,6 @@ def ngram_contamination_counts(ds, bench_hashes_ref, n: int, key: str,
     shuffle touches text.
     """
     import ray
-    from ray.data.aggregate import Count, Sum
 
     def audit(b: pa.Table) -> pa.Table:
         bench = ray.get(bench_hashes_ref)
@@ -373,16 +407,11 @@ def ngram_contamination_counts(ds, bench_hashes_ref, n: int, key: str,
             key: b[key],
             "contaminated": pa.array(contaminated.astype(np.int64))})
 
-    out = (ds.map_batches(audit, batch_format="pyarrow")
-           .groupby(key)
-           .aggregate(Count(alias_name="n_docs"),
-                      Sum("contaminated", alias_name="n_contaminated")))
-
-    def fin(df: pd.DataFrame) -> pd.DataFrame:
-        df["n_contaminated"] = df["n_contaminated"].astype(np.int64)
-        return df
-
-    return out.map_batches(fin, batch_format="pandas")
+    return hash_bucketed_group_agg(
+        ds.map_batches(audit, batch_format="pyarrow"), [key],
+        {"n_docs": (key, "count"),
+         "n_contaminated": ("contaminated", "sum")},
+        n_rows=cheap_row_count(ds))
 
 
 def ngram_decontaminate_filter(ds, bench_hashes_ref, n: int,
@@ -414,14 +443,12 @@ def json_int_field_stats(ds, json_col: str, field: str, key: str):
     .extract_regex`` — zero per-row Python; rows whose JSON lacks the
     field are counted but excluded from the value stats, matching SQL
     ``json_extract``'s NULL semantics. Per-batch (key, v) value-counts
-    combine first, so only value-DOMAIN-sized integer rows ride the
-    shuffle; the finalize folds exact int64 sums per key.
+    (the exchange's ``project``) combine first, so only
+    value-DOMAIN-sized integer rows ride the shuffle; each bucket folds
+    exact int64 sums for all its keys with one ``_key_runs`` sort.
 
     Output: key, n_rows, n_with_field, n_distinct, sum_v, min_v, max_v.
     """
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
     pattern = '"' + field + '":\\s*(?P<v>-?\\d+)'
 
     def partial(b: pa.Table) -> pa.Table:
@@ -439,31 +466,33 @@ def json_int_field_stats(ds, json_col: str, field: str, key: str):
         g["partial"] = g["partial"].astype(np.int64)
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    counts = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby([key, "v", "have"])
-              .aggregate(Sum("partial", alias_name="cnt")))
-
-    def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        cnt = g["cnt"].to_numpy(dtype=np.int64)
+    def fold(g: pd.DataFrame) -> pd.DataFrame:
+        # per key: the rows without the field, then the values ascending
+        k = g[key].to_numpy()
         have = g["have"].to_numpy(dtype=bool)
         v = g["v"].to_numpy(dtype=np.int64)
-        n_rows = int(cnt.sum())
-        hv, hc = v[have], cnt[have]
-        n_with = int(hc.sum())
+        order, starts, runs = _key_runs(k, have, v)
+        have, v = have[order], v[order]
+        cnt = g["partial"].to_numpy(dtype=np.int64)[order]
+        hc = np.where(have, cnt, 0)
+        first = np.zeros(len(v), dtype=bool)
+        first[starts] = True
+        first[1:] |= (v[1:] != v[:-1]) | ~have[:-1]
+        n_have = np.add.reduceat(have.astype(np.int64), starts)
+        last = starts + runs - 1
         return pd.DataFrame({
-            key: [g[key].iloc[0]],
-            "n_rows": np.array([n_rows], dtype=np.int64),
-            "n_with_field": np.array([n_with], dtype=np.int64),
-            "n_distinct": np.array([len(hv)], dtype=np.int64),
-            "sum_v": np.array([int((hv * hc).sum()) if n_with else 0],
-                              dtype=np.int64),
-            "min_v": np.array([int(hv.min()) if n_with else 0],
-                              dtype=np.int64),
-            "max_v": np.array([int(hv.max()) if n_with else 0],
-                              dtype=np.int64),
-        })
+            key: k[order][starts],
+            "n_rows": np.add.reduceat(cnt, starts),
+            "n_with_field": np.add.reduceat(hc, starts),
+            "n_distinct": np.add.reduceat((have & first).astype(np.int64),
+                                          starts),
+            "sum_v": np.add.reduceat(v * hc, starts),
+            "min_v": np.where(n_have > 0,
+                              v[np.minimum(last + 1 - n_have, last)], 0),
+            "max_v": np.where(n_have > 0, v[last], 0)})
 
-    return counts.groupby(key).map_groups(finalize, batch_format="pandas")
+    return bucketed_map_groups(ds, [key], fold, project=partial,
+                               n_rows=cheap_row_count(ds))
 
 
 def quality_rule_funnel(ds, text_col: str, key: str,
@@ -482,11 +511,7 @@ def quality_rule_funnel(ds, text_col: str, key: str,
     int64 partial sums combine before the exchange — O(keys) rows on
     the shuffle, never documents.
     """
-    from ray.data.aggregate import Sum
-
-    from t_digest_ray.functions.text import token_count
-
-    def partial(b: pa.Table) -> pa.Table:
+    def flags(b: pa.Table) -> pa.Table:
         t = pd.Series(b[text_col].to_pylist()).fillna("")
         n_chars = t.str.len().to_numpy(dtype=np.int64)
         n_tok = token_count(t)
@@ -496,31 +521,21 @@ def quality_rule_funnel(ds, text_col: str, key: str,
         ok_mwl = (3 * n_tok <= n_chars) & (n_chars <= 10 * n_tok)
         ok_alpha = 5 * n_alpha >= 3 * n_chars
         ok_digit = 5 * n_digit <= n_chars
-        df = pd.DataFrame({
-            key: b[key].to_numpy(zero_copy_only=False),
-            "n_docs": np.int64(1),
+        return pa.table({
+            key: b[key],
             "fail_len": (~ok_len).astype(np.int64),
             "fail_mwl": (~ok_mwl).astype(np.int64),
             "fail_alpha": (~ok_alpha).astype(np.int64),
             "fail_digit": (~ok_digit).astype(np.int64),
             "pass_all": (ok_len & ok_mwl & ok_alpha
-                         & ok_digit).astype(np.int64),
-        })
-        g = df.groupby(key, as_index=False, sort=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
+                         & ok_digit).astype(np.int64)})
 
-    cols = ["n_docs", "fail_len", "fail_mwl", "fail_alpha",
-            "fail_digit", "pass_all"]
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby(key)
-           .aggregate(*[Sum(c, alias_name=c) for c in cols]))
-
-    def fin(df: pd.DataFrame) -> pd.DataFrame:
-        for c in cols:
-            df[c] = df[c].astype(np.int64)
-        return df
-
-    return out.map_batches(fin, batch_format="pandas")
+    return hash_bucketed_group_agg(
+        ds.map_batches(flags, batch_format="pyarrow"), [key],
+        {"n_docs": (key, "count"),
+         **{c: (c, "sum") for c in ("fail_len", "fail_mwl", "fail_alpha",
+                                    "fail_digit", "pass_all")}},
+        n_rows=cheap_row_count(ds))
 
 
 def token_cooccurrence(ds, text_col: str, id_col: str, k: int = 20):
@@ -536,11 +551,9 @@ def token_cooccurrence(ds, text_col: str, id_col: str, k: int = 20):
     k²-sized integer partials ride the exchange. A document lives in
     exactly one batch, so per-batch distinct is globally exact.
     """
-    from ray.data.aggregate import Sum
-
-    top = [r["token"]
-           for r in token_topk(ds, text_col, k).take(k)]
-    top_set = set(top)
+    n_rows = cheap_row_count(ds)
+    top_set = {r["token"] for r in
+               _token_topk(ds, text_col, k, "cnt", _exploded(n_rows)).take(k)}
 
     def partial(b: pa.Table) -> pa.Table:
         pairs = _token_doc_pairs(b, text_col, id_col)
@@ -554,15 +567,8 @@ def token_cooccurrence(ds, text_col: str, id_col: str, k: int = 20):
         g["partial"] = g["partial"].astype(np.int64)
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby(["token_a", "token_b"])
-           .aggregate(Sum("partial", alias_name="n_docs_both")))
-
-    def fin(df: pd.DataFrame) -> pd.DataFrame:
-        df["n_docs_both"] = df["n_docs_both"].astype(np.int64)
-        return df
-
-    return out.map_batches(fin, batch_format="pandas")
+    return _summed(ds, partial, ["token_a", "token_b"], "n_docs_both",
+                   n_rows)
 
 
 def bm25_topk(ds, text_col: str, id_col: str, terms,
@@ -576,7 +582,7 @@ def bm25_topk(ds, text_col: str, id_col: str, terms,
     vectorized, reduces each batch to its LOCAL top-k by
     (score desc, id asc) — any global winner is a local winner under
     the same total order, so only topk×batches candidate rows reach the
-    final exact sort+limit.
+    final head-k (the keyed exchange's one-bucket case).
 
     Determinism: idf = ln((N - df + 0.5)/(df + 0.5) + 1) and the score
     expression are evaluated in a fixed parenthesization replicated by
@@ -584,28 +590,16 @@ def bm25_topk(ds, text_col: str, id_col: str, terms,
     libm), and the per-term scores are added in fixed term order, so
     the final doubles hash-match.
     """
-    import math
-
-    import pyarrow.compute as pc
-
     terms = list(terms)
 
     def doc_feats(bt: pa.Table) -> pd.DataFrame:
-        toks = pc.split_pattern(bt[text_col].combine_chunks(), " ")
-        flat = pc.list_flatten(toks)
-        if isinstance(flat, pa.ChunkedArray):
-            flat = flat.combine_chunks()
-        lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        n_docs = len(lens)
-        doc_idx = np.repeat(np.arange(n_docs), lens)
-        emp = pc.equal(flat, "").to_numpy(zero_copy_only=False)
-        dl = lens - np.bincount(doc_idx[emp], minlength=n_docs)
-        out = {"dl": dl.astype(np.int64)}
-        ft = flat.to_numpy(zero_copy_only=False)
+        toks, row = split_tokens(bt[text_col])
+        n_docs = bt.num_rows
+        out = {"dl": np.bincount(row, minlength=n_docs).astype(np.int64)}
+        ft = toks.to_numpy(zero_copy_only=False)
         for t in terms:
-            eq = ft == t
             out["tf_" + t] = np.bincount(
-                doc_idx[eq], minlength=n_docs).astype(np.int64)
+                row[ft == t], minlength=n_docs).astype(np.int64)
         df = pd.DataFrame(out)
         df[id_col] = bt[id_col].to_numpy(zero_copy_only=False)
         return df
@@ -630,23 +624,17 @@ def bm25_topk(ds, text_col: str, id_col: str, terms,
                        + 1.0)
            for t in terms}
 
-    def score_local_topk(bt: pa.Table) -> pa.Table:
+    def score(bt: pa.Table) -> pd.DataFrame:
         f = doc_feats(bt)
         dl = f["dl"].to_numpy(dtype=np.float64)
-        score = np.zeros(len(f), dtype=np.float64)
+        s = np.zeros(len(f), dtype=np.float64)
         for t in terms:  # fixed term order => fixed addition order
             tf = f["tf_" + t].to_numpy(dtype=np.float64)
-            s = idf[t] * ((tf * (k1 + 1.0))
-                          / (tf + k1 * ((1.0 - b) + b * (dl / avgdl))))
-            score = score + s
-        f = f.assign(bm25=score)[[id_col, "dl", "bm25"]]
-        f = f.sort_values(["bm25", id_col],
-                          ascending=[False, True]).head(topk)
-        return pa.Table.from_pandas(f, preserve_index=False)
+            s = s + idf[t] * ((tf * (k1 + 1.0))
+                              / (tf + k1 * ((1.0 - b) + b * (dl / avgdl))))
+        return f.assign(bm25=s)[[id_col, "dl", "bm25"]]
 
-    return (ds.map_batches(score_local_topk, batch_format="pyarrow")
-            .sort(["bm25", id_col], descending=[True, False])
-            .limit(topk))
+    return _top_k(ds, {"bm25": False, id_col: True}, topk, project=score)
 
 
 def lang_token_cosine(ds, text_col: str, key: str, k: int = 20):
@@ -661,33 +649,11 @@ def lang_token_cosine(ds, text_col: str, key: str, k: int = 20):
     are the final dot/(sqrt*sqrt), fixed order, bit-identical to the
     HUGEINT SQL twin. Pairs with no shared vocabulary get cosine 0.
     """
-    import math
-
-    from ray.data.aggregate import Sum
-
-    top_set = {r["token"]
-               for r in token_topk(ds, text_col, k).take(k)}
-
-    def partial(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        lists = pc.split_pattern(b[text_col].combine_chunks(), " ")
-        toks = pc.list_flatten(lists)
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        lens = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
-        keys = np.repeat(b[key].to_numpy(zero_copy_only=False), lens)
-        tarr = toks.to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({key: keys, "token": tarr})
-        df = df[df["token"].isin(top_set)]
-        g = (df.groupby([key, "token"], as_index=False, sort=False)
-             .size().rename(columns={"size": "partial"}))
-        g["partial"] = g["partial"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    vecs = (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby([key, "token"])
-            .aggregate(Sum("partial", alias_name="cnt"))
-            .to_pandas())  # keys×k rows — KB-sized by construction
+    n_rows = cheap_row_count(ds)
+    top_set = {r["token"] for r in
+               _token_topk(ds, text_col, k, "cnt", _exploded(n_rows)).take(k)}
+    vecs = _key_token_counts(ds, text_col, key, n_rows,
+                             vocab=top_set).to_pandas()  # keys×k rows
 
     piv = vecs.pivot_table(index=key, columns="token", values="cnt",
                            aggfunc="sum", fill_value=0).astype(np.int64)
@@ -707,33 +673,34 @@ def lang_token_cosine(ds, text_col: str, key: str, k: int = 20):
     return pd.DataFrame(rows)
 
 
-def _key_token_counts(ds, text_col: str, key: str):
-    """Exact per-(key, token) corpus counts: per-batch split+count
-    partials (vocabulary-sized exchange, same one-doc-one-batch contract
-    as token_df_stats) combined by a single groupby-sum. The shared
-    front end of vocab_richness / token_entropy_stats /
-    zipf_slope_stats."""
-    from ray.data.aggregate import Sum
+def _key_token_counts(ds, text_col: str, key: str, n_rows: int | None,
+                      vocab=None):
+    """Exact per-(key, token) corpus counts ``cnt`` (only the tokens in
+    ``vocab`` when given): per-batch split+count partials (same
+    one-doc-one-batch contract as token_df_stats) summed on the keyed
+    exchange. The shared front end of lang_token_cosine, vocab_richness,
+    token_entropy_stats and zipf_slope_stats."""
 
     def partial(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        lists = pc.split_pattern(b[text_col].combine_chunks(), " ")
-        toks = pc.list_flatten(lists)
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        lens = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
-        keys = np.repeat(b[key].to_numpy(zero_copy_only=False), lens)
-        df = pd.DataFrame({key: keys,
+        toks, row = split_tokens(b[text_col])
+        df = pd.DataFrame({key: b[key].to_numpy(zero_copy_only=False)[row],
                            "token": toks.to_numpy(zero_copy_only=False)})
-        df = df[df["token"] != ""]
+        if vocab is not None:
+            df = df[df["token"].isin(vocab)]
         g = df.groupby([key, "token"], as_index=False, sort=False).size()
         g = g.rename(columns={"size": "partial"})
         g["partial"] = g["partial"].astype(np.int64)
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby([key, "token"])
-            .aggregate(Sum("partial", alias_name="cnt")))
+    return _summed(ds, partial, [key, "token"], "cnt", n_rows)
+
+
+def _vocab_fold(ds, text_col: str, key: str, fold):
+    """``fold`` over the exact per-(key, token) counts, every key's rows
+    in one call and many keys per call."""
+    n_rows = _exploded(cheap_row_count(ds))
+    return bucketed_map_groups(_key_token_counts(ds, text_col, key, n_rows),
+                               [key], fold, n_rows=n_rows)
 
 
 def vocab_richness(ds, text_col: str, key: str):
@@ -744,30 +711,27 @@ def vocab_richness(ds, text_col: str, key: str):
 
     Scale shape: per-batch (key, token) count partials combine
     (vocabulary-sized exchange, same contract as token_df_stats —
-    a doc lives in one batch so partials are exact), then the spectrum
-    fold (cnt → #tokens) reduces to at most |distinct counts| rows per
-    key before the bignum driver fold. K is one fixed-order expression
-    over exact integers — bit-identical to the SQL twin.
+    a doc lives in one batch so partials are exact), then one fold per
+    bucket of keys over their count rows: Σ m²·V_m = Σ cnt² in Python
+    integers. K is one fixed-order expression over exact integers —
+    bit-identical to the SQL twin.
     """
-    vocab = _key_token_counts(ds, text_col, key)
 
     def spectrum(g: pd.DataFrame) -> pd.DataFrame:
-        cnt = g["cnt"].to_numpy(dtype=np.int64)
-        n = int(cnt.sum())
-        v = len(cnt)
-        v1 = int((cnt == 1).sum())
-        m2 = sum(int(c) * int(c) for c in cnt)     # Σ m²·V_m = Σ cnt²
-        k = (10000.0 * float(m2 - n) / (float(n) * float(n))
-             if n > 0 else 0.0)
+        k = g[key].to_numpy()
+        order, starts, runs = _key_runs(k)
+        cnt = g["cnt"].to_numpy(dtype=np.int64)[order]
+        n = np.add.reduceat(cnt, starts)
+        m2 = np.add.reduceat(cnt.astype(object) ** 2, starts)
+        nf = n.astype(np.float64)
         return pd.DataFrame({
-            key: [g[key].iloc[0]],
-            "n_tokens": np.array([n], dtype=np.int64),
-            "n_vocab": np.array([v], dtype=np.int64),
-            "n_hapax": np.array([v1], dtype=np.int64),
-            "yule_k": [k]})
+            key: k[order][starts],
+            "n_tokens": n,
+            "n_vocab": runs,
+            "n_hapax": np.add.reduceat((cnt == 1).astype(np.int64), starts),
+            "yule_k": 10000.0 * (m2 - n).astype(np.float64) / (nf * nf)})
 
-    return vocab.groupby(key).map_groups(spectrum,
-                                         batch_format="pandas")
+    return _vocab_fold(ds, text_col, key, spectrum)
 
 
 def token_entropy_stats(ds, text_col: str, key: str):
@@ -781,28 +745,24 @@ def token_entropy_stats(ds, text_col: str, key: str):
     the IEEE addition sequence is pinned — the DuckDB twin replays it
     with ``SUM(... ORDER BY token)`` (same ordered-aggregate device as
     the neyman_allocation oracle) and every double hashes identically.
-    Scale shape: vocabulary-sized exchange, then a per-key fold over
-    the domain-sized count table (same as vocab_richness)."""
-    import math
+    Scale shape: vocabulary-sized exchange, then a fold per bucket of
+    keys over the domain-sized count table (same as vocab_richness)."""
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("token")
-        cnt = g["cnt"].to_numpy(dtype=np.int64)
-        n = int(cnt.sum())
-        s = 0.0
-        for c in cnt:
-            c = float(c)
-            s += c * math.log(c)
-        ent = math.log(float(n)) - s / float(n) if n > 0 else 0.0
+        k = g[key].to_numpy()
+        order, starts, runs = _key_runs(k, g["token"].to_numpy())
+        cnt = g["cnt"].to_numpy(dtype=np.int64)[order]
+        c = cnt.astype(np.float64)
+        s = _seq_sums(c * _ln(c), runs)
+        n = np.add.reduceat(cnt, starts)
         return pd.DataFrame({
-            key: [g[key].iloc[0]],
-            "n_tokens": np.array([n], dtype=np.int64),
-            "n_vocab": np.array([len(cnt)], dtype=np.int64),
-            "sum_clnc": [s],
-            "entropy": [ent]})
+            key: k[order][starts],
+            "n_tokens": n,
+            "n_vocab": runs,
+            "sum_clnc": s,
+            "entropy": _ln(n) - s / n.astype(np.float64)})
 
-    return (_key_token_counts(ds, text_col, key)
-            .groupby(key).map_groups(fold, batch_format="pandas"))
+    return _vocab_fold(ds, text_col, key, fold)
 
 
 def zipf_slope_stats(ds, text_col: str, key: str, k: int = 50):
@@ -818,37 +778,22 @@ def zipf_slope_stats(ds, text_col: str, key: str, k: int = 50):
     the SQL twin replays them with ``SUM(... ORDER BY rk)`` over the
     identical ROW_NUMBER ranking, so the doubles hash bit-identically.
     Scale shape: vocabulary-sized exchange, k rows per key thereafter."""
-    import math
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cnt", "token"],
-                          ascending=[False, True]).head(k)
+        keys = g[key].to_numpy()
         cnt = g["cnt"].to_numpy(dtype=np.int64)
-        m = len(cnt)
-        sx = sy = sxy = sxx = 0.0
-        for i, c in enumerate(cnt):
-            x = math.log(float(i + 1))
-            y = math.log(float(c))
-            sx += x
-            sy += y
-            sxy += x * y
-            sxx += x * x
-        km = float(m)
-        den = km * sxx - sx * sx
-        if m >= 2 and den != 0.0:
-            slope = (km * sxy - sx * sy) / den
-            intercept = (sy - slope * sx) / km
-        else:
-            slope = 0.0
-            intercept = 0.0
+        order, starts, runs = _key_runs(keys, -cnt, g["token"].to_numpy())
+        rank = np.arange(1, len(order) + 1) - np.repeat(starts, runs)
+        top = rank <= k
+        n_top = np.minimum(runs, k)
+        slope, intercept = _ols(_ln(rank[top]), _ln(cnt[order][top]), n_top)
         return pd.DataFrame({
-            key: [g[key].iloc[0]],
-            "n_top": np.array([m], dtype=np.int64),
-            "zipf_slope": [slope],
-            "zipf_intercept": [intercept]})
+            key: keys[order][starts],
+            "n_top": n_top,
+            "zipf_slope": slope,
+            "zipf_intercept": intercept})
 
-    return (_key_token_counts(ds, text_col, key)
-            .groupby(key).map_groups(fold, batch_format="pandas"))
+    return _vocab_fold(ds, text_col, key, fold)
 
 
 def heaps_law_stats(ds, text_col: str, id_col: str, key: str,
@@ -860,119 +805,76 @@ def heaps_law_stats(ds, text_col: str, id_col: str, key: str,
     the growth curve is a pure function of the data, not of execution.
 
     Distribution shape — the sequential "scan docs, count new words"
-    definition is re-expressed as two embarrassingly-parallel exact
-    aggregations: (a) per (key, token) the FIRST document id (a
-    groupby-min — a token enters the vocabulary exactly at its min doc),
-    folded to per-(key, doc) new-token counts; (b) per (key, doc) total
-    token counts. Both are vocabulary-/doc-bounded on the exchange; the
-    cumulative curve, checkpoint selection (positions (i·n_docs)//C,
-    i = 1..C, deduped) and the OLS fold of ln V on ln N then run inside
-    a per-key ``map_groups`` over the doc-sized aggregate (per-key
-    worker-side, not driver-side; at extreme per-key doc counts the
-    same curve can be taken from a distributed window sum instead).
-    Docs whose text has no non-empty token carry no rows on either side.
+    definition is re-expressed as three exchanges: (a) per (key, token)
+    the FIRST document id (a groupby-min — a token enters the vocabulary
+    exactly at its min doc); (b) one (key, doc) sum over the union of
+    the new-token rows of (a) and the token rows of the corpus, giving
+    each doc's new-token and total-token counts; (c) a per-key fold over
+    that doc-sized table, many keys per call: the cumulative curves,
+    checkpoint selection (positions (i·n_docs)//C, i = 1..C, deduped)
+    and the OLS fold of ln V on ln N. Docs whose text has no non-empty
+    token carry no rows.
 
     Exactness contract: all counts exact int64; ln inputs are identical
     integers on both sides; the four OLS moment sums fold SEQUENTIALLY
     IN CHECKPOINT ORDER and the slope/intercept use the same fixed
     parenthesization as zipf_slope_stats, replayed by the SQL twin's
     ordered SUMs."""
-    import math
-
-    from ray.data.aggregate import Min, Sum
+    n_rows = _exploded(cheap_row_count(ds))
 
     def tok_pairs(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        lists = pc.split_pattern(b[text_col].combine_chunks(), " ")
-        toks = pc.list_flatten(lists)
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        lens = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
-        keys = np.repeat(b[key].to_numpy(zero_copy_only=False), lens)
-        docs = np.repeat(b[id_col].to_numpy(zero_copy_only=False), lens)
-        df = pd.DataFrame({key: keys, "doc": docs,
-                           "token": toks.to_numpy(zero_copy_only=False)})
-        return pa.Table.from_pandas(df[df["token"] != ""],
-                                    preserve_index=False)
+        toks, row = split_tokens(b[text_col])
+        at = pa.array(row)
+        return pa.table({key: b[key].take(at), "doc": b[id_col].take(at),
+                         "token": toks})
+
+    def counted(new: bool):
+        def fn(b: pa.Table) -> pa.Table:
+            one = pa.array(np.ones(b.num_rows, dtype=np.int64))
+            zero = pa.array(np.zeros(b.num_rows, dtype=np.int64))
+            return pa.table({key: b[key], "doc": b["doc"],
+                             "v_new": one if new else zero,
+                             "nt": zero if new else one})
+        return fn
 
     pairs = ds.map_batches(tok_pairs, batch_format="pyarrow")
-
-    # (a) vocabulary entry points: min doc per token, then new-token
-    # counts per doc. Two narrow shuffles, nothing wider than the vocab.
-    first = (pairs.groupby([key, "token"])
-             .aggregate(Min("doc", alias_name="fd")))
-
-    def vnew_partial(b: pa.Table) -> pa.Table:
-        df = b.select([key, "fd"]).to_pandas()
-        g = df.groupby([key, "fd"], as_index=False, sort=False).size()
-        return pa.table({key: pa.array(g[key]),
-                         "doc": pa.array(g["fd"].to_numpy(np.int64)),
-                         "v_new": pa.array(g["size"].to_numpy(np.int64)),
-                         "nt": pa.array(np.zeros(len(g), np.int64))})
-
-    vnew = (first.map_batches(vnew_partial, batch_format="pyarrow")
-            .groupby([key, "doc"])
-            .aggregate(Sum("v_new", alias_name="v_new"),
-                       Sum("nt", alias_name="nt")))
-
-    # (b) per-doc token totals (a doc lives in one batch -> exact).
-    def nt_partial(b: pa.Table) -> pa.Table:
-        df = b.select([key, "doc"]).to_pandas()
-        g = df.groupby([key, "doc"], as_index=False, sort=False).size()
-        return pa.table({key: pa.array(g[key]),
-                         "doc": pa.array(g["doc"].to_numpy(np.int64)),
-                         "v_new": pa.array(np.zeros(len(g), np.int64)),
-                         "nt": pa.array(g["size"].to_numpy(np.int64))})
-
-    ntot = (pairs.map_batches(nt_partial, batch_format="pyarrow")
-            .groupby([key, "doc"])
-            .aggregate(Sum("v_new", alias_name="v_new"),
-                       Sum("nt", alias_name="nt")))
-
-    merged = (vnew.union(ntot).groupby([key, "doc"])
-              .aggregate(Sum("v_new", alias_name="v_new"),
-                         Sum("nt", alias_name="nt")))
+    first = hash_bucketed_group_agg(pairs, [key, "token"],
+                                    {"doc": ("doc", "min")}, n_rows=n_rows)
+    per_doc = hash_bucketed_group_agg(
+        first.map_batches(counted(True), batch_format="pyarrow")
+        .union(pairs.map_batches(counted(False), batch_format="pyarrow")),
+        [key, "doc"], {"v_new": ("v_new", "sum"), "nt": ("nt", "sum")},
+        n_rows=n_rows)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("doc")
-        cum_n = g["nt"].to_numpy(np.int64).cumsum()
-        cum_v = g["v_new"].to_numpy(np.int64).cumsum()
-        nd = len(g)
-        pos = sorted({max(1, (i * nd) // checkpoints)
-                      for i in range(1, checkpoints + 1)})
-        sx = sy = sxy = sxx = 0.0
-        for p in pos:
-            x = math.log(float(cum_n[p - 1]))
-            y = math.log(float(cum_v[p - 1]))
-            sx += x
-            sy += y
-            sxy += x * y
-            sxx += x * x
-        m = float(len(pos))
-        den = m * sxx - sx * sx
-        if len(pos) >= 2 and den != 0.0:
-            beta = (m * sxy - sx * sy) / den
-            log_k = (sy - beta * sx) / m
-        else:
-            beta = 0.0
-            log_k = 0.0
+        keys = g[key].to_numpy()
+        order, starts, nd = _key_runs(keys, g["doc"].to_numpy())
+        cum_n, cum_v = (_run_cumsum(g[c].to_numpy(dtype=np.int64)[order],
+                                    starts, nd) for c in ("nt", "v_new"))
+        # checkpoint i of a key's nd docs: max(1, (i * nd) // C), deduped
+        pos = np.maximum(1, np.arange(1, checkpoints + 1)
+                         * nd[:, None] // checkpoints)
+        keep = np.diff(pos, axis=1, prepend=0) != 0
+        at = (starts[:, None] + pos - 1)[keep]
+        n_points = keep.sum(axis=1)
+        beta, log_k = _ols(_ln(cum_n[at]), _ln(cum_v[at]), n_points)
+        last = starts + nd - 1
         return pd.DataFrame({
-            key: [g[key].iloc[0]],
-            "n_docs": np.array([nd], dtype=np.int64),
-            "n_tokens": np.array([int(cum_n[-1])], dtype=np.int64),
-            "n_vocab": np.array([int(cum_v[-1])], dtype=np.int64),
-            "n_points": np.array([len(pos)], dtype=np.int64),
-            "heaps_beta": [beta],
-            "heaps_log_k": [log_k]})
+            key: keys[order][starts],
+            "n_docs": nd,
+            "n_tokens": cum_n[last],
+            "n_vocab": cum_v[last],
+            "n_points": n_points,
+            "heaps_beta": beta,
+            "heaps_log_k": log_k})
 
-    return merged.groupby(key).map_groups(fold, batch_format="pandas")
+    return bucketed_map_groups(per_doc, [key], fold, n_rows=n_rows)
 
 
-def _span_window_fn(text_col: str, doc_id_col: str, n: int, buckets: int):
-    """Per-batch (gram_hash, doc, pos, bucket) window rows — the shared
+def _span_window_fn(text_col: str, doc_id_col: str, n: int):
+    """Per-batch (gram_hash, doc, pos) window rows — the shared
     emission stage of the ExactSubstr pipelines (stats + rewrite twins
     must stay in lockstep; see the token-conservation test)."""
-    from ..functions.hashing import splitmix64
 
     def windows(b: pa.Table) -> pd.DataFrame:
         h, doc_of, pos, _ = _word_gram_hashes(b[text_col], n,
@@ -980,46 +882,35 @@ def _span_window_fn(text_col: str, doc_id_col: str, n: int, buckets: int):
         ids = b[doc_id_col].to_numpy(zero_copy_only=False)
         gh = h.view(np.int64)
         gid = ids[doc_of] if gh.size else np.empty(0, dtype=np.int64)
-        bkt = (splitmix64(gh.view(np.uint64)) % np.uint64(buckets)) \
-            .astype(np.int64) if gh.size else np.empty(0, dtype=np.int64)
-        return pd.DataFrame({"gram": gh, "doc": gid, "pos": pos,
-                             "bucket": bkt})
+        return pd.DataFrame({"gram": gh, "doc": gid, "pos": pos})
 
     return windows
 
 
-def _dup_window_fn(buckets: int):
-    """Per-gram-bucket fold: keep only windows whose gram occurs in
-    >= 2 distinct docs, re-bucketed by doc (shared by stats + rewrite)."""
-    from ..functions.hashing import splitmix64
+def _dup_windows(g: pd.DataFrame) -> pd.DataFrame:
+    """One gram bucket's windows whose gram occurs in >= 2 distinct docs,
+    as (doc, pos) rows."""
+    nd = g.groupby("gram", sort=False)["doc"].transform("nunique")
+    return g.loc[nd.to_numpy() >= 2, ["doc", "pos"]]
 
-    def dup_windows(g: pd.DataFrame) -> pd.DataFrame:
-        nd = g.groupby("gram", sort=False)["doc"].transform("nunique")
-        out = g.loc[nd.to_numpy() >= 2, ["doc", "pos"]]
-        if len(out) == 0:
-            return pd.DataFrame({"doc": pd.Series([], dtype=np.int64),
-                                 "pos": pd.Series([], dtype=np.int64),
-                                 "dbucket": pd.Series([], dtype=np.int64)})
-        out = out.copy()
-        out["dbucket"] = (splitmix64(out["doc"].to_numpy()
-                                     .astype(np.uint64))
-                          % np.uint64(buckets)).astype(np.int64)
-        return out
 
-    return dup_windows
+def _dup_span_fold(ds, text_col: str, doc_id_col: str, n: int, fn,
+                   n_rows: int | None):
+    """The ExactSubstr twins' two exchanges: the window map keyed by gram
+    keeps the duplicated windows, then ``fn`` folds them keyed by doc —
+    every dup window of a doc in one call, many docs per call."""
+    grams = _exploded(n_rows)
+    dup = bucketed_map_groups(ds, ["gram"], _dup_windows,
+                              project=_span_window_fn(text_col, doc_id_col,
+                                                      n),
+                              n_rows=grams)
+    return bucketed_map_groups(dup, ["doc"], fn, n_rows=grams)
 
 
 def _nonempty_token_counts(b: pa.Table, text_col: str) -> np.ndarray:
     """Per-row non-empty token counts — split/mask/bincount only, no
     gram construction (cheap second corpus pass)."""
-    import pyarrow.compute as pc
-
-    lists = pc.split_pattern(b[text_col].combine_chunks(), " ")
-    toks = pc.list_flatten(lists)
-    mask = pc.not_equal(toks, "").to_numpy(zero_copy_only=False)
-    lens = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
-    doc_of = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
-    return np.bincount(doc_of[mask], minlength=len(lens))
+    return np.bincount(split_tokens(b[text_col])[1], minlength=b.num_rows)
 
 
 def duplicate_span_report(ds, text_col: str = "text",
@@ -1037,36 +928,25 @@ def duplicate_span_report(ds, text_col: str = "text",
     Per lang: documents with >= 1 window, total windows, duplicated
     windows, and documents containing any duplicated span.
 
-    Topology (100-TB path): one map pass emits per-batch pre-combined
-    (gram_hash u64, doc_id, cnt) rows — O(total tokens) fixed-width rows,
-    the same asymptotic cost a distributed suffix array pays, no text on
-    the wide exchange; grams are hash-BUCKETED (not one Ray group per
-    gram — one group per distinct gram is pathological, see
-    hash_bucketed_group_agg) and each bucket folds vectorized pandas
-    groupbys: per-gram distinct-doc counts pick the duplicated grams, and
-    the SAME fold re-aggregates per-doc total/dup window partials, so no
-    second pass over the corpus. Per-doc partials combine through
-    hash_bucketed_group_agg, re-join lang via the distributed equi-join,
-    and the final per-lang rollup is KB-sized.
+    Topology (100-TB path): the exchange's ``project`` emits per-batch
+    pre-combined (gram_hash, doc_id, cnt) rows — O(total tokens)
+    fixed-width rows, the same asymptotic cost a distributed suffix array
+    pays, no text on the wide exchange — keyed by gram, and each bucket
+    of grams folds vectorized pandas groupbys: per-gram distinct-doc
+    counts pick the duplicated grams, and the SAME fold re-aggregates
+    per-doc total/dup window partials, so no second pass over the
+    corpus. Per-doc partials combine through hash_bucketed_group_agg,
+    re-join lang via the distributed equi-join, and the final per-lang
+    rollup is KB-sized. ``n_rows`` (default: the source's metadata count)
+    sizes every exchange, times ``_TOKEN_FANOUT`` for the window rows.
 
     Gram identity is the 64-bit hash of the literal gram string (same
     convention and collision analysis as dedup_exact); a SQL oracle
     reproduces the gram set via string_split + list slicing.
     """
-    import pandas as pd
-    from ray.data.aggregate import Count, Sum
-
-    from ..functions.hashing import splitmix64
-    from ..stages.aggregate import hash_bucketed_group_agg
-    from ..stages.partitioning import cheap_row_count, coarse_bucket_count
-    from .relational import hash_join
-
     if n_rows is None:
         n_rows = cheap_row_count(ds)
-    # gram rows multiply docs by ~tokens/doc; size buckets for that
-    buckets = coarse_bucket_count(n_rows=n_rows, fanout=64,
-                                  rows_per_bucket=262144,
-                                  what="duplicate_span_report")
+    grams = _exploded(n_rows)
 
     def gram_pairs(b: pa.Table) -> pd.DataFrame:
         h, doc_of = _word_gram_hashes(b[text_col], n)
@@ -1077,8 +957,7 @@ def duplicate_span_report(ds, text_col: str = "text",
             return pd.DataFrame({
                 "gram": pd.Series([], dtype=np.int64),
                 "doc": pd.Series([], dtype=np.int64),
-                "cnt": pd.Series([], dtype=np.int64),
-                "bucket": pd.Series([], dtype=np.int64)})
+                "cnt": pd.Series([], dtype=np.int64)})
         order = np.lexsort((gid, gh))
         gh, gid = gh[order], gid[order]
         first = np.empty(gh.size, dtype=bool)
@@ -1086,11 +965,8 @@ def duplicate_span_report(ds, text_col: str = "text",
         first[1:] = (gh[1:] != gh[:-1]) | (gid[1:] != gid[:-1])
         starts = np.flatnonzero(first)
         cnt = np.diff(np.append(starts, gh.size)).astype(np.int64)
-        gh, gid = gh[starts], gid[starts]
-        bkt = (splitmix64(gh.view(np.uint64)) % np.uint64(buckets)) \
-            .astype(np.int64)
-        return pd.DataFrame({"gram": gh, "doc": gid, "cnt": cnt,
-                             "bucket": bkt})
+        return pd.DataFrame({"gram": gh[starts], "doc": gid[starts],
+                             "cnt": cnt})
 
     def fold_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # combine per (gram, doc) across batches, then per-gram
@@ -1108,15 +984,13 @@ def duplicate_span_report(ds, text_col: str = "text",
         return out
 
     per_doc = hash_bucketed_group_agg(
-        ds.map_batches(gram_pairs, batch_format="pyarrow")
-          .groupby("bucket").map_groups(fold_bucket,
-                                        batch_format="pandas"),
+        bucketed_map_groups(ds, ["gram"], fold_bucket, project=gram_pairs,
+                            n_rows=grams),
         ["doc"],
         {"total_windows": ("total_w", "sum"),
          "dup_windows": ("dup_w", "sum")},
-        # the stream holds one row per (doc, gram-bucket touched), up to
-        # ~64x the doc count — size the combine buckets for that fanout
-        coarse=buckets)
+        # one row per (doc, gram bucket touched), up to ~64x the docs
+        n_rows=grams)
 
     langs = ds.select_columns([doc_id_col, key]).map_batches(
         lambda b: pa.table({"doc": b[doc_id_col], key: b[key]}),
@@ -1137,12 +1011,12 @@ def duplicate_span_report(ds, text_col: str = "text",
             "dup_windows": b["dup_windows"],
             "has_dup": pa.array((dup > 0).astype(np.int64))})
 
-    return (joined.map_batches(flag, batch_format="pyarrow")
-            .groupby(key)
-            .aggregate(Count(alias_name="n_docs"),
-                       Sum("total_windows", alias_name="total_windows"),
-                       Sum("dup_windows", alias_name="dup_windows"),
-                       Sum("has_dup", alias_name="docs_with_dup")))
+    return hash_bucketed_group_agg(
+        joined.map_batches(flag, batch_format="pyarrow"), [key],
+        {"n_docs": (key, "count"),
+         "total_windows": ("total_windows", "sum"),
+         "dup_windows": ("dup_windows", "sum"),
+         "docs_with_dup": ("has_dup", "sum")}, n_rows=n_rows)
 
 
 def drop_duplicate_span_stats(ds, text_col: str = "text",
@@ -1156,10 +1030,10 @@ def drop_duplicate_span_stats(ds, text_col: str = "text",
     that removal drops (the union of covering windows — overlapping
     windows are not double-counted), and documents touched.
 
-    Topology: pass 1 emits per-window fixed-width rows
-    (gram_hash, doc, pos) bucketed BY GRAM; each gram bucket finds its
-    duplicated grams (distinct-doc >= 2) and forwards only the dup
-    windows' (doc, pos) rows re-bucketed BY DOC, so the second fold sees
+    Topology: the window map (gram_hash, doc, pos) is the ``project`` of
+    an exchange keyed BY GRAM; each gram bucket finds its duplicated
+    grams (distinct-doc >= 2) and forwards only the dup windows'
+    (doc, pos) rows to an exchange keyed BY DOC, so the second fold sees
     every dup window of a doc together and computes the interval-union
     coverage vectorized (sorted positions, per-gap min(n, delta) sweep).
     A second cheap map pass provides per-doc token totals + the lang
@@ -1167,20 +1041,8 @@ def drop_duplicate_span_stats(ds, text_col: str = "text",
     docs with no duplicated span. Nothing wider than 8-byte-column rows
     ever shuffles, and no stage holds more than one bucket.
     """
-    import pandas as pd
-
-    from ray.data.aggregate import Count, Sum
-
-    from ..stages.partitioning import cheap_row_count, coarse_bucket_count
-    from .relational import hash_join
-
     if n_rows is None:
         n_rows = cheap_row_count(ds)
-    buckets = coarse_bucket_count(n_rows=n_rows, fanout=64,
-                                  rows_per_bucket=262144,
-                                  what="drop_duplicate_span_stats")
-    windows = _span_window_fn(text_col, doc_id_col, n, buckets)
-    dup_windows = _dup_window_fn(buckets)
 
     def coverage(g: pd.DataFrame) -> pd.DataFrame:
         d = g["doc"].to_numpy(dtype=np.int64)
@@ -1197,11 +1059,7 @@ def drop_duplicate_span_stats(ds, text_col: str = "text",
         dropped = np.bincount(run, weights=contrib).astype(np.int64)
         return pd.DataFrame({"doc": d[new], "dropped": dropped})
 
-    dropped = (ds.map_batches(windows, batch_format="pyarrow")
-               .groupby("bucket").map_groups(dup_windows,
-                                             batch_format="pandas")
-               .groupby("dbucket").map_groups(coverage,
-                                              batch_format="pandas"))
+    dropped = _dup_span_fold(ds, text_col, doc_id_col, n, coverage, n_rows)
 
     def totals(b: pa.Table) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1224,12 +1082,11 @@ def drop_duplicate_span_stats(ds, text_col: str = "text",
             "dropped": dr,
             "touched": (dr > 0).astype(np.int64)})
 
-    return (per_doc.map_batches(flag, batch_format="pandas")
-            .groupby(key)
-            .aggregate(Count(alias_name="n_docs"),
-                       Sum("n_tokens", alias_name="tokens_total"),
-                       Sum("dropped", alias_name="tokens_dropped"),
-                       Sum("touched", alias_name="docs_touched")))
+    return hash_bucketed_group_agg(
+        per_doc.map_batches(flag, batch_format="pandas"), [key],
+        {"n_docs": (key, "count"), "tokens_total": ("n_tokens", "sum"),
+         "tokens_dropped": ("dropped", "sum"),
+         "docs_touched": ("touched", "sum")}, n_rows=n_rows)
 
 
 def drop_duplicate_spans_text(ds, text_col: str = "text",
@@ -1242,24 +1099,14 @@ def drop_duplicate_spans_text(ds, text_col: str = "text",
     twin, so ``drop_duplicate_span_stats``'s ``tokens_dropped`` equals
     the sum of ``n_dropped`` here).
 
-    Topology: identical gram-bucket dup detection as the stats twin;
-    each doc's dup-window positions are packed into ONE compact
-    comma-separated string in the doc-bucket fold (a join-safe scalar), LEFT-joined back to
-    the corpus by doc id, and the rewrite touches only the joined rows
-    (untouched docs pass through without re-tokenizing).
+    Topology: the same gram-keyed dup detection as the stats twin; the
+    doc-keyed fold packs each doc's dup-window positions into ONE
+    compact comma-separated string (a join-safe scalar), LEFT-joined
+    back to the corpus by doc id, and the rewrite touches only the
+    joined rows (untouched docs pass through without re-tokenizing).
     """
-    import pandas as pd
-
-    from ..stages.partitioning import cheap_row_count, coarse_bucket_count
-    from .relational import hash_join
-
     if n_rows is None:
         n_rows = cheap_row_count(ds)
-    buckets = coarse_bucket_count(n_rows=n_rows, fanout=64,
-                                  rows_per_bucket=262144,
-                                  what="drop_duplicate_spans_text")
-    windows = _span_window_fn(text_col, doc_id_col, n, buckets)
-    dup_windows = _dup_window_fn(buckets)
 
     def pack_positions(g: pd.DataFrame) -> pd.DataFrame:
         d = g["doc"].to_numpy(dtype=np.int64)
@@ -1276,11 +1123,8 @@ def drop_duplicate_spans_text(ds, text_col: str = "text",
             "dup_pos": [",".join(map(str, p[s:e]))
                         for s, e in zip(starts, ends)]})
 
-    dup_pos = (ds.map_batches(windows, batch_format="pyarrow")
-               .groupby("bucket").map_groups(dup_windows,
-                                             batch_format="pandas")
-               .groupby("dbucket").map_groups(pack_positions,
-                                              batch_format="pandas"))
+    dup_pos = _dup_span_fold(ds, text_col, doc_id_col, n, pack_positions,
+                             n_rows)
 
     def rename_id(b: pa.Table) -> pa.Table:
         cols = {"doc": b[doc_id_col], text_col: b[text_col]}
@@ -1322,9 +1166,9 @@ def nb_classifier_confusion(ds, text_col: str = "text", key: str = "lang",
     quality/language routing).
 
     Train: one map pass emits per-batch (bucket, class) count partials;
-    a ``groupby(bucket, class)`` sum produces the complete sufficient
-    statistics (≤ n_buckets × classes rows — KB), which the driver
-    pulls once and turns into a broadcast log-likelihood matrix
+    their sum per (bucket, class) on the keyed exchange is the complete
+    sufficient statistics (≤ n_buckets × classes rows — KB), which the
+    driver pulls once and turns into a broadcast log-likelihood matrix
     ``logp[b, c] = ln((cnt[b,c]+a) / (tot[c]+a*B))`` plus log-priors.
     Predict (self-evaluation over the same corpus): per doc and class,
     score = log-prior + sum over tokens of logp[bucket(token), c] — an
@@ -1335,53 +1179,43 @@ def nb_classifier_confusion(ds, text_col: str = "text", key: str = "lang",
     Rows-only for the driver (the 64-bit feature hash has no SQL twin);
     the pytest twin replays training + prediction in pure Python.
     """
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
     from ..functions.hashing import hash64
 
     B = int(n_buckets)
 
     def _buckets(b: pa.Table):
-        lists = pc.split_pattern(b[text_col].combine_chunks(), " ")
-        toks = pc.list_flatten(lists)
-        mask = pc.not_equal(toks, "").to_numpy(zero_copy_only=False)
-        lens = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
-        doc_of = np.repeat(np.arange(len(lens), dtype=np.int64),
-                           lens)[mask]
-        bkt = (hash64(toks.filter(pa.array(mask))
-                      .to_numpy(zero_copy_only=False))
+        toks, doc_of = split_tokens(b[text_col])
+        bkt = (hash64(toks.to_numpy(zero_copy_only=False))
                % np.uint64(B)).astype(np.int64)
-        return bkt, doc_of, len(lens)
+        return bkt, doc_of, b.num_rows
 
     def train_partials(b: pa.Table) -> pd.DataFrame:
         bkt, doc_of, _ = _buckets(b)
         cls = b[key].to_pandas().to_numpy()[doc_of]
         df = pd.DataFrame({"bucket": bkt, "cls": cls})
         g = df.groupby(["bucket", "cls"], sort=False).size() \
-            .reset_index(name="part")
-        g["part"] = g["part"].astype(np.int64)
+            .reset_index(name="partial")
+        g["partial"] = g["partial"].astype(np.int64)
         # per-batch class doc counts ride along for the priors
         ids = pd.DataFrame({
             "bucket": np.full(b.num_rows, -1, dtype=np.int64),
             "cls": b[key].to_pandas(),
-            "part": np.ones(b.num_rows, dtype=np.int64)})
+            "partial": np.ones(b.num_rows, dtype=np.int64)})
         return pd.concat([g, ids], ignore_index=True)
 
-    stats = (ds.map_batches(train_partials, batch_format="pyarrow")
-             .groupby(["bucket", "cls"])
-             .aggregate(Sum("part", alias_name="cnt"))
-             .to_pandas())  # <= (B+1) * classes rows — KB by design
+    # <= (B+1) * classes rows — KB by design
+    stats = _summed(ds, train_partials, ["bucket", "cls"], "cnt",
+                    _exploded(cheap_row_count(ds))).to_pandas()
     classes = sorted(stats["cls"].unique())
-    cidx = {c: i for i, c in enumerate(classes)}
     L = len(classes)
+    bucket = stats["bucket"].to_numpy()
+    cls = stats["cls"].map({c: i for i, c in enumerate(classes)}).to_numpy()
+    n = stats["cnt"].to_numpy()
+    prior = bucket < 0
     cnt = np.zeros((B, L), dtype=np.int64)
+    cnt[bucket[~prior], cls[~prior]] = n[~prior]
     docs_per_cls = np.zeros(L, dtype=np.int64)
-    for _, row in stats.iterrows():
-        if row["bucket"] < 0:
-            docs_per_cls[cidx[row["cls"]]] = row["cnt"]
-        else:
-            cnt[int(row["bucket"]), cidx[row["cls"]]] = row["cnt"]
+    docs_per_cls[cls[prior]] = n[prior]
     tot = cnt.sum(axis=0)
     logp = np.log((cnt + alpha) / (tot + alpha * B))
     logprior = np.log(docs_per_cls / docs_per_cls.sum())
@@ -1398,13 +1232,14 @@ def nb_classifier_confusion(ds, text_col: str = "text", key: str = "lang",
             "true_cls": true,
             "pred_cls": np.array(classes, dtype=object)[pred]})
         out = g.groupby(["true_cls", "pred_cls"], sort=False).size() \
-            .reset_index(name="part")
-        out["part"] = out["part"].astype(np.int64)
+            .reset_index(name="partial")
+        out["partial"] = out["partial"].astype(np.int64)
         return out
 
-    return (ds.map_batches(predict, batch_format="pyarrow")
-            .groupby(["true_cls", "pred_cls"])
-            .aggregate(Sum("part", alias_name="n_docs")))
+    # the confusion matrix has classes² rows: one bucket
+    return hash_bucketed_group_agg(
+        ds.map_batches(predict, batch_format="pyarrow"),
+        ["true_cls", "pred_cls"], {"n_docs": ("partial", "sum")}, coarse=1)
 
 
 def _bitlen(x: np.ndarray) -> np.ndarray:
@@ -1424,86 +1259,48 @@ def lm_surprise_stats(ds, text_col: str, lang_col: str):
     accumulation-order-dependent.
 
     Dataflow: ONE corpus pass emits per-batch (lang, w1, bigram)
-    combiner partials (the bigram_topk extraction — shifted slices,
-    doc-boundary masked) and unigram partials; bigram totals derive
-    from the aggregated (lang, bigram) table itself (a vocabulary-sized
-    second groupby, never the corpus); the unigram table joins in by
-    headword through the engine's own hash_join. No raw text on any
-    exchange after the first combine.
+    combiner partials (``functions.text.token_bigrams``, the bigram_topk
+    extraction) and unigram partials; bigram totals derive from the
+    aggregated (lang, bigram) table itself (a vocabulary-sized second
+    exchange, never the corpus); the unigram table joins in by headword
+    through the engine's own hash_join. No raw text on any exchange
+    after the first combine.
 
     Returns (lang, n_bigrams, surprise_sum) — higher mean surprise =
     less template-like text.
     """
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    from .relational import hash_join
+    n_rows = _exploded(cheap_row_count(ds))
 
     def bigram_partial(b: pa.Table) -> pa.Table:
-        lists = pc.split_pattern(b[text_col].combine_chunks(), " ")
-        flat = pc.list_flatten(lists)
-        if isinstance(flat, pa.ChunkedArray):
-            flat = flat.combine_chunks()
-        n = len(flat)
-        empty = pa.table({
-            "lang": pa.array([], type=pa.string()),
-            "w1": pa.array([], type=pa.string()),
-            "bigram": pa.array([], type=pa.string()),
-            "partial": pa.array([], type=pa.int64())})
-        if n < 2:
-            return empty
-        lens = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
-        doc_idx = np.repeat(np.arange(len(lens)), lens)
-        same_doc = doc_idx[:-1] == doc_idx[1:]
-        a = flat.slice(0, n - 1)
-        c = flat.slice(1)
-        nonempty = pc.and_(pc.not_equal(a, ""), pc.not_equal(c, ""))
-        mask = pc.and_(nonempty, pa.array(same_doc))
-        langs = b[lang_col].to_numpy(zero_copy_only=False)
-        lang_per_pair = langs[doc_idx[:-1]][
-            mask.to_numpy(zero_copy_only=False)]
-        w1 = a.filter(mask)
-        big = pc.binary_join_element_wise(w1, c.filter(mask), " ")
+        w1, big, row = token_bigrams(b[text_col])
         df = pd.DataFrame({
-            "lang": lang_per_pair,
+            "lang": b[lang_col].to_numpy(zero_copy_only=False)[row],
             "w1": w1.to_numpy(zero_copy_only=False),
             "bigram": big.to_numpy(zero_copy_only=False)})
         g = (df.groupby(["lang", "w1", "bigram"], sort=False)
              .size().reset_index(name="partial"))
         return pa.table({
-            "lang": pa.array(g["lang"]), "w1": pa.array(g["w1"]),
-            "bigram": pa.array(g["bigram"]),
+            "lang": pa.array(g["lang"], type=pa.string()),
+            "w1": pa.array(g["w1"], type=pa.string()),
+            "bigram": pa.array(g["bigram"], type=pa.string()),
             "partial": pa.array(g["partial"].to_numpy(np.int64))})
 
-    A = (ds.map_batches(bigram_partial, batch_format="pyarrow")
-         .groupby(["lang", "w1", "bigram"])
-         .aggregate(Sum("partial", alias_name="n_lw")))
-
-    c12 = A.groupby("bigram").aggregate(Sum("n_lw", alias_name="c12"))
-
-    def uni_partial(b: pa.Table) -> pa.Table:
-        lists = pc.split_pattern(b[text_col].combine_chunks(), " ")
-        flat = pc.list_flatten(lists)
-        flat = flat.filter(pc.not_equal(flat, ""))
-        vc = flat.value_counts()
-        return pa.table({"w1": vc.field("values"),
-                         "partial": pc.cast(vc.field("counts"),
-                                            pa.int64())})
-
-    c1 = (ds.map_batches(uni_partial, batch_format="pyarrow")
-          .groupby("w1").aggregate(Sum("partial", alias_name="c1")))
+    A = _summed(ds, bigram_partial, ["lang", "w1", "bigram"], "n_lw", n_rows)
+    c12 = hash_bucketed_group_agg(A, ["bigram"], {"c12": ("n_lw", "sum")},
+                                  n_rows=n_rows)
+    c1 = _vocab_counts(ds, text_col, "w1", "c1", n_rows)
     c1 = c1.materialize()                   # reused: count + join side
     v_size = c1.count()
 
     j1 = hash_join(A, c12, on="bigram", left_cols=["lang", "w1",
                                                    "n_lw"],
-                   right_cols=["c12"],
+                   right_cols=["c12"], n_rows=n_rows,
                    types={"bigram": pa.string(), "lang": pa.string(),
                           "w1": pa.string(), "n_lw": pa.int64(),
                           "c12": pa.int64()})
     j2 = hash_join(j1, c1, on="w1",
                    left_cols=["lang", "n_lw", "c12"],
-                   right_cols=["c1"],
+                   right_cols=["c1"], n_rows=n_rows,
                    types={"w1": pa.string(), "lang": pa.string(),
                           "n_lw": pa.int64(), "c12": pa.int64(),
                           "c1": pa.int64()})
@@ -1516,14 +1313,7 @@ def lm_surprise_stats(ds, text_col: str, lang_col: str):
                          "n_bigrams": pa.array(n),
                          "surprise": pa.array(n * s)})
 
-    out = (j2.map_batches(score, batch_format="pyarrow")
-           .groupby("lang")
-           .aggregate(Sum("n_bigrams", alias_name="n_bigrams"),
-                      Sum("surprise", alias_name="surprise_sum")))
-
-    def fin(df: pd.DataFrame) -> pd.DataFrame:
-        df["n_bigrams"] = df["n_bigrams"].astype(np.int64)
-        df["surprise_sum"] = df["surprise_sum"].astype(np.int64)
-        return df
-
-    return out.map_batches(fin, batch_format="pandas")
+    return hash_bucketed_group_agg(
+        j2.map_batches(score, batch_format="pyarrow"), ["lang"],
+        {"n_bigrams": ("n_bigrams", "sum"),
+         "surprise_sum": ("surprise", "sum")}, n_rows=n_rows)

@@ -40,9 +40,12 @@ are ``hash_bucketed_group_agg``, the per-user operators in
 ``pipelines/windows.py``, the undirected half of ``pipelines/graph.py``,
 ``pipelines/relational.py`` (the hash, semi/anti and band joins and every
 per-key operator there), ``pipelines/stats.py`` (the value-count and
-cutpoint folds and every per-key scan there) and
+cutpoint folds and every per-key scan there),
 ``pipelines/curation.py`` (the head-k samplers, the shard packers on
-their order-range buckets, the line dedup and every per-key audit there).
+their order-range buckets, the line dedup and every per-key audit there)
+and ``pipelines/textstats.py`` (the token, bigram and n-gram count
+exchanges, the per-key vocabulary folds, the ExactSubstr gram and doc
+exchanges and the global top-ks).
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import pyarrow.compute as pc
 
 from ..state.protocol import SketchSpec, merge_bytes_many, summarize_many
 from ..state.tdigest import (_buffer_cap, _plain_like, _seg_sort,
-                             _unit_bytes)
+                             _unit_bytes, reject_nonfinite)
 from .partitioning import (DEFAULT_MIN_BUCKETS, cheap_row_count,
                            cluster_cpus, coarse_bucket_count, rows_per_task)
 
@@ -62,7 +65,7 @@ SKETCH_COL = "sketch"
 COUNT_COL = "n"
 KEY_COL = "key"
 METRIC_COL = "metric"
-BUCKET_COL = "_bucket"  # bucketed_map_groups' exchange column
+BUCKET_COL = "_bucket"  # bucketed_map_groups' sort key: bucket, hash bits
 ROWS_PER_BUCKET = 262144  # ~10 MB pandas frame per bucket at ~40 B/row
 
 _GLOBAL_KEY = ""  # constant key used when aggregating without a group key
@@ -221,8 +224,7 @@ class KeyedSketches:
             run = np.asarray(vals, dtype=np.float64)
             if not keep.all():
                 run = run[np.repeat(keep, lens)]
-            if np.isnan(run.min()):  # as update_batch rejects it
-                raise ValueError("Cannot add NaN to t-digest")
+            reject_nonfinite(run.min(), run.max())  # as update_batch does
             self._raw[slots[keep]] = total[keep]
             self._runs.append((run, slots[keep], lens[keep]))
         ends = np.cumsum(lens)
@@ -487,7 +489,16 @@ def bucketed_map_groups(ds, keys, fn, *, project=None,
     per bucket without the bucket column and returns a pandas frame or
     pyarrow table; the exchange and the result are Arrow blocks.
 
-    Partitioning contract: a key's rows never span two calls, so a bucket's
+    The exchange is one Ray sort on the bucket, then the top bits of the
+    key hash, and one ``fn`` call per bucket run of each sorted block. A
+    bucket whose keys straddle two of Ray's sort partitions takes one call
+    in each, every key whole. The hash bits give Ray's sampled partition
+    bounds many distinct values, so a partition is empty (and logs a
+    schema-less block) only when the input holds fewer distinct keys than
+    Ray has sort partitions. One bucket (a global fold such as a top-k)
+    skips the sort: ``repartition(1)`` and one call.
+
+    Partitioning contract: a key's rows never span two calls, so a call's
     rows are bounded by ~ROWS_PER_BUCKET plus the hottest key's rows.
     """
     from ..functions.hashing import hash64, splitmix64
@@ -508,15 +519,23 @@ def bucketed_map_groups(ds, keys, fn, *, project=None,
         h = np.zeros(t.num_rows, dtype=np.uint64)
         for k in keys:
             h = splitmix64(h ^ hash64(t[k].to_numpy(zero_copy_only=False)))
-        return t.append_column(BUCKET_COL,
-                               pa.array((h % nb).astype(np.int32)))
+        # sort key: the bucket, then the key hash's top 32 bits
+        return t.append_column(BUCKET_COL, pa.array(
+            ((h % nb) << np.uint64(32) | h >> np.uint64(32)).astype(np.int64)))
 
-    def per_bucket(g: pd.DataFrame) -> pa.Table:
-        return _arrow(fn(g.drop(columns=BUCKET_COL)))
+    def per_bucket(block: pa.Table):
+        if block.num_rows == 0:
+            return
+        b = block[BUCKET_COL].to_numpy() >> 32
+        block = block.drop([BUCKET_COL])
+        starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
+        for lo, hi in zip(starts, np.r_[starts[1:], len(b)]):
+            yield _arrow(fn(block.slice(lo, hi - lo).to_pandas()))
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby(BUCKET_COL)
-            .map_groups(per_bucket, batch_format="pandas"))
+    tagged = ds.map_batches(add_bucket, batch_format="pyarrow")
+    return (tagged.repartition(1) if n_buckets == 1
+            else tagged.sort(BUCKET_COL)).map_batches(
+        per_bucket, batch_size=None, batch_format="pyarrow")
 
 
 def hash_bucketed_group_agg(ds, group_cols, aggs: dict,

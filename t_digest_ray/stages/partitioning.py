@@ -24,11 +24,11 @@ run one vectorized Python call per bucket: every analytics operator that goes
 through ``stages.aggregate.bucketed_map_groups`` (the windows.py
 per-user operators, graph.py's undirected operators, relational.py's
 joins and per-key operators, stats.py's value-count, cutpoint and
-per-key scan folds, curation.py's keyed steps,
+per-key scan folds, curation.py's and textstats.py's keyed steps,
 ``hash_bucketed_group_agg``), plus dedup LSH banding
-and embedding near-dup, which still bucket by hand. ``map_groups``
-materializes ONE bucket per task, so the bucket count must grow with the
-input: a fixed count means a bucket holds ``input/constant`` rows and
+and embedding near-dup, which still bucket by hand. Each call
+materializes one bucket as a pandas frame, so the bucket count must grow
+with the input: a fixed count means a bucket holds ``input/constant`` rows and
 OOMs at 100x scale.
 
 ``coarse_bucket_count`` derives the count from the input row count when

@@ -87,6 +87,18 @@ def _sizes(compression: float, buffer_factor: int) -> tuple[float, int, int]:
     return float(internal), size, buffer_size
 
 
+def reject_nonfinite(lo: float, hi: float) -> None:
+    """Raise ValueError unless a batch's ``lo`` / ``hi`` (its min and max)
+    are finite. NaN is the reference's rule (TDigest.java:94-98; min
+    propagates it). An infinite point would make every later cluster's
+    running sum infinite and its mean ``inf - inf``, so the middle
+    quantiles would read NaN."""
+    if lo != lo:
+        raise ValueError("Cannot add NaN to t-digest")
+    if lo == -np.inf or hi == np.inf:
+        raise ValueError("Cannot add an infinite value to t-digest")
+
+
 class TDigest:
     """A mergeable t-digest over float64 samples with float64 weights."""
 
@@ -125,7 +137,8 @@ class TDigest:
                           np.asarray([w], dtype=np.float64))
 
     def update_batch(self, x, w=None, presorted: bool = False) -> None:
-        """Vectorized add of a batch of samples; NaN rejected (TDigest.java:94-98).
+        """Vectorized add of a batch of samples; NaN (TDigest.java:94-98)
+        and ±inf (``reject_nonfinite``) rejected.
 
         Batches larger than the temp buffer take a bulk path: sort the batch
         once, then a single clustering pass over (live centroids + batch) —
@@ -138,8 +151,7 @@ class TDigest:
         if x.size == 0:
             return
         lo, hi = float(x.min()), float(x.max())
-        if lo != lo:  # min propagates NaN
-            raise ValueError("Cannot add NaN to t-digest")
+        reject_nonfinite(lo, hi)
         if w is not None:
             w = np.ascontiguousarray(w, dtype=np.float64)
             if w.shape != x.shape:

@@ -35,6 +35,26 @@ def test_nan_rejected():
         d.update_batch(np.array([1.0, np.nan]))
 
 
+def test_infinity_rejected_on_every_update_path():
+    """One infinite point made the middle quantiles NaN (every later
+    cluster mean became inf - inf); it is rejected like NaN on the
+    buffered path, the bulk path and a KeyedSketches raw run."""
+    import pyarrow as pa
+
+    from t_digest_ray.pipelines.quantiles import tdigest_spec
+    from t_digest_ray.stages.aggregate import KeyedSketches
+
+    for x in (np.r_[np.arange(50.0), -np.inf],     # buffered
+              np.r_[np.arange(5000.0), np.inf]):   # bulk
+        d = TDigest(100)
+        with pytest.raises(ValueError, match="infinite"):
+            d.update_batch(x)
+    acc = KeyedSketches(tdigest_spec())
+    with pytest.raises(ValueError, match="infinite"):
+        acc.add(pa.array(["a"] * 51),
+                {"v": pa.array(np.r_[np.arange(50.0), -np.inf])})
+
+
 def test_bad_q_rejected():
     d = TDigest(100)
     d.update(1.0)

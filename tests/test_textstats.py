@@ -708,3 +708,187 @@ def test_lm_surprise_stats_local_replay(ray_session):
     for _, r in got.iterrows():
         assert per_lang[r["lang"]] == [r["n_bigrams"],
                                        r["surprise_sum"]]
+
+
+# ---------------------------------------------------------------------------
+# keyed-exchange layout: every operator on the keyed exchange gives the same
+# frame at 1 and 7 input blocks, with a few keys and a small vocabulary, and
+# with hundreds of keys and 2,000+ distinct tokens so that every exchange
+# bucket folds many keys
+# ---------------------------------------------------------------------------
+
+def _layout_corpus(n_docs: int, n_keys: int, n_vocab: int, seed: int = 11):
+    import pyarrow as pa
+
+    rng = np.random.default_rng(seed)
+    vocab = np.array([f"w{i}" for i in range(n_vocab)])
+    spans = [" ".join(rng.choice(vocab, size=6)) for _ in range(20)]
+    texts = []
+    for i in range(n_docs):
+        toks = " ".join(rng.choice(vocab, size=rng.integers(3, 16)))
+        if i % 3 == 0:  # a span shared with other documents
+            toks += " " + spans[rng.integers(0, len(spans))]
+        texts.append(toks + ("  value row" if i % 5 == 0 else ""))
+    return pa.table({
+        "doc_id": rng.permutation(n_docs).astype(np.int64),
+        "lang": [f"k{k:03d}" for k in rng.integers(0, n_keys, n_docs)],
+        "text": texts,
+        "props": [f'{{"k": {int(v)}, "x": 1}}' if v % 4 else '{"x": 1}'
+                  for v in rng.integers(-5, 40, n_docs)],
+    })
+
+
+def _blocks(table, blocks: int):
+    import ray
+
+    step = -(-table.num_rows // blocks)
+    return ray.data.from_arrow(
+        [table.slice(i, step) for i in range(0, table.num_rows, step)])
+
+
+def _textstats_layout_ops():
+    import ray
+
+    from t_digest_ray.pipelines import textstats as ts
+
+    def contamination(ds):
+        bench = ray.put(ts.benchmark_gram_set(
+            [r["text"] for r in ds.take(20)], 4))
+        return ts.ngram_contamination_counts(ds, bench, 4, "lang")
+
+    return {
+        "token_topk": lambda ds: ts.token_topk(ds, "text", 25),
+        "bigram_topk": lambda ds: ts.bigram_topk(ds, "text", 25),
+        "token_df_stats": lambda ds: ts.token_df_stats(ds, "text",
+                                                       "doc_id"),
+        "dominant_term": lambda ds: ts.dominant_term(ds, "text", "doc_id"),
+        "regex_scrub_stats": lambda ds: ts.regex_scrub_stats(
+            ds, "text", "lang", r"\b(value|w1\d)\b"),
+        "ngram_contamination_counts": contamination,
+        "json_int_field_stats": lambda ds: ts.json_int_field_stats(
+            ds, "props", "k", "lang"),
+        "quality_rule_funnel": lambda ds: ts.quality_rule_funnel(
+            ds, "text", "lang"),
+        "token_cooccurrence": lambda ds: ts.token_cooccurrence(
+            ds, "text", "doc_id", k=12),
+        "bm25_topk": lambda ds: ts.bm25_topk(
+            ds, "text", "doc_id", ["w1", "w2", "value"], topk=15),
+        "lang_token_cosine": lambda ds: ts.lang_token_cosine(
+            ds, "text", "lang", k=15),
+        "vocab_richness": lambda ds: ts.vocab_richness(ds, "text", "lang"),
+        "token_entropy_stats": lambda ds: ts.token_entropy_stats(
+            ds, "text", "lang"),
+        "zipf_slope_stats": lambda ds: ts.zipf_slope_stats(
+            ds, "text", "lang", k=20),
+        "heaps_law_stats": lambda ds: ts.heaps_law_stats(
+            ds, "text", "doc_id", "lang", checkpoints=5),
+        "duplicate_span_report": lambda ds: ts.duplicate_span_report(
+            ds, n=4),
+        "drop_duplicate_span_stats": lambda ds: ts.drop_duplicate_span_stats(
+            ds, n=4),
+        "drop_duplicate_spans_text": lambda ds: ts.drop_duplicate_spans_text(
+            ds.select_columns(["doc_id", "text"]), n=4),
+        "nb_classifier_confusion": lambda ds: ts.nb_classifier_confusion(
+            ds, n_buckets=256),
+        "lm_surprise_stats": lambda ds: ts.lm_surprise_stats(
+            ds, "text", "lang"),
+    }
+
+
+def _frame(out) -> pd.DataFrame:
+    df = out if isinstance(out, pd.DataFrame) else out.to_pandas()
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+@pytest.mark.parametrize("n_docs,n_keys,n_vocab",
+                         [(300, 5, 60), (2000, 300, 2500)])
+@pytest.mark.parametrize("op", sorted(_textstats_layout_ops()))
+def test_textstats_same_frame_at_1_and_7_blocks(ray_session, op, n_docs,
+                                                n_keys, n_vocab):
+    t = _layout_corpus(n_docs, n_keys, n_vocab)
+    if n_vocab > 1000:  # every exchange bucket folds many tokens
+        assert len({w for s in t["text"].to_pylist()
+                    for w in s.split(" ") if w}) >= 2000
+    fn = _textstats_layout_ops()[op]
+    one, seven = (_frame(fn(_blocks(t, b))) for b in (1, 7))
+    assert len(one) > 0
+    pd.testing.assert_frame_equal(one, seven, check_exact=True)
+
+
+def test_per_key_folds_match_per_key_loops(ray_session):
+    """The vocabulary folds take hundreds of keys per call (segmented
+    sums over one ``_key_runs`` sort); every key's row equals the per-key
+    loop: Σ c·ln c in token order, the Zipf and Heaps moment sums in rank
+    and checkpoint order, Yule's K from Python integers."""
+    import math
+    from collections import Counter, defaultdict
+
+    from t_digest_ray.pipelines.textstats import (heaps_law_stats,
+                                                  token_entropy_stats,
+                                                  vocab_richness,
+                                                  zipf_slope_stats)
+
+    t = _layout_corpus(2000, 300, 2500)
+    df = t.to_pandas()
+    counts = defaultdict(Counter)
+    for lang, text in zip(df["lang"], df["text"]):
+        counts[lang].update(w for w in text.split(" ") if w)
+
+    def ols(pts):
+        sx = sy = sxy = sxx = 0.0
+        for x, y in pts:
+            sx += x
+            sy += y
+            sxy += x * y
+            sxx += x * x
+        m = float(len(pts))
+        den = m * sxx - sx * sx
+        if len(pts) >= 2 and den != 0.0:
+            slope = (m * sxy - sx * sy) / den
+            return slope, (sy - slope * sx) / m
+        return 0.0, 0.0
+
+    ent, zipf, yule, heaps = {}, {}, {}, {}
+    for lang, c in counts.items():
+        n = sum(c.values())
+        s = 0.0
+        for tok in sorted(c):
+            s += float(c[tok]) * math.log(float(c[tok]))
+        ent[lang] = (n, len(c), s, math.log(float(n)) - s / float(n))
+        top = sorted(c.items(), key=lambda kv: (-kv[1], kv[0]))[:20]
+        zipf[lang] = (len(top), *ols([(math.log(float(i + 1)),
+                                       math.log(float(v)))
+                                      for i, (_, v) in enumerate(top)]))
+        m2 = sum(v * v for v in c.values())
+        yule[lang] = (n, len(c), sum(v == 1 for v in c.values()),
+                      10000.0 * float(m2 - n) / (float(n) * float(n)))
+    for lang, g in df.sort_values("doc_id").groupby("lang"):
+        seen, cum_n, cum_v = set(), [0], []
+        for text in g["text"]:
+            toks = [w for w in text.split(" ") if w]
+            seen.update(toks)
+            cum_n.append(cum_n[-1] + len(toks))
+            cum_v.append(len(seen))
+        cum_n, nd = cum_n[1:], len(cum_v)
+        pos = sorted({max(1, (i * nd) // 5) for i in range(1, 6)})
+        heaps[lang] = (nd, cum_n[-1], cum_v[-1], len(pos),
+                       *ols([(math.log(float(cum_n[p - 1])),
+                              math.log(float(cum_v[p - 1]))) for p in pos]))
+
+    ds = _blocks(t, 3)
+    rows = {
+        "entropy": (token_entropy_stats(ds, "text", "lang"),
+                    ["n_tokens", "n_vocab", "sum_clnc", "entropy"], ent),
+        "zipf": (zipf_slope_stats(ds, "text", "lang", k=20),
+                 ["n_top", "zipf_slope", "zipf_intercept"], zipf),
+        "yule": (vocab_richness(ds, "text", "lang"),
+                 ["n_tokens", "n_vocab", "n_hapax", "yule_k"], yule),
+        "heaps": (heaps_law_stats(ds, "text", "doc_id", "lang",
+                                  checkpoints=5),
+                  ["n_docs", "n_tokens", "n_vocab", "n_points",
+                   "heaps_beta", "heaps_log_k"], heaps)}
+    for name, (out, cols, ref) in rows.items():
+        got = out.to_pandas()
+        assert len(got) == len(ref) == 300, name
+        assert {r[0]: tuple(r[1:]) for r in
+                got[["lang", *cols]].itertuples(index=False)} == ref, name
