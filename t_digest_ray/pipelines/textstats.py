@@ -29,8 +29,8 @@ one-bucket case over per-block head-ks, and ``dominant_term`` joins
 each document's top term to the df table with ``relational.hash_join``
 instead of pulling the vocabulary to the driver. Each operator counts
 its source's rows once (``cheap_row_count``) and sizes every exchange
-from that count, times ``_TOKEN_FANOUT`` after a token or n-gram
-explode.
+from that count, times ``_TOKEN_FANOUT`` for bigram and n-gram window
+rows. A null key is one more key, as in SQL's GROUP BY.
 """
 
 from __future__ import annotations
@@ -49,13 +49,19 @@ from ..stages.partitioning import cheap_row_count
 from ..state.tdigest import _seg_cumsum
 from .relational import hash_join
 
-# a document explodes into ~tens of tokens, bigrams or n-gram windows
+# Every exchange is sized by the rows that reach it. Per-doc rows, per-key
+# partials and per-batch unigram counts (a batch's vocabulary grows
+# sublinearly in its tokens) take the source's row count; an undercount
+# only fills buckets fuller, and the folds' cost follows rows, not calls.
+# Bigram and n-gram window rows are near-unique per token position, so a
+# per-batch combine barely shrinks them: they take the count times the
+# tokens per document (54 on average in the sf0.01 test corpus).
 _TOKEN_FANOUT = 64
 
 
 def _exploded(n_rows: int | None) -> int | None:
-    """The row bound of a token or n-gram explode of ``n_rows`` source
-    rows (None when the source count is unknown)."""
+    """The row bound of a bigram or n-gram window explode of ``n_rows``
+    source rows (None when the source count is unknown)."""
     return None if n_rows is None else n_rows * _TOKEN_FANOUT
 
 
@@ -148,8 +154,7 @@ def token_topk(ds, text_col: str, k: int, count_name: str = "cnt"):
     shape. Per-batch split+count combiner (Arrow C kernels), a
     vocabulary-sized count exchange, then a head-k per count block and
     one final head-k."""
-    return _token_topk(ds, text_col, k, count_name,
-                       _exploded(cheap_row_count(ds)))
+    return _token_topk(ds, text_col, k, count_name, cheap_row_count(ds))
 
 
 def _token_topk(ds, text_col: str, k: int, count_name: str,
@@ -180,8 +185,7 @@ def token_df_stats(ds, text_col: str, id_col: str):
     """Inverted-index posting statistics: per token its document
     frequency (``df``), corpus frequency (``cf``) and smallest posting
     id (``min_doc``) — the TF-IDF foundation."""
-    return _token_df_stats(ds, text_col, id_col,
-                           _exploded(cheap_row_count(ds)))
+    return _token_df_stats(ds, text_col, id_col, cheap_row_count(ds))
 
 
 def _token_df_stats(ds, text_col: str, id_col: str, n_rows: int | None):
@@ -264,7 +268,7 @@ def dominant_term(ds, text_col: str, id_col: str):
     batch), and one distributed equi-join (``relational.hash_join``) on
     the term attaches ``token_df_stats``' df. Nothing vocabulary-sized
     reaches the driver."""
-    n_rows = _exploded(cheap_row_count(ds))
+    n_rows = cheap_row_count(ds)
 
     def dominant(b: pa.Table) -> pa.Table:
         pairs = _token_doc_pairs(b, text_col, id_col) \
@@ -461,7 +465,8 @@ def json_int_field_stats(ds, json_col: str, field: str, key: str):
                      .fillna(0).to_numpy(),
                      0).astype(np.int64)
         df = pd.DataFrame({key: kv, "v": v, "have": have})
-        g = (df.groupby([key, "v", "have"], as_index=False, sort=False)
+        g = (df.groupby([key, "v", "have"], as_index=False, sort=False,
+                        dropna=False)
              .size().rename(columns={"size": "partial"}))
         g["partial"] = g["partial"].astype(np.int64)
         return pa.Table.from_pandas(g, preserve_index=False)
@@ -553,7 +558,7 @@ def token_cooccurrence(ds, text_col: str, id_col: str, k: int = 20):
     """
     n_rows = cheap_row_count(ds)
     top_set = {r["token"] for r in
-               _token_topk(ds, text_col, k, "cnt", _exploded(n_rows)).take(k)}
+               _token_topk(ds, text_col, k, "cnt", n_rows).take(k)}
 
     def partial(b: pa.Table) -> pa.Table:
         pairs = _token_doc_pairs(b, text_col, id_col)
@@ -647,11 +652,12 @@ def lang_token_cosine(ds, text_col: str, key: str, k: int = 20):
     so only keys×k rows ever shuffle, and the pair fold runs on that
     KB-sized table with exact integer dot products — the only doubles
     are the final dot/(sqrt*sqrt), fixed order, bit-identical to the
-    HUGEINT SQL twin. Pairs with no shared vocabulary get cosine 0.
+    HUGEINT SQL twin. Pairs with no shared vocabulary get cosine 0; a
+    null key pairs with no key (SQL's ``a.key < b.key`` is NULL).
     """
     n_rows = cheap_row_count(ds)
     top_set = {r["token"] for r in
-               _token_topk(ds, text_col, k, "cnt", _exploded(n_rows)).take(k)}
+               _token_topk(ds, text_col, k, "cnt", n_rows).take(k)}
     vecs = _key_token_counts(ds, text_col, key, n_rows,
                              vocab=top_set).to_pandas()  # keys×k rows
 
@@ -687,7 +693,8 @@ def _key_token_counts(ds, text_col: str, key: str, n_rows: int | None,
                            "token": toks.to_numpy(zero_copy_only=False)})
         if vocab is not None:
             df = df[df["token"].isin(vocab)]
-        g = df.groupby([key, "token"], as_index=False, sort=False).size()
+        g = df.groupby([key, "token"], as_index=False, sort=False,
+                       dropna=False).size()
         g = g.rename(columns={"size": "partial"})
         g["partial"] = g["partial"].astype(np.int64)
         return pa.Table.from_pandas(g, preserve_index=False)
@@ -698,7 +705,7 @@ def _key_token_counts(ds, text_col: str, key: str, n_rows: int | None,
 def _vocab_fold(ds, text_col: str, key: str, fold):
     """``fold`` over the exact per-(key, token) counts, every key's rows
     in one call and many keys per call."""
-    n_rows = _exploded(cheap_row_count(ds))
+    n_rows = cheap_row_count(ds)
     return bucketed_map_groups(_key_token_counts(ds, text_col, key, n_rows),
                                [key], fold, n_rows=n_rows)
 
@@ -820,7 +827,7 @@ def heaps_law_stats(ds, text_col: str, id_col: str, key: str,
     IN CHECKPOINT ORDER and the slope/intercept use the same fixed
     parenthesization as zipf_slope_stats, replayed by the SQL twin's
     ordered SUMs."""
-    n_rows = _exploded(cheap_row_count(ds))
+    n_rows = cheap_row_count(ds)
 
     def tok_pairs(b: pa.Table) -> pa.Table:
         toks, row = split_tokens(b[text_col])
@@ -1175,6 +1182,7 @@ def nb_classifier_confusion(ds, text_col: str = "text", key: str = "lang",
     order-deterministic per-class bincount fold — and argmax with a
     deterministic smallest-class-name tie-break. Output: the confusion
     matrix ``(true class, predicted class, n_docs)`` in exact int64.
+    Documents without a class (a null ``key``) neither train nor count.
 
     Rows-only for the driver (the 64-bit feature hash has no SQL twin);
     the pytest twin replays training + prediction in pure Python.
@@ -1190,6 +1198,7 @@ def nb_classifier_confusion(ds, text_col: str = "text", key: str = "lang",
         return bkt, doc_of, b.num_rows
 
     def train_partials(b: pa.Table) -> pd.DataFrame:
+        b = b.filter(pc.is_valid(b[key]))  # no label, nothing to learn
         bkt, doc_of, _ = _buckets(b)
         cls = b[key].to_pandas().to_numpy()[doc_of]
         df = pd.DataFrame({"bucket": bkt, "cls": cls})
@@ -1203,9 +1212,10 @@ def nb_classifier_confusion(ds, text_col: str = "text", key: str = "lang",
             "partial": np.ones(b.num_rows, dtype=np.int64)})
         return pd.concat([g, ids], ignore_index=True)
 
-    # <= (B+1) * classes rows — KB by design
-    stats = _summed(ds, train_partials, ["bucket", "cls"], "cnt",
-                    _exploded(cheap_row_count(ds))).to_pandas()
+    # <= (B+1) * classes rows — KB by design: one bucket
+    stats = hash_bucketed_group_agg(
+        ds.map_batches(train_partials, batch_format="pyarrow"),
+        ["bucket", "cls"], {"cnt": ("partial", "sum")}, coarse=1).to_pandas()
     classes = sorted(stats["cls"].unique())
     L = len(classes)
     bucket = stats["bucket"].to_numpy()
@@ -1269,7 +1279,8 @@ def lm_surprise_stats(ds, text_col: str, lang_col: str):
     Returns (lang, n_bigrams, surprise_sum) — higher mean surprise =
     less template-like text.
     """
-    n_rows = _exploded(cheap_row_count(ds))
+    n_rows = cheap_row_count(ds)
+    bigrams = _exploded(n_rows)
 
     def bigram_partial(b: pa.Table) -> pa.Table:
         w1, big, row = token_bigrams(b[text_col])
@@ -1277,7 +1288,7 @@ def lm_surprise_stats(ds, text_col: str, lang_col: str):
             "lang": b[lang_col].to_numpy(zero_copy_only=False)[row],
             "w1": w1.to_numpy(zero_copy_only=False),
             "bigram": big.to_numpy(zero_copy_only=False)})
-        g = (df.groupby(["lang", "w1", "bigram"], sort=False)
+        g = (df.groupby(["lang", "w1", "bigram"], sort=False, dropna=False)
              .size().reset_index(name="partial"))
         return pa.table({
             "lang": pa.array(g["lang"], type=pa.string()),
@@ -1285,22 +1296,23 @@ def lm_surprise_stats(ds, text_col: str, lang_col: str):
             "bigram": pa.array(g["bigram"], type=pa.string()),
             "partial": pa.array(g["partial"].to_numpy(np.int64))})
 
-    A = _summed(ds, bigram_partial, ["lang", "w1", "bigram"], "n_lw", n_rows)
+    A = _summed(ds, bigram_partial, ["lang", "w1", "bigram"], "n_lw",
+                bigrams)
     c12 = hash_bucketed_group_agg(A, ["bigram"], {"c12": ("n_lw", "sum")},
-                                  n_rows=n_rows)
+                                  n_rows=bigrams)
     c1 = _vocab_counts(ds, text_col, "w1", "c1", n_rows)
     c1 = c1.materialize()                   # reused: count + join side
     v_size = c1.count()
 
     j1 = hash_join(A, c12, on="bigram", left_cols=["lang", "w1",
                                                    "n_lw"],
-                   right_cols=["c12"], n_rows=n_rows,
+                   right_cols=["c12"], n_rows=bigrams,
                    types={"bigram": pa.string(), "lang": pa.string(),
                           "w1": pa.string(), "n_lw": pa.int64(),
                           "c12": pa.int64()})
     j2 = hash_join(j1, c1, on="w1",
                    left_cols=["lang", "n_lw", "c12"],
-                   right_cols=["c1"], n_rows=n_rows,
+                   right_cols=["c1"], n_rows=bigrams,
                    types={"w1": pa.string(), "lang": pa.string(),
                           "n_lw": pa.int64(), "c12": pa.int64(),
                           "c1": pa.int64()})

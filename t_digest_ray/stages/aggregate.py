@@ -461,11 +461,55 @@ def _arrow(t) -> pa.Table:
 def _key_runs(keys: np.ndarray, *by: np.ndarray):
     """One bucket's rows sorted by ``(keys, *by)`` with one lexsort:
     returns the row order, each key's first position in that order and
-    each key's row count."""
+    each key's row count. A null key (None or NaN) is one key, after
+    every value."""
+    if keys.dtype.kind in "Of":
+        keys = pd.factorize(keys, sort=True, use_na_sentinel=False)[0]
     order = np.lexsort((*reversed(by), keys))
     ks = keys[order]
     starts = np.flatnonzero(np.r_[len(ks) > 0, ks[1:] != ks[:-1]])
     return order, starts, np.diff(np.r_[starts, len(ks)])
+
+
+def _keyed_pandas(t: pa.Table, keys) -> pd.DataFrame:
+    """``t`` as a pandas frame whose integer key columns with nulls keep
+    their Arrow type (NumPy would make them floats), so a groupby gives
+    the null one group and the other keys back as integers."""
+    df = t.to_pandas()
+    for k in keys:
+        c = t[k]
+        if c.null_count and pa.types.is_integer(c.type):
+            df[k] = c.to_pandas(types_mapper=pd.ArrowDtype)
+    return df
+
+
+def _typed_keys(t: pa.Table, schema: pa.Schema, keys) -> pa.Table:
+    """``t`` with each key column that pandas turned into floats (an
+    all-null key, an int key with a null) cast back to its type in
+    ``schema``."""
+    for k in keys:
+        if k not in schema.names or k not in t.column_names:
+            continue
+        want, c = schema.field(k).type, t[k]
+        if c.type != want and (pa.types.is_null(c.type)
+                               or pa.types.is_floating(c.type)) and (
+                c.null_count == len(c) or pa.types.is_integer(want)):
+            t = t.set_column(t.column_names.index(k), k, c.cast(want))
+    return t
+
+
+def _key_hash(col) -> np.ndarray:
+    """``hash64`` of an Arrow key column with every null hashed alike,
+    the valid values hashed as their own type whether or not the block
+    holds a null (NumPy turns an int column with nulls into floats)."""
+    from ..functions.hashing import hash64
+
+    if not col.null_count:
+        return hash64(col.to_numpy(zero_copy_only=False))
+    h = np.zeros(len(col), dtype=np.uint64)
+    valid = col.is_valid().to_numpy(zero_copy_only=False)
+    h[valid] = hash64(col.drop_null().to_numpy(zero_copy_only=False))
+    return h
 
 
 def bucketed_map_groups(ds, keys, fn, *, project=None,
@@ -485,9 +529,11 @@ def bucketed_map_groups(ds, keys, fn, *, project=None,
     ``coarse_bucket_count``'s 256 (a small floor would put ``input / CPUs``
     rows of a large derived input in one bucket). The
     bucket is a splitmix64 chain over ``hash64`` of each typed key column,
-    so composite keys never pack into strings. ``fn`` gets one pandas frame
-    per bucket without the bucket column and returns a pandas frame or
-    pyarrow table; the exchange and the result are Arrow blocks.
+    so composite keys never pack into strings, and a null is one key.
+    ``fn`` gets one pandas frame per bucket without the bucket column
+    (an integer key column with nulls as ``pd.ArrowDtype``) and returns a
+    pandas frame or pyarrow table whose key columns keep their type; the
+    exchange and the result are Arrow blocks.
 
     The exchange is one Ray sort on the bucket, then the top bits of the
     key hash, and one ``fn`` call per bucket run of each sorted block. A
@@ -501,7 +547,7 @@ def bucketed_map_groups(ds, keys, fn, *, project=None,
     Partitioning contract: a key's rows never span two calls, so a call's
     rows are bounded by ~ROWS_PER_BUCKET plus the hottest key's rows.
     """
-    from ..functions.hashing import hash64, splitmix64
+    from ..functions.hashing import splitmix64
 
     keys = list(keys)
     if n_buckets is None:
@@ -515,10 +561,11 @@ def bucketed_map_groups(ds, keys, fn, *, project=None,
     nb = np.uint64(n_buckets)
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        t = _arrow(batch if project is None else project(batch))
+        t = (_arrow(batch) if project is None else
+             _typed_keys(_arrow(project(batch)), batch.schema, keys))
         h = np.zeros(t.num_rows, dtype=np.uint64)
         for k in keys:
-            h = splitmix64(h ^ hash64(t[k].to_numpy(zero_copy_only=False)))
+            h = splitmix64(h ^ _key_hash(t[k]))
         # sort key: the bucket, then the key hash's top 32 bits
         return t.append_column(BUCKET_COL, pa.array(
             ((h % nb) << np.uint64(32) | h >> np.uint64(32)).astype(np.int64)))
@@ -530,7 +577,8 @@ def bucketed_map_groups(ds, keys, fn, *, project=None,
         block = block.drop([BUCKET_COL])
         starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
         for lo, hi in zip(starts, np.r_[starts[1:], len(b)]):
-            yield _arrow(fn(block.slice(lo, hi - lo).to_pandas()))
+            yield _typed_keys(_arrow(fn(_keyed_pandas(
+                block.slice(lo, hi - lo), keys))), block.schema, keys)
 
     tagged = ds.map_batches(add_bucket, batch_format="pyarrow")
     return (tagged.repartition(1) if n_buckets == 1
@@ -555,7 +603,8 @@ def hash_bucketed_group_agg(ds, group_cols, aggs: dict,
 
     ``aggs`` maps ``out_name -> (value_col, how)`` with how in
     ``count | sum | min | max`` (count ignores value_col). Returns a
-    Dataset of one row per distinct ``group_cols`` combination. The
+    Dataset of one row per distinct ``group_cols`` combination, a null
+    key included (SQL's GROUP BY). The
     combine sorts each bucket's partial rows on the group, then the
     partial columns, so a float sum does not depend on the order in
     which Ray delivers the partials.
@@ -566,7 +615,8 @@ def hash_bucketed_group_agg(ds, group_cols, aggs: dict,
                 for o, (c, h) in aggs.items()}
 
     def partial(batch: pa.Table) -> pd.DataFrame:
-        g = batch.to_pandas().groupby(group_cols, sort=False)
+        g = _keyed_pandas(batch, group_cols).groupby(
+            group_cols, sort=False, dropna=False)
         outs = {}
         for out, (col, how) in aggs.items():
             outs[out] = (g.size() if how == "count"
@@ -575,7 +625,7 @@ def hash_bucketed_group_agg(ds, group_cols, aggs: dict,
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(group_cols + list(part_how), kind="stable")
-        g = df.groupby(group_cols, sort=False)
+        g = df.groupby(group_cols, sort=False, dropna=False)
         outs = {out: g[out].agg(how)
                 for out, (_c, how) in part_how.items()}
         return pd.DataFrame(outs).reset_index()

@@ -128,6 +128,41 @@ def test_hash_bucketed_group_agg_float_sum_ignores_block_order(ray_session):
     assert len(sums) == 1, sums
 
 
+def test_hash_bucketed_group_agg_keeps_null_keys(ray_session):
+    """A null key is one group (SQL's GROUP BY), and an int key lands in
+    one bucket whether or not its block also holds a null (NumPy turns an
+    int column with nulls into floats, which hash differently)."""
+    import pyarrow as pa
+    import ray
+
+    from t_digest_ray.stages.aggregate import hash_bucketed_group_agg
+
+    n = 2000
+    k = [None if i < 600 and i % 13 == 0 else i % 97 for i in range(n)]
+    t = pa.table({"k": pa.array(k, pa.int64()),
+                  "s": pa.array([f"s{i % 5}" if i % 11 else None
+                                 for i in range(n)], pa.string()),
+                  "v": pa.array(np.arange(n, dtype=np.int64))})
+    ds = ray.data.from_arrow([t.slice(i, 100) for i in range(0, n, 100)])
+    df = t.to_pandas()
+    for cols in (["k"], ["s"], ["k", "s"]):
+        out = hash_bucketed_group_agg(ds, cols, {"sv": ("v", "sum"),
+                                                 "n": ("v", "count")},
+                                      coarse=16)
+        blocks = [b for b in ray.get(out.to_arrow_refs()) if b.num_rows]
+        assert {b.schema.field(c).type for b in blocks for c in cols} \
+            == {t.schema.field(c).type for c in cols}, cols
+        got = pa.concat_tables(blocks).to_pylist()
+        want = list(df.groupby(cols, dropna=False)["v"]
+                    .agg(["sum", "size"]).reset_index()
+                    .itertuples(index=False))
+        assert len(got) == len(want), cols
+        assert {tuple(r[c] for c in cols): (r["sv"], r["n"]) for r in got} \
+            == {tuple(None if pd.isna(x) else int(x) if c == "k" else x
+                      for c, x in zip(cols, w[:-2])): (w[-2], w[-1])
+                for w in want}, cols
+
+
 def _canon(df: pd.DataFrame) -> pd.DataFrame:
     df = df[sorted(df.columns)]
     return df.sort_values(list(df.columns)).reset_index(drop=True)

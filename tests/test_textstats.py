@@ -892,3 +892,58 @@ def test_per_key_folds_match_per_key_loops(ray_session):
         assert len(got) == len(ref) == 300, name
         assert {r[0]: tuple(r[1:]) for r in
                 got[["lang", *cols]].itertuples(index=False)} == ref, name
+
+
+_NULL_KEYED = ["regex_scrub_stats", "ngram_contamination_counts",
+               "json_int_field_stats", "quality_rule_funnel",
+               "vocab_richness", "token_entropy_stats", "zipf_slope_stats",
+               "heaps_law_stats", "duplicate_span_report",
+               "drop_duplicate_span_stats", "lm_surprise_stats"]
+
+
+def test_null_key_is_one_more_key(ray_session):
+    """A null ``lang`` is one group, as in SQL's GROUP BY: every per-key
+    operator gives the frame it gives with the nulls spelled as one more
+    key, the doc counts match DuckDB's GROUP BY, cosine pairs skip the
+    null key (``a.key < b.key`` is NULL in SQL) and Naive Bayes leaves
+    unlabelled documents out."""
+    import duckdb
+    import pyarrow as pa
+
+    t = _layout_corpus(300, 5, 60)
+    lang = [None if i % 7 == 0 else v
+            for i, v in enumerate(t["lang"].to_pylist())]
+    at = t.schema.get_field_index("lang")
+    nulls = t.set_column(at, "lang", pa.array(lang, pa.string()))
+    spelled = t.set_column(at, "lang", pa.array(
+        [v if v is not None else "~null" for v in lang], pa.string()))
+    ops = _textstats_layout_ops()
+
+    def unspell(df):
+        return df.replace({"~null": None})
+
+    groups = duckdb.sql("SELECT lang, COUNT(*) AS n FROM nulls "
+                        "GROUP BY lang").df()
+    want = dict(zip(groups["lang"].where(groups["lang"].notna(), None),
+                    groups["n"]))
+    for op in _NULL_KEYED:
+        got = _frame(ops[op](_blocks(nulls, 3)))
+        assert got["lang"].isna().sum() == 1, op
+        ref = _frame(unspell(_frame(ops[op](_blocks(spelled, 3)))))
+        pd.testing.assert_frame_equal(got, ref, check_exact=True, obj=op)
+        if op in ("regex_scrub_stats", "ngram_contamination_counts",
+                  "quality_rule_funnel", "drop_duplicate_span_stats"):
+            assert {(None if pd.isna(k) else k): n for k, n in
+                    zip(got["lang"], got["n_docs"])} == want, op
+
+    cos = _frame(ops["lang_token_cosine"](_blocks(nulls, 3)))
+    ref = _frame(ops["lang_token_cosine"](_blocks(spelled, 3)))
+    ref = ref[(ref["key_a"] != "~null") & (ref["key_b"] != "~null")]
+    pd.testing.assert_frame_equal(cos, ref.reset_index(drop=True),
+                                  check_exact=True)
+
+    labelled = nulls.filter(pa.compute.is_valid(nulls["lang"]))
+    pd.testing.assert_frame_equal(
+        _frame(ops["nb_classifier_confusion"](_blocks(nulls, 3))),
+        _frame(ops["nb_classifier_confusion"](_blocks(labelled, 3))),
+        check_exact=True)
